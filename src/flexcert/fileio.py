@@ -38,6 +38,12 @@ def _scalar_in(raw, path: str, where: str) -> Fraction:
     raise ParseError(path, f"{where}: rationals must be strings or integers, got {type(raw).__name__}")
 
 
+def _list_in(raw, path: str, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ParseError(path, f"{where} must be a list, got {type(raw).__name__}")
+    return raw
+
+
 def _scalar_out(x: Fraction) -> str:
     return str(x)
 
@@ -61,16 +67,15 @@ def load_json(path: str) -> Any:
 
 
 def system_to_dict(sys: QuadraticSystem, base_point: Optional[Vector] = None) -> dict:
+    """Files list every nonzero entry of the symmetric matrix alpha^k in
+    row-major order, so an off-diagonal term appears as both (i, j) and
+    (j, i), each carrying the stored half."""
     equations = []
-    for k in range(sys.n):
-        alpha = []
-        for i in range(sys.m):
-            for j in range(sys.m):
-                val = sys.alpha[k].entries[i][j]
-                if val != 0:
-                    alpha.append([i, j, _scalar_out(val)])
-        beta = [[i, _scalar_out(v)] for i, v in enumerate(sys.beta[k]) if v != 0]
-        equations.append({"alpha": alpha, "beta": beta, "gamma": _scalar_out(sys.gamma[k])})
+    for quad, lin, g in zip(sys.alpha, sys.beta, sys.gamma):
+        entries = sorted(list(quad) + [(j, i, c) for i, j, c in quad if i != j])
+        alpha = [[i, j, _scalar_out(c)] for i, j, c in entries]
+        beta = [[i, _scalar_out(c)] for i, c in lin]
+        equations.append({"alpha": alpha, "beta": beta, "gamma": _scalar_out(g)})
     out = {"variables": list(sys.variable_names), "equations": equations}
     if base_point is not None:
         out["base_point"] = _vector_out(base_point)
@@ -87,32 +92,32 @@ def system_from_dict(data: dict, path: str = "<memory>") -> tuple[QuadraticSyste
     if m == 0:
         raise ParseError(path, "system needs at least one variable")
     alphas, betas, gammas = [], [], []
-    for k, eq in enumerate(data["equations"]):
+    for k, eq in enumerate(_list_in(data["equations"], path, "'equations'")):
         where = f"equations[{k}]"
         if not isinstance(eq, dict):
             raise ParseError(path, f"{where}: expected an object")
-        a = [[Fraction(0)] * m for _ in range(m)]
-        for t, triple in enumerate(eq.get("alpha", [])):
+        a = []
+        for t, triple in enumerate(_list_in(eq.get("alpha", []), path, f"{where}.alpha")):
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise ParseError(path, f"{where}.alpha[{t}]: expected [i, j, value]")
             i, j, raw = triple
             if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < m and 0 <= j < m):
                 raise ParseError(path, f"{where}.alpha[{t}]: index out of range")
-            a[i][j] += _scalar_in(raw, path, f"{where}.alpha[{t}]")
-        b = [Fraction(0)] * m
-        for t, pair in enumerate(eq.get("beta", [])):
+            a.append((i, j, _scalar_in(raw, path, f"{where}.alpha[{t}]")))
+        b = []
+        for t, pair in enumerate(_list_in(eq.get("beta", []), path, f"{where}.beta")):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(path, f"{where}.beta[{t}]: expected [i, value]")
             i, raw = pair
             if not (isinstance(i, int) and 0 <= i < m):
                 raise ParseError(path, f"{where}.beta[{t}]: index out of range")
-            b[i] += _scalar_in(raw, path, f"{where}.beta[{t}]")
+            b.append((i, _scalar_in(raw, path, f"{where}.beta[{t}]")))
         alphas.append(a)
         betas.append(b)
         gammas.append(_scalar_in(eq.get("gamma", "0"), path, f"{where}.gamma"))
     if not alphas:
         raise ParseError(path, "system needs at least one equation")
-    sys = quadsys.validate_and_symmetrize(alphas, betas, gammas, variables)
+    sys = quadsys.validate_and_symmetrize(m, alphas, betas, gammas, variables)
     base = None
     if "base_point" in data:
         raw = data["base_point"]
@@ -154,12 +159,14 @@ def poly_from_dict(
         raise ParseError(path, "'variables' must be a non-empty list of names")
     m = len(variables)
     eqs = []
-    for k, eq in enumerate(data["equations"]):
+    for k, eq in enumerate(_list_in(data["equations"], path, "'equations'")):
         where = f"equations[{k}]"
         if not isinstance(eq, dict) or "terms" not in eq:
             raise ParseError(path, f"{where}: expected an object with 'terms'")
         terms: dict[tuple[int, ...], Fraction] = {}
-        for t, term in enumerate(eq["terms"]):
+        for t, term in enumerate(_list_in(eq["terms"], path, f"{where}.terms")):
+            if not isinstance(term, dict):
+                raise ParseError(path, f"{where}.terms[{t}]: expected an object")
             exps = term.get("exponents")
             if not (isinstance(exps, list) and len(exps) == m
                     and all(isinstance(e, int) and e >= 0 for e in exps)):
@@ -187,19 +194,22 @@ def load_poly(path: str) -> tuple[GeneralPolySystem, Optional[Vector]]:
 # Frameworks
 
 
-def framework_to_dict(fw: Framework, auto_pin_flag: bool = False) -> dict:
+def _pins_out(pins) -> list[dict]:
+    """Pins grouped by joint: [{"joint": id, "coords": [indices]}], sorted."""
     pins_by_joint: dict[str, list[int]] = {}
-    for jid, idx in sorted(fw.pins):
+    for jid, idx in sorted(pins):
         pins_by_joint.setdefault(jid, []).append(idx)
+    return [{"joint": jid, "coords": idxs} for jid, idxs in sorted(pins_by_joint.items())]
+
+
+def framework_to_dict(fw: Framework, auto_pin_flag: bool = False) -> dict:
     return {
         "dimension": fw.dimension,
         "joints": [
             {"id": jid, "coords": _vector_out(fw.joints[jid])} for jid in fw.joint_ids()
         ],
         "bars": [list(bar) for bar in fw.bars],
-        "pins": [
-            {"joint": jid, "coords": sorted(idxs)} for jid, idxs in sorted(pins_by_joint.items())
-        ],
+        "pins": _pins_out(fw.pins),
         "auto_pin": auto_pin_flag,
     }
 
@@ -214,7 +224,7 @@ def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, 
     if not isinstance(dim, int) or dim < 1:
         raise ParseError(path, "'dimension' must be a positive integer")
     joints = {}
-    for t, joint in enumerate(data["joints"]):
+    for t, joint in enumerate(_list_in(data["joints"], path, "'joints'")):
         if not isinstance(joint, dict) or "id" not in joint or "coords" not in joint:
             raise ParseError(path, f"joints[{t}]: expected {{id, coords}}")
         coords = joint["coords"]
@@ -233,10 +243,10 @@ def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, 
         if not (isinstance(bar, list) and len(bar) == 2):
             raise ParseError(path, f"bars[{t}]: expected a pair of joint ids")
     pins = []
-    for t, pin in enumerate(data.get("pins", [])):
+    for t, pin in enumerate(_list_in(data.get("pins", []), path, "'pins'")):
         if not isinstance(pin, dict) or "joint" not in pin or "coords" not in pin:
             raise ParseError(path, f"pins[{t}]: expected {{joint, coords}}")
-        for idx in pin["coords"]:
+        for idx in _list_in(pin["coords"], path, f"pins[{t}].coords"):
             if not isinstance(idx, int):
                 raise ParseError(path, f"pins[{t}]: coordinate indices must be integers")
             pins.append((str(pin["joint"]), idx))
@@ -266,7 +276,7 @@ def series_from_dict(data: dict, path: str = "<memory>") -> SeriesCoefficients:
     if not isinstance(data, dict) or "coefficients" not in data:
         raise ParseError(path, "expected an object with 'coefficients'")
     coeffs = []
-    for p, row in enumerate(data["coefficients"]):
+    for p, row in enumerate(_list_in(data["coefficients"], path, "'coefficients'")):
         if not isinstance(row, list):
             raise ParseError(path, f"coefficients[{p}] must be a list")
         coeffs.append(tuple(_scalar_in(x, path, f"coefficients[{p}][{i}]")
@@ -355,13 +365,7 @@ def report_to_dict(report) -> dict:
         out["flexion"] = flex
     pinned = getattr(report, "pinned", None)
     if pinned is not None:
-        pins_by_joint: dict[str, list[int]] = {}
-        for jid, idx in sorted(pinned.pins):
-            pins_by_joint.setdefault(jid, []).append(idx)
-        out["pins"] = [
-            {"joint": jid, "coords": sorted(idxs)}
-            for jid, idxs in sorted(pins_by_joint.items())
-        ]
+        out["pins"] = _pins_out(pinned.pins)
     return out
 
 

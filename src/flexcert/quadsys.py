@@ -1,18 +1,19 @@
 """Systems of algebraic equations of degree at most 2.
 
-A system is stored by its coefficient tensors: per equation k a symmetric
-matrix alpha^k (quadratic part), a vector beta^k (linear part) and a
-constant gamma^k. Higher-degree polynomial systems are brought into this
-form by introducing auxiliary variables for sub-monomials; the module
-also builds the linearization C of a system at a base point, which is
-the object every rigidity test interrogates.
+A system is stored sparsely, in one canonical form: per equation k, the
+symmetric matrix alpha^k as sorted (i, j, c) triples with i <= j, the
+vector beta^k as sorted (i, c) pairs, both without zeros, and a constant
+gamma^k. Equal systems compare equal, and F, B, A and the rows of the
+linearization C at a base point (the object every rigidity test
+interrogates) cost O(nnz). Higher-degree polynomial systems are brought
+into this form by introducing auxiliary variables for sub-monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ratlinalg import (
     DimensionError,
@@ -36,12 +37,13 @@ class BasePointError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticSystem:
-    """n equations of degree <= 2 in m variables, with exact coefficients."""
+    """n equations of degree <= 2 in m variables, with exact coefficients,
+    in the canonical form that validate_and_symmetrize builds."""
 
     m: int
     n: int
-    alpha: tuple[Matrix, ...]        # one symmetric m x m matrix per equation
-    beta: tuple[Vector, ...]         # one length-m vector per equation
+    alpha: tuple[tuple[tuple[int, int, Fraction], ...], ...]  # (i, j, c) per equation
+    beta: tuple[tuple[tuple[int, Fraction], ...], ...]        # (i, c) per equation
     gamma: tuple[Fraction, ...]      # one constant per equation
     variable_names: tuple[str, ...]
 
@@ -50,13 +52,6 @@ class QuadraticSystem:
             raise DimensionError("equation count mismatch")
         if len(self.variable_names) != self.m:
             raise DimensionError("variable name count mismatch")
-        for a, b in zip(self.alpha, self.beta):
-            if a.rows != self.m or a.cols != self.m or len(b) != self.m:
-                raise DimensionError("coefficient shape mismatch")
-            for i in range(self.m):
-                for j in range(i + 1, self.m):
-                    if a.entries[i][j] != a.entries[j][i]:
-                        raise DimensionError("alpha matrix not symmetric")
 
 
 def default_names(m: int) -> tuple[str, ...]:
@@ -64,39 +59,39 @@ def default_names(m: int) -> tuple[str, ...]:
 
 
 def validate_and_symmetrize(
-    alpha_raw: Sequence[Sequence[Sequence]],
-    beta_raw: Sequence[Sequence],
-    gamma_raw: Sequence,
+    m: int,
+    alpha_terms: Sequence[Iterable[tuple]],
+    beta_terms: Sequence[Iterable[tuple]],
+    gamma: Sequence,
     variable_names: Optional[Sequence[str]] = None,
 ) -> QuadraticSystem:
-    """Build a QuadraticSystem, replacing each alpha by (alpha + alpha^T)/2.
-
-    Symmetrization never changes the quadratic form values, and it makes
-    the bilinear map B symmetric, so B(X,Y)+B(Y,X) can be computed as
-    2*B(X,Y) throughout.
-    """
-    n = len(alpha_raw)
-    if len(beta_raw) != n or len(gamma_raw) != n:
-        raise DimensionError("alpha/beta/gamma counts differ")
-    if n == 0:
-        raise DimensionError("system needs at least one equation")
-    m = len(beta_raw[0])
-    alphas = []
-    betas = []
-    gammas = []
-    for a_rows, b, g in zip(alpha_raw, beta_raw, gamma_raw):
-        a = [[scalar(x) for x in row] for row in a_rows]
-        if len(a) != m or any(len(row) != m for row in a) or len(b) != m:
-            raise DimensionError("inconsistent coefficient dimensions")
-        half = Fraction(1, 2)
-        sym = tuple(
-            tuple((a[i][j] + a[j][i]) * half for j in range(m)) for i in range(m)
-        )
-        alphas.append(Matrix(m, m, sym))
-        betas.append(vector(b))
-        gammas.append(scalar(g))
+    """Build a QuadraticSystem from raw per-equation terms: (i, j, c) for
+    c x_i x_j, (i, c) for c x_i, and a constant. Duplicates are summed,
+    zeros dropped, and alpha replaced by (alpha + alpha^T)/2, which keeps
+    the quadratic form values and makes B symmetric, so B(X,Y)+B(Y,X) can
+    be computed as 2*B(X,Y) throughout."""
+    n = len(alpha_terms)
+    if n == 0 or len(beta_terms) != n or len(gamma) != n:
+        raise DimensionError("need one or more equations, with equal alpha/beta/gamma counts")
+    half = Fraction(1, 2)
+    alphas, betas = [], []
+    for quad, lin in zip(alpha_terms, beta_terms):
+        sym: dict[tuple[int, int], Fraction] = {}
+        for i, j, c in quad:
+            if not (0 <= i < m and 0 <= j < m):
+                raise DimensionError(f"alpha term ({i}, {j}) out of range for m = {m}")
+            key = (min(i, j), max(i, j))
+            sym[key] = sym.get(key, 0) + (scalar(c) if i == j else scalar(c) * half)
+        alphas.append(tuple((i, j, c) for (i, j), c in sorted(sym.items()) if c != 0))
+        acc: dict[int, Fraction] = {}
+        for i, c in lin:
+            if not 0 <= i < m:
+                raise DimensionError(f"beta term {i} out of range for m = {m}")
+            acc[i] = acc.get(i, 0) + scalar(c)
+        betas.append(tuple((i, c) for i, c in sorted(acc.items()) if c != 0))
     names = tuple(variable_names) if variable_names is not None else default_names(m)
-    return QuadraticSystem(m, n, tuple(alphas), tuple(betas), tuple(gammas), names)
+    gammas = tuple(scalar(g) for g in gamma)
+    return QuadraticSystem(m, n, tuple(alphas), tuple(betas), gammas, names)
 
 
 def evaluate(sys: QuadraticSystem, x: Vector) -> Vector:
@@ -104,11 +99,14 @@ def evaluate(sys: QuadraticSystem, x: Vector) -> Vector:
     if len(x) != sys.m:
         raise DimensionError(f"system has {sys.m} variables, point has {len(x)}")
     out = []
-    for k in range(sys.n):
-        ax = sys.alpha[k].mul_vec(x)
-        quad = sum((ax[i] * x[i] for i in range(sys.m)), Fraction(0))
-        lin = sum((sys.beta[k][i] * x[i] for i in range(sys.m)), Fraction(0))
-        out.append(quad + lin + sys.gamma[k])
+    for quad, lin, g in zip(sys.alpha, sys.beta, sys.gamma):
+        diag = off = Fraction(0)
+        for i, j, c in quad:
+            if i == j:
+                diag += c * x[i] * x[i]
+            else:
+                off += c * x[i] * x[j]
+        out.append(sum((c * x[i] for i, c in lin), diag + 2 * off + g))
     return tuple(out)
 
 
@@ -117,9 +115,14 @@ def bilinear(sys: QuadraticSystem, x: Vector, y: Vector) -> Vector:
     if len(x) != sys.m or len(y) != sys.m:
         raise DimensionError("bilinear arguments must have m entries")
     out = []
-    for k in range(sys.n):
-        ay = sys.alpha[k].mul_vec(y)
-        out.append(sum((x[i] * ay[i] for i in range(sys.m)), Fraction(0)))
+    for quad in sys.alpha:
+        total = Fraction(0)
+        for i, j, c in quad:
+            if i == j:
+                total += c * x[i] * y[i]
+            else:
+                total += c * (x[i] * y[j] + x[j] * y[i])
+        out.append(total)
     return tuple(out)
 
 
@@ -127,10 +130,7 @@ def linear_part(sys: QuadraticSystem, x: Vector) -> Vector:
     """A(X): component k is sum_i beta_i^k x_i."""
     if len(x) != sys.m:
         raise DimensionError("linear_part argument must have m entries")
-    return tuple(
-        sum((sys.beta[k][i] * x[i] for i in range(sys.m)), Fraction(0))
-        for k in range(sys.n)
-    )
+    return tuple(sum((c * x[i] for i, c in lin), Fraction(0)) for lin in sys.beta)
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,21 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     if not is_zero_vector(residual):
         raise BasePointError(residual)
     rows = []
-    for k in range(sys.n):
-        ax0 = sys.alpha[k].mul_vec(x0)
-        rows.append(tuple(2 * ax0[j] + sys.beta[k][j] for j in range(sys.m)))
+    for quad, lin in zip(sys.alpha, sys.beta):
+        row = [Fraction(0)] * sys.m
+        for i, j, c in quad:
+            row[i] += 2 * c * x0[j]
+            if i != j:
+                row[j] += 2 * c * x0[i]
+        for i, c in lin:
+            row[i] += c
+        rows.append(tuple(row))
     c = Matrix(sys.n, sys.m, tuple(rows))
     # spot-check the closed-form columns against the operational definition
     probe = (Fraction(1),) * sys.m
-    expected = tuple(
-        2 * b + a for b, a in zip(bilinear(sys, x0, probe), linear_part(sys, probe))
-    )
-    assert c.mul_vec(probe) == expected
+    bx, ap = bilinear(sys, x0, probe), linear_part(sys, probe)
+    if c.mul_vec(probe) != tuple(2 * b + a for b, a in zip(bx, ap)):
+        raise RuntimeError("linearization C disagrees with 2 B(X0, .) + A at the probe")
     return BaseOperators(sys, x0, c, tuple(kernel_basis(c)))
 
 
@@ -278,34 +283,25 @@ def _split_submonomial(exps: tuple[int, ...], target: int) -> tuple[int, ...]:
 
 
 def _quadratic_from_poly(poly: GeneralPolySystem) -> QuadraticSystem:
-    m = poly.m
     alphas, betas, gammas = [], [], []
     for eq in poly.equations:
-        a = [[Fraction(0)] * m for _ in range(m)]
-        b = [Fraction(0)] * m
-        g = Fraction(0)
+        a, b, g = [], [], Fraction(0)
         for exps, coeff in eq.items():
             support = [i for i, e in enumerate(exps) if e > 0]
             deg = sum(exps)
             if deg == 0:
                 g += coeff
             elif deg == 1:
-                b[support[0]] += coeff
+                b.append((support[0], coeff))
             elif deg == 2:
-                if len(support) == 1:
-                    i = support[0]
-                    a[i][i] += coeff
-                else:
-                    i, j = support
-                    half = coeff / 2
-                    a[i][j] += half
-                    a[j][i] += half
+                # x_i^2 has support [i], x_i x_j has support [i, j]
+                a.append((support[0], support[-1], coeff))
             else:
                 raise DimensionError("polynomial of degree > 2 cannot be converted")
         alphas.append(a)
         betas.append(b)
         gammas.append(g)
-    return validate_and_symmetrize(alphas, betas, gammas, poly.variable_names)
+    return validate_and_symmetrize(poly.m, alphas, betas, gammas, poly.variable_names)
 
 
 def _padded(eq: dict, width: int) -> dict[tuple[int, ...], Fraction]:

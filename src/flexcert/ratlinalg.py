@@ -106,7 +106,8 @@ class Matrix:
     def mul_vec(self, x: Vector) -> Vector:
         if len(x) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(x)}")
-        return tuple(sum((r[j] * x[j] for j in range(self.cols)), Fraction(0))
+        # zero entries are skipped: linearizations are mostly zeros
+        return tuple(sum((a * xj for a, xj in zip(r, x) if a), Fraction(0))
                      for r in self.entries)
 
     def transpose(self) -> "Matrix":

@@ -167,8 +167,7 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
         raise FrameworkError("framework has no bars to compile")
     alphas, betas, gammas = [], [], []
     for a, b in fw.bars:
-        alpha = [[Fraction(0)] * m for _ in range(m)]
-        beta = [Fraction(0)] * m
+        alpha, beta = [], []
         gamma = Fraction(0)
         for c in range(fw.dimension):
             ia = var_index.get((a, c))
@@ -177,17 +176,14 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
             kb = fw.joints[b][c]
             # expand (u - v)^2 with u, v each a variable or a constant
             if ia is not None and ib is not None:
-                alpha[ia][ia] += 1
-                alpha[ib][ib] += 1
-                alpha[ia][ib] -= 1
-                alpha[ib][ia] -= 1
+                alpha += [(ia, ia, 1), (ib, ib, 1), (ia, ib, -2)]
             elif ia is not None:
-                alpha[ia][ia] += 1
-                beta[ia] += -2 * kb
+                alpha.append((ia, ia, 1))
+                beta.append((ia, -2 * kb))
                 gamma += kb * kb
             elif ib is not None:
-                alpha[ib][ib] += 1
-                beta[ib] += -2 * ka
+                alpha.append((ib, ib, 1))
+                beta.append((ib, -2 * ka))
                 gamma += ka * ka
             else:
                 gamma += (ka - kb) ** 2
@@ -196,7 +192,7 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
         betas.append(beta)
         gammas.append(gamma)
     names = [f"{jid}[{c}]" for jid, c in variables]
-    sys = validate_and_symmetrize(alphas, betas, gammas, names)
+    sys = validate_and_symmetrize(m, alphas, betas, gammas, names)
     base = tuple(fw.joints[jid][c] for jid, c in variables)
     residual = evaluate(sys, base)
     if any(x != 0 for x in residual):
@@ -388,7 +384,10 @@ def analyze_framework(
                 f"{cert.fail_index} extension, hence rigid"
             )
     elif report.verdict == FLEXIBLE:
-        assert isinstance(report.certificate, SpanClosureFlex)
+        if not isinstance(report.certificate, SpanClosureFlex):
+            raise RuntimeError(
+                f"Flexible verdict without a span-closure certificate: {report.certificate!r}"
+            )
         flexion = flexion_nontriviality(pinned, variables, report.certificate.series)
         if flexion.classification == "Nontrivial":
             a, b = flexion.witness_pair

@@ -11,6 +11,38 @@ from flexcert.corpus import corpus_path
 from flexcert.ratlinalg import vector
 
 
+def dense_system(alpha_raw, beta_raw, gamma_raw):
+    """validate_and_symmetrize on dense raw coefficients: each alpha^k an
+    m x m list of rows and each beta^k a length-m list, passed on as their
+    nonzero (i, j, c) and (i, c) terms, with m the size of the first alpha."""
+    m = len(alpha_raw[0])
+    alphas = [
+        [(i, j, c) for i, row in enumerate(a) for j, c in enumerate(row) if c != 0]
+        for a in alpha_raw
+    ]
+    betas = [[(i, c) for i, c in enumerate(b) if c != 0] for b in beta_raw]
+    return quadsys.validate_and_symmetrize(m, alphas, betas, gamma_raw)
+
+
+def system_poly_terms(sys_):
+    """Expand a quadratic system back into exponent-map equations."""
+    eqs = []
+    for k in range(sys_.n):
+        terms = {}
+        for i, j, c in sys_.alpha[k]:
+            exps = [0] * sys_.m
+            exps[i] += 1
+            exps[j] += 1
+            # an off-diagonal term stands for both c x_i x_j and c x_j x_i
+            terms[tuple(exps)] = c if i == j else 2 * c
+        for i, c in sys_.beta[k]:
+            terms[tuple(1 if t == i else 0 for t in range(sys_.m))] = c
+        if sys_.gamma[k] != 0:
+            terms[(0,) * sys_.m] = sys_.gamma[k]
+        eqs.append(terms)
+    return eqs
+
+
 def load_corpus_system(name):
     sys_, base = fileio.load_system(corpus_path(name))
     assert base is not None

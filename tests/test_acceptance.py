@@ -34,7 +34,7 @@ from flexcert.ratlinalg import determinant, image_contains, vector, zero_vector
 from flexcert.rigidity import analyze_framework, auto_pin, build_edge_system
 from flexcert.series import SeriesCoefficients, extend_step, reparameterize, residual_order
 
-from conftest import load_corpus_framework, load_corpus_system
+from conftest import load_corpus_framework, load_corpus_system, system_poly_terms
 
 
 def report(criterion, text):
@@ -158,41 +158,18 @@ def _eval_poly_terms(terms, x):
     return total
 
 
-def _system_as_terms(sys_):
-    out = []
-    for k in range(sys_.n):
-        terms = {}
-        for i in range(sys_.m):
-            for j in range(sys_.m):
-                c = sys_.alpha[k].entries[i][j]
-                if c != 0:
-                    exps = [0] * sys_.m
-                    exps[i] += 1
-                    exps[j] += 1
-                    key = tuple(exps)
-                    terms[key] = terms.get(key, F(0)) + c
-        for i, c in enumerate(sys_.beta[k]):
-            if c != 0:
-                key = tuple(1 if t == i else 0 for t in range(sys_.m))
-                terms[key] = terms.get(key, F(0)) + c
-        if sys_.gamma[k] != 0:
-            terms[(0,) * sys_.m] = sys_.gamma[k]
-        out.append({e: c for e, c in terms.items() if c != 0})
-    return out
-
-
 def test_criterion_5_degree_reduction():
     # x1^3 - x2^2 reduces to {x1 x3 - x2^2, x1^2 - x3}
     cubic = quadsys.poly_system([{(3, 0): 1, (0, 2): -1}], 2)
     red, rmap = reduce_degree(cubic)
-    assert _system_as_terms(red) == [
+    assert system_poly_terms(red) == [
         {(1, 0, 1): F(1), (0, 2, 0): F(-1)},
         {(2, 0, 0): F(1), (0, 0, 1): F(-1)},
     ]
     # x1^2 x2 - 1 reduces to {x3 x2 - 1, defining equation for x3 = x1^2}
     mixed = quadsys.poly_system([{(2, 1): 1, (0, 0): -1}], 2)
     red2, rmap2 = reduce_degree(mixed)
-    terms2 = _system_as_terms(red2)
+    terms2 = system_poly_terms(red2)
     assert terms2[0] == {(0, 1, 1): F(1), (0, 0, 0): F(-1)}
     assert terms2[1] in (
         {(2, 0, 0): F(1), (0, 0, 1): F(-1)},   # x1^2 - x3
@@ -203,7 +180,7 @@ def test_criterion_5_degree_reduction():
     rng = random.Random(2718)
     for poly, red_sys, rmap_ in ((cubic, red, rmap), (mixed, red2, rmap2)):
         originals = [dict(eq) for eq in poly.equations]
-        reduced_terms = _system_as_terms(red_sys)
+        reduced_terms = system_poly_terms(red_sys)
         for _ in range(20):
             x = vector([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)])
             lifted = quadsys.lift_base_point(rmap_, x)

@@ -27,9 +27,11 @@ from flexcert.certify import (
     span_confinement_diagnostic,
     t_standard_run,
 )
-from flexcert.quadsys import linearize, validate_and_symmetrize
+from flexcert.quadsys import linearize
 from flexcert.ratlinalg import vector, zero_vector
 from flexcert.series import SeriesCoefficients
+
+from conftest import dense_system
 
 
 def make_series(*coeffs):
@@ -46,7 +48,7 @@ def test_first_order_check_negative(hyperboloid_line):
 
 
 def test_first_order_check_positive():
-    sys_ = validate_and_symmetrize(
+    sys_ = dense_system(
         [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], [0, 0]
     )
     ops = linearize(sys_, vector([0, 0]))
@@ -74,14 +76,10 @@ def test_obstruction_absent_when_products_extend(hyperboloid_line, viviani_syste
         assert second_order_obstruction_check(linearize(sys_, base)) is None
 
 
-def _system(alphas, betas, gammas):
-    return validate_and_symmetrize(alphas, betas, gammas)
-
-
 def test_obstruction_definite_form_dim2():
     # x1^2 + x2^2 + x3 = 0 and x3 = 0: the origin is an isolated solution
     z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    sys_ = _system(
+    sys_ = dense_system(
         [[[1, 0, 0], [0, 1, 0], [0, 0, 0]], z3],
         [[0, 0, 1], [0, 0, 1]],
         [0, 0],
@@ -98,7 +96,7 @@ def test_obstruction_no_common_line_dim2():
     z4 = [[0] * 4 for _ in range(4)]
     a1 = [[0, F(1, 2), 0, 0], [F(1, 2), 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     a2 = [[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    sys_ = _system(
+    sys_ = dense_system(
         [a1, a2, z4, z4],
         [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
         [0, 0, 0, 0],
@@ -114,7 +112,7 @@ def test_obstruction_passes_on_common_rational_line():
     # single projected form u*v vanishes on two rational lines
     z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     a1 = [[0, F(1, 2), 0], [F(1, 2), 0, 0], [0, 0, 0]]
-    sys_ = _system([a1, z3], [[0, 0, 1], [0, 0, 1]], [0, 0])
+    sys_ = dense_system([a1, z3], [[0, 0, 1], [0, 0, 1]], [0, 0])
     ops = linearize(sys_, zero_vector(3))
     assert second_order_obstruction_check(ops) is None
 
@@ -124,7 +122,7 @@ def test_obstruction_passes_on_common_irrational_line():
     z4 = [[0] * 4 for _ in range(4)]
     a1 = [[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     a2 = [[2, 0, 0, 0], [0, -4, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    sys_ = _system(
+    sys_ = dense_system(
         [a1, a2, z4, z4],
         [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
         [0, 0, 0, 0],
@@ -138,7 +136,7 @@ def test_obstruction_distinct_irrational_forms_obstruct():
     z4 = [[0] * 4 for _ in range(4)]
     a1 = [[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     a2 = [[1, 0, 0, 0], [0, -3, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    sys_ = _system(
+    sys_ = dense_system(
         [a1, a2, z4, z4],
         [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
         [0, 0, 0, 0],
@@ -153,7 +151,7 @@ def test_obstruction_undecided_dim3_returns_none():
     # 3-dim kernel, projected form u*v: indefinite, no decision attempted
     z4 = [[0] * 4 for _ in range(4)]
     a1 = [[0, F(1, 2), 0, 0], [F(1, 2), 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    sys_ = _system([a1, z4], [[0, 0, 0, 1], [0, 0, 0, 1]], [0, 0])
+    sys_ = dense_system([a1, z4], [[0, 0, 0, 1], [0, 0, 0, 1]], [0, 0])
     ops = linearize(sys_, zero_vector(4))
     assert len(ops.kernel) == 3
     assert second_order_obstruction_check(ops) is None
@@ -163,7 +161,7 @@ def test_obstruction_definite_form_dim3_fires():
     # projected form u^2 + v^2 + w^2 is positive definite on a 3-dim kernel
     z4 = [[0] * 4 for _ in range(4)]
     a1 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
-    sys_ = _system([a1, z4], [[0, 0, 0, 1], [0, 0, 0, 1]], [0, 0])
+    sys_ = dense_system([a1, z4], [[0, 0, 0, 1], [0, 0, 0, 1]], [0, 0])
     ops = linearize(sys_, zero_vector(4))
     assert len(ops.kernel) == 3
     cert = second_order_obstruction_check(ops)
@@ -277,7 +275,7 @@ def test_span_confinement_line_family(hyperboloid_line):
 
 def test_span_confinement_inapplicable_outside_span():
     # exact parabola family x(t) = (t, t^2) for x2 - x1^2 = 0
-    sys_ = validate_and_symmetrize([[[-1, 0], [0, 0]]], [[0, 1]], [0])
+    sys_ = dense_system([[[-1, 0], [0, 0]]], [[0, 1]], [0])
     s = make_series([0, 0], [1, 0], [0, 1], [0, 0], [0, 0])
     ops = linearize(sys_, vector([0, 0]))
     report = span_confinement_diagnostic(ops, s, 2)
@@ -289,7 +287,7 @@ def test_span_confinement_inapplicable_outside_span():
 
 
 def test_span_confinement_r3_on_exact_family():
-    sys_ = validate_and_symmetrize([[[-1, 0], [0, 0]]], [[0, 1]], [0])
+    sys_ = dense_system([[[-1, 0], [0, 0]]], [[0, 1]], [0])
     ops = linearize(sys_, vector([0, 0]))
     zero = [0, 0]
     s = make_series([0, 0], [1, 0], [0, 1], zero, zero, zero, zero, zero)
@@ -469,10 +467,10 @@ def _random_system_with_solution(rng, m, n):
         alphas.append(a)
         betas.append(b)
         gammas.append(F(0))
-    sys0 = validate_and_symmetrize(alphas, betas, gammas)
+    sys0 = dense_system(alphas, betas, gammas)
     residual = quadsys.evaluate(sys0, base)
     gammas = [-r for r in residual]
-    return validate_and_symmetrize(alphas, betas, gammas), base
+    return dense_system(alphas, betas, gammas), base
 
 
 def test_pipeline_fuzz_replay_and_soundness():

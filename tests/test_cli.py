@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,6 +117,47 @@ def test_reduce_round_trip(tmp_path, capsys):
     code, ref, _ = run_cli(capsys, "analyze-system", corpus_path("example2.json"),
                            "--json")
     assert json.loads(out)["verdict"] == json.loads(ref)["verdict"]
+
+
+def test_reduce_output_bytes_are_pinned(tmp_path, capsys):
+    out_path = tmp_path / "reduced.json"
+    code, _, _ = run_cli(capsys, "reduce", corpus_path("cubic.json"),
+                         "-o", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "a6d9be759a2f8783d86d1ab6be8ba2b1d743107b1f6466b49a55d7475522a1a5")
+
+
+SQUARE_JOINTS = [{"id": "a", "coords": ["0", "0"]}, {"id": "b", "coords": ["1", "0"]},
+                 {"id": "c", "coords": ["1", "1"]}, {"id": "d", "coords": ["0", "1"]}]
+SQUARE_BARS = [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]
+MALFORMED = {
+    "joints_not_a_list": ("analyze-framework",
+                          {"dimension": 2, "joints": 5, "bars": SQUARE_BARS}),
+    "pin_coords_not_a_list": ("analyze-framework",
+                              {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
+                               "pins": [{"joint": "a", "coords": 3}]}),
+    "equations_not_a_list": ("analyze-system",
+                             {"variables": ["x"], "equations": 5, "base_point": ["0"]}),
+    "alpha_not_a_list": ("analyze-system",
+                         {"variables": ["x"], "equations": [{"alpha": 5}],
+                          "base_point": ["0"]}),
+    "series_coefficients_not_a_list": ("extend",
+                                       {"variables": ["x"], "equations": [{"alpha": []}],
+                                        "base_point": ["0"], "series": {"coefficients": 5}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    command, data = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    degree = ["--degree", "2"] if command == "extend" else []
+    code, _, err = run_cli(capsys, command, str(path), *degree)
+    assert code == 2
+    assert "must be a list" in err
+    assert "Traceback" not in err
 
 
 def test_extend_command(tmp_path, capsys):

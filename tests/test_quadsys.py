@@ -18,16 +18,20 @@ from flexcert.quadsys import (
 )
 from flexcert.ratlinalg import DimensionError, vec_add, vec_sub, vector, zero_vector
 
+from conftest import dense_system, system_poly_terms
+
 
 def test_symmetrize_upper_triangle():
-    sys_ = validate_and_symmetrize([[[0, 2], [0, 0]]], [[0, 0]], [0])
-    assert sys_.alpha[0].entries == ((F(0), F(1)), (F(1), F(0)))
+    sys_ = dense_system([[[0, 2], [0, 0]]], [[0, 0]], [0])
+    assert sys_.alpha[0] == ((0, 1, F(1)),)
+    # the same system from sparse terms, given as (j, i) and split in two
+    assert validate_and_symmetrize(2, [[(1, 0, 1), (1, 0, 1)]], [[]], [0]) == sys_
 
 
 def test_symmetrize_keeps_quadratic_values():
     raw = [[1, 3], [1, 1]]
-    sys_ = validate_and_symmetrize([raw], [[0, 0]], [0])
-    assert sys_.alpha[0].entries == ((F(1), F(2)), (F(2), F(1)))
+    sys_ = dense_system([raw], [[0, 0]], [0])
+    assert sys_.alpha[0] == ((0, 0, F(1)), (0, 1, F(2)), (1, 1, F(1)))
     rng = random.Random(7)
     for _ in range(10):
         x = vector([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)])
@@ -38,16 +42,20 @@ def test_symmetrize_keeps_quadratic_values():
 
 def test_symmetric_input_accepted_unchanged(hyperboloid_line):
     sys_, _ = hyperboloid_line
-    diag = tuple(sys_.alpha[0].entries[i][i] for i in range(3))
+    diag = tuple(c for i, j, c in sys_.alpha[0] if i == j)
     assert diag == (F(1), F(1), F(-1))
-    assert sys_.beta[0] == zero_vector(3)
+    assert sys_.beta[0] == ()
     assert sys_.gamma[0] == F(-1)
 
 
 def test_dimension_validation():
     with pytest.raises(DimensionError):
-        validate_and_symmetrize([[[1, 0], [0, 1]]], [[1, 2, 3]], [0])
-    sys_ = validate_and_symmetrize([[[1, 0], [0, 1]]], [[0, 0]], [-1])
+        dense_system([[[1, 0], [0, 1]]], [[1, 2, 3]], [0])
+    with pytest.raises(DimensionError):
+        validate_and_symmetrize(2, [[(0, 2, 1)]], [[]], [0])
+    with pytest.raises(DimensionError):
+        validate_and_symmetrize(2, [[]], [[]], [0, 0])
+    sys_ = dense_system([[[1, 0], [0, 1]]], [[0, 0]], [-1])
     with pytest.raises(DimensionError):
         evaluate(sys_, vector([1, 2, 3]))
 
@@ -56,7 +64,7 @@ def test_evaluate_reference_points(hyperboloid_line):
     sys_, base = hyperboloid_line
     assert evaluate(sys_, base) == zero_vector(3)
     assert evaluate(sys_, vector([9, 8, 12])) == zero_vector(3)
-    zero_sys = validate_and_symmetrize([[[0, 0], [0, 0]]], [[0, 0]], [0])
+    zero_sys = dense_system([[[0, 0], [0, 0]]], [[0, 0]], [0])
     assert evaluate(zero_sys, vector([5, -7])) == zero_vector(1)
 
 
@@ -107,6 +115,65 @@ def test_linearize_rejects_non_solution(hyperboloid_line):
     assert err.value.residual == vector([-15, -3, 1])
 
 
+def test_linearize_probe_mismatch_raises(monkeypatch, hyperboloid_line):
+    sys_, base = hyperboloid_line
+    real = quadsys.bilinear
+    monkeypatch.setattr(
+        quadsys, "bilinear", lambda s, x, y: tuple(v + 1 for v in real(s, x, y))
+    )
+    with pytest.raises(RuntimeError, match="probe"):
+        linearize(sys_, base)
+
+
+def _random_raw_terms(rng, m):
+    """Raw quadratic terms with repeated (i, j) keys and both (i, j) and (j, i)."""
+    quad = []
+    for _ in range(rng.randint(0, 6)):
+        i, j = rng.randrange(m), rng.randrange(m)
+        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        quad += [(i, j, c), (j, i, c / 2)] if rng.random() < 0.5 else [(i, j, c)]
+    lin = [(rng.randrange(m), F(rng.randint(-3, 3))) for _ in range(rng.randint(0, 3))]
+    return quad, lin
+
+
+def test_sparse_kernels_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def frac(r):
+        return F(int(r.p), int(r.q))
+
+    rng = random.Random(2024)
+    for _ in range(25):
+        m, n = rng.randint(1, 4), rng.randint(1, 3)
+        xs = sympy.symbols(f"x0:{m}")
+        raw = [_random_raw_terms(rng, m) for _ in range(n)]
+        base = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)]
+        at_base = dict(zip(xs, map(sympy.Rational, base)))
+        quads, polys, gammas = [], [], []
+        for quad, lin in raw:
+            q = sum((sympy.Rational(c) * xs[i] * xs[j] for i, j, c in quad), sympy.Integer(0))
+            a = sum((sympy.Rational(c) * xs[i] for i, c in lin), sympy.Integer(0))
+            g = -(q + a).subs(at_base)  # make the base point a solution
+            quads.append(q)
+            polys.append(q + a + g)
+            gammas.append(frac(g))
+        sys_ = validate_and_symmetrize(m, [r[0] for r in raw], [r[1] for r in raw], gammas)
+
+        x, y = ([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)] for _ in range(2))
+        at_x = dict(zip(xs, map(sympy.Rational, x)))
+        assert evaluate(sys_, vector(x)) == tuple(frac(p.subs(at_x)) for p in polys)
+        # polarization: B(X, Y) = (Q(X + Y) - Q(X) - Q(Y)) / 2
+        at_sum = {s: sympy.Rational(u + v) for s, u, v in zip(xs, x, y)}
+        at_y = dict(zip(xs, map(sympy.Rational, y)))
+        expected_b = tuple(
+            frac((q.subs(at_sum) - q.subs(at_x) - q.subs(at_y)) / 2) for q in quads
+        )
+        assert bilinear(sys_, vector(x), vector(y)) == expected_b
+        jac = sympy.Matrix(polys).jacobian(xs).subs(at_base)
+        expected_c = [[frac(jac[k, j]) for j in range(m)] for k in range(n)]
+        assert [list(r) for r in linearize(sys_, base).c_matrix.entries] == expected_c
+
+
 def test_degree_two_taylor_identity(hyperboloid_line, viviani_system, tangent_sphere_cylinder):
     # F(X0 + Z) - F(X0) = C Z + B(Z, Z), exactly
     rng = random.Random(99)
@@ -119,37 +186,12 @@ def test_degree_two_taylor_identity(hyperboloid_line, viviani_system, tangent_sp
             assert lhs == rhs
 
 
-def _poly_terms(sys_):
-    """Expand a quadratic system back into exponent-map equations."""
-    eqs = []
-    for k in range(sys_.n):
-        terms = {}
-        m = sys_.m
-        for i in range(m):
-            for j in range(m):
-                c = sys_.alpha[k].entries[i][j]
-                if c != 0:
-                    exps = tuple(
-                        (2 if (t == i and i == j) else (1 if t in (i, j) else 0))
-                        for t in range(m)
-                    )
-                    terms[exps] = terms.get(exps, F(0)) + c
-        for i, c in enumerate(sys_.beta[k]):
-            if c != 0:
-                exps = tuple(1 if t == i else 0 for t in range(m))
-                terms[exps] = terms.get(exps, F(0)) + c
-        if sys_.gamma[k] != 0:
-            terms[(0,) * m] = sys_.gamma[k]
-        eqs.append({e: c for e, c in terms.items() if c != 0})
-    return eqs
-
-
 def test_reduce_degree_cubic_curve():
     poly = poly_system([{(3, 0): 1, (0, 2): -1}], 2)
     red, rmap = reduce_degree(poly)
     assert red.m == 3 and red.n == 2
     assert rmap.auxiliary_definitions == ((2, (2, 0)),)
-    assert _poly_terms(red) == [
+    assert system_poly_terms(red) == [
         {(1, 0, 1): F(1), (0, 2, 0): F(-1)},
         {(2, 0, 0): F(1), (0, 0, 1): F(-1)},
     ]
@@ -159,7 +201,7 @@ def test_reduce_degree_mixed_cubic_monomial():
     poly = poly_system([{(2, 1): 1, (0, 0): -1}], 2)
     red, rmap = reduce_degree(poly)
     assert rmap.auxiliary_definitions == ((2, (2, 0)),)
-    assert _poly_terms(red) == [
+    assert system_poly_terms(red) == [
         {(0, 1, 1): F(1), (0, 0, 0): F(-1)},
         {(2, 0, 0): F(1), (0, 0, 1): F(-1)},
     ]
@@ -170,7 +212,7 @@ def test_reduce_degree_already_quadratic_is_unchanged():
     red, rmap = reduce_degree(poly)
     assert rmap.is_empty()
     assert red.m == 2
-    assert _poly_terms(red) == [{(2, 0): F(1), (0, 1): F(-1)}]
+    assert system_poly_terms(red) == [{(2, 0): F(1), (0, 1): F(-1)}]
 
 
 def test_reduce_degree_reuses_auxiliary_and_terminates_on_high_degree():
@@ -178,7 +220,7 @@ def test_reduce_degree_reuses_auxiliary_and_terminates_on_high_degree():
     poly = poly_system([{(4, 0): 1, (2, 2): 1, (0, 0): -1}], 2)
     red, rmap = reduce_degree(poly)
     assert all(
-        sum(e) <= 2 for eq in _poly_terms(red) for e in eq
+        sum(e) <= 2 for eq in system_poly_terms(red) for e in eq
     )
     names = [v for v, _ in rmap.auxiliary_definitions]
     assert len(names) == len(set(names))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -92,8 +93,8 @@ def test_edge_system_single_bar():
     assert variables == (("b", 0),)
     assert base == vector([1])
     # x^2 - 1 = 0
-    assert sys_.alpha[0].entries == ((F(1),),)
-    assert sys_.beta[0] == (F(0),)
+    assert sys_.alpha[0] == ((0, 0, F(1)),)
+    assert sys_.beta[0] == ()
     assert sys_.gamma[0] == F(-1)
 
 
@@ -250,3 +251,48 @@ def test_flexible_verdicts_replay():
         rep = analyze_framework(fw_builder(), use_auto_pin=True)
         sys_, variables, base = build_edge_system(rep.pinned)
         assert certify.replay_certificate(sys_, base, rep.certificate)
+
+
+def triangulated_grid(n):
+    """n x n lattice of joints, each unit square split by one diagonal."""
+    def jid(col, row):
+        return f"p{col:02d}_{row:02d}"
+
+    joints = {jid(c, r): [c, r] for c in range(n) for r in range(n)}
+    bars = []
+    for c in range(n):
+        for r in range(n):
+            if c + 1 < n:
+                bars.append([jid(c, r), jid(c + 1, r)])
+            if r + 1 < n:
+                bars.append([jid(c, r), jid(c, r + 1)])
+            if c + 1 < n and r + 1 < n:
+                bars.append([jid(c, r), jid(c + 1, r + 1)])
+    return framework(2, joints, bars)
+
+
+def test_ten_by_ten_grid_is_first_order_rigid_within_budget():
+    fw = triangulated_grid(10)
+    start = time.time()
+    rep = analyze_framework(fw, use_auto_pin=True)
+    sys_, variables, base = build_edge_system(rep.pinned)
+    assert (sys_.m, sys_.n) == (197, 261)
+    assert rep.verdict == RIGID
+    assert isinstance(rep.certificate, FirstOrderRigid) and rep.certificate.rank == 197
+    assert certify.replay_certificate(sys_, base, rep.certificate)
+    elapsed = time.time() - start
+    assert elapsed <= 30, f"took {elapsed:.1f}s"
+
+
+def test_flexible_verdict_needs_span_closure_certificate(monkeypatch):
+    fw = square()
+    real = certify.analyze_system
+
+    def flexible_with_wrong_certificate(sys_, base, config):
+        rep = real(sys_, base, config)
+        return certify.AnalysisReport(FLEXIBLE, FirstOrderRigid(0, sys_.m), rep.depth_reached,
+                                      rep.notes)
+
+    monkeypatch.setattr(certify, "analyze_system", flexible_with_wrong_certificate)
+    with pytest.raises(RuntimeError, match="span-closure"):
+        analyze_framework(fw, use_auto_pin=True)
