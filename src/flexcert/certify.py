@@ -21,10 +21,9 @@ from .quadsys import BaseOperators, QuadraticSystem, bilinear, linearize
 from .ratlinalg import (
     Matrix,
     Vector,
-    image_contains,
     is_zero_vector,
     kernel_basis,
-    solve_in_span,
+    solve_general,
     solve_in_span_coefficients,
     vec_add,
     vec_scale,
@@ -145,7 +144,9 @@ def first_order_rigidity_check(ops: BaseOperators) -> Optional[FirstOrderRigid]:
     """FirstOrderRigid certificate iff the linearization has trivial kernel."""
     if ops.kernel:
         return None
-    return FirstOrderRigid(rank=ratlinalg.rank(ops.c_matrix), variables=ops.system.m)
+    # a trivial kernel means full column rank
+    m = ops.system.m
+    return FirstOrderRigid(rank=m, variables=m)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderOb
     if d == 1:
         k = kernel[0]
         bval = ops.bilinear(k, k)
-        if image_contains(ops.c_matrix, bval):
+        if solve_general(ops.c_matrix, bval) is not None:
             return None
         return SecondOrderObstruction(case="single_direction", kernel=(k,), b_value=bval)
     cokernel = _cokernel(ops)
@@ -393,7 +394,7 @@ def _in_span(vec: Vector, span: Sequence[Vector]) -> bool:
     if is_zero_vector(vec):
         return True
     cols = ratlinalg.matrix_from_columns(list(span), rows=len(vec))
-    return ratlinalg.solve_general(cols, vec) is not None
+    return solve_general(cols, vec) is not None
 
 
 def span_confinement_diagnostic(
@@ -420,7 +421,7 @@ def span_confinement_diagnostic(
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             rhs = vec_scale(-2, ops.bilinear(s.coefficient(i), s.coefficient(j)))
-            ok = solve_in_span(ops.c_matrix, rhs, span) is not None
+            ok = solve_in_span_coefficients(ops.c_matrix, rhs, span) is not None
             results.append((i, j, ok))
     return SpanConfinementReport(
         True, r, "", tuple(results), all(ok for _, _, ok in results)
@@ -484,8 +485,8 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
     s = SeriesCoefficients((ops.base_point, cfg.leading_coeff))
     for p in range(2, cfg.max_depth + 1):
         rhs = recurrence_rhs(ops, s, p)
-        y = solve_in_span(ops.c_matrix, rhs, cfg.t_basis)
-        if y is None:
+        got = solve_in_span_coefficients(ops.c_matrix, rhs, cfg.t_basis)
+        if got is None:
             return TStandardFail(
                 fail_index=p,
                 unreachable_rhs=rhs,
@@ -493,7 +494,7 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
                 leading=cfg.leading_coeff,
                 prefix=s,
             )
-        s = s.appended(y)
+        s = s.appended(got[1])
     return TStandardSurvived(
         depth=cfg.max_depth, t_basis=cfg.t_basis, leading=cfg.leading_coeff, series=s
     )
@@ -580,7 +581,7 @@ def replay_certificate(sys: QuadraticSystem, x0: Vector, cert: Certificate) -> b
     must reproduce exactly."""
     ops = linearize(sys, x0)
     if isinstance(cert, FirstOrderRigid):
-        return not ops.kernel and ratlinalg.rank(ops.c_matrix) == cert.rank
+        return not ops.kernel and cert.rank == cert.variables == ops.system.m
 
     if isinstance(cert, SecondOrderObstruction):
         return _replay_obstruction(ops, cert)
@@ -611,7 +612,7 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
         if not is_zero_vector(ops.c_matrix.mul_vec(k)) or is_zero_vector(k):
             return False
         bval = ops.bilinear(k, k)
-        return bval == cert.b_value and not image_contains(ops.c_matrix, bval)
+        return bval == cert.b_value and solve_general(ops.c_matrix, bval) is None
     if cert.case == "definite_form":
         w = cert.functional
         if w is None or cert.form is None:
@@ -698,5 +699,5 @@ def _replay_t_standard(
         rhs = recurrence_rhs(ops, coeffs, fail_index)
         if rhs != unreachable_rhs:
             return False
-        return solve_in_span(ops.c_matrix, rhs, t_basis) is None
+        return solve_in_span_coefficients(ops.c_matrix, rhs, t_basis) is None
     return True

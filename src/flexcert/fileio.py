@@ -27,13 +27,18 @@ class ParseError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _is_int(raw) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _scalar_in(raw, path: str, where: str) -> Fraction:
     if isinstance(raw, str):
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ParseError(path, f"{where}: not a rational string: {raw!r}") from None
-    if isinstance(raw, int):
+    if _is_int(raw):
         return Fraction(raw)
     raise ParseError(path, f"{where}: rationals must be strings or integers, got {type(raw).__name__}")
 
@@ -101,7 +106,7 @@ def system_from_dict(data: dict, path: str = "<memory>") -> tuple[QuadraticSyste
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise ParseError(path, f"{where}.alpha[{t}]: expected [i, j, value]")
             i, j, raw = triple
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < m and 0 <= j < m):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < m and 0 <= j < m):
                 raise ParseError(path, f"{where}.alpha[{t}]: index out of range")
             a.append((i, j, _scalar_in(raw, path, f"{where}.alpha[{t}]")))
         b = []
@@ -109,7 +114,7 @@ def system_from_dict(data: dict, path: str = "<memory>") -> tuple[QuadraticSyste
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ParseError(path, f"{where}.beta[{t}]: expected [i, value]")
             i, raw = pair
-            if not (isinstance(i, int) and 0 <= i < m):
+            if not (_is_int(i) and 0 <= i < m):
                 raise ParseError(path, f"{where}.beta[{t}]: index out of range")
             b.append((i, _scalar_in(raw, path, f"{where}.beta[{t}]")))
         alphas.append(a)
@@ -169,7 +174,7 @@ def poly_from_dict(
                 raise ParseError(path, f"{where}.terms[{t}]: expected an object")
             exps = term.get("exponents")
             if not (isinstance(exps, list) and len(exps) == m
-                    and all(isinstance(e, int) and e >= 0 for e in exps)):
+                    and all(_is_int(e) and e >= 0 for e in exps)):
                 raise ParseError(path, f"{where}.terms[{t}]: bad exponent vector")
             key = tuple(exps)
             terms[key] = terms.get(key, Fraction(0)) + _scalar_in(
@@ -221,7 +226,7 @@ def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, 
         if key not in data:
             raise ParseError(path, f"missing field {key!r}")
     dim = data["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ParseError(path, "'dimension' must be a positive integer")
     joints = {}
     for t, joint in enumerate(_list_in(data["joints"], path, "'joints'")):
@@ -247,7 +252,7 @@ def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, 
         if not isinstance(pin, dict) or "joint" not in pin or "coords" not in pin:
             raise ParseError(path, f"pins[{t}]: expected {{joint, coords}}")
         for idx in _list_in(pin["coords"], path, f"pins[{t}].coords"):
-            if not isinstance(idx, int):
+            if not _is_int(idx):
                 raise ParseError(path, f"pins[{t}]: coordinate indices must be integers")
             pins.append((str(pin["joint"]), idx))
     try:

@@ -1,8 +1,7 @@
-"""Exact rational linear algebra: solving, kernels, image membership,
-subspace-constrained solving.
+"""Exact rational linear algebra: ranks, kernels and linear solves.
 
 Every verdict produced by the analyzer ultimately reduces to a rank /
-kernel / membership question answered here, so all arithmetic is exact
+kernel / solvability question answered here, so all arithmetic is exact
 (`fractions.Fraction`); no floating point appears on any decision path.
 Elimination is fraction-free (integer-preserving with gcd stripping) and
 normalized to reduced row echelon form at the end, which bounds
@@ -261,12 +260,12 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return basis
 
 
-def solve_general(m: Matrix, v: Vector) -> Optional[tuple[Vector, list[Vector]]]:
+def solve_general(m: Matrix, v: Vector) -> Optional[Vector]:
     """Solve MX = v exactly.
 
-    Returns (particular, nullspace_basis) or None when v is outside the
-    image of M. The particular solution is canonical: zeros in every
-    free-variable position of the reduced echelon form.
+    Returns the canonical solution, with zeros in every free-variable
+    position of the reduced echelon form, or None when v is outside the
+    image of M.
     """
     if len(v) != m.rows:
         raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
@@ -277,42 +276,26 @@ def solve_general(m: Matrix, v: Vector) -> Optional[tuple[Vector, list[Vector]]]
     particular = [Fraction(0)] * m.cols
     for r, pc in enumerate(pivots):
         particular[pc] = reduced[r][m.cols]
-    return tuple(particular), kernel_basis(m)
-
-
-def image_contains(m: Matrix, v: Vector) -> bool:
-    """True iff MX = v has a solution."""
-    if len(v) != m.rows:
-        raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
-    return solve_general(m, v) is not None
-
-
-def solve_in_span(m: Matrix, v: Vector, span: Sequence[Vector]) -> Optional[Vector]:
-    """A vector Y in the span of the given vectors with MY = v, or None.
-
-    The returned combination is canonical (free span coordinates zero).
-    Span vectors need not be independent.
-    """
-    result = solve_in_span_coefficients(m, v, span)
-    if result is None:
-        return None
-    return result[1]
+    return tuple(particular)
 
 
 def solve_in_span_coefficients(
     m: Matrix, v: Vector, span: Sequence[Vector]
 ) -> Optional[tuple[Vector, Vector]]:
-    """Like solve_in_span but also returns the span coefficients used."""
+    """Coefficients c and the vector Y = sum c_i span_i with MY = v, or None.
+
+    The coefficients are the canonical solution over the span (free
+    coordinates zero); span vectors need not be independent.
+    """
     if len(v) != m.rows:
         raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
     for s in span:
         if len(s) != m.cols:
             raise DimensionError("span vector length does not match matrix columns")
     images = [m.mul_vec(s) for s in span]
-    solved = solve_general(matrix_from_columns(images, rows=m.rows), v)
-    if solved is None:
+    coeffs = solve_general(matrix_from_columns(images, rows=m.rows), v)
+    if coeffs is None:
         return None
-    coeffs = solved[0]
     combo = zero_vector(m.cols)
     for c, s in zip(coeffs, span):
         if c != 0:

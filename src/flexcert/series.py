@@ -2,7 +2,7 @@
 
 A candidate family X(t) = Y0 + Y1 t + ... + Yq t^q is held as its
 coefficient list. The module implements the coefficient recurrence
-C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l)), constrained extension by one
+C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l)), canonical extension by one
 degree, exact residual-order measurement, and the substitution
 t = tau + a tau^e used to normalize leading coefficients.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import ratlinalg
 from .quadsys import BaseOperators, QuadraticSystem, bilinear, evaluate, linear_part
@@ -69,28 +69,6 @@ def series(coeffs: Sequence[Sequence]) -> SeriesCoefficients:
     return SeriesCoefficients(tuple(vector(c) for c in coeffs))
 
 
-# Constraint on where an extension coefficient may live.
-
-@dataclass(frozen=True)
-class Unconstrained:
-    pass
-
-
-@dataclass(frozen=True)
-class SpanOf:
-    vectors: tuple[Vector, ...]
-
-
-@dataclass(frozen=True)
-class Complement:
-    """Basis of a codimension-1 subspace T with T intersect ker C = {0}."""
-
-    basis: tuple[Vector, ...]
-
-
-SubspaceConstraint = Union[Unconstrained, SpanOf, Complement]
-
-
 def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
     """-sum_{l=1}^{p-1} B(Yl, Y(p-l)), the right-hand side for coefficient p.
 
@@ -105,43 +83,12 @@ def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
     return tuple(-x for x in total)
 
 
-def _check_complement(ops: BaseOperators, basis: Sequence[Vector]) -> None:
-    m = ops.system.m
-    for b in basis:
-        if len(b) != m:
-            raise DimensionError("constraint basis vector has wrong length")
-    if len(basis) != m - 1:
-        raise DimensionError("complement constraint needs a codimension-1 basis")
-    if ratlinalg.rank(ratlinalg.Matrix.from_rows(basis, cols=m)) != m - 1:
-        raise DimensionError("complement basis is linearly dependent")
-    # T intersects ker C trivially iff the union of bases stays independent
-    combined = list(basis) + list(ops.kernel)
-    if ratlinalg.rank(ratlinalg.Matrix.from_rows(combined, cols=m)) != len(combined):
-        raise DimensionError("complement subspace meets the kernel of C")
-
-
-def extend_step(
-    ops: BaseOperators,
-    s: SeriesCoefficients,
-    constraint: SubspaceConstraint = Unconstrained(),
-    verify_residual: bool = False,
-) -> Optional[Vector]:
-    """Next coefficient Y(q+1) with C Y(q+1) equal to the recurrence
-    right-hand side, subject to the constraint; None if no such vector
-    exists. Appending a returned vector preserves approximate-solution
-    status at degree q+1."""
-    if verify_residual and residual_order(ops.system, s) <= s.degree:
-        raise DimensionError("series is not an approximate solution of its degree")
-    rhs = recurrence_rhs(ops, s, s.degree + 1)
-    if isinstance(constraint, Unconstrained):
-        solved = ratlinalg.solve_general(ops.c_matrix, rhs)
-        return solved[0] if solved is not None else None
-    if isinstance(constraint, SpanOf):
-        return ratlinalg.solve_in_span(ops.c_matrix, rhs, constraint.vectors)
-    if isinstance(constraint, Complement):
-        _check_complement(ops, constraint.basis)
-        return ratlinalg.solve_in_span(ops.c_matrix, rhs, constraint.basis)
-    raise TypeError(f"unknown constraint {constraint!r}")
+def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
+    """Canonical next coefficient Y(q+1) with C Y(q+1) equal to the
+    recurrence right-hand side, or None if no such vector exists.
+    Appending a returned vector preserves approximate-solution status at
+    degree q+1."""
+    return ratlinalg.solve_general(ops.c_matrix, recurrence_rhs(ops, s, s.degree + 1))
 
 
 def composition_coefficients(sys: QuadraticSystem, s: SeriesCoefficients) -> list[Vector]:

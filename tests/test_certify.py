@@ -360,6 +360,14 @@ def test_t_standard_requires_kernel_dimension_one(viviani_system):
                                             vector([0, 0, 1])))
 
 
+def test_t_standard_rejects_t_meeting_kernel(circle_system):
+    sys_, base = circle_system
+    ops = linearize(sys_, base)
+    assert ops.kernel == (vector([0, 1]),)
+    with pytest.raises(PreconditionError):
+        t_standard_run(ops, TStandardConfig((vector([0, 1]),), 4, ops.kernel[0]))
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 

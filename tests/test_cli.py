@@ -131,32 +131,65 @@ def test_reduce_output_bytes_are_pinned(tmp_path, capsys):
 SQUARE_JOINTS = [{"id": "a", "coords": ["0", "0"]}, {"id": "b", "coords": ["1", "0"]},
                  {"id": "c", "coords": ["1", "1"]}, {"id": "d", "coords": ["0", "1"]}]
 SQUARE_BARS = [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]
+LIST = "must be a list"
 MALFORMED = {
     "joints_not_a_list": ("analyze-framework",
-                          {"dimension": 2, "joints": 5, "bars": SQUARE_BARS}),
+                          {"dimension": 2, "joints": 5, "bars": SQUARE_BARS}, LIST),
     "pin_coords_not_a_list": ("analyze-framework",
                               {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
-                               "pins": [{"joint": "a", "coords": 3}]}),
+                               "pins": [{"joint": "a", "coords": 3}]}, LIST),
     "equations_not_a_list": ("analyze-system",
-                             {"variables": ["x"], "equations": 5, "base_point": ["0"]}),
+                             {"variables": ["x"], "equations": 5, "base_point": ["0"]}, LIST),
     "alpha_not_a_list": ("analyze-system",
                          {"variables": ["x"], "equations": [{"alpha": 5}],
-                          "base_point": ["0"]}),
+                          "base_point": ["0"]}, LIST),
     "series_coefficients_not_a_list": ("extend",
                                        {"variables": ["x"], "equations": [{"alpha": []}],
-                                        "base_point": ["0"], "series": {"coefficients": 5}}),
+                                        "base_point": ["0"], "series": {"coefficients": 5}},
+                                       LIST),
+    # JSON booleans are ints to Python; none of them may pass as a number
+    "dimension_is_bool": ("analyze-framework",
+                          {"dimension": True, "joints": [{"id": "a", "coords": ["0"]}],
+                           "bars": [["a", "a"]]},
+                          "'dimension' must be a positive integer"),
+    "joint_coordinate_is_bool": ("analyze-framework",
+                                 {"dimension": 2, "bars": SQUARE_BARS,
+                                  "joints": [{"id": "a", "coords": [True, "0"]}]
+                                  + SQUARE_JOINTS[1:]},
+                                 "got bool"),
+    "pin_coordinate_is_bool": ("analyze-framework",
+                               {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
+                                "pins": [{"joint": "a", "coords": [True]}]},
+                               "coordinate indices must be integers"),
+    "alpha_index_is_bool": ("analyze-system",
+                            {"variables": ["x", "y"],
+                             "equations": [{"alpha": [[True, True, "1"]]}],
+                             "base_point": ["0", "0"]},
+                            "index out of range"),
+    "alpha_coefficient_is_bool": ("analyze-system",
+                                  {"variables": ["x"], "equations": [{"alpha": [[0, 0, True]]}],
+                                   "base_point": ["0"]},
+                                  "got bool"),
+    "beta_index_is_bool": ("analyze-system",
+                           {"variables": ["x"], "equations": [{"beta": [[False, "1"]]}],
+                            "base_point": ["0"]},
+                           "index out of range"),
+    "exponent_is_bool": ("reduce",
+                         {"variables": ["x"],
+                          "equations": [{"terms": [{"exponents": [True], "coeff": "1"}]}]},
+                         "bad exponent vector"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    command, data = MALFORMED[case]
+    command, data, message = MALFORMED[case]
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    degree = ["--degree", "2"] if command == "extend" else []
-    code, _, err = run_cli(capsys, command, str(path), *degree)
+    extra = {"extend": ["--degree", "2"], "reduce": ["-o", str(tmp_path / "out.json")]}
+    code, _, err = run_cli(capsys, command, str(path), *extra.get(command, []))
     assert code == 2
-    assert "must be a list" in err
+    assert message in err
     assert "Traceback" not in err
 
 

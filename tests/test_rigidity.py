@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -217,6 +218,17 @@ def test_analyze_triangle_first_order_rigid():
     assert rep.verdict == RIGID
     assert isinstance(rep.certificate, FirstOrderRigid)
     assert any("first-order" in n for n in rep.notes)
+
+
+def test_first_order_certificate_tampering_is_rejected():
+    rep = analyze_framework(triangle(), use_auto_pin=True)
+    sys_, _, base = build_edge_system(rep.pinned)
+    cert = rep.certificate
+    assert cert.rank == cert.variables == sys_.m
+    assert certify.replay_certificate(sys_, base, cert)
+    for tampered in (replace(cert, variables=8), replace(cert, rank=cert.rank - 1),
+                     replace(cert, rank=8, variables=8)):
+        assert not certify.replay_certificate(sys_, base, tampered)
 
 
 def test_analyze_square_flexible_with_witness():

@@ -9,10 +9,7 @@ from flexcert.quadsys import linearize, validate_and_symmetrize
 from flexcert.ratlinalg import DimensionError, vector, zero_vector
 from flexcert.series import (
     INFINITE,
-    Complement,
     SeriesCoefficients,
-    SpanOf,
-    Unconstrained,
     extend_step,
     recurrence_rhs,
     reparameterize,
@@ -69,38 +66,14 @@ def test_recurrence_rhs_pairing_symmetry(cusp_system):
         )
 
 
-def test_extend_step_span_constraint(hyperboloid_line):
-    sys_, base = hyperboloid_line
-    ops = linearize(sys_, base)
-    s = make_series(base, [4, 3, 5])
-    got = extend_step(ops, s, SpanOf((vector([4, 3, 5]),)))
-    assert got == zero_vector(3)
-
-
-def test_extend_step_complement_unreachable(tangent_sphere_cylinder):
-    sys_, base = tangent_sphere_cylinder
-    ops = linearize(sys_, base)
-    s = make_series(base, [0, 0, 1])
-    t_basis = (vector([1, 0, 0]), vector([0, 1, 0]))
-    assert extend_step(ops, s, Complement(t_basis)) is None
-
-
 def test_extend_step_circle(circle_system):
     sys_, base = circle_system
     ops = linearize(sys_, base)
     s = make_series(base, [0, 1])
-    got = extend_step(ops, s, Complement((vector([1, 0]),)))
+    got = extend_step(ops, s)
     assert got == vector([F(-1, 2), 0])
     extended = s.appended(got)
     assert residual_order(sys_, extended) > 2
-
-
-def test_extend_step_rejects_bad_complement(circle_system):
-    sys_, base = circle_system
-    ops = linearize(sys_, base)
-    s = make_series(base, [0, 1])
-    with pytest.raises(DimensionError):
-        extend_step(ops, s, Complement((vector([0, 1]),)))  # meets ker C
 
 
 def test_residual_order_reference(hyperboloid_line, tangent_sphere_cylinder):
