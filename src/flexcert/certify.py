@@ -306,28 +306,33 @@ def span_closure_check(
     """Check the span-closure condition at (q, k) on the given series.
 
     Requires 1 <= k <= q <= degree(s). The series (truncated to q) must
-    be an approximate solution of degree q; a constant series is
-    rejected with None since it certifies only the constant family.
+    start at the base point and be an approximate solution of degree q; a
+    constant series is rejected with None since it certifies only the
+    constant family. All q(q-k+1) pair equations are solved in one
+    elimination.
     """
     if not 1 <= k <= q:
         raise PreconditionError(f"need 1 <= k <= q, got (q, k) = ({q}, {k})")
     if s.degree < q:
         raise PreconditionError(f"series degree {s.degree} is below q = {q}")
     prefix = s.truncated(q)
+    if prefix.coefficient(0) != ops.base_point:
+        raise PreconditionError("series does not start at the base point")
     if residual_order(ops.system, prefix) <= q:
         raise PreconditionError(f"series is not an approximate solution of degree {q}")
     if prefix.is_constant():
         return None
     span = prefix.coeffs[k : q + 1]
-    pair_solutions = []
-    for i in range(1, q + 1):
-        for j in range(k, q + 1):
-            rhs = vec_scale(-2, ops.bilinear(prefix.coefficient(i), prefix.coefficient(j)))
-            got = solve_in_span_coefficients(ops.c_matrix, rhs, span)
-            if got is None:
-                return None
-            pair_solutions.append(PairSolution(i, j, got[0], got[1]))
-    return SpanClosureFlex(q=q, k=k, series=prefix, pair_solutions=tuple(pair_solutions))
+    pairs = [(i, j) for i in range(1, q + 1) for j in range(k, q + 1)]
+    rhss = [vec_scale(-2, ops.bilinear(prefix.coefficient(i), prefix.coefficient(j)))
+            for i, j in pairs]
+    solved = solve_in_span_coefficients(ops.c_matrix, rhss, span)
+    if None in solved:
+        return None
+    pair_solutions = tuple(
+        PairSolution(i, j, coeffs, vec) for (i, j), (coeffs, vec) in zip(pairs, solved)
+    )
+    return SpanClosureFlex(q=q, k=k, series=prefix, pair_solutions=pair_solutions)
 
 
 def canonical_candidates(ops: BaseOperators, q_max: int) -> list[SeriesCoefficients]:
@@ -421,7 +426,7 @@ def span_confinement_diagnostic(
     for i in range(1, r + 1):
         for j in range(i, r + 1):
             rhs = vec_scale(-2, ops.bilinear(s.coefficient(i), s.coefficient(j)))
-            ok = solve_in_span_coefficients(ops.c_matrix, rhs, span) is not None
+            ok = solve_in_span_coefficients(ops.c_matrix, [rhs], span)[0] is not None
             results.append((i, j, ok))
     return SpanConfinementReport(
         True, r, "", tuple(results), all(ok for _, _, ok in results)
@@ -485,7 +490,7 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
     s = SeriesCoefficients((ops.base_point, cfg.leading_coeff))
     for p in range(2, cfg.max_depth + 1):
         rhs = recurrence_rhs(ops, s, p)
-        got = solve_in_span_coefficients(ops.c_matrix, rhs, cfg.t_basis)
+        got = solve_in_span_coefficients(ops.c_matrix, [rhs], cfg.t_basis)[0]
         if got is None:
             return TStandardFail(
                 fail_index=p,
@@ -699,5 +704,5 @@ def _replay_t_standard(
         rhs = recurrence_rhs(ops, coeffs, fail_index)
         if rhs != unreachable_rhs:
             return False
-        return solve_in_span_coefficients(ops.c_matrix, rhs, t_basis) is None
+        return solve_in_span_coefficients(ops.c_matrix, [rhs], t_basis)[0] is None
     return True

@@ -11,7 +11,7 @@ into this form by introducing auxiliary variables for sub-monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -136,15 +136,26 @@ def linear_part(sys: QuadraticSystem, x: Vector) -> Vector:
 @dataclass(frozen=True)
 class BaseOperators:
     """The linearization C = B(X0,.) + B(.,X0) + A at an exact solution X0,
-    with its kernel basis cached."""
+    with its kernel basis cached.
+
+    `bilinear` remembers every product it computes, so one analysis (the
+    life of the operators one `linearize` call builds) computes each
+    B(X, Y) once; the memo belongs to this object and to no other."""
 
     system: QuadraticSystem
     base_point: Vector
     c_matrix: Matrix
     kernel: tuple[Vector, ...]
+    _products: dict[tuple[Vector, Vector], Vector] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def bilinear(self, x: Vector, y: Vector) -> Vector:
-        return bilinear(self.system, x, y)
+        got = self._products.get((x, y))
+        if got is None:
+            got = bilinear(self.system, x, y)
+            # B is symmetric, so the swapped product is the same vector
+            self._products[(x, y)] = self._products[(y, x)] = got
+        return got
 
 
 def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:

@@ -6,6 +6,11 @@ kernel / solvability question answered here, so all arithmetic is exact
 Elimination is fraction-free (integer-preserving with gcd stripping) and
 normalized to reduced row echelon form at the end, which bounds
 intermediate coefficient blow-up without sacrificing exactness.
+
+Linear solves append their right-hand sides as extra columns and pivot
+only in the matrix columns, so one elimination answers any number of
+right-hand sides: `solve_in_span_coefficients` takes a sequence of them
+and `solve_general` is the one-right-hand-side case.
 """
 
 from __future__ import annotations
@@ -145,10 +150,13 @@ def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
 def _rref(entries: Sequence[Vector], cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form with deterministic pivoting.
 
-    Forward and backward elimination run on integer rows (fraction-free
-    updates, gcd-stripped); pivot rows are divided out only at the end.
-    Pivot choice is the first row with a nonzero entry in the scanned
-    column, so the result is a pure function of the row order.
+    Pivots are chosen only in the first `cols` columns; row operations
+    run over the whole row, so any further columns (right-hand sides)
+    are carried along. Forward and backward elimination run on integer
+    rows (fraction-free updates, gcd-stripped); pivot rows are divided
+    out only at the end. Pivot choice is the first row with a nonzero
+    entry in the scanned column, so the result is a pure function of the
+    row order.
     """
     work = _integer_rows(entries)
     nrows = len(work)
@@ -168,7 +176,7 @@ def _rref(entries: Sequence[Vector], cols: int) -> tuple[list[list[Fraction]], l
             if i == r or work[i][c] == 0:
                 continue
             f = work[i][c]
-            row = [work[i][j] * p - work[r][j] * f for j in range(cols)]
+            row = [a * p - b * f for a, b in zip(work[i], work[r])]
             g = 0
             for v in row:
                 g = gcd(g, v)
@@ -260,6 +268,26 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return basis
 
 
+def _solve_columns(m: Matrix, vs: Sequence[Vector]) -> list[Optional[Vector]]:
+    # one elimination of [M | v_1 ... v_P]; for each v the canonical
+    # solution (zeros in the free positions) or None outside im M
+    for v in vs:
+        if len(v) != m.rows:
+            raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
+    augmented = tuple(row + tuple(v[i] for v in vs) for i, row in enumerate(m.entries))
+    reduced, pivots = _rref(augmented, m.cols)
+    out: list[Optional[Vector]] = []
+    for col in range(m.cols, m.cols + len(vs)):
+        if any(row[col] != 0 for row in reduced[len(pivots):]):
+            out.append(None)
+            continue
+        solution = [Fraction(0)] * m.cols
+        for r, pc in enumerate(pivots):
+            solution[pc] = reduced[r][col]
+        out.append(tuple(solution))
+    return out
+
+
 def solve_general(m: Matrix, v: Vector) -> Optional[Vector]:
     """Solve MX = v exactly.
 
@@ -267,37 +295,31 @@ def solve_general(m: Matrix, v: Vector) -> Optional[Vector]:
     position of the reduced echelon form, or None when v is outside the
     image of M.
     """
-    if len(v) != m.rows:
-        raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
-    augmented = tuple(row + (v[i],) for i, row in enumerate(m.entries))
-    reduced, pivots = _rref(augmented, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    particular = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        particular[pc] = reduced[r][m.cols]
-    return tuple(particular)
+    return _solve_columns(m, [v])[0]
 
 
 def solve_in_span_coefficients(
-    m: Matrix, v: Vector, span: Sequence[Vector]
-) -> Optional[tuple[Vector, Vector]]:
-    """Coefficients c and the vector Y = sum c_i span_i with MY = v, or None.
+    m: Matrix, vs: Sequence[Vector], span: Sequence[Vector]
+) -> list[Optional[tuple[Vector, Vector]]]:
+    """For each right-hand side v, the coefficients c and the vector
+    Y = sum c_i span_i with MY = v, or None when no such Y exists.
 
-    The coefficients are the canonical solution over the span (free
-    coordinates zero); span vectors need not be independent.
+    M·span is computed once and all right-hand sides are solved in one
+    elimination. The coefficients are the canonical solution over the
+    span (free coordinates zero); span vectors need not be independent.
     """
-    if len(v) != m.rows:
-        raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
     for s in span:
         if len(s) != m.cols:
             raise DimensionError("span vector length does not match matrix columns")
-    images = [m.mul_vec(s) for s in span]
-    coeffs = solve_general(matrix_from_columns(images, rows=m.rows), v)
-    if coeffs is None:
-        return None
-    combo = zero_vector(m.cols)
-    for c, s in zip(coeffs, span):
-        if c != 0:
-            combo = vec_add(combo, vec_scale(c, s))
-    return coeffs, combo
+    images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
+    out: list[Optional[tuple[Vector, Vector]]] = []
+    for coeffs in _solve_columns(images, vs):
+        if coeffs is None:
+            out.append(None)
+            continue
+        combo = zero_vector(m.cols)
+        for c, s in zip(coeffs, span):
+            if c != 0:
+                combo = vec_add(combo, vec_scale(c, s))
+        out.append((coeffs, combo))
+    return out

@@ -91,35 +91,24 @@ def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
     return ratlinalg.solve_general(ops.c_matrix, recurrence_rhs(ops, s, s.degree + 1))
 
 
-def composition_coefficients(sys: QuadraticSystem, s: SeriesCoefficients) -> list[Vector]:
-    """Coefficient vectors of F(Y(t)) for t^0 .. t^(2q), computed exactly.
-
-    A degree-2 system applied to a degree-q polynomial family cannot
-    produce terms beyond t^(2q), so this list is the whole expansion.
-    """
-    q = s.degree
-    out = []
-    for p in range(2 * q + 1):
-        coeff = zero_vector(sys.n)
-        for a in range(max(0, p - q), min(p, q) + 1):
-            coeff = vec_add(coeff, bilinear(sys, s.coefficient(a), s.coefficient(p - a)))
-        if p <= q:
-            coeff = vec_add(coeff, linear_part(sys, s.coefficient(p)))
-        if p == 0:
-            coeff = vec_add(coeff, sys.gamma)
-        out.append(coeff)
-    return out
-
-
 def residual_order(sys: QuadraticSystem, s: SeriesCoefficients):
     """Smallest p >= 1 with a nonzero t^p coefficient in F(Y(t)), or
     INFINITE when the whole expansion vanishes (the family is an exact
-    polynomial solution)."""
+    polynomial solution).
+
+    Coefficients are built one order at a time, stopping at the first
+    nonzero one. The t^p coefficient is A(Yp) + sum_{a+b=p} B(Ya, Yb);
+    B is symmetric, so each pair a < b enters once as 2 B(Ya, Yb). A
+    degree-q family gives no terms beyond t^(2q)."""
     if not is_zero_vector(evaluate(sys, s.coefficient(0))):
         raise DimensionError("series base coefficient does not solve the system")
-    expansion = composition_coefficients(sys, s)
-    for p in range(1, len(expansion)):
-        if not is_zero_vector(expansion[p]):
+    q = s.degree
+    for p in range(1, 2 * q + 1):
+        coeff = linear_part(sys, s.coefficient(p)) if p <= q else zero_vector(sys.n)
+        for a in range(max(0, p - q), p // 2 + 1):
+            product = bilinear(sys, s.coefficient(a), s.coefficient(p - a))
+            coeff = vec_add(coeff, product if 2 * a == p else vec_scale(2, product))
+        if not is_zero_vector(coeff):
             return p
     return INFINITE
 

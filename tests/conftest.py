@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,47 @@ def system_poly_terms(sys_):
             terms[(0,) * sys_.m] = sys_.gamma[k]
         eqs.append(terms)
     return eqs
+
+
+def sympy_equations(sympy, sys_, values):
+    """The equations of sys_ as sympy expressions, with values[i] (a
+    symbol or any sympy expression) in place of variable i."""
+    out = []
+    for terms in system_poly_terms(sys_):
+        expr = sympy.Integer(0)
+        for exps, c in terms.items():
+            term = sympy.Rational(c)
+            for value, e in zip(values, exps):
+                term *= value ** e
+            expr += term
+        out.append(expr)
+    return out
+
+
+def sympy_residual_order(sympy, sys_, s):
+    """Independent oracle for series.residual_order: substitute Y(t) into
+    the equations with sympy, expand, and return the smallest p >= 1 with
+    a nonzero t^p coefficient, or math.inf when F(Y(t)) vanishes."""
+    t = sympy.Symbol("t")
+    ys = [sum((sympy.Rational(c[i]) * t ** p for p, c in enumerate(s.coeffs)), sympy.Integer(0))
+          for i in range(sys_.m)]
+    orders = []
+    for expr in sympy_equations(sympy, sys_, ys):
+        poly = sympy.Poly(sympy.expand(expr), t)
+        assert poly.coeff_monomial(1) == 0, "the base coefficient must solve the system"
+        orders += [p for (p,), c in poly.terms() if p >= 1 and c != 0]
+    return min(orders, default=math.inf)
+
+
+def broken_series(rng, s):
+    """s with a nonzero vector added to one of its non-constant coefficients."""
+    j = rng.randint(1, s.degree)
+    bump = (F(0),) * s.width
+    while not any(bump):
+        bump = vector([F(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(s.width)])
+    coeffs = list(s.coeffs)
+    coeffs[j] = tuple(a + b for a, b in zip(coeffs[j], bump))
+    return type(s)(tuple(coeffs))
 
 
 def load_corpus_system(name):

@@ -31,7 +31,7 @@ from flexcert.quadsys import linearize
 from flexcert.ratlinalg import vector, zero_vector
 from flexcert.series import SeriesCoefficients
 
-from conftest import dense_system
+from conftest import broken_series, dense_system, sympy_equations, sympy_residual_order
 
 
 def make_series(*coeffs):
@@ -235,6 +235,20 @@ def test_span_closure_check_preconditions(hyperboloid_line):
     bad = make_series(base, [1, 0, 0])  # not an approximate solution
     with pytest.raises(PreconditionError):
         span_closure_check(ops, bad, 1, 1)
+
+
+def test_span_closure_check_rejects_series_off_the_base_point(circle_system):
+    # (0, 1) + (1, 0) t solves x^2 + y^2 = 1 to first order, but it starts
+    # at (0, 1), not at the base point (1, 0); replay rejects such a series
+    sys_, base = circle_system
+    ops = linearize(sys_, base)
+    assert base == vector([1, 0])
+    s = make_series([0, 1], [1, 0])
+    assert series.residual_order(sys_, s) > 1
+    with pytest.raises(PreconditionError, match="base point"):
+        span_closure_check(ops, s, 1, 1)
+    forged = SpanClosureFlex(q=1, k=1, series=s, pair_solutions=())
+    assert not replay_certificate(sys_, base, forged)
 
 
 def test_span_closure_check_rejects_constant_series(hyperboloid_line):
@@ -505,3 +519,77 @@ def test_pipeline_fuzz_replay_and_soundness():
                 assert nxt is not None
                 s = s.appended(nxt)
             assert series.residual_order(sys_, s) > 2 * rep.certificate.q
+
+
+def test_residual_order_matches_sympy_on_fuzz_systems():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31337)
+    orders = []
+    for _ in range(30):
+        sys_, base = _random_system_with_solution(rng, rng.randint(1, 3), rng.randint(1, 3))
+        ops = linearize(sys_, base)
+        cases = [SeriesCoefficients((base,))]
+        rep = analyze_system(sys_, base, AnalyzeConfig(q_max=4, max_depth=6))
+        if isinstance(rep.certificate, SpanClosureFlex):
+            cases.append(rep.certificate.series)
+        for cand in certify.canonical_candidates(ops, 4):
+            for q in range(1, cand.degree + 1):
+                prefix = cand.truncated(q)
+                cases += [prefix, broken_series(rng, prefix)]
+        for s in cases:
+            expected = sympy_residual_order(sympy, sys_, s)
+            assert series.residual_order(sys_, s) == expected
+            orders.append(expected)
+    assert series.INFINITE in orders and len(set(orders)) >= 4
+
+
+def _low_rank_system(rng, m, n):
+    """System at the origin whose linearization (the beta part) has rank
+    at most m - 1, so the kernel of C is never trivial."""
+    r = rng.randint(max(0, m - 2), m - 1)
+    left = [[F(rng.randint(-2, 2)) for _ in range(r)] for _ in range(n)]
+    right = [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(r)]
+    betas = [[sum((row[t] * right[t][j] for t in range(r)), F(0)) for j in range(m)]
+             for row in left]
+    alphas = [[[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
+              for _ in range(n)]
+    return dense_system(alphas, betas, [F(0)] * n), zero_vector(m)
+
+
+def test_cokernel_and_order_two_obstruction_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(97)
+    single = {"obstructed": 0, "extends": 0}
+    for trial in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        if trial % 2:
+            sys_, base = _random_system_with_solution(rng, m, n)
+        else:
+            sys_, base = _low_rank_system(rng, m, n)
+        # C and B from sympy derivatives of the expanded equations
+        xs = sympy.symbols(f"x0:{m}")
+        polys = sympy_equations(sympy, sys_, xs)
+        at_base = dict(zip(xs, map(sympy.Rational, base)))
+        c_sym = sympy.Matrix(polys).jacobian(xs).subs(at_base)
+        ops = linearize(sys_, base)
+
+        cokernel = certify._cokernel(ops)
+        left_null = c_sym.T.nullspace()
+        assert len(cokernel) == len(left_null)
+        for w in cokernel:
+            assert sympy.Matrix([list(map(sympy.Rational, w))]) * c_sym == sympy.zeros(1, m)
+        if cokernel:
+            w_sym = sympy.Matrix([list(map(sympy.Rational, w)) for w in cokernel])
+            assert w_sym.rank() == len(cokernel)
+
+        kernel = c_sym.nullspace()
+        if len(kernel) != 1:
+            continue
+        k = kernel[0]
+        # B(K, K)_e = K^T H_e K / 2, H_e the Hessian of equation e
+        b_kk = sympy.Matrix([(k.T * sympy.hessian(p, xs) * k)[0, 0] / 2 for p in polys])
+        in_image = c_sym.rank() == c_sym.row_join(b_kk).rank()
+        cert = second_order_obstruction_check(ops)
+        assert (cert is None) == in_image
+        single["extends" if in_image else "obstructed"] += 1
+    assert single["obstructed"] >= 3 and single["extends"] >= 3

@@ -128,6 +128,32 @@ def test_reduce_output_bytes_are_pinned(tmp_path, capsys):
         "a6d9be759a2f8783d86d1ab6be8ba2b1d743107b1f6466b49a55d7475522a1a5")
 
 
+# sha256 of `--json` output with default options; a change here changes a
+# report a third party may already hold
+REPORT_SHA256 = {
+    "example1.json": "335412f334b1705165cbd01af1e974ebfe60c9e7fe2ee2d67f4e22ea5f526788",
+    "example2.json": "c70f46b85e8de9fcccdc80597831dfdd59530e48a9d186d6a818589b83f7f398",
+    "example3.json": "c70f46b85e8de9fcccdc80597831dfdd59530e48a9d186d6a818589b83f7f398",
+    "example4.json": "ac204549456a2f4e3b5b4a2fc404b9be81d13122a33da18aad16915585332b9b",
+    "circle.json": "10e321caba41e938630ff17ebfc9cfae20c10a74f1c1af8a96280c0dcdda5c39",
+    "triangle.json": "742b12fee9694eb5c273f30082355fd0935e1b2037a68981376a964df4452d79",
+    "square.json": "cc1ee6f49ead4a43cb5d3e7f151cc279f2e490604b3101dee8196b2dccd19e6f",
+    "cross_braced_square.json":
+        "ec0d8f8d8e79f3a5ac900a22aa8213f3aba64a2197d90286942c12aa734b611d",
+    "k4.json": "ec0d8f8d8e79f3a5ac900a22aa8213f3aba64a2197d90286942c12aa734b611d",
+    "bricard_octahedron.json":
+        "6b564b73425cd1b21c415bd2f919c53f99a64c2f3f3bfbce3333f460f7fe914b",
+}
+
+
+@pytest.mark.parametrize("name", SYSTEM_CORPUS + FRAMEWORK_CORPUS)
+def test_corpus_report_bytes_are_pinned(capsys, name):
+    command = "analyze-system" if name in SYSTEM_CORPUS else "analyze-framework"
+    code, out, _ = run_cli(capsys, command, corpus_path(name), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[name]
+
+
 SQUARE_JOINTS = [{"id": "a", "coords": ["0", "0"]}, {"id": "b", "coords": ["1", "0"]},
                  {"id": "c", "coords": ["1", "1"]}, {"id": "d", "coords": ["0", "1"]}]
 SQUARE_BARS = [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]

@@ -174,6 +174,19 @@ def test_sparse_kernels_match_sympy():
         assert [list(r) for r in linearize(sys_, base).c_matrix.entries] == expected_c
 
 
+def test_base_operators_memoize_products_per_instance(hyperboloid_line):
+    sys_, base = hyperboloid_line
+    ops, again = linearize(sys_, base), linearize(sys_, base)
+    x, y = vector([1, 2, 3]), vector([F(1, 2), 0, -4])
+    assert ops.bilinear(x, y) == bilinear(sys_, x, y)
+    assert ops.bilinear(y, x) is ops.bilinear(x, y)
+    # each linearize call builds its own memo, which takes no part in equality
+    assert again._products == {} and again._products is not ops._products
+    assert ops == again and "_products" not in repr(ops)
+    with pytest.raises(DimensionError):
+        ops.bilinear(x, vector([1, 2]))
+
+
 def test_degree_two_taylor_identity(hyperboloid_line, viviani_system, tangent_sphere_cylinder):
     # F(X0 + Z) - F(X0) = C Z + B(Z, Z), exactly
     rng = random.Random(99)

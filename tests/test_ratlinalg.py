@@ -74,12 +74,12 @@ def test_image_membership():
 
 
 def test_solve_in_span_reference_cases():
-    assert solve_in_span_coefficients(C_LINE, zero_vector(3), [vector([4, 3, 5])]) == (
-        vector([0]), vector([0, 0, 0]))
+    assert solve_in_span_coefficients(C_LINE, [zero_vector(3)], [vector([4, 3, 5])]) == [(
+        vector([0]), vector([0, 0, 0]))]
     eye = Matrix.from_rows([[1, 0], [0, 1]])
-    assert solve_in_span_coefficients(eye, vector([1, 1]), [vector([1, 0])]) is None
+    assert solve_in_span_coefficients(eye, [vector([1, 1])], [vector([1, 0])]) == [None]
     m = Matrix.from_rows([[1, 0], [0, 0]])
-    coeffs, got = solve_in_span_coefficients(m, vector([1, 0]), [vector([1, 1])])
+    [(coeffs, got)] = solve_in_span_coefficients(m, [vector([1, 0])], [vector([1, 1])])
     assert coeffs == vector([1])
     assert got == vector([1, 1])
     assert mul(m, got) == vector([1, 0])
@@ -88,12 +88,26 @@ def test_solve_in_span_reference_cases():
 def test_solve_in_span_handles_dependent_and_zero_span_vectors():
     m = Matrix.from_rows([[1, 0], [0, 1]])
     span = [vector([0, 0]), vector([1, 1]), vector([2, 2])]
-    coeffs, got = solve_in_span_coefficients(m, vector([2, 2]), span)
+    [(coeffs, got)] = solve_in_span_coefficients(m, [vector([2, 2])], span)
     assert mul(m, got) == vector([2, 2])
     assert got == tuple(sum(c * s[i] for c, s in zip(coeffs, span)) for i in range(2))
     # empty span solves only the zero right-hand side
-    assert solve_in_span_coefficients(m, zero_vector(2), []) == ((), zero_vector(2))
-    assert solve_in_span_coefficients(m, vector([1, 0]), []) is None
+    assert solve_in_span_coefficients(m, [zero_vector(2)], []) == [((), zero_vector(2))]
+    assert solve_in_span_coefficients(m, [vector([1, 0])], []) == [None]
+
+
+def test_solve_in_span_empty_batches():
+    m = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert solve_in_span_coefficients(m, [], [vector([1, 0])]) == []
+    assert solve_in_span_coefficients(m, [], []) == []
+    # an empty span in one batch: zero right-hand sides solvable, the rest not
+    batch = [vector([0, 0, 0]), vector([0, 1, 0]), vector([0, 0, 0])]
+    assert solve_in_span_coefficients(m, batch, []) == [
+        ((), zero_vector(2)), None, ((), zero_vector(2))]
+    with pytest.raises(DimensionError):
+        solve_in_span_coefficients(m, [vector([1, 2])], [vector([1, 0])])
+    with pytest.raises(DimensionError):
+        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0, 0])])
 
 
 def test_determinant():
@@ -133,7 +147,7 @@ def test_solve_in_span_agrees_with_grid_bruteforce():
         m = _random_matrix(rng, rows, cols)
         span = [vector([F(rng.randint(-2, 2)) for _ in range(cols)]) for _ in range(2)]
         v = vector([F(rng.randint(-2, 2)) for _ in range(rows)])
-        solved = solve_in_span_coefficients(m, v, span)
+        [solved] = solve_in_span_coefficients(m, [v], span)
         if solved is not None:
             got = solved[1]
             assert mul(m, got) == v
@@ -157,13 +171,13 @@ def _low_rank_matrix(rng, rows, cols):
     )
 
 
+def _to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows])
+
+
 def test_solver_matches_sympy_oracle():
     sympy = pytest.importorskip("sympy")
-
-    def to_sympy(rows):
-        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                             for r in rows])
-
     rng = random.Random(8123)
     for _ in range(50):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
@@ -173,7 +187,7 @@ def test_solver_matches_sympy_oracle():
             v = mul(m, [F(rng.randint(-3, 3)) for _ in range(cols)])
         else:
             v = vector([F(rng.randint(-3, 3)) for _ in range(rows)])
-        sm, sv = to_sympy(m.entries), to_sympy([[x] for x in v])
+        sm, sv = _to_sympy(sympy, m.entries), _to_sympy(sympy, [[x] for x in v])
 
         assert rank(m) == sm.rank()
 
@@ -189,8 +203,55 @@ def test_solver_matches_sympy_oracle():
         basis = kernel_basis(m)
         assert len(basis) == len(nullspace) == cols - sm.rank()
         for k in basis:
-            assert sympy.Matrix.hstack(*nullspace, to_sympy([[x] for x in k])).rank() == len(
-                nullspace)
+            column = _to_sympy(sympy, [[x] for x in k])
+            assert sympy.Matrix.hstack(*nullspace, column).rank() == len(nullspace)
+
+
+def test_batched_span_solves_match_single_solves_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4417)
+    seen = {"solvable": 0, "unsolvable": 0}
+    for _ in range(50):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = _low_rank_matrix(rng, rows, cols) if rng.random() < 0.5 else (
+            _random_matrix(rng, rows, cols))
+        span = [vector([F(rng.randint(-2, 2)) for _ in range(cols)])
+                for _ in range(rng.randint(1, 3))]
+        # a zero vector and a multiple of another span vector make it dependent
+        span.insert(rng.randint(0, len(span)), zero_vector(cols))
+        span.append(tuple(F(-3, 2) * x for x in span[rng.randrange(len(span))]))
+        batch = []
+        for _ in range(rng.randint(2, 6)):
+            if rng.random() < 0.5:
+                # inside M·span by construction
+                combo = [F(rng.randint(-2, 2)) for _ in span]
+                batch.append(mul(m, [sum((c * s[i] for c, s in zip(combo, span)), F(0))
+                                     for i in range(cols)]))
+            else:
+                batch.append(vector([F(rng.randint(-3, 3)) for _ in range(rows)]))
+        batch.append(zero_vector(rows))
+
+        got = solve_in_span_coefficients(m, batch, span)
+        assert got == [solve_in_span_coefficients(m, [v], span)[0] for v in batch]
+
+        images = matrix_from_columns([m.mul_vec(s) for s in span], rows=rows)
+        images = _to_sympy(sympy, images.entries)
+        for v, solved in zip(batch, got):
+            try:
+                solution, params = images.gauss_jordan_solve(
+                    _to_sympy(sympy, [[x] for x in v]))
+            except ValueError:  # sympy: v is outside M·span
+                assert solved is None
+                seen["unsolvable"] += 1
+                continue
+            seen["solvable"] += 1
+            coeffs, vec = solved
+            expected = solution.subs({p: 0 for p in params})
+            assert coeffs == tuple(F(int(x.p), int(x.q)) for x in expected)
+            assert vec == tuple(sum((c * s[i] for c, s in zip(coeffs, span)), F(0))
+                                for i in range(cols))
+            assert mul(m, vec) == v
+    assert seen["solvable"] > 50 and seen["unsolvable"] > 20
 
 
 def test_verdicts_invariant_under_row_permutation():

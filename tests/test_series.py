@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from flexcert import quadsys, series
+from flexcert.certify import canonical_candidates
 from flexcert.quadsys import linearize, validate_and_symmetrize
 from flexcert.ratlinalg import DimensionError, vector, zero_vector
 from flexcert.series import (
@@ -15,6 +16,8 @@ from flexcert.series import (
     reparameterize,
     residual_order,
 )
+
+from conftest import broken_series, dense_system, sympy_residual_order
 
 
 def make_series(*coeffs):
@@ -82,6 +85,33 @@ def test_residual_order_reference(hyperboloid_line, tangent_sphere_cylinder):
     assert residual_order(sys1, make_series(base1)) == INFINITE
     sys4, base4 = tangent_sphere_cylinder
     assert residual_order(sys4, make_series(base4, [0, 0, 1])) == 2
+
+
+def test_residual_order_matches_sympy_expansion(hyperboloid_line, cusp_system,
+                                                viviani_system, tangent_sphere_cylinder,
+                                                circle_system):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(606)
+    parabola = dense_system([[[-1, 0], [0, 0]]], [[0, 1]], [0])
+    sys1, base1 = hyperboloid_line
+    # exact polynomial families
+    cases = [(sys1, make_series(base1, [4, 3, 5])), (sys1, make_series(base1, [8, 6, 10])),
+             (parabola, make_series([0, 0], [1, 0], [0, 1])),
+             (parabola, make_series([0, 0], [0, 0], [2, 0], [0, 0], [0, 4]))]
+    for sys_, base in (hyperboloid_line, cusp_system, viviani_system,
+                       tangent_sphere_cylinder, circle_system, (parabola, vector([0, 0]))):
+        cases.append((sys_, make_series(base)))
+        # truncated canonical candidates, each also deliberately broken
+        for cand in canonical_candidates(linearize(sys_, base), 4):
+            for q in range(1, cand.degree + 1):
+                prefix = cand.truncated(q)
+                cases += [(sys_, prefix), (sys_, broken_series(rng, prefix))]
+    orders = []
+    for sys_, s in cases:
+        expected = sympy_residual_order(sympy, sys_, s)
+        assert residual_order(sys_, s) == expected, s
+        orders.append(expected)
+    assert INFINITE in orders and {1, 2, 3, 4, 6, 8} <= set(orders)
 
 
 def test_residual_order_requires_solving_base(hyperboloid_line):
