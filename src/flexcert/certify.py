@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import ratlinalg
-from .quadsys import BaseOperators, QuadraticSystem, bilinear, linearize
+from .quadsys import BaseOperators, QuadraticSystem, linearize
 from .ratlinalg import (
     Matrix,
     Vector,
@@ -318,7 +318,7 @@ def span_closure_check(
     prefix = s.truncated(q)
     if prefix.coefficient(0) != ops.base_point:
         raise PreconditionError("series does not start at the base point")
-    if residual_order(ops.system, prefix) <= q:
+    if residual_order(ops, prefix) <= q:
         raise PreconditionError(f"series is not an approximate solution of degree {q}")
     if prefix.is_constant():
         return None
@@ -608,6 +608,8 @@ def replay_certificate(sys: QuadraticSystem, x0: Vector, cert: Certificate) -> b
 
 def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> bool:
     d = len(ops.kernel)
+    if cert.case != "single_direction" and tuple(cert.kernel) != tuple(ops.kernel):
+        return False  # only a single direction may store another kernel vector
     if cert.case == "empty_kernel":
         return d == 0
     if cert.case == "single_direction":
@@ -624,8 +626,6 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
             return False
         if not is_zero_vector(ops.c_matrix.transpose().mul_vec(w)):
             return False  # functional must annihilate the image of C
-        if tuple(cert.kernel) != tuple(ops.kernel):
-            return False
         return _projected_form(ops, w) == cert.form and _is_definite(cert.form)
     if cert.case == "no_common_line":
         if d != 2 or cert.functionals is None or cert.forms is None:
@@ -649,7 +649,7 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
         return False
     if s.coefficient(0) != ops.base_point:
         return False
-    if residual_order(ops.system, s) <= q:
+    if residual_order(ops, s) <= q:
         return False
     if s.is_constant():
         return False

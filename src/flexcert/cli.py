@@ -152,7 +152,7 @@ def _run_extend(args) -> int:
             stalled = s.degree + 1
             break
         s = s.appended(nxt)
-    order = series.residual_order(sys_, s)
+    order = series.residual_order(ops, s)
     order_repr = "infinite" if order == series.INFINITE else order
     if args.json:
         out = fileio.series_to_dict(s)

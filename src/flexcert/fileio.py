@@ -259,7 +259,10 @@ def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, 
         fw = rigidity.framework(dim, joints, bars, pins)
     except rigidity.FrameworkError as exc:
         raise ParseError(path, str(exc)) from None
-    return fw, bool(data.get("auto_pin", False))
+    auto = data.get("auto_pin", False)
+    if not isinstance(auto, bool):
+        raise ParseError(path, f"'auto_pin' must be true or false, got {type(auto).__name__}")
+    return fw, auto
 
 
 def load_framework(path: str) -> tuple[Framework, bool]:

@@ -66,9 +66,6 @@ def vec_scale(c, x: Vector) -> Vector:
     c = scalar(c)
     return tuple(c * a for a in x)
 
-def vec_neg(x: Vector) -> Vector:
-    return tuple(-a for a in x)
-
 def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 

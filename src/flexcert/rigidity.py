@@ -50,9 +50,6 @@ class Framework:
     def joint_ids(self) -> list[str]:
         return sorted(self.joints)
 
-    def is_bar(self, a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in set(self.bars)
-
 
 def framework(
     dimension: int,

@@ -1,10 +1,10 @@
 """Formal power-series machinery for candidate solution families.
 
 A candidate family X(t) = Y0 + Y1 t + ... + Yq t^q is held as its
-coefficient list. The module implements the coefficient recurrence
-C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l)), canonical extension by one
-degree, exact residual-order measurement, and the substitution
-t = tau + a tau^e used to normalize leading coefficients.
+coefficient list. One product sum through the operators' memo serves
+the recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l)), canonical extension
+and exact residual-order measurement; t = tau + a tau^e normalizes
+leading coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ratlinalg
-from .quadsys import BaseOperators, QuadraticSystem, bilinear, evaluate, linear_part
+from .quadsys import BaseOperators
 from .ratlinalg import (
     DimensionError,
     Vector,
@@ -69,6 +69,14 @@ def series(coeffs: Sequence[Sequence]) -> SeriesCoefficients:
     return SeriesCoefficients(tuple(vector(c) for c in coeffs))
 
 
+def _product_sum(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
+    """sum B(Yl, Y(p-l)) over 1 <= l, p-l <= degree(s): the t^p part of F(Y(t)) without Y0."""
+    total = zero_vector(ops.system.n)
+    for l in range(max(1, p - s.degree), min(p - 1, s.degree) + 1):
+        total = vec_add(total, ops.bilinear(s.coefficient(l), s.coefficient(p - l)))
+    return total
+
+
 def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
     """-sum_{l=1}^{p-1} B(Yl, Y(p-l)), the right-hand side for coefficient p.
 
@@ -77,10 +85,7 @@ def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
     """
     if p < 1 or p > s.degree + 1:
         raise DimensionError(f"coefficient index {p} out of range for degree {s.degree}")
-    total = zero_vector(ops.system.n)
-    for l in range(1, p):
-        total = vec_add(total, ops.bilinear(s.coefficient(l), s.coefficient(p - l)))
-    return tuple(-x for x in total)
+    return tuple(-x for x in _product_sum(ops, s, p))
 
 
 def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
@@ -91,24 +96,19 @@ def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
     return ratlinalg.solve_general(ops.c_matrix, recurrence_rhs(ops, s, s.degree + 1))
 
 
-def residual_order(sys: QuadraticSystem, s: SeriesCoefficients):
+def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     """Smallest p >= 1 with a nonzero t^p coefficient in F(Y(t)), or
-    INFINITE when the whole expansion vanishes (the family is an exact
-    polynomial solution).
-
-    Coefficients are built one order at a time, stopping at the first
-    nonzero one. The t^p coefficient is A(Yp) + sum_{a+b=p} B(Ya, Yb);
-    B is symmetric, so each pair a < b enters once as 2 B(Ya, Yb). A
-    degree-q family gives no terms beyond t^(2q)."""
-    if not is_zero_vector(evaluate(sys, s.coefficient(0))):
-        raise DimensionError("series base coefficient does not solve the system")
+    INFINITE when the whole expansion vanishes (an exact polynomial
+    solution). Y0 must be the base point of the operators. Orders are
+    tried one at a time up to the first nonzero coefficient: C Yp (for
+    p <= q), which is A(Yp) + 2 B(Y0, Yp), plus the product sum of the
+    recurrence. A degree-q family gives no terms beyond t^(2q)."""
+    if s.coefficient(0) != ops.base_point:
+        raise DimensionError("series base coefficient is not the base point of the operators")
     q = s.degree
     for p in range(1, 2 * q + 1):
-        coeff = linear_part(sys, s.coefficient(p)) if p <= q else zero_vector(sys.n)
-        for a in range(max(0, p - q), p // 2 + 1):
-            product = bilinear(sys, s.coefficient(a), s.coefficient(p - a))
-            coeff = vec_add(coeff, product if 2 * a == p else vec_scale(2, product))
-        if not is_zero_vector(coeff):
+        linear = ops.c_matrix.mul_vec(s.coefficient(p)) if p <= q else zero_vector(ops.system.n)
+        if not is_zero_vector(vec_add(linear, _product_sum(ops, s, p))):
             return p
     return INFINITE
 

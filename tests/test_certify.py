@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -27,7 +28,7 @@ from flexcert.certify import (
     span_confinement_diagnostic,
     t_standard_run,
 )
-from flexcert.quadsys import linearize
+from flexcert.quadsys import linearize, validate_and_symmetrize
 from flexcert.ratlinalg import vector, zero_vector
 from flexcert.series import SeriesCoefficients
 
@@ -106,6 +107,24 @@ def test_obstruction_no_common_line_dim2():
     cert = second_order_obstruction_check(ops)
     assert isinstance(cert, SecondOrderObstruction) and cert.case == "no_common_line"
     assert replay_certificate(sys_, zero_vector(4), cert)
+
+
+def test_obstruction_kernel_tampering_is_rejected():
+    # xy = 0 and x^2 - y^2 = 0 at the origin: C = 0, and the forms u*v and
+    # u^2 - v^2 share no line, so the certificate is "no_common_line"
+    sys_ = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
+    origin = zero_vector(2)
+    cert = second_order_obstruction_check(linearize(sys_, origin))
+    assert cert.case == "no_common_line" and replay_certificate(sys_, origin, cert)
+    for kernel in ((vector([7, 7]), vector([1, 2])), (), cert.kernel[:1]):
+        assert not replay_certificate(sys_, origin, dataclasses.replace(cert, kernel=kernel))
+    # x = 0 in one variable: the kernel is trivial, and replay must not
+    # accept a stored kernel direction
+    line = validate_and_symmetrize(1, [[]], [[(0, 1)]], [0])
+    cert = second_order_obstruction_check(linearize(line, zero_vector(1)))
+    assert cert.case == "empty_kernel" and replay_certificate(line, zero_vector(1), cert)
+    tampered = dataclasses.replace(cert, kernel=(vector([1]),))
+    assert not replay_certificate(line, zero_vector(1), tampered)
 
 
 def test_obstruction_passes_on_common_rational_line():
@@ -218,7 +237,7 @@ def test_span_closure_check_viviani_never_passes(viviani_system):
     sys_, base = viviani_system
     ops = linearize(sys_, base)
     s = _viviani_series(6)
-    assert series.residual_order(sys_, s) > 6
+    assert series.residual_order(linearize(sys_, s.coefficient(0)), s) > 6
     for q in range(1, 7):
         for k in range(1, q + 1):
             assert span_closure_check(ops, s, q, k) is None, (q, k)
@@ -244,11 +263,31 @@ def test_span_closure_check_rejects_series_off_the_base_point(circle_system):
     ops = linearize(sys_, base)
     assert base == vector([1, 0])
     s = make_series([0, 1], [1, 0])
-    assert series.residual_order(sys_, s) > 1
+    assert series.residual_order(linearize(sys_, s.coefficient(0)), s) > 1
     with pytest.raises(PreconditionError, match="base point"):
         span_closure_check(ops, s, 1, 1)
     forged = SpanClosureFlex(q=1, k=1, series=s, pair_solutions=())
     assert not replay_certificate(sys_, base, forged)
+
+
+def test_residual_order_reuses_the_span_check_products(cusp_system, viviani_system,
+                                                       monkeypatch):
+    # residual_order takes its products from the operators, so repeating
+    # the validation a span check has just made computes no new B(X, Y)
+    calls = []
+    original = quadsys.bilinear
+    monkeypatch.setattr(quadsys, "bilinear", lambda *args: calls.append(args) or original(*args))
+    checked = 0
+    for sys_, base in (cusp_system, viviani_system):
+        ops = linearize(sys_, base)
+        for cand in certify.canonical_candidates(ops, 4):
+            for q in range(2, cand.degree + 1):
+                span_closure_check(ops, cand, q, 1)
+                before = len(calls)
+                series.residual_order(ops, cand.truncated(q))
+                assert len(calls) == before, (cand, q)
+                checked += 1
+    assert checked >= 4 and calls
 
 
 def test_span_closure_check_rejects_constant_series(hyperboloid_line):
@@ -476,7 +515,7 @@ def test_flexible_certificate_series_extend_to_double_depth(hyperboloid_line,
             nxt = series.extend_step(ops, s)
             assert nxt is not None
             s = s.appended(nxt)
-        assert series.residual_order(sys_, s) > 2 * cert.q
+        assert series.residual_order(linearize(sys_, s.coefficient(0)), s) > 2 * cert.q
 
 
 def _random_system_with_solution(rng, m, n):
@@ -518,7 +557,8 @@ def test_pipeline_fuzz_replay_and_soundness():
                 nxt = series.extend_step(ops, s)
                 assert nxt is not None
                 s = s.appended(nxt)
-            assert series.residual_order(sys_, s) > 2 * rep.certificate.q
+            order = series.residual_order(linearize(sys_, s.coefficient(0)), s)
+            assert order > 2 * rep.certificate.q
 
 
 def test_residual_order_matches_sympy_on_fuzz_systems():
@@ -538,7 +578,7 @@ def test_residual_order_matches_sympy_on_fuzz_systems():
                 cases += [prefix, broken_series(rng, prefix)]
         for s in cases:
             expected = sympy_residual_order(sympy, sys_, s)
-            assert series.residual_order(sys_, s) == expected
+            assert series.residual_order(linearize(sys_, s.coefficient(0)), s) == expected
             orders.append(expected)
     assert series.INFINITE in orders and len(set(orders)) >= 4
 
@@ -593,3 +633,80 @@ def test_cokernel_and_order_two_obstruction_match_sympy():
         assert (cert is None) == in_image
         single["extends" if in_image else "obstructed"] += 1
     assert single["obstructed"] >= 3 and single["extends"] >= 3
+
+
+def test_binary_forms_common_root_matches_sympy():
+    # the d = 2 decision: do the forms a u^2 + b uv + c v^2, none of them
+    # definite, share a real root line? sympy decides it from the gcd
+    sympy = pytest.importorskip("sympy")
+    u, v = sympy.symbols("u v")
+    rng = random.Random(2718)
+
+    def line():
+        p = q = 0
+        while p == q == 0:
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+        return p, q
+
+    def product(l1, l2):  # (p1 u + q1 v)(p2 u + q2 v)
+        (p1, q1), (p2, q2) = l1, l2
+        return p1 * p2, p1 * q2 + q1 * p2, q1 * q2
+
+    def multiple(form):
+        k = rng.choice([-3, -2, -1, 1, 2, 3])
+        return tuple(k * x for x in form)
+
+    # irreducible over Q with positive discriminant 8, 5, 12, 13, 5
+    irrational = [(1, 0, -2), (1, 1, -1), (2, 2, -1), (3, 1, -1), (1, 3, 1)]
+
+    def oracle(triples):
+        polys = [a * u * u + b * u * v + c * v * v for a, b, c in triples]
+        polys = [p for p in polys if p != 0]
+        if not polys:
+            return True, "all_zero"
+        g = sympy.Poly(sympy.gcd_list(polys), u, v)
+        if g.total_degree() == 0:
+            return False, "none"
+        expr = g.as_expr()
+        real = expr.subs({u: 1, v: 0}) == 0 or sympy.Poly(expr.subs(v, 1), u).count_roots() > 0
+        factors = sympy.factor_list(expr)[1]
+        rational = any(sympy.Poly(f, u, v).total_degree() == 1 for f, _ in factors)
+        return real, "rational" if rational else "irrational"
+
+    def check(forms):
+        expected, why = oracle(forms)
+        triples = tuple(tuple(F(x) for x in t) for t in forms)
+        assert certify._binary_forms_have_common_root(triples) == expected, forms
+        return why if expected else "none"
+
+    seen = {"all_zero": 0, "rational": 0, "irrational": 0, "none": 0}
+    # u^2 + uv - 2v^2 is sqrt(2) (not 0) on the root line (sqrt(2), 1) of
+    # u^2 - 2v^2, and v^2 - 2u^2 vanishes on (1, sqrt(2)) instead
+    fixed = [[(1, 0, -2), (1, 1, -2)], [(1, 0, -2), (-2, 0, 1)], [(1, 0, -2), (-3, 0, 6)]]
+    for forms in fixed:
+        check(forms)
+    for trial in range(240):
+        count = rng.randint(1, 3)
+        kind = trial % 5
+        if kind == 0:  # one shared rational line
+            shared = line()
+            forms = [product(shared, line()) for _ in range(count)]
+        elif kind == 1:  # multiples of one irreducible form, sometimes disturbed
+            g = rng.choice(irrational)
+            forms = [multiple(g) for _ in range(count)]
+            if rng.random() < 0.3:
+                forms.append(rng.choice([product(line(), line()), rng.choice(irrational)]))
+        elif kind == 2:  # products of random lines
+            forms = [product(line(), line()) for _ in range(count + 1)]
+        elif kind == 3:  # random integer forms that are not definite
+            forms = []
+            while len(forms) < count:
+                a, b, c = (rng.randint(-3, 3) for _ in range(3))
+                if b * b - 4 * a * c >= 0:
+                    forms.append((a, b, c))
+        else:
+            forms = []
+        forms += [(0, 0, 0)] * rng.randint(0 if forms else 1, 1)
+        rng.shuffle(forms)
+        seen[check(forms)] += 1
+    assert all(n >= 10 for n in seen.values()), seen

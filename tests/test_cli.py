@@ -204,6 +204,15 @@ MALFORMED = {
                          {"variables": ["x"],
                           "equations": [{"terms": [{"exponents": [True], "coeff": "1"}]}]},
                          "bad exponent vector"),
+    # auto_pin is a JSON boolean; the string "false" must not turn it on
+    "auto_pin_is_string": ("analyze-framework",
+                           {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
+                            "auto_pin": "false"},
+                           "'auto_pin' must be true or false, got str"),
+    "auto_pin_is_int": ("analyze-framework",
+                        {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
+                         "auto_pin": 0},
+                        "'auto_pin' must be true or false, got int"),
 }
 
 
