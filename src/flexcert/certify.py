@@ -70,7 +70,8 @@ class SecondOrderObstruction:
       - "empty_kernel": vacuous (no nonzero kernel direction exists);
       - "single_direction": 1-dim kernel, B(K,K) outside im C;
       - "definite_form": some cokernel functional projects B to a definite
-        quadratic form on the kernel (Sylvester minors stored);
+        quadratic form on the kernel (the functional and the form are
+        stored; replay recomputes the Sylvester minors of the form);
       - "no_common_line": 2-dim kernel, the projected binary forms have no
         common nonzero real root.
     """
@@ -383,57 +384,6 @@ def span_closure_search(ops: BaseOperators, q_max: int) -> Optional[SpanClosureF
 
 
 # ---------------------------------------------------------------------------
-# Necessity diagnostics for families confined to their early span
-
-
-@dataclass(frozen=True)
-class SpanConfinementReport:
-    applicable: bool
-    r: int
-    reason: str
-    pair_results: tuple[tuple[int, int, bool], ...]
-    all_solvable: bool
-
-
-def _in_span(vec: Vector, span: Sequence[Vector]) -> bool:
-    if is_zero_vector(vec):
-        return True
-    cols = ratlinalg.matrix_from_columns(list(span), rows=len(vec))
-    return solve_general(cols, vec) is not None
-
-
-def span_confinement_diagnostic(
-    ops: BaseOperators, s: SeriesCoefficients, r: int
-) -> SpanConfinementReport:
-    """Necessary-condition check: when the early coefficients of an exact
-    analytic family span all later ones (X3,X4 in span{X1,X2} for r = 2;
-    X4..X7 in span{X1,X2,X3} for r = 3), every product equation
-    C Y = -B(X_i,X_j)-B(X_j,X_i), i,j <= r, must be solvable inside that
-    span. Any failing pair is a contradiction witness: the input cannot
-    be the start of such a family."""
-    if r not in (2, 3):
-        raise PreconditionError("r must be 2 or 3")
-    need_degree = 4 if r == 2 else 7
-    if s.degree < need_degree:
-        return SpanConfinementReport(False, r, f"series degree < {need_degree}", (), False)
-    span = s.coeffs[1 : r + 1]
-    for idx in range(r + 1, need_degree + 1):
-        if not _in_span(s.coefficient(idx), span):
-            return SpanConfinementReport(
-                False, r, f"coefficient {idx} is outside span(X1..X{r})", (), False
-            )
-    results = []
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            rhs = vec_scale(-2, ops.bilinear(s.coefficient(i), s.coefficient(j)))
-            ok = solve_in_span_coefficients(ops.c_matrix, [rhs], span)[0] is not None
-            results.append((i, j, ok))
-    return SpanConfinementReport(
-        True, r, "", tuple(results), all(ok for _, _, ok in results)
-    )
-
-
-# ---------------------------------------------------------------------------
 # T-standard formal solutions (kernel dimension 1)
 
 
@@ -477,7 +427,7 @@ def _validate_t_standard(ops: BaseOperators, cfg: TStandardConfig) -> None:
     if len(cfg.t_basis) != m - 1:
         raise PreconditionError("T must have codimension 1")
     combined = list(cfg.t_basis) + [lead]
-    if ratlinalg.rank(Matrix.from_rows(combined, cols=m)) != m:
+    if kernel_basis(Matrix.from_rows(combined, cols=m)):
         raise PreconditionError("T is degenerate or meets the kernel of C")
 
 
@@ -669,6 +619,13 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
             return False
         seen.add((ps.i, ps.j))
     return seen == required
+
+
+def _in_span(vec: Vector, span: Sequence[Vector]) -> bool:
+    if is_zero_vector(vec):
+        return True
+    cols = ratlinalg.matrix_from_columns(list(span), rows=len(vec))
+    return solve_general(cols, vec) is not None
 
 
 def _replay_t_standard(

@@ -9,6 +9,7 @@ separators, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -32,12 +33,19 @@ def _is_int(raw) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
+# the documented rational format; `Fraction` alone would also take
+# decimals, exponents (slow to expand), spaces and digit separators
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _scalar_in(raw, path: str, where: str) -> Fraction:
     if isinstance(raw, str):
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(path, f"{where}: not a rational string: {raw!r}") from None
+        if _RATIONAL.fullmatch(raw):
+            try:
+                return Fraction(raw)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ParseError(path, f"{where}: not a rational string: {raw!r}")
     if _is_int(raw):
         return Fraction(raw)
     raise ParseError(path, f"{where}: rationals must be strings or integers, got {type(raw).__name__}")

@@ -1,16 +1,27 @@
-"""Exact rational linear algebra: ranks, kernels and linear solves.
+"""Exact rational linear algebra: kernels, linear solves and determinants.
 
 Every verdict produced by the analyzer ultimately reduces to a rank /
-kernel / solvability question answered here, so all arithmetic is exact
-(`fractions.Fraction`); no floating point appears on any decision path.
-Elimination is fraction-free (integer-preserving with gcd stripping) and
-normalized to reduced row echelon form at the end, which bounds
-intermediate coefficient blow-up without sacrificing exactness.
+kernel / solvability question answered here, so all arithmetic is exact;
+no floating point appears on any decision path.
+
+One routine, `_rref`, answers all of them: a sparse, fraction-free
+Gauss–Jordan elimination. Each row becomes a dict of its nonzero entries,
+scaled to coprime integers; row operations touch only those entries and
+strip the gcd of every row they produce. The reduced row echelon form is
+unique, so the kernel basis, the canonical solutions and every report
+built from them do not depend on how the elimination orders its pivots.
+`kernel_basis`, `rref` and the two solvers read the reduced rows
+directly. Bareiss `determinant` is separate: it gives the Sylvester
+minors of small square forms.
 
 Linear solves append their right-hand sides as extra columns and pivot
 only in the matrix columns, so one elimination answers any number of
 right-hand sides: `solve_in_span_coefficients` takes a sequence of them
 and `solve_general` is the one-right-hand-side case.
+
+`kernel_basis`, `solve_general` and `solve_in_span_coefficients` are
+also the probes through which the benchmark (bench/tracer.py) times this
+layer, so they stay module-level functions under these names.
 """
 
 from __future__ import annotations
@@ -115,9 +126,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       tuple(self.column(j) for j in range(self.cols)))
 
-    def with_rows_permuted(self, order: Sequence[int]) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(self.entries[i] for i in order))
-
 
 def matrix_from_columns(columns: Sequence[Vector], rows: Optional[int] = None) -> Matrix:
     if columns:
@@ -128,79 +136,82 @@ def matrix_from_columns(columns: Sequence[Vector], rows: Optional[int] = None) -
                   tuple(tuple(col[i] for col in columns) for i in range(rows)))
 
 
-def _integer_rows(entries: Sequence[Vector]) -> list[list[int]]:
-    # Clear denominators row by row; row scaling never changes rank,
-    # kernel, or solvability.
-    out = []
-    for row in entries:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        ints = [int(f * mult) for f in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _primitive_row(row: dict[int, int]) -> dict[int, int]:
+    # divide out the gcd of the entries; row scaling never changes the
+    # rank, the kernel or which right-hand sides are solvable
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _rref(entries: Sequence[Vector], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with deterministic pivoting.
+def _rref(
+    entries: Sequence[Vector], cols: int
+) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
+    """Sparse fraction-free Gauss–Jordan elimination.
 
-    Pivots are chosen only in the first `cols` columns; row operations
-    run over the whole row, so any further columns (right-hand sides)
-    are carried along. Forward and backward elimination run on integer
-    rows (fraction-free updates, gcd-stripped); pivot rows are divided
-    out only at the end. Pivot choice is the first row with a nonzero
-    entry in the scanned column, so the result is a pure function of the
-    row order.
+    Each row is a {column: int} dict of its nonzero entries, scaled to
+    coprime integers from the entries' numerators and denominators.
+    Pivots are chosen only in the first `cols` columns, in column order,
+    from the first remaining row with an entry in that column; that
+    entry is cleared from every other row, so any further columns
+    (right-hand sides) are carried along. Rows that cancel to zero are
+    dropped.
+
+    Returns the pivot rows, row i having its pivot in column pivots[i]
+    (dividing it by that entry gives row i of the reduced row echelon
+    form), and the rows left over, whose entries all lie past `cols`.
+    The reduced row echelon form is unique, so nothing read from these
+    rows depends on the pivoting order.
     """
-    work = _integer_rows(entries)
-    nrows = len(work)
+    rest = []
+    for row in entries:
+        nonzero = [(j, f) for j, f in enumerate(row) if f]
+        if nonzero:
+            mult = lcm(*(f.denominator for _, f in nonzero))
+            rest.append(_primitive_row(
+                {j: f.numerator * (mult // f.denominator) for j, f in nonzero}))
+    reduced: list[dict[int, int]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        k = next((i for i, row in enumerate(rest) if c in row), None)
+        if k is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        p = work[r][c]
-        for i in range(nrows):
-            if i == r or work[i][c] == 0:
-                continue
-            f = work[i][c]
-            row = [a * p - b * f for a, b in zip(work[i], work[r])]
-            g = 0
-            for v in row:
-                g = gcd(g, v)
-            if g > 1:
-                row = [v // g for v in row]
-            work[i] = row
+        pivot = rest.pop(k)
+        p = pivot[c]
+        for rows in (reduced, rest):
+            for i, row in enumerate(rows):
+                f = row.get(c)
+                if f is None:
+                    continue
+                # p·row − f·pivot, with the common factor of p and f removed
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                out = {j: a * v for j, v in row.items()}
+                for j, v in pivot.items():
+                    w = out.get(j, 0) - b * v
+                    if w:
+                        out[j] = w
+                    else:
+                        del out[j]
+                rows[i] = _primitive_row(out)
+        rest = [row for row in rest if row]
+        reduced.append(pivot)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if not rest:
             break
-    reduced: list[list[Fraction]] = []
-    for i, row in enumerate(work):
-        if i < len(pivots):
-            p = row[pivots[i]]
-            reduced.append([Fraction(v, p) for v in row])
-        else:
-            reduced.append([Fraction(v) for v in row])
-    return reduced, pivots
+    return reduced, pivots, rest
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    reduced, pivots = _rref(m.entries, m.cols)
-    return Matrix(m.rows, m.cols, tuple(tuple(r) for r in reduced)), tuple(pivots)
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """Reduced row echelon form of M and its pivot columns."""
+    reduced, pivots, _ = _rref(m.entries, m.cols)
+    rows = []
+    for row, pc in zip(reduced, pivots):
+        dense = [Fraction(0)] * m.cols
+        for j, v in row.items():
+            dense[j] = Fraction(v, row[pc])
+        rows.append(tuple(dense))
+    rows += [zero_vector(m.cols)] * (m.rows - len(rows))
+    return Matrix(m.rows, m.cols, tuple(rows)), tuple(pivots)
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -233,35 +244,33 @@ def determinant(m: Matrix) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], 1) / denom
 
 
-def _primitive(vec: Vector) -> Vector:
-    # Scale a rational direction vector to coprime integers (sign kept).
-    mult = lcm(*(f.denominator for f in vec)) if vec else 1
-    ints = [int(f * mult) for f in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Basis of {X : MX = 0}, one vector per free column of the RREF.
 
     Vectors are ordered by free-column position and scaled to primitive
-    integer form; the list is empty exactly when the kernel is trivial.
+    integer form (positive in their free column); the list is empty
+    exactly when the kernel is trivial.
     """
-    reduced, pivots = _rref(m.entries, m.cols)
+    reduced, pivots, _ = _rref(m.entries, m.cols)
+    # the pivot rows' entries in each free column
+    in_column: dict[int, list[tuple[int, int, int]]] = {}
+    for row, pc in zip(reduced, pivots):
+        for j, v in row.items():
+            if j != pc:
+                in_column.setdefault(j, []).append((pc, v, row[pc]))
     pivot_set = set(pivots)
     basis = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * m.cols
-        vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][free]
-        basis.append(_primitive(tuple(vec)))
+        entries = in_column.get(free, [])
+        scale = lcm(*(p for _, _, p in entries))
+        vec = [0] * m.cols
+        vec[free] = scale
+        for pc, v, p in entries:
+            vec[pc] = -v * (scale // p)
+        g = gcd(*vec)
+        basis.append(tuple(Fraction(x // g) for x in vec))
     return basis
 
 
@@ -272,15 +281,18 @@ def _solve_columns(m: Matrix, vs: Sequence[Vector]) -> list[Optional[Vector]]:
         if len(v) != m.rows:
             raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
     augmented = tuple(row + tuple(v[i] for v in vs) for i, row in enumerate(m.entries))
-    reduced, pivots = _rref(augmented, m.cols)
+    reduced, pivots, rest = _rref(augmented, m.cols)
+    outside = {j for row in rest for j in row}
     out: list[Optional[Vector]] = []
     for col in range(m.cols, m.cols + len(vs)):
-        if any(row[col] != 0 for row in reduced[len(pivots):]):
+        if col in outside:
             out.append(None)
             continue
         solution = [Fraction(0)] * m.cols
-        for r, pc in enumerate(pivots):
-            solution[pc] = reduced[r][col]
+        for row, pc in zip(reduced, pivots):
+            v = row.get(col)
+            if v is not None:
+                solution[pc] = Fraction(v, row[pc])
         out.append(tuple(solution))
     return out
 

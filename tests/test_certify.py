@@ -25,7 +25,6 @@ from flexcert.certify import (
     second_order_obstruction_check,
     span_closure_check,
     span_closure_search,
-    span_confinement_diagnostic,
     t_standard_run,
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
@@ -311,41 +310,6 @@ def test_span_closure_search_deterministic(hyperboloid_line):
     a = span_closure_search(ops, 4)
     b = span_closure_search(ops, 4)
     assert a == b
-
-
-# ---------------------------------------------------------------------------
-# confinement diagnostics
-
-
-def test_span_confinement_line_family(hyperboloid_line):
-    sys_, base = hyperboloid_line
-    ops = linearize(sys_, base)
-    zero = [0, 0, 0]
-    s = make_series(base, [4, 3, 5], zero, zero, zero)
-    report = span_confinement_diagnostic(ops, s, 2)
-    assert report.applicable and report.all_solvable
-
-
-def test_span_confinement_inapplicable_outside_span():
-    # exact parabola family x(t) = (t, t^2) for x2 - x1^2 = 0
-    sys_ = dense_system([[[-1, 0], [0, 0]]], [[0, 1]], [0])
-    s = make_series([0, 0], [1, 0], [0, 1], [0, 0], [0, 0])
-    ops = linearize(sys_, vector([0, 0]))
-    report = span_confinement_diagnostic(ops, s, 2)
-    assert report.applicable and report.all_solvable
-    # degree-4 series with X3 outside span{X1, X2}
-    bad = make_series([0, 0], [1, 0], [0, 0], [0, 1], [0, 0])
-    rep2 = span_confinement_diagnostic(ops, bad, 2)
-    assert not rep2.applicable and "outside" in rep2.reason
-
-
-def test_span_confinement_r3_on_exact_family():
-    sys_ = dense_system([[[-1, 0], [0, 0]]], [[0, 1]], [0])
-    ops = linearize(sys_, vector([0, 0]))
-    zero = [0, 0]
-    s = make_series([0, 0], [1, 0], [0, 1], zero, zero, zero, zero, zero)
-    report = span_confinement_diagnostic(ops, s, 3)
-    assert report.applicable and report.all_solvable
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,34 @@ MALFORMED = {
                         {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
                          "auto_pin": 0},
                         "'auto_pin' must be true or false, got int"),
+    # rationals are -?digits or -?digits/digits in ASCII and nothing else;
+    # the exponent takes seconds to expand where Fraction accepts it
+    "rational_with_exponent": ("analyze-system",
+                               {"variables": ["x"],
+                                "equations": [{"beta": [[0, "1"]], "gamma": "1e10000000"}],
+                                "base_point": ["0"]},
+                               "not a rational string: '1e10000000'"),
+    "rational_decimal": ("analyze-system",
+                         {"variables": ["x"], "equations": [{"beta": [[0, "1"]]}],
+                          "base_point": ["2.5"]},
+                         "not a rational string: '2.5'"),
+    "rational_with_spaces": ("analyze-system",
+                             {"variables": ["x"], "equations": [{"beta": [[0, "1"]]}],
+                              "base_point": [" 3 "]},
+                             "not a rational string: ' 3 '"),
+    "rational_digit_separator": ("analyze-framework",
+                                 {"dimension": 2, "bars": SQUARE_BARS,
+                                  "joints": [{"id": "a", "coords": ["1_000", "0"]}]
+                                  + SQUARE_JOINTS[1:]},
+                                 "not a rational string: '1_000'"),
+    "rational_plus_sign": ("analyze-system",
+                           {"variables": ["x"], "equations": [{"beta": [[0, "+1"]]}],
+                            "base_point": ["0"]},
+                           "not a rational string: '+1'"),
+    "rational_non_ascii_digits": ("analyze-system",
+                                  {"variables": ["x"], "equations": [{"beta": [[0, "1"]]}],
+                                   "base_point": ["\u0661/\u0662"]},
+                                  "not a rational string: '\u0661/\u0662'"),
 }
 
 

@@ -10,7 +10,7 @@ from flexcert.ratlinalg import (
     determinant,
     kernel_basis,
     matrix_from_columns,
-    rank,
+    rref,
     solve_general,
     solve_in_span_coefficients,
     vector,
@@ -134,7 +134,7 @@ def test_solve_residual_is_exactly_zero_randomized():
         if got is not None:
             assert mul(m, got) == v
         nullspace = kernel_basis(m)
-        assert len(nullspace) == cols - rank(m)
+        assert len(nullspace) == cols - len(rref(m)[1])
         for k in nullspace:
             assert mul(m, k) == zero_vector(rows)
 
@@ -171,9 +171,69 @@ def _low_rank_matrix(rng, rows, cols):
     )
 
 
+def _sparse_case(rng):
+    """A matrix with at least 70% zeros, one zero row, one zero column and
+    one row that is a combination of two others, so that a row cancels to
+    zero during elimination; also the right-hand sides that probe it."""
+    while True:
+        rows, cols = rng.randint(4, 8), rng.randint(4, 8)
+        zero_row, cancelling = rng.sample(range(rows), 2)
+        zero_col = rng.randrange(cols)
+        others = [i for i in range(rows) if i not in (zero_row, cancelling)]
+        entries = [[F(0)] * cols for _ in range(rows)]
+        for _ in range(rows * cols // 6):
+            j = rng.choice([j for j in range(cols) if j != zero_col])
+            entries[rng.choice(others)][j] = F(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                               rng.randint(1, 2))
+        i, k = rng.sample(others, 2)
+        a, b = F(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2)), F(rng.choice([-1, 1, 3]))
+        entries[cancelling] = [a * x + b * y for x, y in zip(entries[i], entries[k])]
+        zeros = sum(x == 0 for row in entries for x in row)
+        if zeros >= 0.7 * rows * cols and any(entries[cancelling]):
+            return Matrix.from_rows(entries), (zero_row, cancelling), zero_col
+
+
+def _sparse_rhss(rng, m, rank, left_over):
+    """Right-hand sides for a sparse case: one inside im M, unit vectors on
+    the rows the elimination leaves over, and one supported only on the
+    rows past the rank."""
+    x = [F(rng.randint(-2, 2)) if rng.random() < 0.3 else F(0) for _ in range(m.cols)]
+    unit = [tuple(F(int(i == r)) for i in range(m.rows)) for r in left_over]
+    past_rank = tuple(F(rng.randint(1, 3)) if i >= rank else F(0) for i in range(m.rows))
+    return [mul(m, x)] + unit + [past_rank]
+
+
 def _to_sympy(sympy, rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                          for r in rows])
+
+
+def _from_sympy(column):
+    return tuple(F(int(x.p), int(x.q)) for x in column)
+
+
+def _check_against_sympy(sympy, m, vs):
+    sm = _to_sympy(sympy, m.entries)
+    reduced, pivots = rref(m)
+    s_reduced, s_pivots = sm.rref()
+    assert pivots == s_pivots
+    assert reduced.entries == tuple(_from_sympy(s_reduced.row(i)) for i in range(m.rows))
+
+    for v in vs:
+        try:
+            solution, params = sm.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v]))
+        except ValueError:  # sympy: the system is inconsistent
+            assert solve_general(m, v) is None
+        else:
+            expected = solution.subs({p: 0 for p in params})
+            assert solve_general(m, v) == _from_sympy(expected)
+
+    nullspace = sm.nullspace()
+    basis = kernel_basis(m)
+    assert len(basis) == len(nullspace) == m.cols - sm.rank()
+    for k in basis:
+        column = _to_sympy(sympy, [[x] for x in k])
+        assert sympy.Matrix.hstack(*nullspace, column).rank() == len(nullspace)
 
 
 def test_solver_matches_sympy_oracle():
@@ -187,24 +247,38 @@ def test_solver_matches_sympy_oracle():
             v = mul(m, [F(rng.randint(-3, 3)) for _ in range(cols)])
         else:
             v = vector([F(rng.randint(-3, 3)) for _ in range(rows)])
-        sm, sv = _to_sympy(sympy, m.entries), _to_sympy(sympy, [[x] for x in v])
+        _check_against_sympy(sympy, m, [v])
 
-        assert rank(m) == sm.rank()
+    rng = random.Random(6067)
+    for _ in range(30):
+        m, left_over, zero_col = _sparse_case(rng)
+        rank = _to_sympy(sympy, m.entries).rank()
+        vs = _sparse_rhss(rng, m, rank, left_over)
+        assert solve_general(m, vs[1]) is None and solve_general(m, vs[2]) is None
+        _check_against_sympy(sympy, m, vs)
+        assert tuple(F(int(j == zero_col)) for j in range(m.cols)) in kernel_basis(m)
 
+
+def _check_span_batch(sympy, m, batch, span, seen):
+    got = solve_in_span_coefficients(m, batch, span)
+    assert got == [solve_in_span_coefficients(m, [v], span)[0] for v in batch]
+
+    images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
+    images = _to_sympy(sympy, images.entries)
+    for v, solved in zip(batch, got):
         try:
-            solution, params = sm.gauss_jordan_solve(sv)
-        except ValueError:  # sympy: the system is inconsistent
-            assert solve_general(m, v) is None
-        else:
-            expected = solution.subs({p: 0 for p in params})
-            assert solve_general(m, v) == tuple(F(int(x.p), int(x.q)) for x in expected)
-
-        nullspace = sm.nullspace()
-        basis = kernel_basis(m)
-        assert len(basis) == len(nullspace) == cols - sm.rank()
-        for k in basis:
-            column = _to_sympy(sympy, [[x] for x in k])
-            assert sympy.Matrix.hstack(*nullspace, column).rank() == len(nullspace)
+            solution, params = images.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v]))
+        except ValueError:  # sympy: v is outside M·span
+            assert solved is None
+            seen["unsolvable"] += 1
+            continue
+        seen["solvable"] += 1
+        coeffs, vec = solved
+        expected = solution.subs({p: 0 for p in params})
+        assert coeffs == _from_sympy(expected)
+        assert vec == tuple(sum((c * s[i] for c, s in zip(coeffs, span)), F(0))
+                            for i in range(m.cols))
+        assert mul(m, vec) == v
 
 
 def test_batched_span_solves_match_single_solves_and_sympy():
@@ -230,28 +304,23 @@ def test_batched_span_solves_match_single_solves_and_sympy():
             else:
                 batch.append(vector([F(rng.randint(-3, 3)) for _ in range(rows)]))
         batch.append(zero_vector(rows))
-
-        got = solve_in_span_coefficients(m, batch, span)
-        assert got == [solve_in_span_coefficients(m, [v], span)[0] for v in batch]
-
-        images = matrix_from_columns([m.mul_vec(s) for s in span], rows=rows)
-        images = _to_sympy(sympy, images.entries)
-        for v, solved in zip(batch, got):
-            try:
-                solution, params = images.gauss_jordan_solve(
-                    _to_sympy(sympy, [[x] for x in v]))
-            except ValueError:  # sympy: v is outside M·span
-                assert solved is None
-                seen["unsolvable"] += 1
-                continue
-            seen["solvable"] += 1
-            coeffs, vec = solved
-            expected = solution.subs({p: 0 for p in params})
-            assert coeffs == tuple(F(int(x.p), int(x.q)) for x in expected)
-            assert vec == tuple(sum((c * s[i] for c, s in zip(coeffs, span)), F(0))
-                                for i in range(cols))
-            assert mul(m, vec) == v
+        _check_span_batch(sympy, m, batch, span, seen)
     assert seen["solvable"] > 50 and seen["unsolvable"] > 20
+
+    # sparse M·span: unit span vectors, the zero column's among them, and a
+    # multiple of one of them
+    rng = random.Random(3119)
+    seen = {"solvable": 0, "unsolvable": 0}
+    for _ in range(30):
+        m, left_over, zero_col = _sparse_case(rng)
+        units = [zero_col] + rng.sample(range(m.cols), rng.randint(2, m.cols))
+        span = [tuple(F(int(i == j)) for i in range(m.cols)) for j in units]
+        span.append(tuple(F(2) * x for x in span[-1]))
+        images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
+        rank = _to_sympy(sympy, images.entries).rank()
+        batch = _sparse_rhss(rng, images, rank, left_over)
+        _check_span_batch(sympy, m, [mul(m, x) for x in span] + batch, span, seen)
+    assert seen["solvable"] > 40 and seen["unsolvable"] > 60
 
 
 def test_verdicts_invariant_under_row_permutation():
@@ -262,9 +331,9 @@ def test_verdicts_invariant_under_row_permutation():
         v = vector([F(rng.randint(-2, 2)) for _ in range(rows)])
         order = list(range(rows))
         rng.shuffle(order)
-        pm = m.with_rows_permuted(order)
+        pm = Matrix(rows, cols, tuple(m.row(i) for i in order))
         pv = tuple(v[i] for i in order)
-        assert rank(m) == rank(pm)
+        assert rref(m) == rref(pm)
         assert len(kernel_basis(m)) == len(kernel_basis(pm))
         assert (solve_general(m, v) is None) == (solve_general(pm, pv) is None)
 

@@ -296,6 +296,21 @@ def test_ten_by_ten_grid_is_first_order_rigid_within_budget():
     assert elapsed <= 30, f"took {elapsed:.1f}s"
 
 
+def test_thirty_by_thirty_grid_is_first_order_rigid_within_budget():
+    # the sparse elimination of C keeps this at a few seconds; a dense one
+    # took over 20 s
+    fw = triangulated_grid(30)
+    start = time.time()
+    rep = analyze_framework(fw, use_auto_pin=True)
+    elapsed = time.time() - start
+    sys_, variables, base = build_edge_system(rep.pinned)
+    assert (sys_.m, sys_.n) == (1797, 2581)
+    assert rep.verdict == RIGID
+    assert isinstance(rep.certificate, FirstOrderRigid) and rep.certificate.rank == 1797
+    assert certify.replay_certificate(sys_, base, rep.certificate)
+    assert elapsed <= 10, f"analysis took {elapsed:.1f}s"
+
+
 def test_flexible_verdict_needs_span_closure_certificate(monkeypatch):
     fw = square()
     real = certify.analyze_system
