@@ -27,6 +27,7 @@ from .ratlinalg import (
     solve_in_span_coefficients,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_vector,
 )
 from .series import (
@@ -181,7 +182,7 @@ def _is_definite(q: tuple[tuple[Fraction, ...], ...]) -> bool:
     d = len(q)
     minors = []
     for k in range(1, d + 1):
-        sub = Matrix(k, k, tuple(tuple(q[i][j] for j in range(k)) for i in range(k)))
+        sub = Matrix.from_rows([q[i][:k] for i in range(k)])
         minors.append(ratlinalg.determinant(sub))
     if all(m > 0 for m in minors):
         return True
@@ -413,7 +414,9 @@ def default_t_standard_config(ops: BaseOperators, max_depth: int = 24) -> TStand
     return TStandardConfig(t_basis=basis, max_depth=max_depth, leading_coeff=kvec)
 
 
-def _validate_t_standard(ops: BaseOperators, cfg: TStandardConfig) -> None:
+def _validate_t_standard(ops: BaseOperators, cfg: TStandardConfig) -> Vector:
+    """Check the T-standard preconditions and return the functional phi
+    with T = ker phi."""
     if len(ops.kernel) != 1:
         raise InapplicableError(
             f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
@@ -424,24 +427,35 @@ def _validate_t_standard(ops: BaseOperators, cfg: TStandardConfig) -> None:
     if is_zero_vector(lead) or not is_zero_vector(ops.c_matrix.mul_vec(lead)):
         raise PreconditionError("leading coefficient must be a nonzero kernel vector")
     m = ops.system.m
-    if len(cfg.t_basis) != m - 1:
+    if len(cfg.t_basis) != m - 1 or any(len(t) != m for t in cfg.t_basis):
         raise PreconditionError("T must have codimension 1")
-    combined = list(cfg.t_basis) + [lead]
-    if kernel_basis(Matrix.from_rows(combined, cols=m)):
+    normal = kernel_basis(Matrix.from_rows(cfg.t_basis, cols=m))
+    if len(normal) != 1 or _dot(normal[0], lead) == 0:
         raise PreconditionError("T is degenerate or meets the kernel of C")
+    return normal[0]
+
+
+def _into_t(x: Vector, lead: Vector, phi: Vector) -> Vector:
+    # the one point of the line x + span{lead} inside T = ker phi
+    return vec_sub(x, vec_scale(_dot(phi, x) / _dot(phi, lead), lead))
 
 
 def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
     """Grow the unique T-standard formal solution with the configured
     leading coefficient. An unsolvable step at index p proves (kernel
     dimension 1) that no nonconstant analytic family exists through the
-    base point; surviving to max_depth proves nothing."""
-    _validate_t_standard(ops, cfg)
+    base point; surviving to max_depth proves nothing.
+
+    ker C = span{lead} and lead is not in T, so C maps T one-to-one onto
+    im C: a step is solvable in T exactly when it is solvable at all, and
+    its solution in T is the canonical solution moved along lead into T.
+    """
+    phi = _validate_t_standard(ops, cfg)
     s = SeriesCoefficients((ops.base_point, cfg.leading_coeff))
     for p in range(2, cfg.max_depth + 1):
         rhs = recurrence_rhs(ops, s, p)
-        got = solve_in_span_coefficients(ops.c_matrix, [rhs], cfg.t_basis)[0]
-        if got is None:
+        x = solve_general(ops.c_matrix, rhs)
+        if x is None:
             return TStandardFail(
                 fail_index=p,
                 unreachable_rhs=rhs,
@@ -449,7 +463,7 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
                 leading=cfg.leading_coeff,
                 prefix=s,
             )
-        s = s.appended(got[1])
+        s = s.appended(_into_t(x, cfg.leading_coeff, phi))
     return TStandardSurvived(
         depth=cfg.max_depth, t_basis=cfg.t_basis, leading=cfg.leading_coeff, series=s
     )
@@ -621,13 +635,6 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     return seen == required
 
 
-def _in_span(vec: Vector, span: Sequence[Vector]) -> bool:
-    if is_zero_vector(vec):
-        return True
-    cols = ratlinalg.matrix_from_columns(list(span), rows=len(vec))
-    return solve_general(cols, vec) is not None
-
-
 def _replay_t_standard(
     ops: BaseOperators,
     t_basis: tuple[Vector, ...],
@@ -639,7 +646,7 @@ def _replay_t_standard(
     if len(ops.kernel) != 1:
         return False
     try:
-        _validate_t_standard(
+        phi = _validate_t_standard(
             ops, TStandardConfig(t_basis=t_basis, max_depth=max(2, coeffs.degree + 1),
                                  leading_coeff=leading)
         )
@@ -647,10 +654,9 @@ def _replay_t_standard(
         return False
     if coeffs.coefficient(0) != ops.base_point or coeffs.coefficient(1) != leading:
         return False
-    t_span = list(t_basis)
     for p in range(2, coeffs.degree + 1):
         y = coeffs.coefficient(p)
-        if not _in_span(y, t_span):
+        if _dot(phi, y) != 0:
             return False
         rhs = recurrence_rhs(ops, coeffs.truncated(p - 1), p)
         if ops.c_matrix.mul_vec(y) != rhs:
@@ -661,5 +667,6 @@ def _replay_t_standard(
         rhs = recurrence_rhs(ops, coeffs, fail_index)
         if rhs != unreachable_rhs:
             return False
-        return solve_in_span_coefficients(ops.c_matrix, [rhs], t_basis)[0] is None
+        # C maps T onto im C (checked above), so outside im C is outside C(T)
+        return solve_general(ops.c_matrix, rhs) is None
     return True

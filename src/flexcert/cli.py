@@ -6,8 +6,9 @@ Commands:
   reduce FILE -o OUT      rewrite a polynomial system to degree <= 2
   extend FILE --degree Q  grow a canonical series solution to degree Q
 
-Exit codes: 0 = a report was produced (any verdict), 2 = parse or
-validation failure, 3 = the base point is not an exact solution.
+Exit codes: 0 = a report was produced (any verdict), 2 = unreadable or
+invalid input, or an output file that cannot be written, 3 = the base
+point is not an exact solution.
 """
 
 from __future__ import annotations
@@ -121,8 +122,12 @@ def _run_reduce(args) -> int:
     if original_base is not None:
         base = quadsys.lift_base_point(rmap, original_base)
     out = fileio.system_to_dict(reduced, base)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(fileio.dumps(out))
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(fileio.dumps(out))
+    except OSError as exc:
+        print(f"error: {args.output}: cannot write: {exc.strerror or exc}", file=_sys.stderr)
+        return EXIT_PARSE
     print(f"reduced system written to {args.output} "
           f"({reduced.n} equations, {reduced.m} variables, "
           f"{len(rmap.auxiliary_definitions)} auxiliary)")

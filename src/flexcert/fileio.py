@@ -71,8 +71,16 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(path, "file not found") from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise ParseError(path, f"cannot read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise ParseError(path, "not UTF-8 text") from None
+    except ValueError as exc:  # e.g. an integer literal past Python's digit limit
+        raise ParseError(path, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(path, "JSON nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,9 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     """Construct the operators at a base point, rejecting non-solutions.
 
     Column j of C equals B(X0,e_j) + B(e_j,X0) + A(e_j); with symmetric
-    alpha this is 2*(alpha^k X0)_j + beta_j^k per equation row k.
+    alpha this is 2*(alpha^k X0)_j + beta_j^k per equation row k, so
+    each row of C is built from the equation's alpha and beta terms
+    alone, in O(nnz).
     """
     x0 = vector(base_point)
     residual = evaluate(sys, x0)
@@ -170,14 +172,14 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
         raise BasePointError(residual)
     rows = []
     for quad, lin in zip(sys.alpha, sys.beta):
-        row = [Fraction(0)] * sys.m
+        row: dict[int, Fraction] = {}
         for i, j, c in quad:
-            row[i] += 2 * c * x0[j]
+            row[i] = row.get(i, 0) + 2 * c * x0[j]
             if i != j:
-                row[j] += 2 * c * x0[i]
+                row[j] = row.get(j, 0) + 2 * c * x0[i]
         for i, c in lin:
-            row[i] += c
-        rows.append(tuple(row))
+            row[i] = row.get(i, 0) + c
+        rows.append(tuple(sorted((j, v) for j, v in row.items() if v)))
     c = Matrix(sys.n, sys.m, tuple(rows))
     # spot-check the closed-form columns against the operational definition
     probe = (Fraction(1),) * sys.m

@@ -4,15 +4,17 @@ Every verdict produced by the analyzer ultimately reduces to a rank /
 kernel / solvability question answered here, so all arithmetic is exact;
 no floating point appears on any decision path.
 
-One routine, `_rref`, answers all of them: a sparse, fraction-free
-Gauss–Jordan elimination. Each row becomes a dict of its nonzero entries,
-scaled to coprime integers; row operations touch only those entries and
-strip the gcd of every row they produce. The reduced row echelon form is
-unique, so the kernel basis, the canonical solutions and every report
-built from them do not depend on how the elimination orders its pivots.
-`kernel_basis`, `rref` and the two solvers read the reduced rows
+A `Matrix` stores only its nonzero entries, row by row, and every
+operation on it (products, transposes, eliminations) touches only those.
+One routine, `_rref`, answers every kernel and solve question: a sparse,
+fraction-free Gauss–Jordan elimination. It scales each row to coprime
+integers in a {column: int} dict; row operations touch only the stored
+entries and strip the gcd of every row they produce. The reduced row
+echelon form is unique, so the kernel basis, the canonical solutions and
+every report built from them do not depend on how the elimination orders
+its pivots. `kernel_basis` and the two solvers read the reduced rows
 directly. Bareiss `determinant` is separate: it gives the Sylvester
-minors of small square forms.
+minors of small square forms from the dense view of a matrix.
 
 Linear solves append their right-hand sides as extra columns and pivot
 only in the matrix columns, so one elimination answers any number of
@@ -81,50 +83,73 @@ def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
 
+Row = tuple[tuple[int, Fraction], ...]
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Dense rectangular matrix of Fractions.
+    """Sparse rectangular matrix of Fractions.
 
-    `rows`/`cols` are stored explicitly so that degenerate shapes (zero
-    rows or zero columns) stay well defined.
+    Row i is stored as `nonzeros[i]`: its (column, value) pairs in
+    increasing column order, without zero values. The form is canonical,
+    so equal matrices compare equal, and products, transposes and
+    eliminations cost O(nnz). `rows`/`cols` are stored explicitly so that
+    degenerate shapes (zero rows or zero columns) stay well defined.
+
+    `from_rows` builds a matrix from dense rows; `entries` and `row(i)`
+    are dense views for display, tests and `determinant`.
     """
 
     rows: int
     cols: int
-    entries: tuple[Vector, ...]
+    nonzeros: tuple[Row, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise DimensionError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DimensionError("ragged matrix rows")
+        if len(self.nonzeros) != self.rows:
+            raise DimensionError("row count does not match stored rows")
+        for row in self.nonzeros:
+            last = -1
+            for j, v in row:
+                if not last < j < self.cols:
+                    raise DimensionError(
+                        f"column {j} repeated, out of order or outside 0..{self.cols - 1}")
+                if not v:
+                    raise ValueError(f"zero value stored in column {j}")
+                last = j
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable], cols: Optional[int] = None) -> "Matrix":
-        entries = tuple(vector(r) for r in rows)
-        if entries:
-            cols = len(entries[0])
+        dense = [vector(r) for r in rows]
+        if dense:
+            cols = len(dense[0])
         elif cols is None:
             raise DimensionError("empty matrix needs an explicit column count")
-        return cls(len(entries), cols, entries)
+        if any(len(r) != cols for r in dense):
+            raise DimensionError("ragged matrix rows")
+        return cls(len(dense), cols,
+                   tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in dense))
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        return tuple(self.row(i) for i in range(self.rows))
 
     def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        dense = [Fraction(0)] * self.cols
+        for j, v in self.nonzeros[i]:
+            dense[j] = v
+        return tuple(dense)
 
     def mul_vec(self, x: Vector) -> Vector:
         if len(x) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(x)}")
-        # zero entries are skipped: linearizations are mostly zeros
-        return tuple(sum((a * xj for a, xj in zip(r, x) if a), Fraction(0))
-                     for r in self.entries)
+        return tuple(sum((v * x[j] for j, v in row), Fraction(0)) for row in self.nonzeros)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.column(j) for j in range(self.cols)))
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, v in row:
+                columns[j].append((i, v))
+        return Matrix(self.cols, self.rows, tuple(map(tuple, columns)))
 
 
 def matrix_from_columns(columns: Sequence[Vector], rows: Optional[int] = None) -> Matrix:
@@ -132,8 +157,14 @@ def matrix_from_columns(columns: Sequence[Vector], rows: Optional[int] = None) -
         rows = len(columns[0])
     elif rows is None:
         raise DimensionError("empty column list needs an explicit row count")
-    return Matrix(rows, len(columns),
-                  tuple(tuple(col[i] for col in columns) for i in range(rows)))
+    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(rows)]
+    for j, col in enumerate(columns):
+        if len(col) != rows:
+            raise DimensionError("ragged matrix columns")
+        for i, x in enumerate(col):
+            if x:
+                out[i].append((j, x))
+    return Matrix(rows, len(columns), tuple(map(tuple, out)))
 
 
 def _primitive_row(row: dict[int, int]) -> dict[int, int]:
@@ -144,17 +175,17 @@ def _primitive_row(row: dict[int, int]) -> dict[int, int]:
 
 
 def _rref(
-    entries: Sequence[Vector], cols: int
+    nonzeros: Iterable[Sequence[tuple[int, Fraction]]], cols: int
 ) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
     """Sparse fraction-free Gauss–Jordan elimination.
 
-    Each row is a {column: int} dict of its nonzero entries, scaled to
-    coprime integers from the entries' numerators and denominators.
-    Pivots are chosen only in the first `cols` columns, in column order,
-    from the first remaining row with an entry in that column; that
-    entry is cleared from every other row, so any further columns
-    (right-hand sides) are carried along. Rows that cancel to zero are
-    dropped.
+    Takes rows as (column, nonzero value) pairs and makes each a
+    {column: int} dict, scaled to coprime integers from the values'
+    numerators and denominators. Pivots are chosen only in the first
+    `cols` columns, in column order, from the first remaining row with an
+    entry in that column; that entry is cleared from every other row, so
+    any further columns (right-hand sides) are carried along. Rows that
+    cancel to zero are dropped.
 
     Returns the pivot rows, row i having its pivot in column pivots[i]
     (dividing it by that entry gives row i of the reduced row echelon
@@ -163,12 +194,11 @@ def _rref(
     rows depends on the pivoting order.
     """
     rest = []
-    for row in entries:
-        nonzero = [(j, f) for j, f in enumerate(row) if f]
-        if nonzero:
-            mult = lcm(*(f.denominator for _, f in nonzero))
+    for row in nonzeros:
+        if row:
+            mult = lcm(*(f.denominator for _, f in row))
             rest.append(_primitive_row(
-                {j: f.numerator * (mult // f.denominator) for j, f in nonzero}))
+                {j: f.numerator * (mult // f.denominator) for j, f in row}))
     reduced: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in range(cols):
@@ -199,19 +229,6 @@ def _rref(
         if not rest:
             break
     return reduced, pivots, rest
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form of M and its pivot columns."""
-    reduced, pivots, _ = _rref(m.entries, m.cols)
-    rows = []
-    for row, pc in zip(reduced, pivots):
-        dense = [Fraction(0)] * m.cols
-        for j, v in row.items():
-            dense[j] = Fraction(v, row[pc])
-        rows.append(tuple(dense))
-    rows += [zero_vector(m.cols)] * (m.rows - len(rows))
-    return Matrix(m.rows, m.cols, tuple(rows)), tuple(pivots)
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -251,7 +268,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     integer form (positive in their free column); the list is empty
     exactly when the kernel is trivial.
     """
-    reduced, pivots, _ = _rref(m.entries, m.cols)
+    reduced, pivots, _ = _rref(m.nonzeros, m.cols)
     # the pivot rows' entries in each free column
     in_column: dict[int, list[tuple[int, int, int]]] = {}
     for row, pc in zip(reduced, pivots):
@@ -280,7 +297,8 @@ def _solve_columns(m: Matrix, vs: Sequence[Vector]) -> list[Optional[Vector]]:
     for v in vs:
         if len(v) != m.rows:
             raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
-    augmented = tuple(row + tuple(v[i] for v in vs) for i, row in enumerate(m.entries))
+    augmented = [row + tuple((m.cols + t, v[i]) for t, v in enumerate(vs) if v[i])
+                 for i, row in enumerate(m.nonzeros)]
     reduced, pivots, rest = _rref(augmented, m.cols)
     outside = {j for row in rest for j in row}
     out: list[Optional[Vector]] = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import certify, ratlinalg
+from . import certify
 from .certify import (
     FLEXIBLE,
     INCONCLUSIVE,
@@ -28,7 +28,7 @@ from .certify import (
     TStandardFail,
 )
 from .quadsys import QuadraticSystem, evaluate, validate_and_symmetrize
-from .ratlinalg import Matrix, Vector, vector
+from .ratlinalg import Vector, vector
 from .series import SeriesCoefficients
 
 
@@ -195,62 +195,6 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
     if any(x != 0 for x in residual):
         raise FrameworkError("compiled edge system does not vanish at the base point")
     return sys, tuple(variables), base
-
-
-def _row_space_basis(rows: list[Vector], cols: int) -> list[Vector]:
-    if not rows:
-        return []
-    reduced, pivots = ratlinalg.rref(Matrix.from_rows(rows, cols=cols))
-    return [reduced.row(i) for i in range(len(pivots))]
-
-
-def trivial_motion_basis(fw: Framework) -> list[Vector]:
-    """First-order velocity fields of ambient rigid motions, restricted to
-    the unpinned coordinates and compatible with the pins (zero velocity
-    at every pinned coordinate).
-
-    Translations and infinitesimal plane rotations generate the isometry
-    algebra; for a fully auto-pinned, affinely spanning framework the
-    result is empty.
-    """
-    n = fw.dimension
-    slots = coordinate_order(fw)
-    variables = [sc for sc in slots if sc not in fw.pins]
-    pinned = [sc for sc in slots if sc in fw.pins]
-    generators: list[dict[tuple[str, int], Fraction]] = []
-    for d in range(n):
-        generators.append({(jid, d): Fraction(1) for jid in fw.joints})
-    for a in range(n):
-        for b in range(a + 1, n):
-            gen = {}
-            for jid, x in fw.joints.items():
-                gen[(jid, a)] = -x[b]
-                gen[(jid, b)] = x[a]
-            generators.append(gen)
-    # coefficients whose combination vanishes on every pinned coordinate
-    if pinned:
-        constraint = Matrix.from_rows(
-            [[g.get(sc, Fraction(0)) for g in generators] for sc in pinned],
-            cols=len(generators),
-        )
-        coeff_space = ratlinalg.kernel_basis(constraint)
-    else:
-        coeff_space = [
-            tuple(Fraction(1 if i == g else 0) for i in range(len(generators)))
-            for g in range(len(generators))
-        ]
-    candidates = []
-    for coeffs in coeff_space:
-        vec = []
-        for sc in variables:
-            val = sum(
-                (c * g.get(sc, Fraction(0)) for c, g in zip(coeffs, generators)),
-                Fraction(0),
-            )
-            vec.append(val)
-        candidates.append(tuple(vec))
-    return _row_space_basis([v for v in candidates if any(x != 0 for x in v)],
-                            cols=len(variables))
 
 
 @dataclass(frozen=True)

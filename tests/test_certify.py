@@ -28,7 +28,7 @@ from flexcert.certify import (
     t_standard_run,
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
-from flexcert.ratlinalg import vector, zero_vector
+from flexcert.ratlinalg import solve_in_span_coefficients, vector, zero_vector
 from flexcert.series import SeriesCoefficients
 
 from conftest import broken_series, dense_system, sympy_equations, sympy_residual_order
@@ -383,6 +383,49 @@ def test_t_standard_rejects_t_meeting_kernel(circle_system):
     assert ops.kernel == (vector([0, 1]),)
     with pytest.raises(PreconditionError):
         t_standard_run(ops, TStandardConfig((vector([0, 1]),), 4, ops.kernel[0]))
+
+
+def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
+    # the unit circle in the plane z = 0, through (1, 0, 0): ker C = span{e_y}
+    sys_ = validate_and_symmetrize(3, [[(0, 0, 1), (1, 1, 1), (2, 2, 1)], []],
+                                   [[], [(2, 1)]], [-1, 0])
+    base = vector([1, 0, 0])
+    ops = linearize(sys_, base)
+    assert ops.kernel == (vector([0, 1, 0]),)
+    # T = ker (1, -1, 1), a plane through no coordinate axis
+    t_basis = (vector([1, 1, 0]), vector([0, 1, 1]))
+    depth = 7
+    out = t_standard_run(ops, TStandardConfig(t_basis, depth, ops.kernel[0]))
+    assert isinstance(out, TStandardSurvived)
+    s = out.series
+    for p in range(2, depth + 1):
+        y = s.coefficient(p)
+        assert y[0] - y[1] + y[2] == 0
+        rhs = series.recurrence_rhs(ops, s.truncated(p - 1), p)
+        assert ops.c_matrix.mul_vec(y) == rhs
+        # the one solution inside T, found by solving over T's basis
+        [(_, in_t)] = solve_in_span_coefficients(ops.c_matrix, [rhs], t_basis)
+        assert y == in_t
+    assert series.residual_order(ops, s) > depth
+    assert replay_certificate(sys_, base, out)
+
+    # moving the last coefficient along the kernel keeps C·Y_p = rhs (and no
+    # later step depends on it) but leaves T
+    coeffs = list(s.coeffs)
+    coeffs[depth] = tuple(a + b for a, b in zip(coeffs[depth], ops.kernel[0]))
+    moved = dataclasses.replace(out, series=SeriesCoefficients(tuple(coeffs)))
+    assert ops.c_matrix.mul_vec(coeffs[depth]) == ops.c_matrix.mul_vec(s.coefficient(depth))
+    assert not replay_certificate(sys_, base, moved)
+
+    # an order-2 failure read off the same kind of plane
+    sys4, base4 = tangent_sphere_cylinder
+    ops4 = linearize(sys4, base4)
+    fail = t_standard_run(ops4, TStandardConfig(
+        (vector([1, 1, 0]), vector([1, 0, 1])), 6, ops4.kernel[0]))
+    assert isinstance(fail, TStandardFail) and fail.fail_index == 2
+    assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs],
+                                      fail.t_basis) == [None]
+    assert replay_certificate(sys4, base4, fail)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,42 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def _unreadable_input(tmp_path, case):
+    if case == "directory":
+        return str(tmp_path)
+    path = tmp_path / f"{case}.json"
+    if case == "not_utf8":
+        path.write_bytes(b'{"variables": ["x\xff"]}')
+    elif case == "deeply_nested":
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    elif case == "integer_past_digit_limit":
+        path.write_text('{"variables": ["x"], "equations": [{"gamma": ' + "7" * 5000 + "}]}",
+                        encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["analyze-system", "analyze-framework", "reduce",
+                                     "extend"])
+@pytest.mark.parametrize("case", ["directory", "not_utf8", "deeply_nested",
+                                  "integer_past_digit_limit"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, case):
+    path = _unreadable_input(tmp_path, case)
+    extra = {"extend": ["--degree", "2"], "reduce": ["-o", str(tmp_path / "out.json")]}
+    code, out, err = run_cli(capsys, command, path, *extra.get(command, []))
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_reduce_unwritable_output_exits_2(tmp_path, capsys, target):
+    out_path = tmp_path / "absent" / "out.json" if target == "missing_directory" else tmp_path
+    code, out, err = run_cli(capsys, "reduce", corpus_path("cubic.json"), "-o", str(out_path))
+    assert code == 2
+    assert err.startswith(f"error: {out_path}: cannot write: ") and "Traceback" not in err
+    assert out == ""
+
+
 def test_extend_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "extend", corpus_path("circle.json"),
                            "--degree", "4", "--json")

@@ -108,6 +108,17 @@ def test_linearize_reference_matrices(hyperboloid_line, viviani_system, tangent_
         [4, 0, 0], [-2, 0, 0], [0, 1, 0]]
 
 
+def test_linearize_stores_no_zero_entry():
+    # at (1, 0, 0) every term of the first two rows of C cancels or vanishes:
+    # x^2 - 2x + 1 + yz, xy - y + z^2; the last row, of xz + x + y - 1, meets
+    # column 1 only through its linear terms
+    sys_ = validate_and_symmetrize(
+        3, [[(0, 0, 1), (1, 2, 1)], [(0, 1, 1), (2, 2, 1)], [(0, 2, 1)]],
+        [[(0, -2)], [(1, -1)], [(0, 1), (1, 1)]], [1, 0, -1])
+    c = linearize(sys_, vector([1, 0, 0])).c_matrix
+    assert c.nonzeros == ((), (), ((0, F(1)), (1, F(1)), (2, F(1))))
+
+
 def test_linearize_rejects_non_solution(hyperboloid_line):
     sys_, _ = hyperboloid_line
     with pytest.raises(BasePointError) as err:

@@ -7,7 +7,7 @@ import pytest
 
 from flexcert import certify, quadsys, series
 from flexcert.certify import FLEXIBLE, INCONCLUSIVE, RIGID, AnalyzeConfig, FirstOrderRigid
-from flexcert.ratlinalg import vector, zero_vector
+from flexcert.ratlinalg import Matrix, kernel_basis, vector, zero_vector
 from flexcert.rigidity import (
     Framework,
     FrameworkError,
@@ -18,7 +18,6 @@ from flexcert.rigidity import (
     flexion_nontriviality,
     framework,
     squared_distance_series,
-    trivial_motion_basis,
 )
 from flexcert.series import SeriesCoefficients
 
@@ -130,33 +129,20 @@ def test_pin_accounting():
         assert sys_.m == fw.dimension * len(fw.joints) - len(pinned.pins)
         # full auto-pin on an affinely spanning framework kills every
         # rigid-motion direction
-        assert trivial_motion_basis(pinned) == []
+        assert _rigid_motions_fixing_pins(pinned) == []
 
 
-# ---------------------------------------------------------------------------
-# trivial motions
-
-
-def test_trivial_motions_unpinned_triangle():
-    assert len(trivial_motion_basis(triangle())) == 3
-
-
-def test_trivial_motions_fully_pinned():
-    assert trivial_motion_basis(auto_pin(triangle())) == []
-
-
-def test_trivial_motions_single_joint():
-    lone = framework(2, {"a": [0, 0]}, [])
-    basis = trivial_motion_basis(lone)
-    assert len(basis) == 2  # rotation fixes the lone point at the origin
-
-
-def test_trivial_motions_partial_pins():
-    fw = framework(2, {"v1": [0, 0], "v2": [1, 0]}, [["v1", "v2"]],
-                   pins=[("v1", 0), ("v1", 1)])
-    basis = trivial_motion_basis(fw)
-    # rotations about the pinned joint survive
-    assert len(basis) == 1
+def _rigid_motions_fixing_pins(fw):
+    """Combinations of the translations and plane rotations of R^n whose
+    velocity field vanishes at every pinned coordinate."""
+    n = fw.dimension
+    fields = [{(jid, d): F(1) for jid in fw.joints} for d in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            fields.append({**{(jid, a): -x[b] for jid, x in fw.joints.items()},
+                           **{(jid, b): x[a] for jid, x in fw.joints.items()}})
+    rows = [[f.get(sc, F(0)) for f in fields] for sc in sorted(fw.pins)]
+    return kernel_basis(Matrix.from_rows(rows, cols=len(fields)))
 
 
 # ---------------------------------------------------------------------------
