@@ -310,8 +310,12 @@ def span_closure_check(
     Requires 1 <= k <= q <= degree(s). The series (truncated to q) must
     start at the base point and be an approximate solution of degree q; a
     constant series is rejected with None since it certifies only the
-    constant family. All q(q-k+1) pair equations are solved in one
-    elimination.
+    constant family. `residual_order` validates each order of a candidate
+    once across all (q, k). All q(q-k+1) equations C Y = B(Yi, Yj) are
+    solved in one elimination; only when all solve are coefficients and
+    vectors scaled by -2 to solve the pair equations C Y = -2 B(Yi, Yj).
+    The canonical solution is linear in the right-hand side, so this
+    equals solving the scaled equations.
     """
     if not 1 <= k <= q:
         raise PreconditionError(f"need 1 <= k <= q, got (q, k) = ({q}, {k})")
@@ -326,13 +330,13 @@ def span_closure_check(
         return None
     span = prefix.coeffs[k : q + 1]
     pairs = [(i, j) for i in range(1, q + 1) for j in range(k, q + 1)]
-    rhss = [vec_scale(-2, ops.bilinear(prefix.coefficient(i), prefix.coefficient(j)))
-            for i, j in pairs]
+    rhss = [ops.bilinear(prefix.coefficient(i), prefix.coefficient(j)) for i, j in pairs]
     solved = solve_in_span_coefficients(ops.c_matrix, rhss, span)
     if None in solved:
         return None
     pair_solutions = tuple(
-        PairSolution(i, j, coeffs, vec) for (i, j), (coeffs, vec) in zip(pairs, solved)
+        PairSolution(i, j, vec_scale(-2, coeffs), vec_scale(-2, vec))
+        for (i, j), (coeffs, vec) in zip(pairs, solved)
     )
     return SpanClosureFlex(q=q, k=k, series=prefix, pair_solutions=pair_solutions)
 

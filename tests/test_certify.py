@@ -28,10 +28,18 @@ from flexcert.certify import (
     t_standard_run,
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
-from flexcert.ratlinalg import solve_in_span_coefficients, vector, zero_vector
+from flexcert.ratlinalg import solve_in_span_coefficients, vec_scale, vector, zero_vector
+from flexcert.rigidity import analyze_framework, auto_pin, build_edge_system
 from flexcert.series import SeriesCoefficients
 
-from conftest import broken_series, dense_system, sympy_equations, sympy_residual_order
+from conftest import (
+    broken_series,
+    dense_system,
+    load_corpus_framework,
+    load_corpus_system,
+    sympy_equations,
+    sympy_residual_order,
+)
 
 
 def make_series(*coeffs):
@@ -588,6 +596,86 @@ def test_residual_order_matches_sympy_on_fuzz_systems():
             assert series.residual_order(linearize(sys_, s.coefficient(0)), s) == expected
             orders.append(expected)
     assert series.INFINITE in orders and len(set(orders)) >= 4
+
+
+def test_residual_order_matches_sympy_on_shared_operators():
+    # one ops per system serves every case, so the memos of residual_order
+    # and bilinear see each prefix interleaved with broken variants that
+    # share all its coefficient objects but one; a variant dies after its
+    # check unless a memo entry holds it
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2718)
+    orders = []
+    for _ in range(30):
+        sys_, base = _random_system_with_solution(rng, rng.randint(1, 3), rng.randint(1, 3))
+        ops = linearize(sys_, base)
+        for cand in certify.canonical_candidates(ops, 4):
+            for q in range(1, cand.degree + 1):
+                prefix = cand.truncated(q)
+                for s in (broken_series(rng, prefix), prefix, broken_series(rng, prefix)):
+                    expected = sympy_residual_order(sympy, sys_, s)
+                    assert series.residual_order(ops, s) == expected, s
+                    orders.append(expected)
+    assert series.INFINITE in orders and len(set(orders)) >= 4
+
+
+def test_second_search_on_the_same_operators_computes_no_new_product(monkeypatch):
+    # the second search builds its candidates afresh, so only the value
+    # layer of the products memo can answer it
+    octahedron = build_edge_system(auto_pin(load_corpus_framework("bricard_octahedron.json")[0]))
+    cases = [load_corpus_system(name) for name in ("example1.json", "example2.json",
+                                                   "example3.json")]
+    for sys_, base in cases + [(octahedron[0], octahedron[2])]:
+        ops = linearize(sys_, base)
+        first = span_closure_search(ops, 8)
+        products = []
+        with monkeypatch.context() as patch:
+            patch.setattr(quadsys, "bilinear", lambda *args: products.append(args))
+            assert span_closure_search(ops, 8) == first
+        assert products == []
+
+
+def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
+    # products computed by quadsys.bilinear over whole analyses, memo
+    # misses only; a memo change that loses hits raises the count
+    computed = []
+    real = quadsys.bilinear
+    monkeypatch.setattr(quadsys, "bilinear", lambda *args: computed.append(1) or real(*args))
+    for name in ("example2.json", "example3.json"):
+        assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
+    fw, auto = load_corpus_framework("bricard_octahedron.json")
+    assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
+    assert len(computed) == 40
+
+
+def test_pair_solutions_equal_the_solves_of_the_scaled_products():
+    # each pair equation solved on its own with the -2 factor in its
+    # right-hand side, as the certificates were built before the check
+    # solved the unscaled products and scaled their solutions
+    found = []
+    for name in ("example1.json", "circle.json"):
+        sys_, base = load_corpus_system(name)
+        found.append((sys_, analyze_system(sys_, base).certificate))
+    for name in ("square.json", "bricard_octahedron.json"):
+        rep = analyze_framework(load_corpus_framework(name)[0], use_auto_pin=True)
+        found.append((build_edge_system(rep.pinned)[0], rep.certificate))
+    rng = random.Random(424242)
+    for trial in range(80):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        make = _random_system_with_solution if trial % 2 else _low_rank_system
+        sys_, base = make(rng, m, n)
+        rep = analyze_system(sys_, base, AnalyzeConfig(q_max=4, max_depth=6))
+        found.append((sys_, rep.certificate))
+    flexes = [(sys_, cert) for sys_, cert in found if isinstance(cert, SpanClosureFlex)]
+    assert len(flexes) >= 20 and all(isinstance(c, SpanClosureFlex) for _, c in found[:4])
+    for sys_, cert in flexes:
+        ops = linearize(sys_, cert.series.coefficient(0))
+        y = cert.series.coeffs
+        span = y[cert.k : cert.q + 1]
+        for ps in cert.pair_solutions:
+            rhs = vec_scale(-2, quadsys.bilinear(sys_, y[ps.i], y[ps.j]))
+            assert solve_in_span_coefficients(ops.c_matrix, [rhs], span) == [
+                (ps.coefficients, ps.vector)]
 
 
 def _low_rank_system(rng, m, n):

@@ -198,6 +198,36 @@ def test_base_operators_memoize_products_per_instance(hyperboloid_line):
         ops.bilinear(x, vector([1, 2]))
 
 
+def test_base_operators_memo_agrees_with_bilinear_on_short_lived_vectors(hyperboloid_line):
+    # x draws from a small pool of values, so most x equal an earlier
+    # vector but are fresh objects that die after their product; built
+    # from a list, a new x often takes the memory, and so the id, of a dead
+    # one, and a memo that trusted a bare id would answer for another vector
+    sys_, base = hyperboloid_line
+    ops = linearize(sys_, base)
+    rng = random.Random(17)
+    ys = [vector([F(rng.randint(-2, 2), 2) for _ in range(3)]) for _ in range(3)]
+    for _ in range(600):
+        x, y = tuple([F(rng.randint(-1, 1)) for _ in range(3)]), rng.choice(ys)
+        assert ops.bilinear(x, y) == bilinear(sys_, x, y)
+        assert ops.bilinear(y, x) == bilinear(sys_, x, y)
+
+
+def test_base_operators_share_one_product_between_equal_vectors(hyperboloid_line,
+                                                                monkeypatch):
+    sys_, base = hyperboloid_line
+    ops = linearize(sys_, base)
+    computed = []
+    monkeypatch.setattr(quadsys, "bilinear",
+                        lambda s, x, y: computed.append((x, y)) or bilinear(s, x, y))
+    x, y = vector([1, 2, 3]), vector([F(1, 2), 0, -4])
+    product = ops.bilinear(x, y)
+    twin_x, twin_y = vector([1, 2, 3]), vector([F(1, 2), 0, -4])
+    assert twin_x is not x and twin_y is not y
+    assert ops.bilinear(twin_x, twin_y) is product and ops.bilinear(twin_y, x) is product
+    assert computed == [(x, y)]
+
+
 def test_degree_two_taylor_identity(hyperboloid_line, viviani_system, tangent_sphere_cylinder):
     # F(X0 + Z) - F(X0) = C Z + B(Z, Z), exactly
     rng = random.Random(99)

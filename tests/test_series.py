@@ -114,6 +114,25 @@ def test_residual_order_matches_sympy_expansion(hyperboloid_line, cusp_system,
     assert INFINITE in orders and {1, 2, 3, 4, 6, 8} <= set(orders)
 
 
+def test_residual_order_memo_on_short_lived_series(circle_system):
+    # one ops checks many series whose coefficients draw from a small pool
+    # of values and die after their check; built from lists, new
+    # coefficients often take the memory, and so the ids, of dead ones,
+    # which must not answer for them
+    sys_, base = circle_system
+    ops = linearize(sys_, base)
+    rng = random.Random(23)
+    orders = set()
+    for _ in range(300):
+        coeffs = [tuple([F(rng.randint(-1, 1)) for _ in range(sys_.m)])
+                  for _ in range(rng.randint(1, 2))]
+        s = SeriesCoefficients((base, *coeffs))
+        expected = residual_order(linearize(sys_, base), s)
+        assert residual_order(ops, s) == expected, s
+        orders.add(expected)
+    assert orders == {1, 2, 4, INFINITE}
+
+
 def test_residual_order_requires_solving_base(hyperboloid_line):
     sys_, base = hyperboloid_line
     ops = linearize(sys_, base)
