@@ -332,7 +332,7 @@ def span_closure_check(
     pairs = [(i, j) for i in range(1, q + 1) for j in range(k, q + 1)]
     rhss = [ops.bilinear(prefix.coefficient(i), prefix.coefficient(j)) for i, j in pairs]
     solved = solve_in_span_coefficients(ops.c_matrix, rhss, span)
-    if None in solved:
+    if solved is None:
         return None
     pair_solutions = tuple(
         PairSolution(i, j, vec_scale(-2, coeffs), vec_scale(-2, vec))
@@ -342,24 +342,33 @@ def span_closure_check(
 
 
 def canonical_candidates(ops: BaseOperators, q_max: int) -> list[SeriesCoefficients]:
-    """Approximate solutions grown canonically from each kernel direction,
-    including variants with up to two leading zero coefficients. A
-    candidate stops early where the canonical extension step becomes
-    unsolvable."""
+    """Approximate solutions grown canonically from each kernel direction
+    K: for r = 1, 2, 3 the canonical extension of [X0] + [0]*(r-1) + [K],
+    up to degree q_max or to where an extension step becomes unsolvable.
+
+    Only X, the extension of [X0, K], is grown; the variant for r is
+    X(t^r). By induction on p, its coefficient V_p is X_{p/r} when r
+    divides p and 0 otherwise. At an index p that r does not divide,
+    every product B(V_l, V_{p-l}) of the recurrence has a zero factor, so
+    the right-hand side is 0 and so is its canonical solution. At p = r*n
+    the nonzero products are B(X_l, X_{n-l}), the right-hand side of X_n,
+    which has the same canonical solution. So if X stalls at degree s
+    (no X_{s+1}), the variant stalls at degree r*(s+1) - 1."""
     out = []
     zero = zero_vector(ops.system.m)
     for kvec in ops.kernel:
-        for leading_zeros in (0, 1, 2):
-            coeffs = [ops.base_point] + [zero] * leading_zeros + [kvec]
-            s = SeriesCoefficients(tuple(coeffs))
-            if s.degree > q_max:
-                s = s.truncated(q_max)
-            while s.degree < q_max:
-                nxt = extend_step(ops, s)
-                if nxt is None:
-                    break
-                s = s.appended(nxt)
-            out.append(s)
+        base = SeriesCoefficients((ops.base_point, kvec))
+        stalled = False
+        while base.degree < q_max:
+            nxt = extend_step(ops, base)
+            if nxt is None:
+                stalled = True
+                break
+            base = base.appended(nxt)
+        for r in (1, 2, 3):
+            degree = min(q_max, r * (base.degree + 1) - 1) if stalled else q_max
+            out.append(SeriesCoefficients(tuple(
+                base.coefficient(p // r) if p % r == 0 else zero for p in range(degree + 1))))
     return out
 
 
@@ -418,22 +427,20 @@ def default_t_standard_config(ops: BaseOperators, max_depth: int = 24) -> TStand
     return TStandardConfig(t_basis=basis, max_depth=max_depth, leading_coeff=kvec)
 
 
-def _validate_t_standard(ops: BaseOperators, cfg: TStandardConfig) -> Vector:
-    """Check the T-standard preconditions and return the functional phi
-    with T = ker phi."""
+def _validate_t_standard(ops: BaseOperators, t_basis: tuple[Vector, ...],
+                         lead: Vector) -> Vector:
+    """Check the T-standard preconditions on T = span(t_basis) and the
+    leading coefficient, and return the functional phi with T = ker phi."""
     if len(ops.kernel) != 1:
         raise InapplicableError(
             f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
         )
-    if cfg.max_depth < 2:
-        raise PreconditionError("max_depth must be at least 2")
-    lead = cfg.leading_coeff
     if is_zero_vector(lead) or not is_zero_vector(ops.c_matrix.mul_vec(lead)):
         raise PreconditionError("leading coefficient must be a nonzero kernel vector")
     m = ops.system.m
-    if len(cfg.t_basis) != m - 1 or any(len(t) != m for t in cfg.t_basis):
+    if len(t_basis) != m - 1 or any(len(t) != m for t in t_basis):
         raise PreconditionError("T must have codimension 1")
-    normal = kernel_basis(Matrix.from_rows(cfg.t_basis, cols=m))
+    normal = kernel_basis(Matrix.from_rows(t_basis, cols=m))
     if len(normal) != 1 or _dot(normal[0], lead) == 0:
         raise PreconditionError("T is degenerate or meets the kernel of C")
     return normal[0]
@@ -454,7 +461,9 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
     im C: a step is solvable in T exactly when it is solvable at all, and
     its solution in T is the canonical solution moved along lead into T.
     """
-    phi = _validate_t_standard(ops, cfg)
+    phi = _validate_t_standard(ops, cfg.t_basis, cfg.leading_coeff)
+    if cfg.max_depth < 2:
+        raise PreconditionError("max_depth must be at least 2")
     s = SeriesCoefficients((ops.base_point, cfg.leading_coeff))
     for p in range(2, cfg.max_depth + 1):
         rhs = recurrence_rhs(ops, s, p)
@@ -650,10 +659,7 @@ def _replay_t_standard(
     if len(ops.kernel) != 1:
         return False
     try:
-        phi = _validate_t_standard(
-            ops, TStandardConfig(t_basis=t_basis, max_depth=max(2, coeffs.degree + 1),
-                                 leading_coeff=leading)
-        )
+        phi = _validate_t_standard(ops, t_basis, leading)
     except (PreconditionError, InapplicableError):
         return False
     if coeffs.coefficient(0) != ops.base_point or coeffs.coefficient(1) != leading:

@@ -139,36 +139,28 @@ class BaseOperators:
     with its kernel basis cached.
 
     The memos belong to this object alone, so one analysis (the life of
-    the operators one `linearize` call builds) computes each B(X, Y) once.
-    Products are looked up by the identities of their arguments, then by
-    their values, so equal but distinct vectors still share a product.
-    Every identity entry holds the objects whose ids key it, so those ids
-    cannot pass to other objects while it lives. `_vanishing` serves
-    `series.residual_order`."""
+    the operators one `linearize` call builds) computes each B(X, Y) once
+    for each pair of argument objects. Products are keyed by the
+    identities of their arguments; each entry holds the objects whose ids
+    key it, so those ids cannot pass to other objects while it lives.
+    `_vanishing` serves `series.residual_order`."""
 
     system: QuadraticSystem
     base_point: Vector
     c_matrix: Matrix
     kernel: tuple[Vector, ...]
-    _products: dict[tuple[Vector, Vector], Vector] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
     _products_by_id: dict[tuple[int, int], tuple[Vector, Vector, Vector]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _vanishing: dict[tuple[int, ...], tuple[tuple[Vector, ...], bool]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     def bilinear(self, x: Vector, y: Vector) -> Vector:
-        hit = self._products_by_id.get((id(x), id(y)))
-        if hit is not None:
-            return hit[-1]
-        got = self._products.get((x, y))
-        if got is None:
-            got = bilinear(self.system, x, y)
-            # B is symmetric, so the swapped product is the same vector
-            self._products[(x, y)] = self._products[(y, x)] = got
-        self._products_by_id[(id(x), id(y))] = (x, y, got)
-        self._products_by_id[(id(y), id(x))] = (y, x, got)
-        return got
+        # B is symmetric, so one entry serves both argument orders
+        key = (id(x), id(y)) if id(x) <= id(y) else (id(y), id(x))
+        hit = self._products_by_id.get(key)
+        if hit is None:
+            hit = self._products_by_id[key] = (x, y, bilinear(self.system, x, y))
+        return hit[-1]
 
 
 def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:

@@ -327,9 +327,10 @@ def solve_general(m: Matrix, v: Vector) -> Optional[Vector]:
 
 def solve_in_span_coefficients(
     m: Matrix, vs: Sequence[Vector], span: Sequence[Vector]
-) -> list[Optional[tuple[Vector, Vector]]]:
+) -> Optional[list[tuple[Vector, Vector]]]:
     """For each right-hand side v, the coefficients c and the vector
-    Y = sum c_i span_i with MY = v, or None when no such Y exists.
+    Y = sum c_i span_i with MY = v; None for the whole batch as soon as
+    one v has no such Y.
 
     M·span is computed once and all right-hand sides are solved in one
     elimination. The coefficients are the canonical solution over the
@@ -339,11 +340,11 @@ def solve_in_span_coefficients(
         if len(s) != m.cols:
             raise DimensionError("span vector length does not match matrix columns")
     images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
-    out: list[Optional[tuple[Vector, Vector]]] = []
-    for coeffs in _solve_columns(images, vs):
-        if coeffs is None:
-            out.append(None)
-            continue
+    solved = _solve_columns(images, vs)
+    if None in solved:
+        return None
+    out = []
+    for coeffs in solved:
         combo = zero_vector(m.cols)
         for c, s in zip(coeffs, span):
             if c != 0:

@@ -29,7 +29,7 @@ from flexcert.certify import (
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
 from flexcert.ratlinalg import solve_in_span_coefficients, vec_scale, vector, zero_vector
-from flexcert.rigidity import analyze_framework, auto_pin, build_edge_system
+from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
 from conftest import (
@@ -432,7 +432,7 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
         (vector([1, 1, 0]), vector([1, 0, 1])), 6, ops4.kernel[0]))
     assert isinstance(fail, TStandardFail) and fail.fail_index == 2
     assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs],
-                                      fail.t_basis) == [None]
+                                      fail.t_basis) is None
     assert replay_certificate(sys4, base4, fail)
 
 
@@ -619,22 +619,6 @@ def test_residual_order_matches_sympy_on_shared_operators():
     assert series.INFINITE in orders and len(set(orders)) >= 4
 
 
-def test_second_search_on_the_same_operators_computes_no_new_product(monkeypatch):
-    # the second search builds its candidates afresh, so only the value
-    # layer of the products memo can answer it
-    octahedron = build_edge_system(auto_pin(load_corpus_framework("bricard_octahedron.json")[0]))
-    cases = [load_corpus_system(name) for name in ("example1.json", "example2.json",
-                                                   "example3.json")]
-    for sys_, base in cases + [(octahedron[0], octahedron[2])]:
-        ops = linearize(sys_, base)
-        first = span_closure_search(ops, 8)
-        products = []
-        with monkeypatch.context() as patch:
-            patch.setattr(quadsys, "bilinear", lambda *args: products.append(args))
-            assert span_closure_search(ops, 8) == first
-        assert products == []
-
-
 def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
     # products computed by quadsys.bilinear over whole analyses, memo
     # misses only; a memo change that loses hits raises the count
@@ -645,7 +629,7 @@ def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
         assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
     fw, auto = load_corpus_framework("bricard_octahedron.json")
     assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
-    assert len(computed) == 40
+    assert len(computed) == 39
 
 
 def test_pair_solutions_equal_the_solves_of_the_scaled_products():
@@ -689,6 +673,44 @@ def _low_rank_system(rng, m, n):
     alphas = [[[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
               for _ in range(n)]
     return dense_system(alphas, betas, [F(0)] * n), zero_vector(m)
+
+
+def _grown_candidates(ops, q_max):
+    """The candidates as each one was once grown on its own: the canonical
+    extension of [X0] + [0]*z + [K] by extend_step, for z = 0, 1, 2."""
+    out = []
+    for kvec in ops.kernel:
+        for z in (0, 1, 2):
+            s = SeriesCoefficients((ops.base_point,) + (zero_vector(ops.system.m),) * z
+                                   + (kvec,))
+            if s.degree > q_max:
+                s = s.truncated(q_max)
+            while s.degree < q_max:
+                nxt = series.extend_step(ops, s)
+                if nxt is None:
+                    break
+                s = s.appended(nxt)
+            out.append(s)
+    return out
+
+
+def test_derived_candidates_equal_the_grown_ones():
+    # each variant is X(t^r) of the one grown series X, with the stall
+    # degree r*(s+1) - 1 when X stalls at degree s
+    rng = random.Random(5150)
+    stalled_variants = long_variants = 0
+    for trial in range(120):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        make = _random_system_with_solution if trial % 2 else _low_rank_system
+        sys_, base = make(rng, m, n)
+        for q_max in range(7):
+            ops = linearize(sys_, base)
+            expected = _grown_candidates(ops, q_max)
+            assert certify.canonical_candidates(ops, q_max) == expected, (trial, q_max)
+            variants = [s for i, s in enumerate(expected) if i % 3]
+            stalled_variants += sum(1 for s in variants if s.degree < q_max)
+            long_variants += sum(1 for s in variants if s.degree >= 4 and not s.is_constant())
+    assert stalled_variants >= 200 and long_variants >= 400
 
 
 def test_cokernel_and_order_two_obstruction_match_sympy():

@@ -192,8 +192,8 @@ def test_base_operators_memoize_products_per_instance(hyperboloid_line):
     assert ops.bilinear(x, y) == bilinear(sys_, x, y)
     assert ops.bilinear(y, x) is ops.bilinear(x, y)
     # each linearize call builds its own memo, which takes no part in equality
-    assert again._products == {} and again._products is not ops._products
-    assert ops == again and "_products" not in repr(ops)
+    assert again._products_by_id == {} and again._products_by_id is not ops._products_by_id
+    assert ops == again and "_products_by_id" not in repr(ops)
     with pytest.raises(DimensionError):
         ops.bilinear(x, vector([1, 2]))
 
@@ -211,21 +211,6 @@ def test_base_operators_memo_agrees_with_bilinear_on_short_lived_vectors(hyperbo
         x, y = tuple([F(rng.randint(-1, 1)) for _ in range(3)]), rng.choice(ys)
         assert ops.bilinear(x, y) == bilinear(sys_, x, y)
         assert ops.bilinear(y, x) == bilinear(sys_, x, y)
-
-
-def test_base_operators_share_one_product_between_equal_vectors(hyperboloid_line,
-                                                                monkeypatch):
-    sys_, base = hyperboloid_line
-    ops = linearize(sys_, base)
-    computed = []
-    monkeypatch.setattr(quadsys, "bilinear",
-                        lambda s, x, y: computed.append((x, y)) or bilinear(s, x, y))
-    x, y = vector([1, 2, 3]), vector([F(1, 2), 0, -4])
-    product = ops.bilinear(x, y)
-    twin_x, twin_y = vector([1, 2, 3]), vector([F(1, 2), 0, -4])
-    assert twin_x is not x and twin_y is not y
-    assert ops.bilinear(twin_x, twin_y) is product and ops.bilinear(twin_y, x) is product
-    assert computed == [(x, y)]
 
 
 def test_degree_two_taylor_identity(hyperboloid_line, viviani_system, tangent_sphere_cylinder):

@@ -77,7 +77,7 @@ def test_solve_in_span_reference_cases():
     assert solve_in_span_coefficients(C_LINE, [zero_vector(3)], [vector([4, 3, 5])]) == [(
         vector([0]), vector([0, 0, 0]))]
     eye = Matrix.from_rows([[1, 0], [0, 1]])
-    assert solve_in_span_coefficients(eye, [vector([1, 1])], [vector([1, 0])]) == [None]
+    assert solve_in_span_coefficients(eye, [vector([1, 1])], [vector([1, 0])]) is None
     m = Matrix.from_rows([[1, 0], [0, 0]])
     [(coeffs, got)] = solve_in_span_coefficients(m, [vector([1, 0])], [vector([1, 1])])
     assert coeffs == vector([1])
@@ -93,17 +93,18 @@ def test_solve_in_span_handles_dependent_and_zero_span_vectors():
     assert got == tuple(sum(c * s[i] for c, s in zip(coeffs, span)) for i in range(2))
     # empty span solves only the zero right-hand side
     assert solve_in_span_coefficients(m, [zero_vector(2)], []) == [((), zero_vector(2))]
-    assert solve_in_span_coefficients(m, [vector([1, 0])], []) == [None]
+    assert solve_in_span_coefficients(m, [vector([1, 0])], []) is None
 
 
 def test_solve_in_span_empty_batches():
     m = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
     assert solve_in_span_coefficients(m, [], [vector([1, 0])]) == []
     assert solve_in_span_coefficients(m, [], []) == []
-    # an empty span in one batch: zero right-hand sides solvable, the rest not
-    batch = [vector([0, 0, 0]), vector([0, 1, 0]), vector([0, 0, 0])]
-    assert solve_in_span_coefficients(m, batch, []) == [
-        ((), zero_vector(2)), None, ((), zero_vector(2))]
+    # an empty span in one batch: zero right-hand sides solvable, and one
+    # that is not makes the whole batch None
+    batch = [vector([0, 0, 0]), vector([0, 0, 0])]
+    assert solve_in_span_coefficients(m, batch, []) == [((), zero_vector(2))] * 2
+    assert solve_in_span_coefficients(m, batch + [vector([0, 1, 0])], []) is None
     with pytest.raises(DimensionError):
         solve_in_span_coefficients(m, [vector([1, 2])], [vector([1, 0])])
     with pytest.raises(DimensionError):
@@ -186,9 +187,9 @@ def test_solve_in_span_agrees_with_grid_bruteforce():
         m = _random_matrix(rng, rows, cols)
         span = [vector([F(rng.randint(-2, 2)) for _ in range(cols)]) for _ in range(2)]
         v = vector([F(rng.randint(-2, 2)) for _ in range(rows)])
-        [solved] = solve_in_span_coefficients(m, [v], span)
+        solved = solve_in_span_coefficients(m, [v], span)
         if solved is not None:
-            got = solved[1]
+            got = solved[0][1]
             assert mul(m, got) == v
             # returned vector really is a combination of the span
             cols_m = matrix_from_columns(list(span), rows=cols)
@@ -301,12 +302,18 @@ def test_solver_matches_sympy_oracle():
 
 
 def _check_span_batch(sympy, m, batch, span, seen):
+    # the batch is None exactly when some single solve is, else their list
+    singles = [solve_in_span_coefficients(m, [v], span) for v in batch]
     got = solve_in_span_coefficients(m, batch, span)
-    assert got == [solve_in_span_coefficients(m, [v], span)[0] for v in batch]
+    if None in singles:
+        assert got is None
+    else:
+        assert got == [single[0] for single in singles]
 
     images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
     images = _to_sympy(sympy, images.entries)
-    for v, solved in zip(batch, got):
+    for v, single in zip(batch, singles):
+        solved = single and single[0]
         try:
             solution, params = images.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v]))
         except ValueError:  # sympy: v is outside M·span

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -224,6 +225,24 @@ def test_analyze_square_flexible_with_witness():
     assert rep.flexion is not None
     assert rep.flexion.classification == "Nontrivial"
     assert rep.flexion.witness_pair in (("v1", "v3"), ("v2", "v4"))
+
+
+def test_framework_analysis_evaluates_the_base_point_once():
+    # linearize is the one residual check; a profiler sees every call of
+    # quadsys.evaluate, however a caller imported it
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is quadsys.evaluate.__code__:
+            calls.append(frame.f_back.f_code.co_name)
+
+    fw, auto = load_corpus_framework("square.json")
+    sys.setprofile(count)
+    try:
+        rep = analyze_framework(fw, use_auto_pin=auto)
+    finally:
+        sys.setprofile(None)
+    assert rep.verdict == FLEXIBLE and calls == ["linearize"]
 
 
 def test_analyze_cross_braced_square_rigid():
