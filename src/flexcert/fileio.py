@@ -4,18 +4,25 @@ Rationals travel as decimal-integer strings or "p/q" strings so every
 round trip is bit-exact. Indices are 0-based in files; report text uses
 1-based coefficient orders. All emitters sort keys and use fixed
 separators, so identical inputs produce byte-identical output.
+
+Certificates are written from their fields: `{"kind": K, ...}`, where K
+names the certificate class (`CERTIFICATE_KINDS`), plus every field under
+its own name; a field that is None is left out. The flexion block of a
+framework report is written the same way.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Optional
 
 from . import certify, quadsys, rigidity, series
 from .quadsys import GeneralPolySystem, QuadraticSystem
-from .ratlinalg import Vector
+from .ratlinalg import Vector, format_scalar
 from .rigidity import Framework
 from .series import SeriesCoefficients
 
@@ -57,12 +64,17 @@ def _list_in(raw, path: str, where: str) -> list:
     return raw
 
 
-def _scalar_out(x: Fraction) -> str:
-    return str(x)
+def _base_point_in(data: dict, m: int, path: str) -> Optional[Vector]:
+    if "base_point" not in data:
+        return None
+    raw = data["base_point"]
+    if not isinstance(raw, list) or len(raw) != m:
+        raise ParseError(path, f"'base_point' must list {m} rationals")
+    return tuple(_scalar_in(x, path, f"base_point[{i}]") for i, x in enumerate(raw))
 
 
 def _vector_out(v) -> list[str]:
-    return [_scalar_out(x) for x in v]
+    return [format_scalar(x) for x in v]
 
 
 def load_json(path: str) -> Any:
@@ -94,9 +106,9 @@ def system_to_dict(sys: QuadraticSystem, base_point: Optional[Vector] = None) ->
     equations = []
     for quad, lin, g in zip(sys.alpha, sys.beta, sys.gamma):
         entries = sorted(list(quad) + [(j, i, c) for i, j, c in quad if i != j])
-        alpha = [[i, j, _scalar_out(c)] for i, j, c in entries]
-        beta = [[i, _scalar_out(c)] for i, c in lin]
-        equations.append({"alpha": alpha, "beta": beta, "gamma": _scalar_out(g)})
+        alpha = [[i, j, format_scalar(c)] for i, j, c in entries]
+        beta = [[i, format_scalar(c)] for i, c in lin]
+        equations.append({"alpha": alpha, "beta": beta, "gamma": format_scalar(g)})
     out = {"variables": list(sys.variable_names), "equations": equations}
     if base_point is not None:
         out["base_point"] = _vector_out(base_point)
@@ -139,13 +151,7 @@ def system_from_dict(data: dict, path: str = "<memory>") -> tuple[QuadraticSyste
     if not alphas:
         raise ParseError(path, "system needs at least one equation")
     sys = quadsys.validate_and_symmetrize(m, alphas, betas, gammas, variables)
-    base = None
-    if "base_point" in data:
-        raw = data["base_point"]
-        if not isinstance(raw, list) or len(raw) != m:
-            raise ParseError(path, f"'base_point' must list {m} rationals")
-        base = tuple(_scalar_in(x, path, f"base_point[{i}]") for i, x in enumerate(raw))
-    return sys, base
+    return sys, _base_point_in(data, m, path)
 
 
 def load_system(path: str) -> tuple[QuadraticSystem, Optional[Vector]]:
@@ -160,7 +166,7 @@ def poly_to_dict(poly: GeneralPolySystem, base_point: Optional[Vector] = None) -
     equations = []
     for eq in poly.equations:
         terms = [
-            {"exponents": list(exps), "coeff": _scalar_out(c)}
+            {"exponents": list(exps), "coeff": format_scalar(c)}
             for exps, c in sorted(eq.items())
         ]
         equations.append({"terms": terms})
@@ -198,13 +204,7 @@ def poly_from_dict(
             )
         eqs.append(terms)
     poly = quadsys.poly_system(eqs, m, variables)
-    base = None
-    if "base_point" in data:
-        raw = data["base_point"]
-        if not isinstance(raw, list) or len(raw) != m:
-            raise ParseError(path, f"'base_point' must list {m} rationals")
-        base = tuple(_scalar_in(x, path, f"base_point[{i}]") for i, x in enumerate(raw))
-    return poly, base
+    return poly, _base_point_in(data, m, path)
 
 
 def load_poly(path: str) -> tuple[GeneralPolySystem, Optional[Vector]]:
@@ -310,60 +310,37 @@ def series_from_dict(data: dict, path: str = "<memory>") -> SeriesCoefficients:
     return SeriesCoefficients(tuple(coeffs))
 
 
+# the "kind" each certificate class is written under
+CERTIFICATE_KINDS = MappingProxyType({
+    certify.FirstOrderRigid: "first_order_rigid",
+    certify.SecondOrderObstruction: "second_order_obstruction",
+    certify.SpanClosureFlex: "span_closure_flex",
+    certify.TStandardFail: "t_standard_fail",
+    certify.TStandardSurvived: "t_standard_survived",
+})
+
+
+def _value_out(v):
+    """A Fraction as its string, a series by series_to_dict, a tuple as a
+    list, any other dataclass as an object of its fields that are not
+    None; ints and strings as they are."""
+    if isinstance(v, Fraction):
+        return format_scalar(v)
+    if isinstance(v, SeriesCoefficients):
+        return series_to_dict(v)
+    if isinstance(v, tuple):
+        return [_value_out(x) for x in v]
+    if dataclasses.is_dataclass(v):
+        fields = ((f.name, getattr(v, f.name)) for f in dataclasses.fields(v))
+        return {name: _value_out(x) for name, x in fields if x is not None}
+    return v
+
+
 def certificate_to_dict(cert: certify.Certificate) -> dict:
-    if isinstance(cert, certify.FirstOrderRigid):
-        return {"kind": "first_order_rigid", "rank": cert.rank, "variables": cert.variables}
-    if isinstance(cert, certify.SecondOrderObstruction):
-        out = {
-            "kind": "second_order_obstruction",
-            "case": cert.case,
-            "kernel": [_vector_out(k) for k in cert.kernel],
-        }
-        if cert.b_value is not None:
-            out["b_value"] = _vector_out(cert.b_value)
-        if cert.functional is not None:
-            out["functional"] = _vector_out(cert.functional)
-        if cert.form is not None:
-            out["form"] = [_vector_out(row) for row in cert.form]
-        if cert.forms is not None:
-            out["forms"] = [_vector_out(t) for t in cert.forms]
-        if cert.functionals is not None:
-            out["functionals"] = [_vector_out(w) for w in cert.functionals]
-        return out
-    if isinstance(cert, certify.SpanClosureFlex):
-        return {
-            "kind": "span_closure_flex",
-            "q": cert.q,
-            "k": cert.k,
-            "series": series_to_dict(cert.series),
-            "pair_solutions": [
-                {
-                    "i": ps.i,
-                    "j": ps.j,
-                    "coefficients": _vector_out(ps.coefficients),
-                    "vector": _vector_out(ps.vector),
-                }
-                for ps in cert.pair_solutions
-            ],
-        }
-    if isinstance(cert, certify.TStandardFail):
-        return {
-            "kind": "t_standard_fail",
-            "fail_index": cert.fail_index,
-            "unreachable_rhs": _vector_out(cert.unreachable_rhs),
-            "t_basis": [_vector_out(b) for b in cert.t_basis],
-            "leading": _vector_out(cert.leading),
-            "prefix": series_to_dict(cert.prefix),
-        }
-    if isinstance(cert, certify.TStandardSurvived):
-        return {
-            "kind": "t_standard_survived",
-            "depth": cert.depth,
-            "t_basis": [_vector_out(b) for b in cert.t_basis],
-            "leading": _vector_out(cert.leading),
-            "series": series_to_dict(cert.series),
-        }
-    raise TypeError(f"unknown certificate {cert!r}")
+    kind = CERTIFICATE_KINDS.get(type(cert))
+    if kind is None:
+        raise TypeError(f"unknown certificate {cert!r}")
+    return {"kind": kind, **_value_out(cert)}
 
 
 def report_to_dict(report) -> dict:
@@ -377,16 +354,7 @@ def report_to_dict(report) -> dict:
     }
     flexion = getattr(report, "flexion", None)
     if flexion is not None:
-        flex = {
-            "order": flexion.order,
-            "classification": flexion.classification,
-            "series": series_to_dict(flexion.flexion),
-        }
-        if flexion.witness_pair is not None:
-            flex["witness_pair"] = list(flexion.witness_pair)
-            flex["witness_order"] = flexion.witness_order
-            flex["witness_value"] = _scalar_out(flexion.witness_value)
-        out["flexion"] = flex
+        out["flexion"] = _value_out(flexion)
     pinned = getattr(report, "pinned", None)
     if pinned is not None:
         out["pins"] = _pins_out(pinned.pins)

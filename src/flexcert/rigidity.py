@@ -198,7 +198,7 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
 @dataclass(frozen=True)
 class FlexionReport:
     order: int
-    flexion: SeriesCoefficients
+    series: SeriesCoefficients
     classification: str  # "Trivial" | "Nontrivial"
     witness_pair: Optional[tuple[str, str]] = None
     witness_order: Optional[int] = None
@@ -264,13 +264,13 @@ def flexion_nontriviality(
                 if coeffs[order] != 0:
                     return FlexionReport(
                         order=s.degree,
-                        flexion=s,
+                        series=s,
                         classification="Nontrivial",
                         witness_pair=(a, b),
                         witness_order=order,
                         witness_value=coeffs[order],
                     )
-    return FlexionReport(order=s.degree, flexion=s, classification="Trivial")
+    return FlexionReport(order=s.degree, series=s, classification="Trivial")
 
 
 @dataclass(frozen=True)

@@ -104,27 +104,23 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     p <= q), which is A(Yp) + 2 B(Y0, Yp), plus the product sum of the
     recurrence. A degree-q family gives no terms beyond t^(2q).
 
-    For p <= q the t^p coefficient depends on C and Y1..Yp alone, so the
-    operators remember whether it vanishes under the identities of
-    Y1..Yp, holding them (see BaseOperators): each order of a prefix that
-    several checks share is validated once. Orders above q depend on q
-    too and are computed each time."""
+    The t^p coefficient depends only on p and on Y1..Y(min(p, q)), so the
+    operators remember whether it vanishes under p and the identities of
+    that head, holding it (see BaseOperators): each order of a prefix that
+    several checks share is validated once, the orders above q too."""
     if s.coefficient(0) != ops.base_point:
         raise DimensionError("series base coefficient is not the base point of the operators")
     q = s.degree
     for p in range(1, 2 * q + 1):
-        if p <= q:
-            head = s.coeffs[1 : p + 1]
-            key = tuple(map(id, head))
-            hit = ops._vanishing.get(key)
-            if hit is None:
-                linear = ops.c_matrix.mul_vec(s.coefficient(p))
-                hit = ops._vanishing[key] = (
-                    head, is_zero_vector(vec_add(linear, _product_sum(ops, s, p))))
-            vanishes = hit[-1]
-        else:
-            vanishes = is_zero_vector(_product_sum(ops, s, p))
-        if not vanishes:
+        head = s.coeffs[1 : min(p, q) + 1]
+        key = (p, *map(id, head))
+        hit = ops._vanishing.get(key)
+        if hit is None:
+            total = _product_sum(ops, s, p)
+            if p <= q:
+                total = vec_add(ops.c_matrix.mul_vec(s.coefficient(p)), total)
+            hit = ops._vanishing[key] = (head, is_zero_vector(total))
+        if not hit[-1]:
             return p
     return INFINITE
 

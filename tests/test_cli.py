@@ -1,12 +1,29 @@
 import hashlib
 import json
+import typing
 
 import pytest
 
-from flexcert import cli, fileio
+from flexcert import certify, cli, fileio
+from flexcert.certify import (
+    analyze_system,
+    default_t_standard_config,
+    first_order_rigidity_check,
+    second_order_obstruction_check,
+    t_standard_run,
+)
 from flexcert.corpus import corpus_path, list_corpus
+from flexcert.quadsys import linearize, validate_and_symmetrize
+from flexcert.ratlinalg import zero_vector
+from flexcert.rigidity import analyze_framework, framework
 
-from conftest import FRAMEWORK_CORPUS, SYSTEM_CORPUS
+from conftest import (
+    FRAMEWORK_CORPUS,
+    SYSTEM_CORPUS,
+    dense_system,
+    load_corpus_framework,
+    load_corpus_system,
+)
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +348,108 @@ def test_series_serialization_round_trip():
     s = SeriesCoefficients((vector(["1", "0"]), vector(["-3/2", "7"])))
     again = fileio.series_from_dict(fileio.series_to_dict(s))
     assert again == s
+
+
+def _every_certificate_kind():
+    """One certificate of each kind and obstruction case, from the small
+    systems of test_certify, each with its expected JSON object."""
+
+    def obstruction(sys_, base):
+        return second_order_obstruction_check(linearize(sys_, base))
+
+    linear = dense_system([[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], [0, 0])
+    line = validate_and_symmetrize(1, [[]], [[(0, 1)]], [0])
+    z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    bowl = dense_system([[[1, 0, 0], [0, 1, 0], [0, 0, 0]], z3], [[0, 0, 1], [0, 0, 1]], [0, 0])
+    cross = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
+    ops4 = linearize(*load_corpus_system("example4.json"))
+    ops1 = linearize(*load_corpus_system("example1.json"))
+    return [
+        (first_order_rigidity_check(linearize(linear, zero_vector(2))),
+         {"kind": "first_order_rigid", "rank": 2, "variables": 2}),
+        (obstruction(line, zero_vector(1)),
+         {"kind": "second_order_obstruction", "case": "empty_kernel", "kernel": []}),
+        (second_order_obstruction_check(ops4),
+         {"kind": "second_order_obstruction", "case": "single_direction",
+          "kernel": [["0", "0", "1"]], "b_value": ["1", "0", "0"]}),
+        (obstruction(bowl, zero_vector(3)),
+         {"kind": "second_order_obstruction", "case": "definite_form",
+          "kernel": [["1", "0", "0"], ["0", "1", "0"]], "functional": ["-1", "1"],
+          "form": [["-1", "0"], ["0", "-1"]]}),
+        (obstruction(cross, zero_vector(2)),
+         {"kind": "second_order_obstruction", "case": "no_common_line",
+          "kernel": [["1", "0"], ["0", "1"]], "functionals": [["1", "0"], ["0", "1"]],
+          "forms": [["0", "1", "0"], ["1", "0", "-1"]]}),
+        (t_standard_run(ops4, default_t_standard_config(ops4)),
+         {"kind": "t_standard_fail", "fail_index": 2, "unreachable_rhs": ["-1", "0", "0"],
+          "t_basis": [["1", "0", "0"], ["0", "1", "0"]], "leading": ["0", "0", "1"],
+          "prefix": {"degree": 1, "coefficients": [["2", "0", "0"], ["0", "0", "1"]]}}),
+        (t_standard_run(ops1, default_t_standard_config(ops1, max_depth=3)),
+         {"kind": "t_standard_survived", "depth": 3,
+          "t_basis": [["1", "0", "0"], ["0", "1", "0"]], "leading": ["4", "3", "5"],
+          "series": {"degree": 3, "coefficients": [["5", "5", "7"], ["4", "3", "5"],
+                                                   ["0", "0", "0"], ["0", "0", "0"]]}}),
+    ]
+
+
+def test_every_certificate_class_has_a_kind():
+    assert set(fileio.CERTIFICATE_KINDS) == set(typing.get_args(certify.Certificate))
+    assert len(set(fileio.CERTIFICATE_KINDS.values())) == len(fileio.CERTIFICATE_KINDS)
+    with pytest.raises(TypeError):
+        fileio.certificate_to_dict(certify.PairSolution(1, 1, (), ()))
+
+
+SQUARE_SERIES = {"degree": 2, "coefficients": [["1", "1", "1", "0", "1"], ["0", "1", "0", "1", "0"],
+                                               ["0", "0", "-1/2", "0", "-1/2"]]}
+SEGMENT_SERIES = {"degree": 2, "coefficients": [["0", "1"], ["1", "1"], ["0", "0"]]}
+
+
+def _span_closure_flex(series, vectors):
+    """A (q, k) = (2, 1) certificate whose pair solutions are 0 except
+    for the pairs (1, 1) and (2, 2), given as (coefficients, vector)."""
+    zero = (["0", "0"], ["0"] * len(series["coefficients"][0]))
+    solutions = {(1, 1): vectors[0], (1, 2): zero, (2, 1): zero, (2, 2): vectors[1]}
+    return {"kind": "span_closure_flex", "q": 2, "k": 1, "series": series,
+            "pair_solutions": [{"i": i, "j": j, "coefficients": c, "vector": v}
+                               for (i, j), (c, v) in solutions.items()]}
+
+
+def test_certificate_json_of_every_kind_is_pinned():
+    for cert, expected in _every_certificate_kind():
+        assert fileio.certificate_to_dict(cert) == expected
+    circle = analyze_system(*load_corpus_system("circle.json"))
+    assert fileio.report_to_dict(circle) == {
+        "verdict": "Flexible", "depth": 2,
+        "certificate": _span_closure_flex(
+            {"degree": 2, "coefficients": [["1", "0"], ["0", "1"], ["-1/2", "0"]]},
+            [(["0", "2"], ["-1", "0"]), (["0", "1/2"], ["-1/4", "0"])]),
+        "notes": ["kernel dimension 1", "span-closure certificate at (q, k) = (2, 1)"],
+    }
+    # a Nontrivial flexion carries its witness, a Trivial one does not
+    square, _ = load_corpus_framework("square.json")
+    assert fileio.report_to_dict(analyze_framework(square, use_auto_pin=True)) == {
+        "verdict": "Flexible", "depth": 2,
+        "certificate": _span_closure_flex(
+            SQUARE_SERIES, [(["0", "2"], ["0", "0", "-1", "0", "-1"]),
+                            (["0", "1/2"], ["0", "0", "-1/4", "0", "-1/4"])]),
+        "flexion": {"order": 2, "classification": "Nontrivial", "series": SQUARE_SERIES,
+                    "witness_pair": ["v1", "v3"], "witness_order": 1, "witness_value": "2"},
+        "pins": [{"joint": "v1", "coords": [0, 1]}, {"joint": "v2", "coords": [1]}],
+        "notes": ["kernel dimension 1", "span-closure certificate at (q, k) = (2, 1)",
+                  "nontrivial flexion: distance of non-bar pair (v1, v3) changes at order 1"],
+    }
+    segment = framework(1, {"a": [0], "b": [1]}, [["a", "b"]])
+    assert fileio.report_to_dict(analyze_framework(segment)) == {
+        "verdict": "Inconclusive", "depth": 2,
+        "certificate": _span_closure_flex(SEGMENT_SERIES, [(["0", "0"], ["0", "0"])] * 2),
+        "flexion": {"order": 2, "classification": "Trivial", "series": SEGMENT_SERIES},
+        "pins": [],
+        "notes": ["kernel dimension 1", "span-closure certificate at (q, k) = (2, 1)",
+                  "no pins set: rigid-motion directions stay in the kernel and a rigidity "
+                  "verdict cannot occur",
+                  "certified family is a trivial flexion (no non-bar distance changes); "
+                  "framework verdict stays inconclusive"],
+    }
 
 
 def test_invalid_caps_exit_2(capsys):
