@@ -50,6 +50,16 @@ class InapplicableError(ValueError):
     """The requested test does not apply to this system."""
 
 
+@dataclass(frozen=True)
+class AnalyzeConfig:
+    q_max: int = 8
+    max_depth: int = 24
+
+    def __post_init__(self):
+        if self.q_max < 1 or self.max_depth < 2:
+            raise PreconditionError("analysis caps must be positive")
+
+
 # ---------------------------------------------------------------------------
 # Certificates
 
@@ -134,9 +144,6 @@ class TStandardSurvived:
 Certificate = Union[
     FirstOrderRigid, SecondOrderObstruction, SpanClosureFlex, TStandardFail, TStandardSurvived
 ]
-
-RIGIDITY_KINDS = (FirstOrderRigid, SecondOrderObstruction, TStandardFail)
-
 
 # ---------------------------------------------------------------------------
 # First-order rigidity: trivial kernel of the linearization
@@ -316,6 +323,10 @@ def span_closure_check(
     vectors scaled by -2 to solve the pair equations C Y = -2 B(Yi, Yj).
     The canonical solution is linear in the right-hand side, so this
     equals solving the scaled equations.
+
+    A result with 2k > q + 1 is not a proof of flexibility: the span
+    condition then misses pairs that enter later orders (see
+    `span_closure_search`), and `replay_certificate` rejects it.
     """
     if not 1 <= k <= q:
         raise PreconditionError(f"need 1 <= k <= q, got (q, k) = ({q}, {k})")
@@ -408,7 +419,9 @@ class TStandardConfig:
     leading_coeff: Vector
 
 
-def default_t_standard_config(ops: BaseOperators, max_depth: int = 24) -> TStandardConfig:
+def default_t_standard_config(
+    ops: BaseOperators, max_depth: int = AnalyzeConfig.max_depth
+) -> TStandardConfig:
     """T is the coordinate hyperplane omitting the kernel vector's pivot
     coordinate (largest absolute value, ties to the lowest index), which
     keeps T rational and transversal to the kernel."""
@@ -484,16 +497,6 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
 
 # ---------------------------------------------------------------------------
 # Orchestration
-
-
-@dataclass(frozen=True)
-class AnalyzeConfig:
-    q_max: int = 8
-    max_depth: int = 24
-
-    def __post_init__(self):
-        if self.q_max < 1 or self.max_depth < 2:
-            raise PreconditionError("analysis caps must be positive")
 
 
 @dataclass(frozen=True)
@@ -622,7 +625,7 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
 def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     s = cert.series
     q, k = cert.q, cert.k
-    if s.degree != q or not 1 <= k <= q:
+    if s.degree != q or not 1 <= k <= q or 2 * k > q + 1:
         return False
     if s.coefficient(0) != ops.base_point:
         return False
@@ -656,8 +659,6 @@ def _replay_t_standard(
     fail_index: Optional[int],
     unreachable_rhs: Optional[Vector],
 ) -> bool:
-    if len(ops.kernel) != 1:
-        return False
     try:
         phi = _validate_t_standard(ops, t_basis, leading)
     except (PreconditionError, InapplicableError):

@@ -37,10 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p):
-        p.add_argument("--q-max", type=int, default=8,
-                       help="search cap for the span-closure certificate (default 8)")
-        p.add_argument("--max-depth", type=int, default=24,
-                       help="depth cap for the T-standard recurrence (default 24)")
+        p.add_argument("--q-max", type=int, default=AnalyzeConfig.q_max,
+                       help="search cap for the span-closure certificate (default %(default)s)")
+        p.add_argument("--max-depth", type=int, default=AnalyzeConfig.max_depth,
+                       help="depth cap for the T-standard recurrence (default %(default)s)")
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     p = sub.add_parser("analyze-system", help="analyze a quadratic system file")

@@ -206,10 +206,6 @@ class GeneralPolySystem:
     equations: tuple[dict[tuple[int, ...], Fraction], ...]
     variable_names: tuple[str, ...]
 
-    def degree(self) -> int:
-        degs = [sum(e) for eq in self.equations for e in eq]
-        return max(degs, default=0)
-
 
 def poly_system(
     equations: Sequence[dict], m: int, variable_names: Optional[Sequence[str]] = None
@@ -286,107 +282,51 @@ def restrict_solution(rmap: ReductionMap, x: Vector) -> Vector:
     return tuple(x[: rmap.original_variable_count])
 
 
-def _split_submonomial(exps: tuple[int, ...], target: int) -> tuple[int, ...]:
-    # Greedy sub-monomial of the given total degree, taken from the
-    # lowest-indexed variables first.
-    sub = [0] * len(exps)
-    remaining = target
-    for i, e in enumerate(exps):
-        take = min(e, remaining)
-        sub[i] = take
-        remaining -= take
-        if remaining == 0:
-            break
-    return tuple(sub)
-
-
-def _quadratic_from_poly(poly: GeneralPolySystem) -> QuadraticSystem:
-    alphas, betas, gammas = [], [], []
-    for eq in poly.equations:
-        a, b, g = [], [], Fraction(0)
-        for exps, coeff in eq.items():
-            support = [i for i, e in enumerate(exps) if e > 0]
-            deg = sum(exps)
-            if deg == 0:
-                g += coeff
-            elif deg == 1:
-                b.append((support[0], coeff))
-            elif deg == 2:
-                # x_i^2 has support [i], x_i x_j has support [i, j]
-                a.append((support[0], support[-1], coeff))
-            else:
-                raise DimensionError("polynomial of degree > 2 cannot be converted")
-        alphas.append(a)
-        betas.append(b)
-        gammas.append(g)
-    return validate_and_symmetrize(poly.m, alphas, betas, gammas, poly.variable_names)
-
-
-def _padded(eq: dict, width: int) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in eq.items():
-        key = exps + (0,) * (width - len(exps))
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(exps)
-    while i > 0 and exps[i - 1] == 0:
-        i -= 1
-    return exps[:i]
-
-
 def reduce_degree(poly: GeneralPolySystem) -> tuple[QuadraticSystem, ReductionMap]:
     """Rewrite a polynomial system so every equation has degree <= 2.
 
-    While a monomial of degree d > 2 exists, the lexicographically
-    greatest one of maximal degree is split: an auxiliary variable is
-    bound to its degree-ceil(d/2) leading sub-monomial (one defining
-    equation, monomial minus variable) and substituted for it everywhere.
-    Identical sub-monomials reuse the same auxiliary. The solution sets
-    correspond bijectively via the returned ReductionMap.
+    A monomial is held as the sorted tuple of its variables' indices, each
+    repeated by its exponent (x0^2 x1 is (0, 0, 1)), so its degree is its
+    length. While a monomial of degree d > 2 exists, the smallest tuple of
+    maximal degree is split; among equal degrees a smaller tuple is a
+    lexicographically greater exponent vector. Its head, the first
+    ceil(d/2) indices (the lowest-indexed sub-monomial of that degree), is
+    bound to an auxiliary variable by one defining equation (head minus
+    variable), and every occurrence of the monomial becomes the rest of
+    it times that variable. Identical heads reuse the same auxiliary. The
+    solution sets correspond bijectively via the returned ReductionMap.
     """
-    equations = [dict(eq) for eq in poly.equations]
+    equations = [
+        {tuple(i for i, e in enumerate(exps) for _ in range(e)): c for exps, c in eq.items() if c}
+        for eq in poly.equations
+    ]
     names = list(poly.variable_names)
     defs: list[tuple[int, tuple[int, ...]]] = []
     known: dict[tuple[int, ...], int] = {}
 
     while True:
-        w = len(names)
-        equations = [_padded(eq, w) for eq in equations]
-        worst = None
-        for eq in equations:
-            for exps in eq:
-                d = sum(exps)
-                if d > 2 and (worst is None or (d, exps) > worst):
-                    worst = (d, exps)
+        worst = min(
+            (mono for eq in equations for mono in eq if len(mono) > 2),
+            key=lambda mono: (-len(mono), mono),
+            default=None,
+        )
         if worst is None:
             break
-        d, exps = worst
-        sub = _split_submonomial(exps, (d + 1) // 2)
-        key = _trim(sub)
-        if key in known:
-            new_var = known[key]
-            quotient = list(exps)
-        else:
-            new_var = w
-            names.append(f"x{w + 1}")
-            known[key] = new_var
-            defs.append((new_var, key + (0,) * (new_var - len(key))))
-            # defining equation: sub-monomial - new variable = 0
-            var_term = (0,) * w + (1,)
-            equations.append({sub: Fraction(1), var_term: Fraction(-1)})
-            quotient = list(exps) + [0]
-        for i, e in enumerate(sub):
-            quotient[i] -= e
-        quotient[new_var] += 1
-        q = tuple(quotient)
+        cut = (len(worst) + 1) // 2
+        head = worst[:cut]
+        var = known.get(head)
+        if var is None:
+            var = known[head] = len(names)
+            names.append(f"x{var + 1}")
+            defs.append((var, tuple(head.count(i) for i in range(var))))
+            equations.append({head: Fraction(1), (var,): Fraction(-1)})
+        quotient = tuple(sorted(worst[cut:] + (var,)))
         for eq in equations:
-            if exps in eq:
-                coeff = eq.pop(exps)
-                eq[q] = eq.get(q, Fraction(0)) + coeff
+            if worst in eq:
+                eq[quotient] = eq.get(quotient, 0) + eq.pop(worst)
 
-    reduced_poly = poly_system(equations, len(names), names)
-    rmap = ReductionMap(poly.m, tuple(defs))
-    return _quadratic_from_poly(reduced_poly), rmap
+    alphas = [[(*mono, c) for mono, c in eq.items() if len(mono) == 2] for eq in equations]
+    betas = [[(*mono, c) for mono, c in eq.items() if len(mono) == 1] for eq in equations]
+    gammas = [eq.get((), 0) for eq in equations]
+    reduced = validate_and_symmetrize(len(names), alphas, betas, gammas, names)
+    return reduced, ReductionMap(poly.m, tuple(defs))

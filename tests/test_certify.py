@@ -28,7 +28,7 @@ from flexcert.certify import (
     t_standard_run,
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
-from flexcert.ratlinalg import solve_in_span_coefficients, vec_scale, vector, zero_vector
+from flexcert.ratlinalg import solve_in_span_coefficients, vec_add, vec_scale, vector, zero_vector
 from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
@@ -274,6 +274,20 @@ def test_span_closure_check_rejects_series_off_the_base_point(circle_system):
     with pytest.raises(PreconditionError, match="base point"):
         span_closure_check(ops, s, 1, 1)
     forged = SpanClosureFlex(q=1, k=1, series=s, pair_solutions=())
+    assert not replay_certificate(sys_, base, forged)
+
+
+def test_replay_rejects_span_closure_with_2k_above_q_plus_1():
+    # x^2 + y^2 = 0 is rigid at the origin. With k = q and Y_q = 0 the span
+    # is {0} and every pair equation holds vacuously, so span_closure_check
+    # returns a certificate for (t^2, 0) at (q, k) = (3, 3); it proves
+    # nothing, and replay must reject it
+    sys_ = dense_system([[[1, 0], [0, 1]]], [[0, 0]], [0])
+    base = vector([0, 0])
+    assert analyze_system(sys_, base).verdict == RIGID
+    s = make_series([0, 0], [0, 0], [1, 0], [0, 0])
+    forged = span_closure_check(linearize(sys_, base), s, 3, 3)
+    assert forged is not None
     assert not replay_certificate(sys_, base, forged)
 
 
@@ -574,6 +588,38 @@ def test_pipeline_fuzz_replay_and_soundness():
                 s = s.appended(nxt)
             order = series.residual_order(linearize(sys_, s.coefficient(0)), s)
             assert order > 2 * rep.certificate.q
+
+
+def test_replay_accepts_no_span_closure_certificate_at_a_rigid_point():
+    # random quadratic forms (one equation sometimes with a linear part) at
+    # the origin, and random approximate solutions at the points
+    # analyze_system proves Rigid: span_closure_check still returns
+    # certificates there (with 2k > q + 1), and replay must reject each one
+    rng = random.Random(5)
+    returned = 0
+    for _ in range(40):
+        m, n = rng.randint(2, 3), rng.randint(1, 3)
+        alphas = [[[rng.randint(-1, 1) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+        betas = [[0] * m for _ in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            betas[0] = [rng.randint(-1, 1) for _ in range(m)]
+        sys_, base = dense_system(alphas, betas, [0] * n), zero_vector(m)
+        if analyze_system(sys_, base, AnalyzeConfig(q_max=4, max_depth=6)).verdict != RIGID:
+            continue
+        ops = linearize(sys_, base)
+        for _ in range(4):
+            s = SeriesCoefficients((base,))
+            while s.degree < 4 and (nxt := series.extend_step(ops, s)) is not None:
+                for kvec in ops.kernel:
+                    nxt = vec_add(nxt, vec_scale(rng.randint(-1, 1), kvec))
+                s = s.appended(nxt)
+            for q in range(1, s.degree + 1):
+                for k in range(1, q + 1):
+                    cert = span_closure_check(ops, s, q, k)
+                    if cert is not None:
+                        returned += 1
+                        assert not replay_certificate(sys_, base, cert)
+    assert returned > 0
 
 
 def test_residual_order_matches_sympy_on_fuzz_systems():

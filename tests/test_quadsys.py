@@ -246,6 +246,23 @@ def test_reduce_degree_mixed_cubic_monomial():
     ]
 
 
+@pytest.mark.parametrize("equations", [
+    [{(3, 0): 1, (0, 3): 1}],
+    [{(0, 3): 1}, {(3, 0): 1}],
+])
+def test_reduce_degree_splits_the_greatest_exponent_vector_first(equations):
+    # x^3 (exponents (3, 0)) is split before y^3, whichever equation holds it
+    red, rmap = reduce_degree(poly_system(equations, 2))
+    assert rmap.auxiliary_definitions == ((2, (2, 0)), (3, (0, 2, 0)))
+    defining = (((0, 0, F(1)),), ((1, 1, F(1)),))
+    if len(equations) == 1:
+        assert red.alpha == (((0, 2, F(1, 2)), (1, 3, F(1, 2))),) + defining
+    else:
+        assert red.alpha == (((1, 3, F(1, 2)),), ((0, 2, F(1, 2)),)) + defining
+    assert red.beta[-2:] == (((2, F(-1)),), ((3, F(-1)),))
+    assert red.variable_names == ("x1", "x2", "x3", "x4")
+
+
 def test_reduce_degree_already_quadratic_is_unchanged():
     poly = poly_system([{(2, 0): 1, (0, 1): F(-1)}], 2)
     red, rmap = reduce_degree(poly)
