@@ -11,14 +11,16 @@ from scratch by `replay_certificate`.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from . import ratlinalg
 from .quadsys import BaseOperators, QuadraticSystem, linearize
 from .ratlinalg import (
+    DimensionError,
     Matrix,
     Vector,
     is_zero_vector,
@@ -32,7 +34,7 @@ from .ratlinalg import (
 )
 from .series import (
     SeriesCoefficients,
-    extend_step,
+    extend_to,
     recurrence_rhs,
     residual_order,
 )
@@ -201,68 +203,45 @@ def _form_triple(q: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, Fractio
     return (q[0][0], 2 * q[0][1], q[1][1])
 
 
-def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+def _stripped(coeffs) -> list[Fraction]:
+    # coefficient list, highest degree first, without its leading zeros
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    return coeffs
 
 
-def _form_value(triple, u: Fraction, v: Fraction) -> Fraction:
-    a, b, c = triple
-    return a * u * u + b * u * v + c * v * v
+def _polynomial_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """Euclid over Q on nonzero coefficient lists, highest degree first
+    and without leading zeros; the gcd is returned up to a scalar."""
+    while g:
+        while len(f) >= len(g):  # f := f mod g
+            ratio = f[0] / g[0]
+            f = _stripped(x - ratio * y for x, y in zip_longest(f[1:], g[1:], fillvalue=0))
+        f, g = g, f
+    return f
 
 
 def _binary_forms_have_common_root(
     triples: Sequence[tuple[Fraction, Fraction, Fraction]]
 ) -> bool:
-    """Whether the binary quadratic forms share a nonzero real root.
+    """Whether the binary quadratic forms a u^2 + b uv + c v^2 share a
+    nonzero real root (u, v).
 
-    Assumes every form has nonnegative discriminant (definite forms are
-    caught earlier). The root lines of the first nonzero form are
-    enumerated and checked against the remaining forms; irrational lines
-    are handled exactly in the quadratic extension Q[sqrt(D)].
+    When every nonzero form has a = 0 they all vanish on the line v = 0.
+    Otherwise that line is no common root, and the common root lines are
+    (u, 1) for the real roots u of the gcd over Q of the forms at v = 1:
+    a linear gcd has one, and a quadratic gcd has real roots exactly
+    when its discriminant is not negative.
     """
-    nonzero = [t for t in triples if any(x != 0 for x in t)]
-    if not nonzero:
-        return True  # every kernel direction works
-    a, b, c = first = nonzero[0]
-    rational_lines: list[tuple[Fraction, Fraction]] = []
-    conjugate_disc: Optional[Fraction] = None
-    if a == 0:
-        rational_lines.append((Fraction(1), Fraction(0)))  # v = 0
-        if b != 0:
-            rational_lines.append((-c, b))  # b u + c v = 0
-    else:
-        disc = b * b - 4 * a * c
-        root = _rational_sqrt(disc)
-        if disc == 0:
-            rational_lines.append((-b, 2 * a))
-        elif root is not None:
-            rational_lines.append((-b + root, 2 * a))
-            rational_lines.append((-b - root, 2 * a))
-        else:
-            conjugate_disc = disc
-    for line in rational_lines:
-        if all(_form_value(t, *line) == 0 for t in nonzero):
-            return True
-    if conjugate_disc is not None:
-        # direction (u, v) = (-b + sqrt(D), 2a); value of each form splits
-        # as P + Q sqrt(D) and vanishes iff P = Q = 0
-        d = conjugate_disc
-        ok = True
-        for ar, br, cr in nonzero:
-            p = ar * (b * b + d) - 2 * a * b * br + 4 * a * a * cr
-            qq = -2 * b * ar + 2 * a * br
-            if p != 0 or qq != 0:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    nonzero = [t for t in triples if any(t)]
+    if all(a == 0 for a, _, _ in nonzero):
+        return True  # with no form left, every kernel direction works
+    g = functools.reduce(_polynomial_gcd, (_stripped(t) for t in nonzero))
+    if len(g) == 3:
+        a, b, c = g
+        return b * b - 4 * a * c >= 0
+    return len(g) == 2
 
 
 def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderObstruction]:
@@ -368,14 +347,8 @@ def canonical_candidates(ops: BaseOperators, q_max: int) -> list[SeriesCoefficie
     out = []
     zero = zero_vector(ops.system.m)
     for kvec in ops.kernel:
-        base = SeriesCoefficients((ops.base_point, kvec))
-        stalled = False
-        while base.degree < q_max:
-            nxt = extend_step(ops, base)
-            if nxt is None:
-                stalled = True
-                break
-            base = base.appended(nxt)
+        base = extend_to(ops, SeriesCoefficients((ops.base_point, kvec)), q_max)
+        stalled = base.degree < q_max
         for r in (1, 2, 3):
             degree = min(q_max, r * (base.degree + 1) - 1) if stalled else q_max
             out.append(SeriesCoefficients(tuple(
@@ -563,8 +536,16 @@ def analyze_system(
 def replay_certificate(sys: QuadraticSystem, x0: Vector, cert: Certificate) -> bool:
     """Re-check a certificate against the system from scratch: linear
     systems are re-solved and memberships re-decided; stored witness data
-    must reproduce exactly."""
+    must reproduce exactly. Witness data of the wrong shape, such as a
+    vector of the wrong length, is rejected with False."""
     ops = linearize(sys, x0)
+    try:
+        return _replay(ops, cert)
+    except (DimensionError, PreconditionError, InapplicableError):
+        return False
+
+
+def _replay(ops: BaseOperators, cert: Certificate) -> bool:
     if isinstance(cert, FirstOrderRigid):
         return not ops.kernel and cert.rank == cert.variables == ops.system.m
 
@@ -580,8 +561,9 @@ def replay_certificate(sys: QuadraticSystem, x0: Vector, cert: Certificate) -> b
                                   unreachable_rhs=cert.unreachable_rhs)
 
     if isinstance(cert, TStandardSurvived):
-        return _replay_t_standard(ops, cert.t_basis, cert.leading, cert.series,
-                                  fail_index=None, unreachable_rhs=None)
+        return cert.series.degree == cert.depth and _replay_t_standard(
+            ops, cert.t_basis, cert.leading, cert.series,
+            fail_index=None, unreachable_rhs=None)
 
     return False
 
@@ -637,7 +619,7 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     required = {(i, j) for i in range(1, q + 1) for j in range(k, q + 1)}
     seen = set()
     for ps in cert.pair_solutions:
-        if len(ps.coefficients) != len(span):
+        if (ps.i, ps.j) not in required or len(ps.coefficients) != len(span):
             return False
         combo = zero_vector(ops.system.m)
         for c, vec in zip(ps.coefficients, span):
@@ -659,19 +641,13 @@ def _replay_t_standard(
     fail_index: Optional[int],
     unreachable_rhs: Optional[Vector],
 ) -> bool:
-    try:
-        phi = _validate_t_standard(ops, t_basis, leading)
-    except (PreconditionError, InapplicableError):
+    phi = _validate_t_standard(ops, t_basis, leading)
+    if coeffs.coeffs[:2] != (ops.base_point, leading):
         return False
-    if coeffs.coefficient(0) != ops.base_point or coeffs.coefficient(1) != leading:
+    if any(_dot(phi, y) != 0 for y in coeffs.coeffs[2:]):
         return False
-    for p in range(2, coeffs.degree + 1):
-        y = coeffs.coefficient(p)
-        if _dot(phi, y) != 0:
-            return False
-        rhs = recurrence_rhs(ops, coeffs.truncated(p - 1), p)
-        if ops.c_matrix.mul_vec(y) != rhs:
-            return False
+    if residual_order(ops, coeffs) <= coeffs.degree:
+        return False
     if fail_index is not None:
         if coeffs.degree != fail_index - 1:
             return False

@@ -150,13 +150,8 @@ def _run_extend(args) -> int:
         s = series.SeriesCoefficients((ops.base_point, ops.kernel[0]))
     else:
         s = series.SeriesCoefficients((ops.base_point,))
-    stalled = None
-    while s.degree < args.degree:
-        nxt = series.extend_step(ops, s)
-        if nxt is None:
-            stalled = s.degree + 1
-            break
-        s = s.appended(nxt)
+    s = series.extend_to(ops, s, args.degree)
+    stalled = s.degree + 1 if s.degree < args.degree else None
     order = series.residual_order(ops, s)
     order_repr = "infinite" if order == series.INFINITE else order
     if args.json:

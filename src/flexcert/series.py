@@ -96,6 +96,18 @@ def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
     return ratlinalg.solve_general(ops.c_matrix, recurrence_rhs(ops, s, s.degree + 1))
 
 
+def extend_to(ops: BaseOperators, s: SeriesCoefficients, degree: int) -> SeriesCoefficients:
+    """Append canonical coefficients by `extend_step` until the series
+    has degree `degree` or a step is unsolvable; a result of lower degree
+    than `degree` stalled at the order after its own."""
+    while s.degree < degree:
+        nxt = extend_step(ops, s)
+        if nxt is None:
+            break
+        s = s.appended(nxt)
+    return s
+
+
 def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     """Smallest p >= 1 with a nonzero t^p coefficient in F(Y(t)), or
     INFINITE when the whole expansion vanishes (an exact polynomial

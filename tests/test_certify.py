@@ -291,6 +291,50 @@ def test_replay_rejects_span_closure_with_2k_above_q_plus_1():
     assert not replay_certificate(sys_, base, forged)
 
 
+def test_replay_rejects_t_standard_survived_with_a_false_depth():
+    # the series has degree 4; a certificate claiming another depth is false
+    sys_, base = load_corpus_system("example1.json")
+    ops = linearize(sys_, base)
+    cert = t_standard_run(ops, default_t_standard_config(ops, max_depth=4))
+    assert isinstance(cert, TStandardSurvived) and replay_certificate(sys_, base, cert)
+    for depth in (3, 10**6):
+        assert not replay_certificate(sys_, base, dataclasses.replace(cert, depth=depth))
+
+
+def _tampered_certificates():
+    # name -> (system, base point, certificate with a witness of the wrong shape)
+    ex1, base1 = load_corpus_system("example1.json")
+    ex4, base4 = load_corpus_system("example4.json")
+    bowl = dense_system([[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0] * 3] * 3],
+                        [[0, 0, 1], [0, 0, 1]], [0, 0])
+    cross = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
+    ops1 = linearize(ex1, base1)
+    span = analyze_system(ex1, base1).certificate
+    bad_pair = dataclasses.replace(span.pair_solutions[0], i=99)
+    definite = second_order_obstruction_check(linearize(bowl, zero_vector(3)))
+    no_line = second_order_obstruction_check(linearize(cross, zero_vector(2)))
+    survived = t_standard_run(ops1, default_t_standard_config(ops1, max_depth=4))
+    return {
+        "span_pair_index": (ex1, base1, dataclasses.replace(
+            span, pair_solutions=(bad_pair,) + span.pair_solutions[1:])),
+        "single_direction_kernel": (ex4, base4, dataclasses.replace(
+            second_order_obstruction_check(linearize(ex4, base4)), kernel=(vector([1]),))),
+        "definite_form_functional": (bowl, zero_vector(3),
+                                     dataclasses.replace(definite, functional=vector([1]))),
+        "no_common_line_functional": (cross, zero_vector(2), dataclasses.replace(
+            no_line, functionals=(vector([1]),) + no_line.functionals[1:])),
+        "t_standard_leading": (ex1, base1, dataclasses.replace(survived, leading=vector([1]))),
+    }
+
+
+@pytest.mark.parametrize("case", ["span_pair_index", "single_direction_kernel",
+                                  "definite_form_functional", "no_common_line_functional",
+                                  "t_standard_leading"])
+def test_replay_rejects_witnesses_of_the_wrong_shape(case):
+    sys_, base, cert = _tampered_certificates()[case]
+    assert replay_certificate(sys_, base, cert) is False
+
+
 def test_residual_order_reuses_the_span_check_products(cusp_system, viviani_system,
                                                        monkeypatch):
     # residual_order takes its products from the operators, so repeating
@@ -799,8 +843,8 @@ def test_cokernel_and_order_two_obstruction_match_sympy():
 
 
 def test_binary_forms_common_root_matches_sympy():
-    # the d = 2 decision: do the forms a u^2 + b uv + c v^2, none of them
-    # definite, share a real root line? sympy decides it from the gcd
+    # the d = 2 decision: do the forms a u^2 + b uv + c v^2 share a real
+    # root line? sympy decides it from the gcd
     sympy = pytest.importorskip("sympy")
     u, v = sympy.symbols("u v")
     rng = random.Random(2718)
@@ -844,8 +888,11 @@ def test_binary_forms_common_root_matches_sympy():
 
     seen = {"all_zero": 0, "rational": 0, "irrational": 0, "none": 0}
     # u^2 + uv - 2v^2 is sqrt(2) (not 0) on the root line (sqrt(2), 1) of
-    # u^2 - 2v^2, and v^2 - 2u^2 vanishes on (1, sqrt(2)) instead
-    fixed = [[(1, 0, -2), (1, 1, -2)], [(1, 0, -2), (-2, 0, 1)], [(1, 0, -2), (-3, 0, 6)]]
+    # u^2 - 2v^2, and v^2 - 2u^2 vanishes on (1, sqrt(2)) instead; then
+    # forms on the line v = 0, and definite forms, which have no real root
+    fixed = [[(1, 0, -2), (1, 1, -2)], [(1, 0, -2), (-2, 0, 1)], [(1, 0, -2), (-3, 0, 6)],
+             [(0, 1, 0), (0, 0, 1)], [(0, 0, 1)], [(0, 0, 1), (1, 0, 0)],
+             [(1, 0, 1)], [(1, 0, 1), (2, 0, 2)]]
     for forms in fixed:
         check(forms)
     for trial in range(240):
