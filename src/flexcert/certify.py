@@ -23,11 +23,11 @@ from .ratlinalg import (
     DimensionError,
     Matrix,
     Vector,
+    combination,
     is_zero_vector,
     kernel_basis,
     solve_general,
     solve_in_span_coefficients,
-    vec_add,
     vec_scale,
     vec_sub,
     zero_vector,
@@ -621,9 +621,7 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     for ps in cert.pair_solutions:
         if (ps.i, ps.j) not in required or len(ps.coefficients) != len(span):
             return False
-        combo = zero_vector(ops.system.m)
-        for c, vec in zip(ps.coefficients, span):
-            combo = vec_add(combo, vec_scale(c, vec))
+        combo = combination(ps.coefficients, span, ops.system.m)
         if combo != ps.vector:
             return False
         rhs = vec_scale(-2, ops.bilinear(s.coefficient(ps.i), s.coefficient(ps.j)))

@@ -64,6 +64,13 @@ def _list_in(raw, path: str, where: str) -> list:
     return raw
 
 
+def _known_fields(obj: dict, allowed: tuple[str, ...], path: str, where: str) -> None:
+    # a misspelt field would otherwise be dropped and its default read in its place
+    for key in obj:
+        if key not in allowed:
+            raise ParseError(path, f"{where}: unknown field {key!r}")
+
+
 def _base_point_in(data: dict, m: int, path: str) -> Optional[Vector]:
     if "base_point" not in data:
         return None
@@ -129,6 +136,7 @@ def system_from_dict(data: dict, path: str = "<memory>") -> tuple[QuadraticSyste
         where = f"equations[{k}]"
         if not isinstance(eq, dict):
             raise ParseError(path, f"{where}: expected an object")
+        _known_fields(eq, ("alpha", "beta", "gamma"), path, where)
         a = []
         for t, triple in enumerate(_list_in(eq.get("alpha", []), path, f"{where}.alpha")):
             if not (isinstance(triple, list) and len(triple) == 3):
@@ -190,10 +198,12 @@ def poly_from_dict(
         where = f"equations[{k}]"
         if not isinstance(eq, dict) or "terms" not in eq:
             raise ParseError(path, f"{where}: expected an object with 'terms'")
+        _known_fields(eq, ("terms",), path, where)
         terms: dict[tuple[int, ...], Fraction] = {}
         for t, term in enumerate(_list_in(eq["terms"], path, f"{where}.terms")):
             if not isinstance(term, dict):
                 raise ParseError(path, f"{where}.terms[{t}]: expected an object")
+            _known_fields(term, ("exponents", "coeff"), path, f"{where}.terms[{t}]")
             exps = term.get("exponents")
             if not (isinstance(exps, list) and len(exps) == m
                     and all(_is_int(e) and e >= 0 for e in exps)):
@@ -238,6 +248,7 @@ def framework_to_dict(fw: Framework, auto_pin_flag: bool = False) -> dict:
 def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, bool]:
     if not isinstance(data, dict):
         raise ParseError(path, "expected an object")
+    _known_fields(data, ("dimension", "joints", "bars", "pins", "auto_pin"), path, "framework")
     for key in ("dimension", "joints", "bars"):
         if key not in data:
             raise ParseError(path, f"missing field {key!r}")

@@ -83,6 +83,15 @@ def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
 
+def combination(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
+    """sum c_i v_i as a vector of length n; zero coefficients are skipped."""
+    total = zero_vector(n)
+    for c, v in zip(coeffs, vectors):
+        if c != 0:
+            total = vec_add(total, vec_scale(c, v))
+    return total
+
+
 Row = tuple[tuple[int, Fraction], ...]
 
 
@@ -343,11 +352,4 @@ def solve_in_span_coefficients(
     solved = _solve_columns(images, vs)
     if None in solved:
         return None
-    out = []
-    for coeffs in solved:
-        combo = zero_vector(m.cols)
-        for c, s in zip(coeffs, span):
-            if c != 0:
-                combo = vec_add(combo, vec_scale(c, s))
-        out.append((coeffs, combo))
-    return out
+    return [(coeffs, combination(coeffs, span, m.cols)) for coeffs in solved]

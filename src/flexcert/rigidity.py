@@ -205,25 +205,28 @@ class FlexionReport:
     witness_value: Optional[Fraction] = None
 
 
-def _joint_series(
-    fw: Framework,
-    variables: Sequence[tuple[str, int]],
-    s: SeriesCoefficients,
-    jid: str,
-) -> list[Vector]:
-    """Coefficient vectors (one per order 0..q) of a joint's trajectory."""
-    var_index = {sc: i for i, sc in enumerate(variables)}
-    out = []
-    for p in range(s.degree + 1):
-        coeff = []
-        for c in range(fw.dimension):
-            idx = var_index.get((jid, c))
-            if idx is None:
-                coeff.append(fw.joints[jid][c] if p == 0 else Fraction(0))
-            else:
-                coeff.append(s.coefficient(p)[idx])
-        out.append(tuple(coeff))
-    return out
+def _trajectories(
+    fw: Framework, variables: Sequence[tuple[str, int]], s: SeriesCoefficients
+) -> dict[str, list[Vector]]:
+    """Each joint's coefficient vectors, one per order 0..q: a variable
+    coordinate reads its entries of the series, a pinned one its
+    position at order 0 and zero above."""
+    index = {sc: i for i, sc in enumerate(variables)}
+    return {
+        jid: [tuple(y[index[jid, c]] if (jid, c) in index else x if p == 0 else Fraction(0)
+                    for c, x in enumerate(fw.joints[jid]))
+              for p, y in enumerate(s.coeffs)]
+        for jid in fw.joint_ids()
+    }
+
+
+def _squared_distance(xa: list[Vector], xb: list[Vector], top: int) -> list[Fraction]:
+    # the difference series times itself, orders 0..top
+    diff = [tuple(u - v for u, v in zip(ya, yb)) for ya, yb in zip(xa, xb)]
+    q = len(diff) - 1
+    return [sum((u * v for l in range(max(0, p - q), min(p, q) + 1)
+                 for u, v in zip(diff[l], diff[p - l])), Fraction(0))
+            for p in range(top + 1)]
 
 
 def squared_distance_series(
@@ -234,33 +237,33 @@ def squared_distance_series(
     b: str,
 ) -> list[Fraction]:
     """Exact coefficients of |x_a(t) - x_b(t)|^2 through order 2q."""
-    q = s.degree
-    sa = _joint_series(fw, variables, s, a)
-    sb = _joint_series(fw, variables, s, b)
-    diff = [tuple(x - y for x, y in zip(sa[p], sb[p])) for p in range(q + 1)]
-    out = [Fraction(0)] * (2 * q + 1)
-    for p1 in range(q + 1):
-        for p2 in range(q + 1):
-            dot = sum((x * y for x, y in zip(diff[p1], diff[p2])), Fraction(0))
-            out[p1 + p2] += dot
-    return out
+    table = _trajectories(fw, variables, s)
+    return _squared_distance(table[a], table[b], 2 * s.degree)
 
 
 def flexion_nontriviality(
     fw: Framework, variables: Sequence[tuple[str, int]], s: SeriesCoefficients
 ) -> FlexionReport:
     """Classify a flexion: Nontrivial iff some non-bar pair's squared
-    distance has a nonzero coefficient at an order in [1, 2q]. On a
+    distance has a nonzero coefficient at an order in [1, q]. On a
     complete bar graph there are no admissible witness pairs and the
-    classification is Trivial by definition."""
+    classification is Trivial by definition.
+
+    Orders above q are not read. The certified family agrees with the
+    series only through t^q, so the series' distance coefficients past q
+    need not be the family's: the rotation of a braced square about a
+    pinned corner, cut at q = 2, moves a non-bar distance at order 4.
+    Truncated expansions must not be read past their order (Connelly &
+    Servatius 1994 give second-order flexes that do not extend)."""
     bar_set = set(fw.bars)
     ids = fw.joint_ids()
+    table = _trajectories(fw, variables, s)
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             if (a, b) in bar_set:
                 continue
-            coeffs = squared_distance_series(fw, variables, s, a, b)
-            for order in range(1, len(coeffs)):
+            coeffs = _squared_distance(table[a], table[b], s.degree)
+            for order in range(1, s.degree + 1):
                 if coeffs[order] != 0:
                     return FlexionReport(
                         order=s.degree,

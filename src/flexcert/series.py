@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import ratlinalg
@@ -142,37 +141,19 @@ def reparameterize(
 ) -> SeriesCoefficients:
     """Coefficients of X(tau + a tau^e) up to out_degree.
 
+    Horner's rule from the top coefficient down: out <- out*u + Xp, where
+    multiplying by u = tau + a tau^e is a shift by one plus a times a
+    shift by e, truncated at out_degree.
+
     For e >= 2 the constant and linear coefficients are unchanged; for
     e = 2 the next ones satisfy Y2 = X2 + a X1 and Y3 = X3 + 2 a X2.
     """
     if e < 2:
         raise DimensionError("reparameterization exponent must be at least 2")
     a = ratlinalg.scalar(a)
-    width = s.width
-    # u(tau) = tau + a tau^e as a coefficient list, truncated
-    u = [Fraction(0)] * (out_degree + 1)
-    if out_degree >= 1:
-        u[1] = Fraction(1)
-    if e <= out_degree:
-        u[e] += a
-    out = [zero_vector(width) for _ in range(out_degree + 1)]
-    out[0] = s.coefficient(0)
-    upow = list(u)  # u^1
-    for p in range(1, s.degree + 1):
-        if p > out_degree:
-            break
-        if p > 1:
-            nxt = [Fraction(0)] * (out_degree + 1)
-            for i, ci in enumerate(upow):
-                if ci == 0:
-                    continue
-                for j, cj in enumerate(u):
-                    if cj == 0 or i + j > out_degree:
-                        continue
-                    nxt[i + j] += ci * cj
-            upow = nxt
-        xp = s.coefficient(p)
-        for idx in range(out_degree + 1):
-            if upow[idx] != 0:
-                out[idx] = vec_add(out[idx], vec_scale(upow[idx], xp))
+    out = [zero_vector(s.width)] * (out_degree + 1)
+    for xp in reversed(s.coeffs):
+        shifted = ([xp] + out)[: out_degree + 1]  # out*tau + Xp, truncated
+        out = [vec_add(y, vec_scale(a, out[i - e])) if i >= e else y
+               for i, y in enumerate(shifted)]
     return SeriesCoefficients(tuple(out))

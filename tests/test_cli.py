@@ -258,6 +258,23 @@ MALFORMED = {
                                   {"variables": ["x"], "equations": [{"beta": [[0, "1"]]}],
                                    "base_point": ["\u0661/\u0662"]},
                                   "not a rational string: '\u0661/\u0662'"),
+    # a field the format does not define is named, not dropped: cubic.json
+    # holds polynomial equations, which a quadratic system would read as 0 = 0
+    "system_equation_with_terms": ("analyze-system", fileio.load_json(corpus_path("cubic.json")),
+                                   "equations[0]: unknown field 'terms'"),
+    "system_equation_misspelt_alpha": ("analyze-system",
+                                       {"variables": ["x"], "equations": [{"alpah": [[0, 0, "1"]]}],
+                                        "base_point": ["0"]},
+                                       "equations[0]: unknown field 'alpah'"),
+    "framework_misspelt_pins": ("analyze-framework",
+                                {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
+                                 "pin": [{"joint": "a", "coords": [0, 1]}]},
+                                "framework: unknown field 'pin'"),
+    "term_extra_field": ("reduce",
+                         {"variables": ["x"],
+                          "equations": [{"terms": [{"exponents": [2], "coeff": "1",
+                                                    "coef": "2"}]}]},
+                         "equations[0].terms[0]: unknown field 'coef'"),
 }
 
 

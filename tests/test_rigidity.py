@@ -257,6 +257,20 @@ def test_analyze_k4_never_flexible():
     assert rep.verdict == RIGID
 
 
+@pytest.mark.parametrize("pins", [[("a", 0), ("a", 1)], []])
+def test_truncated_rotation_is_not_a_flexion(pins):
+    # the braced square pinned at a (or not at all) is certified at
+    # (q, k) = (2, 1) by its rotation about a; the truncated series moves
+    # the (b, d) distance at order 4 = 2q, which the family does not
+    joints = {"a": [0, 0], "b": [1, 0], "c": [1, 1], "d": [0, 1]}
+    bars = [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "c"]]
+    rep = analyze_framework(framework(2, joints, bars, pins))
+    assert (rep.certificate.q, rep.certificate.k) == (2, 1)
+    assert rep.verdict == INCONCLUSIVE
+    assert rep.flexion.classification == "Trivial"
+    assert analyze_framework(framework(2, joints, bars), use_auto_pin=True).verdict == RIGID
+
+
 def test_analyze_unpinned_square_stays_inconclusive():
     rep = analyze_framework(square(), use_auto_pin=False)
     assert rep.verdict != RIGID

@@ -206,19 +206,24 @@ def test_reparameterize_identity_and_low_order_rules():
 
 
 def test_reparameterize_matches_bruteforce_composition():
+    # series degree 0..5 against out_degree 0..7, so the output is cut
+    # below, at and above the series degree, with e up to out_degree + 2
     rng = random.Random(88)
-    for _ in range(10):
-        coeffs = [vector([F(rng.randint(-2, 2)) for _ in range(2)]) for _ in range(5)]
-        s = SeriesCoefficients(tuple(coeffs))
-        a = F(rng.randint(-3, 3), rng.randint(1, 2))
-        e = rng.randint(2, 4)
-        out_degree = 6
-        u = [F(0)] * (out_degree + 1)
-        u[1] = F(1)
-        u[e] += a
-        expected = _compose_bruteforce(list(s.coeffs), u, out_degree)
-        got = reparameterize(s, a, e, out_degree)
-        assert list(got.coeffs) == expected
+    for degree in range(6):
+        for out_degree in range(8):
+            for e in range(2, out_degree + 3):
+                coeffs = [vector([F(rng.randint(-2, 2)) for _ in range(2)])
+                          for _ in range(degree + 1)]
+                s = SeriesCoefficients(tuple(coeffs))
+                a = F(rng.randint(-3, 3), rng.randint(1, 2))
+                u = [F(0)] * (out_degree + 1)
+                if out_degree >= 1:
+                    u[1] = F(1)
+                if e <= out_degree:
+                    u[e] += a
+                expected = _compose_bruteforce(list(s.coeffs), u, out_degree)
+                got = reparameterize(s, a, e, out_degree)
+                assert list(got.coeffs) == expected
 
 
 def test_reparameterize_inverse_composition():
