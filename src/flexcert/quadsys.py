@@ -1,24 +1,31 @@
 """Systems of algebraic equations of degree at most 2.
 
-A system is stored sparsely, in one canonical form: per equation k, the
-symmetric matrix alpha^k as sorted (i, j, c) triples with i <= j, the
-vector beta^k as sorted (i, c) pairs, both without zeros, and a constant
-gamma^k. Equal systems compare equal, and F, B, A and the rows of the
-linearization C at a base point (the object every rigidity test
-interrogates) cost O(nnz). Higher-degree polynomial systems are brought
-into this form by introducing auxiliary variables for sub-monomials.
+A system is stored sparsely, in one canonical form: equation k is
+(sum a x_i x_j + sum b x_i + c) / den_k = 0, with integer coefficients,
+(i, j, a) triples with i <= j and (i, b) pairs sorted and without zeros,
+and den_k > 0 the lcm of the denominators of the equation's rational
+coefficients (the integers are not reduced further). Equal systems
+compare equal. F, B, A and the rows of the linearization C at a base
+point (the object every rigidity test interrogates) cost O(nnz) in int
+arithmetic: each Fraction argument is scaled once to integers over its
+common denominator and each output entry is one Fraction. `alpha`,
+`beta` and `gamma` are Fraction views of the same form. Higher-degree
+polynomial systems are brought into this form by introducing auxiliary
+variables for sub-monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .ratlinalg import (
     DimensionError,
     Matrix,
     Vector,
+    _integers,
     is_zero_vector,
     kernel_basis,
     scalar,
@@ -38,24 +45,51 @@ class BasePointError(ValueError):
 @dataclass(frozen=True)
 class QuadraticSystem:
     """n equations of degree <= 2 in m variables, with exact coefficients,
-    in the canonical form that validate_and_symmetrize builds."""
+    in the canonical integer form that validate_and_symmetrize builds.
+
+    `alpha`, `beta` and `gamma` give the same equations as Fractions:
+    alpha^k is the symmetric matrix of the quadratic form, as (i, j, c)
+    triples with i <= j (an off-diagonal c is half the coefficient of
+    x_i x_j), beta^k the (i, c) pairs and gamma^k the constant, each
+    divided by den_k. They are built on each access."""
 
     m: int
     n: int
-    alpha: tuple[tuple[tuple[int, int, Fraction], ...], ...]  # (i, j, c) per equation
-    beta: tuple[tuple[tuple[int, Fraction], ...], ...]        # (i, c) per equation
-    gamma: tuple[Fraction, ...]      # one constant per equation
+    quad: tuple[tuple[tuple[int, int, int], ...], ...]  # (i, j, a) per equation: a x_i x_j
+    lin: tuple[tuple[tuple[int, int], ...], ...]        # (i, b) per equation: b x_i
+    const: tuple[int, ...]   # one integer constant per equation
+    den: tuple[int, ...]     # one positive denominator per equation
     variable_names: tuple[str, ...]
 
     def __post_init__(self):
-        if not (len(self.alpha) == len(self.beta) == len(self.gamma) == self.n):
+        if not (len(self.quad) == len(self.lin) == len(self.const) == len(self.den) == self.n):
             raise DimensionError("equation count mismatch")
         if len(self.variable_names) != self.m:
             raise DimensionError("variable name count mismatch")
 
+    @property
+    def alpha(self) -> tuple[tuple[tuple[int, int, Fraction], ...], ...]:
+        return tuple(
+            tuple((i, j, Fraction(a, d if i == j else 2 * d)) for i, j, a in quad)
+            for quad, d in zip(self.quad, self.den))
+
+    @property
+    def beta(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        return tuple(tuple((i, Fraction(b, d)) for i, b in lin)
+                     for lin, d in zip(self.lin, self.den))
+
+    @property
+    def gamma(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, d) for c, d in zip(self.const, self.den))
+
 
 def default_names(m: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(m))
+
+
+def _exact(c):
+    # an int stays an int, so integer input builds no Fraction
+    return c if isinstance(c, int) else scalar(c)
 
 
 def validate_and_symmetrize(
@@ -67,46 +101,54 @@ def validate_and_symmetrize(
 ) -> QuadraticSystem:
     """Build a QuadraticSystem from raw per-equation terms: (i, j, c) for
     c x_i x_j, (i, c) for c x_i, and a constant. Duplicates are summed,
-    zeros dropped, and alpha replaced by (alpha + alpha^T)/2, which keeps
-    the quadratic form values and makes B symmetric, so B(X,Y)+B(Y,X) can
-    be computed as 2*B(X,Y) throughout."""
+    (j, i) is folded onto (i, j), zeros are dropped, and each equation is
+    scaled to integers over the lcm of its coefficients' denominators.
+    The `alpha` view is then (alpha + alpha^T)/2, which keeps the
+    quadratic form values and makes B symmetric, so B(X,Y)+B(Y,X) can be
+    computed as 2*B(X,Y) throughout."""
     n = len(alpha_terms)
     if n == 0 or len(beta_terms) != n or len(gamma) != n:
         raise DimensionError("need one or more equations, with equal alpha/beta/gamma counts")
-    half = Fraction(1, 2)
-    alphas, betas = [], []
-    for quad, lin in zip(alpha_terms, beta_terms):
-        sym: dict[tuple[int, int], Fraction] = {}
+    quads, lins, consts, dens = [], [], [], []
+    for quad, lin, g in zip(alpha_terms, beta_terms, gamma):
+        poly: dict[tuple[int, int], int | Fraction] = {}
         for i, j, c in quad:
             if not (0 <= i < m and 0 <= j < m):
                 raise DimensionError(f"alpha term ({i}, {j}) out of range for m = {m}")
-            key = (min(i, j), max(i, j))
-            sym[key] = sym.get(key, 0) + (scalar(c) if i == j else scalar(c) * half)
-        alphas.append(tuple((i, j, c) for (i, j), c in sorted(sym.items()) if c != 0))
-        acc: dict[int, Fraction] = {}
+            key = (i, j) if i <= j else (j, i)
+            poly[key] = poly.get(key, 0) + _exact(c)
+        acc: dict[int, int | Fraction] = {}
         for i, c in lin:
             if not 0 <= i < m:
                 raise DimensionError(f"beta term {i} out of range for m = {m}")
-            acc[i] = acc.get(i, 0) + scalar(c)
-        betas.append(tuple((i, c) for i, c in sorted(acc.items()) if c != 0))
+            acc[i] = acc.get(i, 0) + _exact(c)
+        g = _exact(g)
+        den = lcm(g.denominator, *(c.denominator for c in poly.values()),
+                  *(c.denominator for c in acc.values()))
+        quads.append(tuple((i, j, c.numerator * (den // c.denominator))
+                           for (i, j), c in sorted(poly.items()) if c))
+        lins.append(tuple((i, c.numerator * (den // c.denominator))
+                          for i, c in sorted(acc.items()) if c))
+        consts.append(g.numerator * (den // g.denominator))
+        dens.append(den)
     names = tuple(variable_names) if variable_names is not None else default_names(m)
-    gammas = tuple(scalar(g) for g in gamma)
-    return QuadraticSystem(m, n, tuple(alphas), tuple(betas), gammas, names)
+    return QuadraticSystem(m, n, tuple(quads), tuple(lins), tuple(consts), tuple(dens), names)
 
 
 def evaluate(sys: QuadraticSystem, x: Vector) -> Vector:
     """F(X): component k is sum alpha_ij x_i x_j + sum beta_i x_i + gamma."""
     if len(x) != sys.m:
         raise DimensionError(f"system has {sys.m} variables, point has {len(x)}")
+    d, xs = _integers(x)
     out = []
-    for quad, lin, g in zip(sys.alpha, sys.beta, sys.gamma):
-        diag = off = Fraction(0)
-        for i, j, c in quad:
-            if i == j:
-                diag += c * x[i] * x[i]
-            else:
-                off += c * x[i] * x[j]
-        out.append(sum((c * x[i] for i, c in lin), diag + 2 * off + g))
+    for quad, lin, c, den in zip(sys.quad, sys.lin, sys.const, sys.den):
+        total = 0
+        for i, j, a in quad:
+            total += a * xs[i] * xs[j]
+        affine = c * d
+        for i, b in lin:
+            affine += b * xs[i]
+        out.append(Fraction(total + affine * d, den * d * d))
     return tuple(out)
 
 
@@ -114,15 +156,15 @@ def bilinear(sys: QuadraticSystem, x: Vector, y: Vector) -> Vector:
     """B(X,Y): component k is sum_ij alpha_ij^k x_i y_j (symmetric in X,Y)."""
     if len(x) != sys.m or len(y) != sys.m:
         raise DimensionError("bilinear arguments must have m entries")
+    dx, xs = _integers(x)
+    dy, ys = _integers(y)
     out = []
-    for quad in sys.alpha:
-        total = Fraction(0)
-        for i, j, c in quad:
-            if i == j:
-                total += c * x[i] * y[i]
-            else:
-                total += c * (x[i] * y[j] + x[j] * y[i])
-        out.append(total)
+    for quad, den in zip(sys.quad, sys.den):
+        # a x_i x_j polarizes to a (x_i y_j + x_j y_i) / 2, also when i = j
+        total = 0
+        for i, j, a in quad:
+            total += a * (xs[i] * ys[j] + xs[j] * ys[i])
+        out.append(Fraction(total, 2 * den * dx * dy))
     return tuple(out)
 
 
@@ -130,7 +172,9 @@ def linear_part(sys: QuadraticSystem, x: Vector) -> Vector:
     """A(X): component k is sum_i beta_i^k x_i."""
     if len(x) != sys.m:
         raise DimensionError("linear_part argument must have m entries")
-    return tuple(sum((c * x[i] for i, c in lin), Fraction(0)) for lin in sys.beta)
+    d, xs = _integers(x)
+    return tuple(Fraction(sum(b * xs[i] for i, b in lin), den * d)
+                 for lin, den in zip(sys.lin, sys.den))
 
 
 @dataclass(frozen=True)
@@ -166,25 +210,26 @@ class BaseOperators:
 def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     """Construct the operators at a base point, rejecting non-solutions.
 
-    Column j of C equals B(X0,e_j) + B(e_j,X0) + A(e_j); with symmetric
-    alpha this is 2*(alpha^k X0)_j + beta_j^k per equation row k, so
-    each row of C is built from the equation's alpha and beta terms
-    alone, in O(nnz).
+    Row k of C is the gradient of F_k at X0: a term a x_i x_j adds a x_j
+    to column i and a x_i to column j (2 a x_i when i = j), and b x_i
+    adds b to column i. Each row is summed in integers over den_k and
+    X0's common denominator, from the equation's own terms, in O(nnz).
     """
     x0 = vector(base_point)
     residual = evaluate(sys, x0)
     if not is_zero_vector(residual):
         raise BasePointError(residual)
+    d, xs = _integers(x0)
     rows = []
-    for quad, lin in zip(sys.alpha, sys.beta):
-        row: dict[int, Fraction] = {}
-        for i, j, c in quad:
-            row[i] = row.get(i, 0) + 2 * c * x0[j]
-            if i != j:
-                row[j] = row.get(j, 0) + 2 * c * x0[i]
-        for i, c in lin:
-            row[i] = row.get(i, 0) + c
-        rows.append(tuple(sorted((j, v) for j, v in row.items() if v)))
+    for quad, lin, den in zip(sys.quad, sys.lin, sys.den):
+        row: dict[int, int] = {}
+        for i, j, a in quad:
+            row[i] = row.get(i, 0) + a * xs[j]
+            row[j] = row.get(j, 0) + a * xs[i]
+        for i, b in lin:
+            row[i] = row.get(i, 0) + b * d
+        scale = den * d
+        rows.append(tuple((j, Fraction(v, scale)) for j, v in sorted(row.items()) if v))
     c = Matrix(sys.n, sys.m, tuple(rows))
     # spot-check the closed-form columns against the operational definition
     probe = (Fraction(1),) * sys.m
@@ -282,51 +327,73 @@ def restrict_solution(rmap: ReductionMap, x: Vector) -> Vector:
     return tuple(x[: rmap.original_variable_count])
 
 
+def _degree(mono: tuple[tuple[int, int], ...]) -> int:
+    return sum(e for _, e in mono)
+
+
 def reduce_degree(poly: GeneralPolySystem) -> tuple[QuadraticSystem, ReductionMap]:
     """Rewrite a polynomial system so every equation has degree <= 2.
 
-    A monomial is held as the sorted tuple of its variables' indices, each
-    repeated by its exponent (x0^2 x1 is (0, 0, 1)), so its degree is its
-    length. While a monomial of degree d > 2 exists, the smallest tuple of
-    maximal degree is split; among equal degrees a smaller tuple is a
-    lexicographically greater exponent vector. Its head, the first
-    ceil(d/2) indices (the lowest-indexed sub-monomial of that degree), is
+    A monomial is held in run-length form, the (index, exponent) pairs of
+    its variables in index order (x0^2 x1 is ((0, 2), (1, 1))), so its
+    size grows with its number of variables, not with its degree. Spelled
+    out, it is the sorted tuple of its indices, each repeated by its
+    exponent (x0^2 x1 is (0, 0, 1)). While a monomial of degree d > 2
+    exists, the one of maximal degree with the smallest such tuple is
+    split; among equal degrees a smaller tuple is a lexicographically
+    greater exponent vector, and comparing the pairs (index, -exponent)
+    in order gives the same order. Its head, the first ceil(d/2) indices
+    of the tuple (the lowest-indexed sub-monomial of that degree), is
     bound to an auxiliary variable by one defining equation (head minus
     variable), and every occurrence of the monomial becomes the rest of
     it times that variable. Identical heads reuse the same auxiliary. The
     solution sets correspond bijectively via the returned ReductionMap.
     """
     equations = [
-        {tuple(i for i, e in enumerate(exps) for _ in range(e)): c for exps, c in eq.items() if c}
+        {tuple((i, e) for i, e in enumerate(exps) if e): c for exps, c in eq.items() if c}
         for eq in poly.equations
     ]
     names = list(poly.variable_names)
     defs: list[tuple[int, tuple[int, ...]]] = []
-    known: dict[tuple[int, ...], int] = {}
+    known: dict[tuple[tuple[int, int], ...], int] = {}
 
     while True:
         worst = min(
-            (mono for eq in equations for mono in eq if len(mono) > 2),
-            key=lambda mono: (-len(mono), mono),
+            (mono for eq in equations for mono in eq if _degree(mono) > 2),
+            key=lambda mono: (-_degree(mono), [(i, -e) for i, e in mono]),
             default=None,
         )
         if worst is None:
             break
-        cut = (len(worst) + 1) // 2
-        head = worst[:cut]
+        need = (_degree(worst) + 1) // 2
+        head, rest = [], {}
+        for i, e in worst:
+            take = min(e, need)
+            need -= take
+            if take:
+                head.append((i, take))
+            if e > take:
+                rest[i] = e - take
+        head = tuple(head)
         var = known.get(head)
         if var is None:
             var = known[head] = len(names)
             names.append(f"x{var + 1}")
-            defs.append((var, tuple(head.count(i) for i in range(var))))
-            equations.append({head: Fraction(1), (var,): Fraction(-1)})
-        quotient = tuple(sorted(worst[cut:] + (var,)))
+            exps = [0] * var
+            for i, e in head:
+                exps[i] = e
+            defs.append((var, tuple(exps)))
+            equations.append({head: 1, ((var, 1),): -1})
+        rest[var] = rest.get(var, 0) + 1
+        quotient = tuple(sorted(rest.items()))
         for eq in equations:
             if worst in eq:
                 eq[quotient] = eq.get(quotient, 0) + eq.pop(worst)
 
-    alphas = [[(*mono, c) for mono, c in eq.items() if len(mono) == 2] for eq in equations]
-    betas = [[(*mono, c) for mono, c in eq.items() if len(mono) == 1] for eq in equations]
-    gammas = [eq.get((), 0) for eq in equations]
+    spelled = [{tuple(i for i, e in mono for _ in range(e)): c for mono, c in eq.items()}
+               for eq in equations]
+    alphas = [[(*mono, c) for mono, c in eq.items() if len(mono) == 2] for eq in spelled]
+    betas = [[(*mono, c) for mono, c in eq.items() if len(mono) == 1] for eq in spelled]
+    gammas = [eq.get((), 0) for eq in spelled]
     reduced = validate_and_symmetrize(len(names), alphas, betas, gammas, names)
     return reduced, ReductionMap(poly.m, tuple(defs))

@@ -6,7 +6,8 @@ no floating point appears on any decision path.
 
 A `Matrix` stores only its nonzero entries, row by row, and every
 operation on it (products, transposes, eliminations) touches only those.
-One routine, `_rref`, answers every kernel and solve question: a sparse,
+`mul_vec` sums each row as ints over the common denominators of the row
+and of the vector, and builds one Fraction per entry. One routine, `_rref`, answers every kernel and solve question: a sparse,
 fraction-free Gauss–Jordan elimination. It scales each row to coprime
 integers in a {column: int} dict; row operations touch only the stored
 entries and strip the gcd of every row they produce. The reduced row
@@ -83,6 +84,12 @@ def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
 
+def _integers(x: Sequence) -> tuple[int, list[int]]:
+    # x over its least common denominator d: (d, [d * x_i]), each an int
+    d = lcm(*(v.denominator for v in x))
+    return d, [v.numerator * (d // v.denominator) for v in x]
+
+
 def combination(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
     """sum c_i v_i as a vector of length n; zero coefficients are skipped."""
     total = zero_vector(n)
@@ -149,9 +156,20 @@ class Matrix:
         return tuple(dense)
 
     def mul_vec(self, x: Vector) -> Vector:
+        """M·x. x is scaled once to integers over its common denominator,
+        and each row's values to integers over theirs, so every entry is
+        summed in int arithmetic and builds one Fraction."""
         if len(x) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(x)}")
-        return tuple(sum((v * x[j] for j, v in row), Fraction(0)) for row in self.nonzeros)
+        d, xs = _integers(x)
+        out = []
+        for row in self.nonzeros:
+            scale = lcm(*(v.denominator for _, v in row))
+            total = 0
+            for j, v in row:
+                total += v.numerator * (scale // v.denominator) * xs[j]
+            out.append(Fraction(total, scale * d))
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]

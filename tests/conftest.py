@@ -25,6 +25,24 @@ def dense_system(alpha_raw, beta_raw, gamma_raw):
     return quadsys.validate_and_symmetrize(m, alphas, betas, gamma_raw)
 
 
+def triangulated_grid(n):
+    """n x n lattice of joints, each unit square split by one diagonal."""
+    def jid(col, row):
+        return f"p{col:02d}_{row:02d}"
+
+    joints = {jid(c, r): [c, r] for c in range(n) for r in range(n)}
+    bars = []
+    for c in range(n):
+        for r in range(n):
+            if c + 1 < n:
+                bars.append([jid(c, r), jid(c + 1, r)])
+            if r + 1 < n:
+                bars.append([jid(c, r), jid(c, r + 1)])
+            if c + 1 < n and r + 1 < n:
+                bars.append([jid(c, r), jid(c + 1, r + 1)])
+    return rigidity.framework(2, joints, bars)
+
+
 def system_poly_terms(sys_):
     """Expand a quadratic system back into exponent-map equations."""
     eqs = []

@@ -1,15 +1,17 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from flexcert import quadsys
+from flexcert import quadsys, rigidity
 from flexcert.quadsys import (
     BasePointError,
     bilinear,
     evaluate,
     evaluate_poly,
     lift_base_point,
+    linear_part,
     linearize,
     poly_system,
     reduce_degree,
@@ -18,7 +20,7 @@ from flexcert.quadsys import (
 )
 from flexcert.ratlinalg import DimensionError, vec_add, vec_sub, vector, zero_vector
 
-from conftest import dense_system, system_poly_terms
+from conftest import dense_system, system_poly_terms, triangulated_grid
 
 
 def test_symmetrize_upper_triangle():
@@ -136,53 +138,155 @@ def test_linearize_probe_mismatch_raises(monkeypatch, hyperboloid_line):
         linearize(sys_, base)
 
 
+def _random_fraction(rng):
+    return F(rng.randint(-9, 9), rng.randint(1, 9))
+
+
 def _random_raw_terms(rng, m):
-    """Raw quadratic terms with repeated (i, j) keys and both (i, j) and (j, i)."""
+    """Raw quadratic terms with repeated (i, j) keys and both (i, j) and (j, i),
+    denominators up to 9 that differ from term to term."""
     quad = []
-    for _ in range(rng.randint(0, 6)):
+    for _ in range(rng.randint(0, 8)):
         i, j = rng.randrange(m), rng.randrange(m)
-        c = F(rng.randint(-3, 3), rng.randint(1, 3))
+        c = _random_fraction(rng)
         quad += [(i, j, c), (j, i, c / 2)] if rng.random() < 0.5 else [(i, j, c)]
-    lin = [(rng.randrange(m), F(rng.randint(-3, 3))) for _ in range(rng.randint(0, 3))]
+    lin = [(rng.randrange(m), _random_fraction(rng)) for _ in range(rng.randint(0, 4))]
     return quad, lin
 
 
+def _random_point(rng, m):
+    # a zero vector one time in eight; otherwise each coordinate has its
+    # own denominator
+    if rng.random() < 0.125:
+        return [F(0)] * m
+    return [_random_fraction(rng) for _ in range(m)]
+
+
+def _fraction_symmetrization(quad, lin, g):
+    """The alpha, beta and gamma of one equation, built term by term in
+    Fractions: off-diagonal coefficients are halved onto (min, max)."""
+    sym, acc = {}, {}
+    for i, j, c in quad:
+        key = (min(i, j), max(i, j))
+        sym[key] = sym.get(key, F(0)) + (F(c) if i == j else F(c) / 2)
+    for i, c in lin:
+        acc[i] = acc.get(i, F(0)) + F(c)
+    return (tuple((i, j, c) for (i, j), c in sorted(sym.items()) if c),
+            tuple((i, c) for i, c in sorted(acc.items()) if c), F(g))
+
+
 def test_sparse_kernels_match_sympy():
+    # F, B, A, the rows of C and M·x are summed in integers over common
+    # denominators; sympy evaluates the same polynomials, built from the
+    # raw terms, over QQ
     sympy = pytest.importorskip("sympy")
 
     def frac(r):
         return F(int(r.p), int(r.q))
 
+    def poly(terms, xs):
+        # terms are (indices, coefficient); an index tuple is a monomial
+        coeffs = {}
+        for indices, c in terms:
+            exps = tuple(indices.count(i) for i in range(len(xs)))
+            coeffs[exps] = coeffs.get(exps, 0) + sympy.Rational(c)
+        return sympy.Poly.from_dict(coeffs, *xs, domain=sympy.QQ)
+
+    def at(p, point):
+        return frac(p(*map(sympy.Rational, point)))
+
     rng = random.Random(2024)
-    for _ in range(25):
-        m, n = rng.randint(1, 4), rng.randint(1, 3)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 3)
         xs = sympy.symbols(f"x0:{m}")
         raw = [_random_raw_terms(rng, m) for _ in range(n)]
-        base = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)]
-        at_base = dict(zip(xs, map(sympy.Rational, base)))
-        quads, polys, gammas = [], [], []
-        for quad, lin in raw:
-            q = sum((sympy.Rational(c) * xs[i] * xs[j] for i, j, c in quad), sympy.Integer(0))
-            a = sum((sympy.Rational(c) * xs[i] for i, c in lin), sympy.Integer(0))
-            g = -(q + a).subs(at_base)  # make the base point a solution
-            quads.append(q)
-            polys.append(q + a + g)
-            gammas.append(frac(g))
+        base = _random_point(rng, m)
+        quads = [poly([((i, j), c) for i, j, c in quad], xs) for quad, _ in raw]
+        lins = [poly([((i,), c) for i, c in lin], xs) for _, lin in raw]
+        gammas = [-at(q + a, base) for q, a in zip(quads, lins)]  # the base point solves
+        polys = [q + a + sympy.Rational(g) for q, a, g in zip(quads, lins, gammas)]
         sys_ = validate_and_symmetrize(m, [r[0] for r in raw], [r[1] for r in raw], gammas)
+        for k, ((quad, lin), g) in enumerate(zip(raw, gammas)):
+            views = (sys_.alpha[k], sys_.beta[k], sys_.gamma[k])
+            assert views == _fraction_symmetrization(quad, lin, g)
+            assert all(type(c) is F for c in (*(t[-1] for t in views[0] + views[1]), views[2]))
 
-        x, y = ([F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)] for _ in range(2))
-        at_x = dict(zip(xs, map(sympy.Rational, x)))
-        assert evaluate(sys_, vector(x)) == tuple(frac(p.subs(at_x)) for p in polys)
+        x, y = _random_point(rng, m), _random_point(rng, m)
+        assert evaluate(sys_, vector(x)) == tuple(at(p, x) for p in polys)
+        assert linear_part(sys_, vector(x)) == tuple(at(a, x) for a in lins)
         # polarization: B(X, Y) = (Q(X + Y) - Q(X) - Q(Y)) / 2
-        at_sum = {s: sympy.Rational(u + v) for s, u, v in zip(xs, x, y)}
-        at_y = dict(zip(xs, map(sympy.Rational, y)))
-        expected_b = tuple(
-            frac((q.subs(at_sum) - q.subs(at_x) - q.subs(at_y)) / 2) for q in quads
-        )
+        x_plus_y = [u + v for u, v in zip(x, y)]
+        expected_b = tuple((at(q, x_plus_y) - at(q, x) - at(q, y)) / 2 for q in quads)
         assert bilinear(sys_, vector(x), vector(y)) == expected_b
-        jac = sympy.Matrix(polys).jacobian(xs).subs(at_base)
-        expected_c = [[frac(jac[k, j]) for j in range(m)] for k in range(n)]
-        assert [list(r) for r in linearize(sys_, base).c_matrix.entries] == expected_c
+        jac = sympy.Matrix([[p.diff(v)(*map(sympy.Rational, base)) for v in xs] for p in polys])
+        c = linearize(sys_, base).c_matrix
+        assert [list(r) for r in c.entries] == [[frac(jac[k, j]) for j in range(m)]
+                                                for k in range(n)]
+        assert c.mul_vec(vector(x)) == tuple(frac(v) for v in jac * sympy.Matrix(x))
+        w = _random_point(rng, n)
+        assert c.transpose().mul_vec(vector(w)) == tuple(
+            frac(v) for v in jac.T * sympy.Matrix(w))
+
+
+def test_equivalent_raw_terms_give_equal_systems():
+    # the integer form over one denominator per equation is canonical
+    half = validate_and_symmetrize(2, [[(0, 1, "1/2")]], [[(0, "1/2")]], ["1/2"])
+    assert (half.quad, half.lin, half.const, half.den) == (
+        (((0, 1, 1),),), (((0, 1),),), (1,), (2,))
+    equivalent = [
+        validate_and_symmetrize(2, [[(0, 1, "2/4")]], [[(0, F(2, 4))]], ["3/6"]),
+        # (i, j) split with (j, i)
+        validate_and_symmetrize(2, [[(0, 1, F(1, 4)), (1, 0, F(1, 4))]], [[(0, F(1, 2))]],
+                                [F(1, 2)]),
+        # duplicates that cancel, in every part of the equation
+        validate_and_symmetrize(
+            2, [[(0, 1, F(1, 2)), (0, 0, F(1, 3)), (0, 0, F(-1, 3)), (1, 1, 7), (1, 1, -7)]],
+            [[(0, F(1, 2)), (1, F(1, 5)), (1, F(-1, 5))]], [F(1, 2)]),
+    ]
+    for sys_ in equivalent:
+        assert sys_ == half and hash(sys_) == hash(half)
+        assert (sys_.alpha, sys_.beta, sys_.gamma) == (
+            (((0, 1, F(1, 4)),),), (((0, F(1, 2)),),), (F(1, 2),))
+    # 2F has the same zeros as F but is another system
+    double = validate_and_symmetrize(2, [[(0, 1, 1)]], [[(0, 1)]], [1])
+    assert double != half and double.den == (1,) and double.quad == half.quad
+    assert validate_and_symmetrize(1, [[]], [[]], [0]).den == (1,)
+
+
+def test_kernels_build_one_fraction_per_output():
+    # F, B, A and M·x build one Fraction per output entry, and linearize
+    # one per nonzero of C plus O(n), however many alpha terms there are
+    fw = rigidity.auto_pin(triangulated_grid(10))
+    sys_, _, base = rigidity.build_edge_system(fw)
+    ops = linearize(sys_, base)
+    nnz = sum(len(row) for row in ops.c_matrix.nonzeros)
+    y = vector(F(k % 7 - 3, 1 + k % 5) for k in range(sys_.m))
+    calls = {
+        "evaluate": (lambda: evaluate(sys_, y), sys_.n),
+        "bilinear": (lambda: bilinear(sys_, base, y), sys_.n),
+        "linear_part": (lambda: linear_part(sys_, y), sys_.n),
+        "mul_vec": (lambda: ops.c_matrix.mul_vec(y), sys_.n),
+        "linearize": (lambda: linearize(sys_, base), nnz + 7 * sys_.n),
+    }
+    built = 0
+    saved = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return saved.__func__(cls, *args, **kwargs)
+
+    counts = {}
+    F.__new__ = staticmethod(counting_new)
+    try:
+        for name, (call, _) in calls.items():
+            built = 0
+            call()
+            counts[name] = built
+    finally:
+        F.__new__ = saved
+    assert sum(len(quad) for quad in sys_.quad) > 2 * sys_.n
+    assert all(counts[name] <= bound for name, (_, bound) in calls.items()), (counts, nnz, sys_.n)
 
 
 def test_base_operators_memoize_products_per_instance(hyperboloid_line):
@@ -261,6 +365,25 @@ def test_reduce_degree_splits_the_greatest_exponent_vector_first(equations):
         assert red.alpha == (((1, 3, F(1, 2)),), ((0, 2, F(1, 2)),)) + defining
     assert red.beta[-2:] == (((2, F(-1)),), ((3, F(-1)),))
     assert red.variable_names == ("x1", "x2", "x3", "x4")
+
+
+def test_reduce_degree_memory_grows_with_exponent_bits():
+    # x^1000000 - y: each monomial is held by its (index, exponent) pairs,
+    # so no step builds a tuple as long as the degree (8 MB of pointers)
+    poly = poly_system([{(1000000, 0): 1, (0, 1): -1}], 2)
+    tracemalloc.start()
+    try:
+        red, rmap = reduce_degree(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert len(rmap.auxiliary_definitions) == 114
+    assert (red.m, red.n) == (116, 115)
+    assert all(sum(e) <= 2 for eq in system_poly_terms(red) for e in eq)
+    # (+-1, 1) solve x^1000000 = y and lift to solutions of the reduced system
+    for x0 in (1, -1):
+        assert evaluate(red, lift_base_point(rmap, vector([x0, 1]))) == zero_vector(115)
 
 
 def test_reduce_degree_already_quadratic_is_unchanged():

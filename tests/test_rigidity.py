@@ -22,7 +22,7 @@ from flexcert.rigidity import (
 )
 from flexcert.series import SeriesCoefficients
 
-from conftest import load_corpus_framework
+from conftest import load_corpus_framework, triangulated_grid
 
 
 def triangle():
@@ -282,24 +282,6 @@ def test_flexible_verdicts_replay():
         rep = analyze_framework(fw_builder(), use_auto_pin=True)
         sys_, variables, base = build_edge_system(rep.pinned)
         assert certify.replay_certificate(sys_, base, rep.certificate)
-
-
-def triangulated_grid(n):
-    """n x n lattice of joints, each unit square split by one diagonal."""
-    def jid(col, row):
-        return f"p{col:02d}_{row:02d}"
-
-    joints = {jid(c, r): [c, r] for c in range(n) for r in range(n)}
-    bars = []
-    for c in range(n):
-        for r in range(n):
-            if c + 1 < n:
-                bars.append([jid(c, r), jid(c + 1, r)])
-            if r + 1 < n:
-                bars.append([jid(c, r), jid(c, r + 1)])
-            if c + 1 < n and r + 1 < n:
-                bars.append([jid(c, r), jid(c + 1, r + 1)])
-    return framework(2, joints, bars)
 
 
 def test_ten_by_ten_grid_is_first_order_rigid_within_budget():
