@@ -28,8 +28,6 @@ from .ratlinalg import (
     kernel_basis,
     solve_general,
     solve_in_span_coefficients,
-    vec_scale,
-    vec_sub,
     zero_vector,
 )
 from .series import (
@@ -325,7 +323,8 @@ def span_closure_check(
     if solved is None:
         return None
     pair_solutions = tuple(
-        PairSolution(i, j, vec_scale(-2, coeffs), vec_scale(-2, vec))
+        PairSolution(i, j, combination((-2,), (coeffs,), len(span)),
+                     combination((-2,), (vec,), ops.system.m))
         for (i, j), (coeffs, vec) in zip(pairs, solved)
     )
     return SpanClosureFlex(q=q, k=k, series=prefix, pair_solutions=pair_solutions)
@@ -434,7 +433,7 @@ def _validate_t_standard(ops: BaseOperators, t_basis: tuple[Vector, ...],
 
 def _into_t(x: Vector, lead: Vector, phi: Vector) -> Vector:
     # the one point of the line x + span{lead} inside T = ker phi
-    return vec_sub(x, vec_scale(_dot(phi, x) / _dot(phi, lead), lead))
+    return combination((1, -_dot(phi, x) / _dot(phi, lead)), (x, lead), len(x))
 
 
 def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
@@ -624,7 +623,8 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
         combo = combination(ps.coefficients, span, ops.system.m)
         if combo != ps.vector:
             return False
-        rhs = vec_scale(-2, ops.bilinear(s.coefficient(ps.i), s.coefficient(ps.j)))
+        rhs = combination((-2,), (ops.bilinear(s.coefficient(ps.i), s.coefficient(ps.j)),),
+                          ops.system.n)
         if ops.c_matrix.mul_vec(combo) != rhs:
             return False
         seen.add((ps.i, ps.j))

@@ -125,6 +125,8 @@ def system_to_dict(sys: QuadraticSystem, base_point: Optional[Vector] = None) ->
 def system_from_dict(data: dict, path: str = "<memory>") -> tuple[QuadraticSystem, Optional[Vector]]:
     if not isinstance(data, dict) or "equations" not in data:
         raise ParseError(path, "expected an object with an 'equations' field")
+    # `series` is the starting series of `flexcert extend`
+    _known_fields(data, ("variables", "equations", "base_point", "series"), path, "system")
     variables = data.get("variables")
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ParseError(path, "'variables' must be a list of names")
@@ -189,6 +191,7 @@ def poly_from_dict(
 ) -> tuple[GeneralPolySystem, Optional[Vector]]:
     if not isinstance(data, dict) or "equations" not in data:
         raise ParseError(path, "expected an object with an 'equations' field")
+    _known_fields(data, ("variables", "equations", "base_point"), path, "polynomial system")
     variables = data.get("variables")
     if not isinstance(variables, list) or not variables:
         raise ParseError(path, "'variables' must be a non-empty list of names")
@@ -259,6 +262,7 @@ def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, 
     for t, joint in enumerate(_list_in(data["joints"], path, "'joints'")):
         if not isinstance(joint, dict) or "id" not in joint or "coords" not in joint:
             raise ParseError(path, f"joints[{t}]: expected {{id, coords}}")
+        _known_fields(joint, ("id", "coords"), path, f"joints[{t}]")
         coords = joint["coords"]
         if not isinstance(coords, list) or len(coords) != dim:
             raise ParseError(path, f"joints[{t}]: expected {dim} coordinates")
@@ -278,6 +282,7 @@ def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, 
     for t, pin in enumerate(_list_in(data.get("pins", []), path, "'pins'")):
         if not isinstance(pin, dict) or "joint" not in pin or "coords" not in pin:
             raise ParseError(path, f"pins[{t}]: expected {{joint, coords}}")
+        _known_fields(pin, ("joint", "coords"), path, f"pins[{t}]")
         for idx in _list_in(pin["coords"], path, f"pins[{t}].coords"):
             if not _is_int(idx):
                 raise ParseError(path, f"pins[{t}]: coordinate indices must be integers")
@@ -310,6 +315,7 @@ def series_to_dict(s: SeriesCoefficients) -> dict:
 def series_from_dict(data: dict, path: str = "<memory>") -> SeriesCoefficients:
     if not isinstance(data, dict) or "coefficients" not in data:
         raise ParseError(path, "expected an object with 'coefficients'")
+    _known_fields(data, ("degree", "coefficients"), path, "series")
     coeffs = []
     for p, row in enumerate(_list_in(data["coefficients"], path, "'coefficients'")):
         if not isinstance(row, list):
@@ -318,6 +324,9 @@ def series_from_dict(data: dict, path: str = "<memory>") -> SeriesCoefficients:
                             for i, x in enumerate(row)))
     if not coeffs:
         raise ParseError(path, "'coefficients' must be non-empty")
+    if "degree" in data and not (_is_int(data["degree"]) and data["degree"] == len(coeffs) - 1):
+        raise ParseError(path, f"series: 'degree' must be {len(coeffs) - 1}, "
+                               f"one less than the number of coefficients")
     return SeriesCoefficients(tuple(coeffs))
 
 

@@ -26,6 +26,7 @@ from .ratlinalg import (
     Matrix,
     Vector,
     _integers,
+    combination,
     is_zero_vector,
     kernel_basis,
     scalar,
@@ -234,7 +235,7 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     # spot-check the closed-form columns against the operational definition
     probe = (Fraction(1),) * sys.m
     bx, ap = bilinear(sys, x0, probe), linear_part(sys, probe)
-    if c.mul_vec(probe) != tuple(2 * b + a for b, a in zip(bx, ap)):
+    if c.mul_vec(probe) != combination((2, 1), (bx, ap), sys.n):
         raise RuntimeError("linearization C disagrees with 2 B(X0, .) + A at the probe")
     return BaseOperators(sys, x0, c, tuple(kernel_basis(c)))
 

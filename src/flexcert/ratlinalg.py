@@ -4,10 +4,21 @@ Every verdict produced by the analyzer ultimately reduces to a rank /
 kernel / solvability question answered here, so all arithmetic is exact;
 no floating point appears on any decision path.
 
+Sums are taken in int arithmetic. `_integers` is the one step that
+scales a vector to integers over its least common denominator.
+`combination` is the one linear combination sum c_i v_i of vectors;
+every such sum in the package goes through it. It scales each term
+once, sums the integers over the lcm of the terms' denominators and
+builds one Fraction per entry.
+
 A `Matrix` stores only its nonzero entries, row by row, and every
 operation on it (products, transposes, eliminations) touches only those.
 `mul_vec` sums each row as ints over the common denominators of the row
-and of the vector, and builds one Fraction per entry. One routine, `_rref`, answers every kernel and solve question: a sparse,
+and of the vector, and builds one Fraction per entry. `mul_vec` and
+`_rref` scale their (column, value) rows inline: through `_integers`, the
+extra call and list per row made those loops 20-40% slower.
+
+One routine, `_rref`, answers every kernel and solve question: a sparse,
 fraction-free Gauss–Jordan elimination. It scales each row to coprime
 integers in a {column: int} dict; row operations touch only the stored
 entries and strip the gcd of every row they produce. The reduced row
@@ -66,20 +77,6 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise DimensionError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return tuple(a + b for a, b in zip(x, y))
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    if len(x) != len(y):
-        raise DimensionError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return tuple(a - b for a, b in zip(x, y))
-
-def vec_scale(c, x: Vector) -> Vector:
-    c = scalar(c)
-    return tuple(c * a for a in x)
-
 def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
@@ -91,12 +88,28 @@ def _integers(x: Sequence) -> tuple[int, list[int]]:
 
 
 def combination(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
-    """sum c_i v_i as a vector of length n; zero coefficients are skipped."""
-    total = zero_vector(n)
+    """sum c_i v_i as a vector of length n, for int or Fraction c_i.
+
+    Zero coefficients are skipped; a vector whose length is not n raises
+    DimensionError when its coefficient is nonzero. Each c_i v_i is
+    scaled once to integers, the terms are summed in int arithmetic over
+    the lcm of their denominators, and each entry builds one Fraction.
+    """
+    terms = []
     for c, v in zip(coeffs, vectors):
-        if c != 0:
-            total = vec_add(total, vec_scale(c, v))
-    return total
+        if c:
+            if len(v) != n:
+                raise DimensionError(f"vector has {len(v)} entries, expected {n}")
+            d, xs = _integers(v)
+            terms.append((c.numerator, c.denominator * d, xs))
+    if not terms:
+        return zero_vector(n)
+    common = lcm(*(d for _, d, _ in terms))
+    total = [0] * n
+    for c, d, xs in terms:
+        scale = c * (common // d)
+        total = [t + scale * x for t, x in zip(total, xs)]
+    return tuple(Fraction(t, common) for t in total)
 
 
 Row = tuple[tuple[int, Fraction], ...]
@@ -266,11 +279,11 @@ def determinant(m: Matrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     a = []
-    denom = Fraction(1)
+    denom = 1
     for row in m.entries:
-        mult = lcm(*(f.denominator for f in row))
+        mult, ints = _integers(row)
         denom *= mult
-        a.append([int(f * mult) for f in row])
+        a.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -285,7 +298,7 @@ def determinant(m: Matrix) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], 1) / denom
+    return Fraction(sign * a[n - 1][n - 1], denom)
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:

@@ -28,7 +28,7 @@ from .certify import (
     TStandardFail,
 )
 from .quadsys import QuadraticSystem, validate_and_symmetrize
-from .ratlinalg import Vector, vector
+from .ratlinalg import Vector, _integers, combination, vector
 from .series import SeriesCoefficients
 
 
@@ -151,7 +151,10 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
     """Compile the bar-length constraints into a quadratic system.
 
     One equation per bar: sum_c (x_ic - x_jc)^2 - L_ij^2 = 0, with pinned
-    coordinates substituted as constants. Returns the system, the
+    coordinates substituted as constants; a coordinate pinned at both
+    ends cancels against its share of L_ij^2 and is left out. Each bar's
+    constants are summed in integers over the common denominator of its
+    two joints' coordinates, one Fraction per term. Returns the system, the
     coordinate map (variable index -> (joint, coordinate)), and the base
     point (the initial unpinned coordinates). Each equation vanishes at
     the base point by construction; `quadsys.linearize`, which every
@@ -163,32 +166,32 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
     m = len(variables)
     if not fw.bars:
         raise FrameworkError("framework has no bars to compile")
+    dim = fw.dimension
     alphas, betas, gammas = [], [], []
     for a, b in fw.bars:
+        d, ints = _integers(fw.joints[a] + fw.joints[b])
         alpha, beta = [], []
-        gamma = Fraction(0)
-        for c in range(fw.dimension):
+        gamma = 0  # times d^2
+        for c in range(dim):
             ia = var_index.get((a, c))
             ib = var_index.get((b, c))
-            ka = fw.joints[a][c]
-            kb = fw.joints[b][c]
-            # expand (u - v)^2 with u, v each a variable or a constant
+            ka, kb = ints[c], ints[dim + c]
+            # expand (u - v)^2 - (ka - kb)^2, this coordinate's share of
+            # the equation, with u, v each a variable or a constant
             if ia is not None and ib is not None:
                 alpha += [(ia, ia, 1), (ib, ib, 1), (ia, ib, -2)]
+                gamma -= (ka - kb) ** 2
             elif ia is not None:
                 alpha.append((ia, ia, 1))
-                beta.append((ia, -2 * kb))
-                gamma += kb * kb
+                beta.append((ia, Fraction(-2 * kb, d)))
+                gamma += kb * kb - (ka - kb) ** 2
             elif ib is not None:
                 alpha.append((ib, ib, 1))
-                beta.append((ib, -2 * ka))
-                gamma += ka * ka
-            else:
-                gamma += (ka - kb) ** 2
-            gamma -= (ka - kb) ** 2  # subtract this coordinate's share of L^2
+                beta.append((ib, Fraction(-2 * ka, d)))
+                gamma += ka * ka - (ka - kb) ** 2
         alphas.append(alpha)
         betas.append(beta)
-        gammas.append(gamma)
+        gammas.append(Fraction(gamma, d * d))
     names = [f"{jid}[{c}]" for jid, c in variables]
     sys = validate_and_symmetrize(m, alphas, betas, gammas, names)
     base = tuple(fw.joints[jid][c] for jid, c in variables)
@@ -222,7 +225,7 @@ def _trajectories(
 
 def _squared_distance(xa: list[Vector], xb: list[Vector], top: int) -> list[Fraction]:
     # the difference series times itself, orders 0..top
-    diff = [tuple(u - v for u, v in zip(ya, yb)) for ya, yb in zip(xa, xb)]
+    diff = [combination((1, -1), (ya, yb), len(ya)) for ya, yb in zip(xa, xb)]
     q = len(diff) - 1
     return [sum((u * v for l in range(max(0, p - q), min(p, q) + 1)
                  for u, v in zip(diff[l], diff[p - l])), Fraction(0))

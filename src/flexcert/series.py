@@ -1,10 +1,11 @@
 """Formal power-series machinery for candidate solution families.
 
 A candidate family X(t) = Y0 + Y1 t + ... + Yq t^q is held as its
-coefficient list. One product sum through the operators' memo serves
-the recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l)), canonical extension
-and exact residual-order measurement; t = tau + a tau^e normalizes
-leading coefficients.
+coefficient list. The products B(Yl, Y(p-l)), taken through the
+operators' memo and summed by `ratlinalg.combination`, serve the
+recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l)), canonical extension and
+exact residual-order measurement; t = tau + a tau^e normalizes leading
+coefficients.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .quadsys import BaseOperators
 from .ratlinalg import (
     DimensionError,
     Vector,
+    combination,
     is_zero_vector,
-    vec_add,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -68,12 +68,10 @@ def series(coeffs: Sequence[Sequence]) -> SeriesCoefficients:
     return SeriesCoefficients(tuple(vector(c) for c in coeffs))
 
 
-def _product_sum(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
-    """sum B(Yl, Y(p-l)) over 1 <= l, p-l <= degree(s): the t^p part of F(Y(t)) without Y0."""
-    total = zero_vector(ops.system.n)
-    for l in range(max(1, p - s.degree), min(p - 1, s.degree) + 1):
-        total = vec_add(total, ops.bilinear(s.coefficient(l), s.coefficient(p - l)))
-    return total
+def _products(ops: BaseOperators, s: SeriesCoefficients, p: int) -> list[Vector]:
+    """B(Yl, Y(p-l)) for 1 <= l, p-l <= degree(s): the terms of the t^p part of F(Y(t)) without Y0."""
+    return [ops.bilinear(s.coefficient(l), s.coefficient(p - l))
+            for l in range(max(1, p - s.degree), min(p - 1, s.degree) + 1)]
 
 
 def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
@@ -84,7 +82,8 @@ def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
     """
     if p < 1 or p > s.degree + 1:
         raise DimensionError(f"coefficient index {p} out of range for degree {s.degree}")
-    return tuple(-x for x in _product_sum(ops, s, p))
+    products = _products(ops, s, p)
+    return combination((-1,) * len(products), products, ops.system.n)
 
 
 def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
@@ -112,8 +111,9 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     INFINITE when the whole expansion vanishes (an exact polynomial
     solution). Y0 must be the base point of the operators. Orders are
     tried one at a time up to the first nonzero coefficient: C Yp (for
-    p <= q), which is A(Yp) + 2 B(Y0, Yp), plus the product sum of the
-    recurrence. A degree-q family gives no terms beyond t^(2q).
+    p <= q), which is A(Yp) + 2 B(Y0, Yp), and the products of the
+    recurrence, summed in one `combination`. A degree-q family gives no
+    terms beyond t^(2q).
 
     The t^p coefficient depends only on p and on Y1..Y(min(p, q)), so the
     operators remember whether it vanishes under p and the identities of
@@ -127,9 +127,10 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
         key = (p, *map(id, head))
         hit = ops._vanishing.get(key)
         if hit is None:
-            total = _product_sum(ops, s, p)
+            terms = _products(ops, s, p)
             if p <= q:
-                total = vec_add(ops.c_matrix.mul_vec(s.coefficient(p)), total)
+                terms.append(ops.c_matrix.mul_vec(s.coefficient(p)))
+            total = combination((1,) * len(terms), terms, ops.system.n)
             hit = ops._vanishing[key] = (head, is_zero_vector(total))
         if not hit[-1]:
             return p
@@ -154,6 +155,6 @@ def reparameterize(
     out = [zero_vector(s.width)] * (out_degree + 1)
     for xp in reversed(s.coeffs):
         shifted = ([xp] + out)[: out_degree + 1]  # out*tau + Xp, truncated
-        out = [vec_add(y, vec_scale(a, out[i - e])) if i >= e else y
+        out = [combination((1, a), (y, out[i - e]), s.width) if i >= e else y
                for i, y in enumerate(shifted)]
     return SeriesCoefficients(tuple(out))

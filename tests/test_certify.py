@@ -28,7 +28,7 @@ from flexcert.certify import (
     t_standard_run,
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
-from flexcert.ratlinalg import solve_in_span_coefficients, vec_add, vec_scale, vector, zero_vector
+from flexcert.ratlinalg import solve_in_span_coefficients, vector, zero_vector
 from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
@@ -655,7 +655,8 @@ def test_replay_accepts_no_span_closure_certificate_at_a_rigid_point():
             s = SeriesCoefficients((base,))
             while s.degree < 4 and (nxt := series.extend_step(ops, s)) is not None:
                 for kvec in ops.kernel:
-                    nxt = vec_add(nxt, vec_scale(rng.randint(-1, 1), kvec))
+                    c = rng.randint(-1, 1)
+                    nxt = tuple(u + c * v for u, v in zip(nxt, kvec))
                 s = s.appended(nxt)
             for q in range(1, s.degree + 1):
                 for k in range(1, q + 1):
@@ -747,7 +748,7 @@ def test_pair_solutions_equal_the_solves_of_the_scaled_products():
         y = cert.series.coeffs
         span = y[cert.k : cert.q + 1]
         for ps in cert.pair_solutions:
-            rhs = vec_scale(-2, quadsys.bilinear(sys_, y[ps.i], y[ps.j]))
+            rhs = tuple(-2 * b for b in quadsys.bilinear(sys_, y[ps.i], y[ps.j]))
             assert solve_in_span_coefficients(ops.c_matrix, [rhs], span) == [
                 (ps.coefficients, ps.vector)]
 

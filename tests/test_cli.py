@@ -270,6 +270,34 @@ MALFORMED = {
                                 {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
                                  "pin": [{"joint": "a", "coords": [0, 1]}]},
                                 "framework: unknown field 'pin'"),
+    "system_misspelt_series": ("extend",
+                               {"variables": ["x"], "equations": [{"alpha": []}],
+                                "base_point": ["0"], "seris": {"coefficients": [["0"], ["1"]]}},
+                               "system: unknown field 'seris'"),
+    # a starting series belongs to a quadratic system, not to a polynomial one
+    "polynomial_system_with_series": ("reduce",
+                                      {"variables": ["x"],
+                                       "equations": [{"terms": [{"exponents": [2], "coeff": "1"}]}],
+                                       "series": {"coefficients": [["0"]]}},
+                                      "polynomial system: unknown field 'series'"),
+    "joint_extra_field": ("analyze-framework",
+                          {"dimension": 2, "bars": SQUARE_BARS,
+                           "joints": [{"id": "a", "coords": ["0", "0"], "mass": "1"}]
+                           + SQUARE_JOINTS[1:]},
+                          "joints[0]: unknown field 'mass'"),
+    "pin_misspelt_coords": ("analyze-framework",
+                            {"dimension": 2, "joints": SQUARE_JOINTS, "bars": SQUARE_BARS,
+                             "pins": [{"joint": "a", "coords": [0], "coord": [1]}]},
+                            "pins[0]: unknown field 'coord'"),
+    "series_extra_field": ("extend",
+                           {"variables": ["x"], "equations": [{"alpha": []}], "base_point": ["0"],
+                            "series": {"coefficients": [["0"], ["1"]], "degre": 1}},
+                           "series: unknown field 'degre'"),
+    "series_degree_disagrees": ("extend",
+                                {"variables": ["x"], "equations": [{"alpha": []}],
+                                 "base_point": ["0"],
+                                 "series": {"degree": 3, "coefficients": [["0"], ["1"]]}},
+                                "series: 'degree' must be 1"),
     "term_extra_field": ("reduce",
                          {"variables": ["x"],
                           "equations": [{"terms": [{"exponents": [2], "coeff": "1",

@@ -8,6 +8,7 @@ from flexcert import ratlinalg
 from flexcert.ratlinalg import (
     DimensionError,
     Matrix,
+    combination,
     determinant,
     kernel_basis,
     matrix_from_columns,
@@ -149,12 +150,51 @@ def test_sparse_operations_match_dense_reference():
         assert matrix_from_columns(columns, rows=rows) == m
 
 
+def test_combination_matches_a_fraction_sum():
+    rng = random.Random(71)
+    for _ in range(200):
+        n, k = rng.randint(0, 5), rng.randint(0, 4)
+        vectors = [tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+                   for _ in range(k)]
+        # ints and Fractions, zero among them
+        coeffs = [rng.choice([0, rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 7))])
+                  for _ in range(k)]
+        expected = tuple(sum((c * v[i] for c, v in zip(coeffs, vectors)), F(0))
+                         for i in range(n))
+        got = combination(coeffs, vectors, n)
+        assert got == expected
+        assert all(type(x) is F for x in got)
+    assert combination([], [], 3) == zero_vector(3)
+    assert combination([0, F(0)], [(F(1),), (F(2),)], 1) == zero_vector(1)
+
+
+def test_combination_checks_lengths_of_used_vectors_only():
+    with pytest.raises(DimensionError):
+        combination([1, 2], [vector([1, 2]), vector([1])], 2)
+    with pytest.raises(DimensionError):
+        combination([F(1, 2)], [vector([1, 2])], 3)
+    # a zero coefficient skips its vector, whatever its length
+    assert combination([1, 0], [vector([1, 2]), vector([1])], 2) == vector([1, 2])
+
+
+def _laplace(rows):
+    if not rows:
+        return F(1)
+    return sum((-1) ** j * rows[0][j] * _laplace([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
 def test_determinant():
     assert determinant(C_LINE) == 0
     assert determinant(Matrix.from_rows([[2, 1], [1, 1]])) == 1
     assert determinant(Matrix.from_rows([[F(1, 2), 0], [7, F(2, 3)]])) == F(1, 3)
     with pytest.raises(DimensionError):
         determinant(C_VIVIANI)
+    rng = random.Random(8)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+        assert determinant(Matrix.from_rows(rows)) == _laplace(rows)
 
 
 def _random_matrix(rng, rows, cols):

@@ -121,6 +121,35 @@ def test_edge_system_perturbation_breaks_a_bar():
         assert quadsys.evaluate(sys_, moved) != zero_vector(sys_.n)
 
 
+def test_edge_system_is_bar_length_change_with_rational_coordinates_and_pins():
+    # F_k(x) = |x_a - x_b|^2 - L_ab^2 with every pinned coordinate at its
+    # position: coordinates with denominators, bars pinned at one end and
+    # coordinates pinned at both ends
+    rng = random.Random(23)
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        ids = [f"v{i}" for i in range(rng.randint(2, 5))]
+        joints = {j: [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim)]
+                  for j in ids}
+        bars = [(ids[i - 1], ids[i]) for i in range(1, len(ids))]
+        bars += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 3))]
+        # the last joint stays free, so the system keeps a variable
+        pins = [(j, c) for j in ids[:-1] for c in range(dim) if rng.random() < 0.5]
+        fw = framework(dim, joints, bars, pins)
+        sys_, variables, base = build_edge_system(fw)
+        assert quadsys.evaluate(sys_, base) == zero_vector(len(fw.bars))
+        for _ in range(3):
+            x = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in variables]
+            at = {j: list(fw.joints[j]) for j in ids}
+            for (j, c), v in zip(variables, x):
+                at[j][c] = v
+            expected = tuple(
+                sum((at[a][c] - at[b][c]) ** 2 - (fw.joints[a][c] - fw.joints[b][c]) ** 2
+                    for c in range(dim))
+                for a, b in fw.bars)
+            assert quadsys.evaluate(sys_, tuple(x)) == expected
+
+
 def test_pin_accounting():
     for name in ("triangle.json", "square.json", "cross_braced_square.json",
                  "k4.json", "bricard_octahedron.json"):
