@@ -295,11 +295,14 @@ def span_closure_check(
     start at the base point and be an approximate solution of degree q; a
     constant series is rejected with None since it certifies only the
     constant family. `residual_order` validates each order of a candidate
-    once across all (q, k). All q(q-k+1) equations C Y = B(Yi, Yj) are
-    solved in one elimination; only when all solve are coefficients and
-    vectors scaled by -2 to solve the pair equations C Y = -2 B(Yi, Yj).
-    The canonical solution is linear in the right-hand side, so this
-    equals solving the scaled equations.
+    once across all (q, k), and the images C Yk .. C Yq come from the
+    operators' memo, so each coefficient object is multiplied by C once
+    per analysis. All q(q-k+1) equations C Y = B(Yi, Yj) are solved in one
+    elimination, which gives up before building any solution when one
+    pair has none; only when all solve are coefficients and vectors
+    scaled by -2 to solve the pair equations C Y = -2 B(Yi, Yj). The
+    canonical solution is linear in the right-hand side, so this equals
+    solving the scaled equations.
 
     A result with 2k > q + 1 is not a proof of flexibility: the span
     condition then misses pairs that enter later orders (see
@@ -319,7 +322,8 @@ def span_closure_check(
     span = prefix.coeffs[k : q + 1]
     pairs = [(i, j) for i in range(1, q + 1) for j in range(k, q + 1)]
     rhss = [ops.bilinear(prefix.coefficient(i), prefix.coefficient(j)) for i, j in pairs]
-    solved = solve_in_span_coefficients(ops.c_matrix, rhss, span)
+    images = [ops.image(y) for y in span]
+    solved = solve_in_span_coefficients(ops.c_matrix, rhss, span, images)
     if solved is None:
         return None
     pair_solutions = tuple(
@@ -581,18 +585,19 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
             return False
         bval = ops.bilinear(k, k)
         return bval == cert.b_value and solve_general(ops.c_matrix, bval) is None
+    c_transposed = ops.c_matrix.transpose()
     if cert.case == "definite_form":
         w = cert.functional
         if w is None or cert.form is None:
             return False
-        if not is_zero_vector(ops.c_matrix.transpose().mul_vec(w)):
+        if not is_zero_vector(c_transposed.mul_vec(w)):
             return False  # functional must annihilate the image of C
         return _projected_form(ops, w) == cert.form and _is_definite(cert.form)
     if cert.case == "no_common_line":
         if d != 2 or cert.functionals is None or cert.forms is None:
             return False
         for w in cert.functionals:
-            if not is_zero_vector(ops.c_matrix.transpose().mul_vec(w)):
+            if not is_zero_vector(c_transposed.mul_vec(w)):
                 return False
         recomputed = tuple(
             _form_triple(_projected_form(ops, w)) for w in cert.functionals

@@ -185,16 +185,19 @@ class BaseOperators:
 
     The memos belong to this object alone, so one analysis (the life of
     the operators one `linearize` call builds) computes each B(X, Y) once
-    for each pair of argument objects. Products are keyed by the
-    identities of their arguments; each entry holds the objects whose ids
-    key it, so those ids cannot pass to other objects while it lives.
-    `_vanishing` serves `series.residual_order`."""
+    for each pair of argument objects, and each image C·Y once for each
+    argument object. Products and images are keyed by the identities of
+    their arguments; each entry holds the objects whose ids key it, so
+    those ids cannot pass to other objects while it lives. `_vanishing`
+    serves `series.residual_order`."""
 
     system: QuadraticSystem
     base_point: Vector
     c_matrix: Matrix
     kernel: tuple[Vector, ...]
     _products_by_id: dict[tuple[int, int], tuple[Vector, Vector, Vector]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _images_by_id: dict[int, tuple[Vector, Vector]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _vanishing: dict[tuple[int, ...], tuple[tuple[Vector, ...], bool]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
@@ -205,6 +208,13 @@ class BaseOperators:
         hit = self._products_by_id.get(key)
         if hit is None:
             hit = self._products_by_id[key] = (x, y, bilinear(self.system, x, y))
+        return hit[-1]
+
+    def image(self, y: Vector) -> Vector:
+        """C·Y, computed once per object Y."""
+        hit = self._images_by_id.get(id(y))
+        if hit is None:
+            hit = self._images_by_id[id(y)] = (y, self.c_matrix.mul_vec(y))
         return hit[-1]
 
 

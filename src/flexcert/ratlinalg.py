@@ -31,7 +31,12 @@ minors of small square forms from the dense view of a matrix.
 Linear solves append their right-hand sides as extra columns and pivot
 only in the matrix columns, so one elimination answers any number of
 right-hand sides: `solve_in_span_coefficients` takes a sequence of them
-and `solve_general` is the one-right-hand-side case.
+and `solve_general` is the one-right-hand-side case. A solve is all or
+nothing: the canonical solutions of every right-hand side, or None, with
+no solution vector built, as soon as one of them is outside the image.
+`solve_in_span_coefficients` eliminates the images M·span_i, which the
+caller passes in; the analysis keeps them in its operators' memo, so each
+is computed once.
 
 `kernel_basis`, `solve_general` and `solve_in_span_coefficients` are
 also the probes through which the benchmark (bench/tracer.py) times this
@@ -331,21 +336,20 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return basis
 
 
-def _solve_columns(m: Matrix, vs: Sequence[Vector]) -> list[Optional[Vector]]:
-    # one elimination of [M | v_1 ... v_P]; for each v the canonical
-    # solution (zeros in the free positions) or None outside im M
+def _solve_columns(m: Matrix, vs: Sequence[Vector]) -> Optional[list[Vector]]:
+    # one elimination of [M | v_1 ... v_P]: the canonical solutions (zeros
+    # in the free positions) of all v, or None, with no solution built,
+    # when a leftover row holds a right-hand side (some v is outside im M)
     for v in vs:
         if len(v) != m.rows:
             raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
     augmented = [row + tuple((m.cols + t, v[i]) for t, v in enumerate(vs) if v[i])
                  for i, row in enumerate(m.nonzeros)]
     reduced, pivots, rest = _rref(augmented, m.cols)
-    outside = {j for row in rest for j in row}
-    out: list[Optional[Vector]] = []
+    if rest:
+        return None
+    out: list[Vector] = []
     for col in range(m.cols, m.cols + len(vs)):
-        if col in outside:
-            out.append(None)
-            continue
         solution = [Fraction(0)] * m.cols
         for row, pc in zip(reduced, pivots):
             v = row.get(col)
@@ -362,25 +366,30 @@ def solve_general(m: Matrix, v: Vector) -> Optional[Vector]:
     position of the reduced echelon form, or None when v is outside the
     image of M.
     """
-    return _solve_columns(m, [v])[0]
+    solved = _solve_columns(m, [v])
+    return None if solved is None else solved[0]
 
 
 def solve_in_span_coefficients(
-    m: Matrix, vs: Sequence[Vector], span: Sequence[Vector]
+    m: Matrix, vs: Sequence[Vector], span: Sequence[Vector], images: Sequence[Vector]
 ) -> Optional[list[tuple[Vector, Vector]]]:
     """For each right-hand side v, the coefficients c and the vector
     Y = sum c_i span_i with MY = v; None for the whole batch as soon as
     one v has no such Y.
 
-    M·span is computed once and all right-hand sides are solved in one
-    elimination. The coefficients are the canonical solution over the
-    span (free coordinates zero); span vectors need not be independent.
+    images[i] is M·span[i], supplied by the caller: the analysis reads
+    each from its operators' memo, so it is computed once however many
+    checks share the span vector. All right-hand sides are solved in one
+    elimination of the matrix with columns images[i]. The coefficients
+    are the canonical solution over the span (free coordinates zero);
+    span vectors need not be independent.
     """
-    for s in span:
-        if len(s) != m.cols:
-            raise DimensionError("span vector length does not match matrix columns")
-    images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
-    solved = _solve_columns(images, vs)
-    if None in solved:
+    if len(images) != len(span):
+        raise DimensionError("one image is needed per span vector")
+    for s, image in zip(span, images):
+        if len(s) != m.cols or len(image) != m.rows:
+            raise DimensionError("span vector or image length does not match the matrix")
+    solved = _solve_columns(matrix_from_columns(images, rows=m.rows), vs)
+    if solved is None:
         return None
     return [(coeffs, combination(coeffs, span, m.cols)) for coeffs in solved]

@@ -111,9 +111,9 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     INFINITE when the whole expansion vanishes (an exact polynomial
     solution). Y0 must be the base point of the operators. Orders are
     tried one at a time up to the first nonzero coefficient: C Yp (for
-    p <= q), which is A(Yp) + 2 B(Y0, Yp), and the products of the
-    recurrence, summed in one `combination`. A degree-q family gives no
-    terms beyond t^(2q).
+    p <= q, from the operators' image memo), which is A(Yp) + 2 B(Y0, Yp),
+    and the products of the recurrence, summed in one `combination`. A
+    degree-q family gives no terms beyond t^(2q).
 
     The t^p coefficient depends only on p and on Y1..Y(min(p, q)), so the
     operators remember whether it vanishes under p and the identities of
@@ -129,7 +129,7 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
         if hit is None:
             terms = _products(ops, s, p)
             if p <= q:
-                terms.append(ops.c_matrix.mul_vec(s.coefficient(p)))
+                terms.append(ops.image(s.coefficient(p)))
             total = combination((1,) * len(terms), terms, ops.system.n)
             hit = ops._vanishing[key] = (head, is_zero_vector(total))
         if not hit[-1]:

@@ -28,7 +28,7 @@ from flexcert.certify import (
     t_standard_run,
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
-from flexcert.ratlinalg import solve_in_span_coefficients, vector, zero_vector
+from flexcert.ratlinalg import Matrix, solve_in_span_coefficients, vector, zero_vector
 from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
@@ -470,7 +470,8 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
         rhs = series.recurrence_rhs(ops, s.truncated(p - 1), p)
         assert ops.c_matrix.mul_vec(y) == rhs
         # the one solution inside T, found by solving over T's basis
-        [(_, in_t)] = solve_in_span_coefficients(ops.c_matrix, [rhs], t_basis)
+        images = [ops.image(t) for t in t_basis]
+        [(_, in_t)] = solve_in_span_coefficients(ops.c_matrix, [rhs], t_basis, images)
         assert y == in_t
     assert series.residual_order(ops, s) > depth
     assert replay_certificate(sys_, base, out)
@@ -489,8 +490,8 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     fail = t_standard_run(ops4, TStandardConfig(
         (vector([1, 1, 0]), vector([1, 0, 1])), 6, ops4.kernel[0]))
     assert isinstance(fail, TStandardFail) and fail.fail_index == 2
-    assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs],
-                                      fail.t_basis) is None
+    assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs], fail.t_basis,
+                                      [ops4.image(t) for t in fail.t_basis]) is None
     assert replay_certificate(sys4, base4, fail)
 
 
@@ -723,6 +724,20 @@ def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
     assert len(computed) == 39
 
 
+def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
+    # every C·Y of whole analyses, the linearization probes included; the
+    # search reads each image from the operators' memo, so a memo change
+    # that loses hits raises the count
+    computed = []
+    real = Matrix.mul_vec
+    monkeypatch.setattr(Matrix, "mul_vec", lambda *args: computed.append(1) or real(*args))
+    for name in ("example2.json", "example3.json"):
+        assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
+    fw, auto = load_corpus_framework("bricard_octahedron.json")
+    assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
+    assert len(computed) == 16
+
+
 def test_pair_solutions_equal_the_solves_of_the_scaled_products():
     # each pair equation solved on its own with the -2 factor in its
     # right-hand side, as the certificates were built before the check
@@ -749,7 +764,8 @@ def test_pair_solutions_equal_the_solves_of_the_scaled_products():
         span = y[cert.k : cert.q + 1]
         for ps in cert.pair_solutions:
             rhs = tuple(-2 * b for b in quadsys.bilinear(sys_, y[ps.i], y[ps.j]))
-            assert solve_in_span_coefficients(ops.c_matrix, [rhs], span) == [
+            images = [ops.image(s) for s in span]
+            assert solve_in_span_coefficients(ops.c_matrix, [rhs], span, images) == [
                 (ps.coefficients, ps.vector)]
 
 

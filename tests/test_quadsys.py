@@ -300,6 +300,19 @@ def test_base_operators_memoize_products_per_instance(hyperboloid_line):
         ops.bilinear(x, vector([1, 2]))
 
 
+def test_base_operators_memoize_images_per_instance(hyperboloid_line):
+    sys_, base = hyperboloid_line
+    ops, again = linearize(sys_, base), linearize(sys_, base)
+    y = vector([F(1, 2), 0, -4])
+    assert ops.image(y) == ops.c_matrix.mul_vec(y)
+    assert ops.image(y) is ops.image(y)
+    # each linearize call builds its own memo, which takes no part in equality
+    assert again._images_by_id == {} and again._images_by_id is not ops._images_by_id
+    assert ops == again and "_images_by_id" not in repr(ops)
+    with pytest.raises(DimensionError):
+        ops.image(vector([1, 2]))
+
+
 def test_base_operators_memo_agrees_with_bilinear_on_short_lived_vectors(hyperboloid_line):
     # x draws from a small pool of values, so most x equal an earlier
     # vector but are fresh objects that die after their product; built
@@ -313,6 +326,7 @@ def test_base_operators_memo_agrees_with_bilinear_on_short_lived_vectors(hyperbo
         x, y = tuple([F(rng.randint(-1, 1)) for _ in range(3)]), rng.choice(ys)
         assert ops.bilinear(x, y) == bilinear(sys_, x, y)
         assert ops.bilinear(y, x) == bilinear(sys_, x, y)
+        assert ops.image(x) == ops.c_matrix.mul_vec(x)
 
 
 def test_degree_two_taylor_identity(hyperboloid_line, viviani_system, tangent_sphere_cylinder):

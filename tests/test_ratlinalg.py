@@ -27,6 +27,11 @@ def mul(m, x):
     return m.mul_vec(vector(x))
 
 
+def in_span(m, vs, span):
+    # solve_in_span_coefficients with the images M·span_i computed here
+    return solve_in_span_coefficients(m, vs, span, [m.mul_vec(s) for s in span])
+
+
 def test_solve_general_singular_homogeneous():
     assert solve_general(C_LINE, zero_vector(3)) == vector([0, 0, 0])
     assert kernel_basis(C_LINE) == [vector([4, 3, 5])]
@@ -75,12 +80,12 @@ def test_image_membership():
 
 
 def test_solve_in_span_reference_cases():
-    assert solve_in_span_coefficients(C_LINE, [zero_vector(3)], [vector([4, 3, 5])]) == [(
+    assert in_span(C_LINE, [zero_vector(3)], [vector([4, 3, 5])]) == [(
         vector([0]), vector([0, 0, 0]))]
     eye = Matrix.from_rows([[1, 0], [0, 1]])
-    assert solve_in_span_coefficients(eye, [vector([1, 1])], [vector([1, 0])]) is None
+    assert in_span(eye, [vector([1, 1])], [vector([1, 0])]) is None
     m = Matrix.from_rows([[1, 0], [0, 0]])
-    [(coeffs, got)] = solve_in_span_coefficients(m, [vector([1, 0])], [vector([1, 1])])
+    [(coeffs, got)] = in_span(m, [vector([1, 0])], [vector([1, 1])])
     assert coeffs == vector([1])
     assert got == vector([1, 1])
     assert mul(m, got) == vector([1, 0])
@@ -89,27 +94,65 @@ def test_solve_in_span_reference_cases():
 def test_solve_in_span_handles_dependent_and_zero_span_vectors():
     m = Matrix.from_rows([[1, 0], [0, 1]])
     span = [vector([0, 0]), vector([1, 1]), vector([2, 2])]
-    [(coeffs, got)] = solve_in_span_coefficients(m, [vector([2, 2])], span)
+    [(coeffs, got)] = in_span(m, [vector([2, 2])], span)
     assert mul(m, got) == vector([2, 2])
     assert got == tuple(sum(c * s[i] for c, s in zip(coeffs, span)) for i in range(2))
     # empty span solves only the zero right-hand side
-    assert solve_in_span_coefficients(m, [zero_vector(2)], []) == [((), zero_vector(2))]
-    assert solve_in_span_coefficients(m, [vector([1, 0])], []) is None
+    assert in_span(m, [zero_vector(2)], []) == [((), zero_vector(2))]
+    assert in_span(m, [vector([1, 0])], []) is None
 
 
 def test_solve_in_span_empty_batches():
     m = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
-    assert solve_in_span_coefficients(m, [], [vector([1, 0])]) == []
-    assert solve_in_span_coefficients(m, [], []) == []
+    assert in_span(m, [], [vector([1, 0])]) == []
+    assert in_span(m, [], []) == []
     # an empty span in one batch: zero right-hand sides solvable, and one
     # that is not makes the whole batch None
     batch = [vector([0, 0, 0]), vector([0, 0, 0])]
-    assert solve_in_span_coefficients(m, batch, []) == [((), zero_vector(2))] * 2
-    assert solve_in_span_coefficients(m, batch + [vector([0, 1, 0])], []) is None
+    assert in_span(m, batch, []) == [((), zero_vector(2))] * 2
+    assert in_span(m, batch + [vector([0, 1, 0])], []) is None
     with pytest.raises(DimensionError):
-        solve_in_span_coefficients(m, [vector([1, 2])], [vector([1, 0])])
+        in_span(m, [vector([1, 2])], [vector([1, 0])])
     with pytest.raises(DimensionError):
-        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0, 0])])
+        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0, 0])], [zero_vector(3)])
+    with pytest.raises(DimensionError):
+        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0])], [zero_vector(2)])
+    with pytest.raises(DimensionError):
+        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0])], [])
+
+
+def _fractions_built(call):
+    built = 0
+    saved = F.__dict__["__new__"]
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return saved.__func__(cls, *args, **kwargs)
+
+    F.__new__ = staticmethod(counting_new)
+    try:
+        result = call()
+    finally:
+        F.__new__ = saved
+    return result, built
+
+
+def test_unsolvable_batch_builds_no_solution():
+    # rank 2, im M = {v : v_0 + v_1 = v_2}
+    m = Matrix.from_rows([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
+    span = [vector([1, 0, 0]), vector([0, 1, 0]), vector([0, 0, 1])]
+    images = [m.mul_vec(y) for y in span]
+    solvable, unsolvable = [vector([1, 1, 2]), vector([F(1, 2), 3, F(7, 2)])], vector([1, 1, 0])
+    batch = [solvable[0], unsolvable, solvable[1]]
+    got, built = _fractions_built(lambda: solve_in_span_coefficients(m, batch, span, images))
+    assert got is None and built == 0
+    got, built = _fractions_built(lambda: solve_in_span_coefficients(m, solvable, span, images))
+    assert [y for _, y in got] == [vector([1, 0, 1]), vector([F(1, 2), 0, 3])] and built > 0
+    # one right-hand side: the canonical solution, or None without building one
+    assert solve_general(m, solvable[0]) == vector([1, 0, 1])
+    assert solve_general(m, solvable[1]) == vector([F(1, 2), 0, 3])
+    assert _fractions_built(lambda: solve_general(m, unsolvable)) == (None, 0)
 
 
 def test_matrix_stores_canonical_nonzeros():
@@ -227,7 +270,7 @@ def test_solve_in_span_agrees_with_grid_bruteforce():
         m = _random_matrix(rng, rows, cols)
         span = [vector([F(rng.randint(-2, 2)) for _ in range(cols)]) for _ in range(2)]
         v = vector([F(rng.randint(-2, 2)) for _ in range(rows)])
-        solved = solve_in_span_coefficients(m, [v], span)
+        solved = in_span(m, [v], span)
         if solved is not None:
             got = solved[0][1]
             assert mul(m, got) == v
@@ -343,8 +386,8 @@ def test_solver_matches_sympy_oracle():
 
 def _check_span_batch(sympy, m, batch, span, seen):
     # the batch is None exactly when some single solve is, else their list
-    singles = [solve_in_span_coefficients(m, [v], span) for v in batch]
-    got = solve_in_span_coefficients(m, batch, span)
+    singles = [in_span(m, [v], span) for v in batch]
+    got = in_span(m, batch, span)
     if None in singles:
         assert got is None
     else:
