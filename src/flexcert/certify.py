@@ -26,7 +26,6 @@ from .ratlinalg import (
     combination,
     is_zero_vector,
     kernel_basis,
-    solve_general,
     solve_in_span_coefficients,
     zero_vector,
 )
@@ -257,7 +256,7 @@ def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderOb
     if d == 1:
         k = kernel[0]
         bval = ops.bilinear(k, k)
-        if solve_general(ops.c_matrix, bval) is not None:
+        if ops.solve(bval) is not None:
             return None
         return SecondOrderObstruction(case="single_direction", kernel=(k,), b_value=bval)
     cokernel = _cokernel(ops)
@@ -456,7 +455,7 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
     s = SeriesCoefficients((ops.base_point, cfg.leading_coeff))
     for p in range(2, cfg.max_depth + 1):
         rhs = recurrence_rhs(ops, s, p)
-        x = solve_general(ops.c_matrix, rhs)
+        x = ops.solve(rhs)
         if x is None:
             return TStandardFail(
                 fail_index=p,
@@ -584,7 +583,7 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
         if not is_zero_vector(ops.c_matrix.mul_vec(k)) or is_zero_vector(k):
             return False
         bval = ops.bilinear(k, k)
-        return bval == cert.b_value and solve_general(ops.c_matrix, bval) is None
+        return bval == cert.b_value and ops.solve(bval) is None
     c_transposed = ops.c_matrix.transpose()
     if cert.case == "definite_form":
         w = cert.functional
@@ -620,17 +619,19 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     if s.is_constant():
         return False
     span = s.coeffs[k : q + 1]
+    # C·sum c_i Y_i = sum c_i C·Y_i, so each pair equation is checked on
+    # the span images, which residual_order has already computed
+    images = [ops.image(y) for y in span]
     required = {(i, j) for i in range(1, q + 1) for j in range(k, q + 1)}
     seen = set()
     for ps in cert.pair_solutions:
         if (ps.i, ps.j) not in required or len(ps.coefficients) != len(span):
             return False
-        combo = combination(ps.coefficients, span, ops.system.m)
-        if combo != ps.vector:
+        if combination(ps.coefficients, span, ops.system.m) != ps.vector:
             return False
-        rhs = combination((-2,), (ops.bilinear(s.coefficient(ps.i), s.coefficient(ps.j)),),
-                          ops.system.n)
-        if ops.c_matrix.mul_vec(combo) != rhs:
+        product = ops.bilinear(s.coefficient(ps.i), s.coefficient(ps.j))
+        if not is_zero_vector(combination((*ps.coefficients, 2), (*images, product),
+                                          ops.system.n)):
             return False
         seen.add((ps.i, ps.j))
     return seen == required
@@ -658,5 +659,5 @@ def _replay_t_standard(
         if rhs != unreachable_rhs:
             return False
         # C maps T onto im C (checked above), so outside im C is outside C(T)
-        return solve_general(ops.c_matrix, rhs) is None
+        return ops.solve(rhs) is None
     return True

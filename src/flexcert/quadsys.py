@@ -23,13 +23,16 @@ from typing import Iterable, Optional, Sequence
 
 from .ratlinalg import (
     DimensionError,
+    Elimination,
     Matrix,
     Vector,
     _integers,
     combination,
+    eliminate,
     is_zero_vector,
     kernel_basis,
     scalar,
+    solve_general,
     vector,
 )
 
@@ -185,11 +188,14 @@ class BaseOperators:
 
     The memos belong to this object alone, so one analysis (the life of
     the operators one `linearize` call builds) computes each B(X, Y) once
-    for each pair of argument objects, and each image C·Y once for each
-    argument object. Products and images are keyed by the identities of
-    their arguments; each entry holds the objects whose ids key it, so
-    those ids cannot pass to other objects while it lives. `_vanishing`
-    serves `series.residual_order`."""
+    for each pair of argument objects, each image C·Y once for each
+    argument object, and eliminates C for its solves once. Products and
+    images are keyed by the identities of their arguments; each entry
+    holds the objects whose ids key it, so those ids cannot pass to other
+    objects while it lives. `_vanishing` serves `series.residual_order`.
+    `_elimination`, the reduced [C | I] that answers every `solve`, is
+    built on the first solve, so operators that never solve (a trivial
+    kernel) never pay for it."""
 
     system: QuadraticSystem
     base_point: Vector
@@ -201,6 +207,8 @@ class BaseOperators:
         default_factory=dict, init=False, compare=False, repr=False)
     _vanishing: dict[tuple[int, ...], tuple[tuple[Vector, ...], bool]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
+    _elimination: Optional[Elimination] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def bilinear(self, x: Vector, y: Vector) -> Vector:
         # B is symmetric, so one entry serves both argument orders
@@ -216,6 +224,14 @@ class BaseOperators:
         if hit is None:
             hit = self._images_by_id[id(y)] = (y, self.c_matrix.mul_vec(y))
         return hit[-1]
+
+    def solve(self, v: Vector) -> Optional[Vector]:
+        """The canonical solution of C·X = v, or None when v is outside
+        im C. The first solve eliminates [C | I]; every solve reads the
+        answer off that one record."""
+        if self._elimination is None:
+            object.__setattr__(self, "_elimination", eliminate(self.c_matrix))
+        return solve_general(self._elimination, v)
 
 
 def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:

@@ -24,23 +24,36 @@ integers in a {column: int} dict; row operations touch only the stored
 entries and strip the gcd of every row they produce. The reduced row
 echelon form is unique, so the kernel basis, the canonical solutions and
 every report built from them do not depend on how the elimination orders
-its pivots. `kernel_basis` and the two solvers read the reduced rows
-directly. Bareiss `determinant` is separate: it gives the Sylvester
-minors of small square forms from the dense view of a matrix.
+its pivots. `kernel_basis`, `eliminate` and `solve_in_span_coefficients`
+read the reduced rows directly. Bareiss `determinant` is separate: it
+gives the Sylvester minors of small square forms from the dense view of
+a matrix.
 
-Linear solves append their right-hand sides as extra columns and pivot
-only in the matrix columns, so one elimination answers any number of
-right-hand sides: `solve_in_span_coefficients` takes a sequence of them
-and `solve_general` is the one-right-hand-side case. A solve is all or
-nothing: the canonical solutions of every right-hand side, or None, with
-no solution vector built, as soon as one of them is outside the image.
-`solve_in_span_coefficients` eliminates the images M·span_i, which the
-caller passes in; the analysis keeps them in its operators' memo, so each
-is computed once.
+Solves against one matrix M many times over (the series recurrence
+solves against the linearization C at every order) share one
+elimination: `eliminate(M)` reduces [M | I] once, pivoting only in M's
+columns, and records each reduced row [R | E], for which E·M = R.
+`solve_general(record, v)` then needs one `_integers(v)` and int dot
+products: v is in im M exactly when E·v = 0 for every row without a
+pivot (the Farkas functionals), and the canonical solution has E·v
+divided by R's pivot entry in each pivot column and 0 in every free
+column. It builds no Fraction when v is outside the image. The analysis
+keeps the record on its operators, so it eliminates C for its solves
+once.
+
+`solve_in_span_coefficients` solves a batch of right-hand sides inside a
+span: it appends them as extra columns to the images M·span_i, which the
+caller passes in (the analysis keeps them in its operators' memo, so
+each is computed once), and eliminates that small matrix once, pivoting
+only in the image columns. A batch is all or nothing: the canonical
+solutions of every right-hand side, or None, with no solution vector
+built, as soon as one of them is outside the span's image.
 
 `kernel_basis`, `solve_general` and `solve_in_span_coefficients` are
 also the probes through which the benchmark (bench/tracer.py) times this
-layer, so they stay module-level functions under these names.
+layer, so they stay module-level functions under these names; a
+`solve_general` call is one solve against a recorded elimination, and
+`eliminate` is traced as a span of its own.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -229,8 +242,8 @@ def _rref(
     numerators and denominators. Pivots are chosen only in the first
     `cols` columns, in column order, from the first remaining row with an
     entry in that column; that entry is cleared from every other row, so
-    any further columns (right-hand sides) are carried along. Rows that
-    cancel to zero are dropped.
+    any further columns (right-hand sides, or the identity block of
+    `eliminate`) are carried along. Rows that cancel to zero are dropped.
 
     Returns the pivot rows, row i having its pivot in column pivots[i]
     (dividing it by that entry gives row i of the reduced row echelon
@@ -336,38 +349,67 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return basis
 
 
-def _solve_columns(m: Matrix, vs: Sequence[Vector]) -> Optional[list[Vector]]:
-    # one elimination of [M | v_1 ... v_P]: the canonical solutions (zeros
-    # in the free positions) of all v, or None, with no solution built,
-    # when a leftover row holds a right-hand side (some v is outside im M)
-    for v in vs:
-        if len(v) != m.rows:
-            raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
-    augmented = [row + tuple((m.cols + t, v[i]) for t, v in enumerate(vs) if v[i])
-                 for i, row in enumerate(m.nonzeros)]
+class Elimination(NamedTuple):
+    """The reduced row echelon form of [M | I] for an n x m matrix M, as
+    `eliminate` records it for `solve_general`.
+
+    Every row of it is [R | E] with E·M = R. `pivots` holds, for each
+    row with a pivot in M's columns, the pivot column, the pivot entry
+    and E, the row scaled to integers; `checks` holds E for each row with
+    no entry in M's columns (R = 0): these are the Farkas functionals,
+    and v is in im M exactly when each of them vanishes on v. E is stored
+    as (row index, int) pairs without zeros.
+
+    A NamedTuple rather than a frozen dataclass: building the dataclass
+    took about 1 ms on every fresh import of the package.
+    """
+
+    rows: int
+    cols: int
+    pivots: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+    checks: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def eliminate(m: Matrix) -> Elimination:
+    """One elimination of [M | I], which answers every later
+    `solve_general` against M without eliminating M again."""
+    augmented = [row + ((m.cols + i, 1),) for i, row in enumerate(m.nonzeros)]
     reduced, pivots, rest = _rref(augmented, m.cols)
-    if rest:
-        return None
-    out: list[Vector] = []
-    for col in range(m.cols, m.cols + len(vs)):
-        solution = [Fraction(0)] * m.cols
-        for row, pc in zip(reduced, pivots):
-            v = row.get(col)
-            if v is not None:
-                solution[pc] = Fraction(v, row[pc])
-        out.append(tuple(solution))
-    return out
+
+    def functional(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
+        return tuple((j - m.cols, v) for j, v in row.items() if j >= m.cols)
+
+    return Elimination(
+        m.rows, m.cols,
+        tuple((pc, row[pc], functional(row)) for row, pc in zip(reduced, pivots)),
+        tuple(functional(row) for row in rest))
 
 
-def solve_general(m: Matrix, v: Vector) -> Optional[Vector]:
-    """Solve MX = v exactly.
+def solve_general(e: Elimination, v: Vector) -> Optional[Vector]:
+    """Solve MX = v exactly, for the matrix M that `e` eliminates.
 
     Returns the canonical solution, with zeros in every free-variable
     position of the reduced echelon form, or None when v is outside the
-    image of M.
+    image of M. v is scaled once to integers; None comes from int dot
+    products alone, and a solution builds one Fraction per nonzero entry.
     """
-    solved = _solve_columns(m, [v])
-    return None if solved is None else solved[0]
+    if len(v) != e.rows:
+        raise DimensionError(f"matrix has {e.rows} rows, rhs has {len(v)}")
+    d, xs = _integers(v)
+    for functional in e.checks:
+        total = 0
+        for i, a in functional:
+            total += a * xs[i]
+        if total:
+            return None
+    solution = [Fraction(0)] * e.cols
+    for pc, p, functional in e.pivots:
+        total = 0
+        for i, a in functional:
+            total += a * xs[i]
+        if total:
+            solution[pc] = Fraction(total, p * d)
+    return tuple(solution)
 
 
 def solve_in_span_coefficients(
@@ -389,7 +431,24 @@ def solve_in_span_coefficients(
     for s, image in zip(span, images):
         if len(s) != m.cols or len(image) != m.rows:
             raise DimensionError("span vector or image length does not match the matrix")
-    solved = _solve_columns(matrix_from_columns(images, rows=m.rows), vs)
-    if solved is None:
+    for v in vs:
+        if len(v) != m.rows:
+            raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
+    # one elimination of [M·span | v_1 ... v_P]; a leftover row holding a
+    # right-hand side means that v is outside M·span
+    k = len(span)
+    augmented = [row + tuple((k + t, v[i]) for t, v in enumerate(vs) if v[i])
+                 for i, row in enumerate(matrix_from_columns(images, rows=m.rows).nonzeros)]
+    reduced, pivots, rest = _rref(augmented, k)
+    if rest:
         return None
-    return [(coeffs, combination(coeffs, span, m.cols)) for coeffs in solved]
+    out = []
+    for col in range(k, k + len(vs)):
+        coeffs = [Fraction(0)] * k
+        for row, pc in zip(reduced, pivots):
+            v = row.get(col)
+            if v is not None:
+                coeffs[pc] = Fraction(v, row[pc])
+        coeffs = tuple(coeffs)
+        out.append((coeffs, combination(coeffs, span, m.cols)))
+    return out

@@ -90,8 +90,8 @@ def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
     """Canonical next coefficient Y(q+1) with C Y(q+1) equal to the
     recurrence right-hand side, or None if no such vector exists.
     Appending a returned vector preserves approximate-solution status at
-    degree q+1."""
-    return ratlinalg.solve_general(ops.c_matrix, recurrence_rhs(ops, s, s.degree + 1))
+    degree q+1. The solve reads the operators' one elimination of C."""
+    return ops.solve(recurrence_rhs(ops, s, s.degree + 1))
 
 
 def extend_to(ops: BaseOperators, s: SeriesCoefficients, degree: int) -> SeriesCoefficients:

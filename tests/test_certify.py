@@ -28,7 +28,14 @@ from flexcert.certify import (
     t_standard_run,
 )
 from flexcert.quadsys import linearize, validate_and_symmetrize
-from flexcert.ratlinalg import Matrix, solve_in_span_coefficients, vector, zero_vector
+from flexcert.ratlinalg import (
+    Matrix,
+    combination,
+    is_zero_vector,
+    solve_in_span_coefficients,
+    vector,
+    zero_vector,
+)
 from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
@@ -39,6 +46,7 @@ from conftest import (
     load_corpus_system,
     sympy_equations,
     sympy_residual_order,
+    triangulated_grid,
 )
 
 
@@ -736,6 +744,61 @@ def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
     fw, auto = load_corpus_framework("bricard_octahedron.json")
     assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
     assert len(computed) == 16
+
+
+def test_solve_record_is_built_once_per_analysis(monkeypatch):
+    # linearize eliminates C for its kernel; every later solve against C
+    # reads the one [C | I] record its operators build on the first solve,
+    # so C is eliminated at most twice per analysis, and a first-order-rigid
+    # input, which never solves, builds no record
+    built, solves = [], []
+    real_eliminate, real_solve = quadsys.eliminate, quadsys.solve_general
+    monkeypatch.setattr(quadsys, "eliminate", lambda m: built.append(1) or real_eliminate(m))
+    monkeypatch.setattr(quadsys, "solve_general",
+                        lambda *args: solves.append(1) or real_solve(*args))
+    octahedron, auto = load_corpus_framework("bricard_octahedron.json")
+    analyses = [
+        (lambda: analyze_system(*load_corpus_system("example2.json")), INCONCLUSIVE),
+        (lambda: analyze_system(*load_corpus_system("example3.json")), INCONCLUSIVE),
+        (lambda: analyze_framework(octahedron, use_auto_pin=auto), FLEXIBLE),
+        (lambda: analyze_framework(triangulated_grid(3), use_auto_pin=True), RIGID),
+    ]
+    counts = []
+    for analyze, verdict in analyses:
+        built.clear()
+        solves.clear()
+        assert analyze().verdict == verdict
+        counts.append((len(built), len(solves)))
+    assert counts == [(1, 3), (1, 2), (1, 8), (0, 0)]
+
+
+def test_span_closure_replay_multiplies_only_the_coefficients(monkeypatch):
+    # replay checks each pair equation as sum c_i C·Y_i + 2 B(Y_i, Y_j) = 0
+    # over the span images, so C multiplies the linearize probe and each
+    # coefficient Y_1..Y_q once (residual_order, which computes the span
+    # images), and no pair solution
+    fw, auto = load_corpus_framework("bricard_octahedron.json")
+    rep = analyze_framework(fw, use_auto_pin=auto)
+    sys_, _, base = build_edge_system(rep.pinned)
+    cert = rep.certificate
+    assert (cert.q, cert.k, len(cert.pair_solutions)) == (5, 1, 25)
+    computed = []
+    real = Matrix.mul_vec
+    monkeypatch.setattr(Matrix, "mul_vec", lambda *args: computed.append(1) or real(*args))
+    assert replay_certificate(sys_, base, cert)
+    assert len(computed) == 1 + cert.q
+    monkeypatch.undo()
+    # one altered pair coefficient, with the pair's vector rebuilt from it so
+    # that only the pair equation can reject it; its span vector's image is
+    # nonzero, so the equation no longer holds
+    span = cert.series.coeffs[cert.k : cert.q + 1]
+    assert not is_zero_vector(linearize(sys_, base).image(span[-1]))
+    first = cert.pair_solutions[0]
+    coeffs = first.coefficients[:-1] + (first.coefficients[-1] + 1,)
+    altered = dataclasses.replace(first, coefficients=coeffs,
+                                  vector=combination(coeffs, span, sys_.m))
+    assert not replay_certificate(sys_, base, dataclasses.replace(
+        cert, pair_solutions=(altered,) + cert.pair_solutions[1:]))
 
 
 def test_pair_solutions_equal_the_solves_of_the_scaled_products():

@@ -10,6 +10,7 @@ from flexcert.ratlinalg import (
     Matrix,
     combination,
     determinant,
+    eliminate,
     kernel_basis,
     matrix_from_columns,
     solve_general,
@@ -27,25 +28,30 @@ def mul(m, x):
     return m.mul_vec(vector(x))
 
 
+def solve(m, v):
+    # solve_general against the elimination record of m
+    return solve_general(eliminate(m), v)
+
+
 def in_span(m, vs, span):
     # solve_in_span_coefficients with the images M·span_i computed here
     return solve_in_span_coefficients(m, vs, span, [m.mul_vec(s) for s in span])
 
 
 def test_solve_general_singular_homogeneous():
-    assert solve_general(C_LINE, zero_vector(3)) == vector([0, 0, 0])
+    assert solve(C_LINE, zero_vector(3)) == vector([0, 0, 0])
     assert kernel_basis(C_LINE) == [vector([4, 3, 5])]
 
 
 def test_solve_general_identity():
     eye = Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert solve_general(eye, vector([1, 2, 3])) == vector([1, 2, 3])
+    assert solve(eye, vector([1, 2, 3])) == vector([1, 2, 3])
     assert kernel_basis(eye) == []
 
 
 def test_solve_general_rank_deficient():
     m = Matrix.from_rows([[2, 4], [1, 2]])
-    particular = solve_general(m, vector([2, 1]))
+    particular = solve(m, vector([2, 1]))
     assert particular == vector([1, 0])
     assert kernel_basis(m) == [vector([-2, 1])]
     assert mul(m, particular) == vector([2, 1])
@@ -53,12 +59,12 @@ def test_solve_general_rank_deficient():
 
 def test_solve_general_no_solution():
     m = Matrix.from_rows([[1, 0], [1, 0]])
-    assert solve_general(m, vector([1, 2])) is None
+    assert solve(m, vector([1, 2])) is None
 
 
 def test_solve_general_dimension_mismatch():
     with pytest.raises(DimensionError):
-        solve_general(C_LINE, vector([1, 2]))
+        solve(C_LINE, vector([1, 2]))
 
 
 def test_kernel_basis_reference_matrices():
@@ -72,9 +78,9 @@ def test_kernel_basis_reference_matrices():
 
 
 def test_image_membership():
-    assert solve_general(C_TANGENT, vector([1, 0, 0])) is None
-    assert solve_general(C_TANGENT, zero_vector(3)) is not None
-    assert solve_general(C_VIVIANI, vector([2, 1])) is not None
+    assert solve(C_TANGENT, vector([1, 0, 0])) is None
+    assert solve(C_TANGENT, zero_vector(3)) is not None
+    assert solve(C_VIVIANI, vector([2, 1])) is not None
     # direct witness for the membership above
     assert mul(C_VIVIANI, [F(1, 2), 0, 0]) == vector([2, 1])
 
@@ -149,10 +155,12 @@ def test_unsolvable_batch_builds_no_solution():
     assert got is None and built == 0
     got, built = _fractions_built(lambda: solve_in_span_coefficients(m, solvable, span, images))
     assert [y for _, y in got] == [vector([1, 0, 1]), vector([F(1, 2), 0, 3])] and built > 0
-    # one right-hand side: the canonical solution, or None without building one
-    assert solve_general(m, solvable[0]) == vector([1, 0, 1])
-    assert solve_general(m, solvable[1]) == vector([F(1, 2), 0, 3])
-    assert _fractions_built(lambda: solve_general(m, unsolvable)) == (None, 0)
+    # one right-hand side against the elimination record: the canonical
+    # solution, or None without building one
+    record = eliminate(m)
+    assert solve_general(record, solvable[0]) == vector([1, 0, 1])
+    assert solve_general(record, solvable[1]) == vector([F(1, 2), 0, 3])
+    assert _fractions_built(lambda: solve_general(record, unsolvable)) == (None, 0)
 
 
 def test_matrix_stores_canonical_nonzeros():
@@ -252,7 +260,7 @@ def test_solve_residual_is_exactly_zero_randomized():
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = _random_matrix(rng, rows, cols)
         v = vector([F(rng.randint(-3, 3)) for _ in range(rows)])
-        got = solve_general(m, v)
+        got = solve(m, v)
         if got is not None:
             assert mul(m, got) == v
         nullspace = kernel_basis(m)
@@ -276,7 +284,7 @@ def test_solve_in_span_agrees_with_grid_bruteforce():
             assert mul(m, got) == v
             # returned vector really is a combination of the span
             cols_m = matrix_from_columns(list(span), rows=cols)
-            assert solve_general(cols_m, got) is not None
+            assert solve(cols_m, got) is not None
         else:
             for c1 in grid:
                 for c2 in grid:
@@ -326,9 +334,9 @@ def _sparse_rhss(rng, m, rank, left_over):
     return [mul(m, x)] + unit + [past_rank]
 
 
-def _to_sympy(sympy, rows):
-    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                         for r in rows])
+def _to_sympy(sympy, rows, cols):
+    return sympy.Matrix(len(rows), cols, [sympy.Rational(x.numerator, x.denominator)
+                                          for r in rows for x in r])
 
 
 def _from_sympy(column):
@@ -343,27 +351,58 @@ def _primitive(vec):
     return tuple(F(x // g) for x in ints)
 
 
-def _check_against_sympy(sympy, m, vs):
-    sm = _to_sympy(sympy, m.entries)
+def _check_against_sympy(sympy, m, vs, seen):
+    sm = _to_sympy(sympy, m.entries, m.cols)
     # sympy reads one nullspace vector off each free column of the unique
     # RREF, with a 1 there, so the two bases agree exactly after scaling
     nullspace = sm.nullspace()
     assert kernel_basis(m) == [_primitive(_from_sympy(k)) for k in nullspace]
     assert len(nullspace) == m.cols - sm.rank()
 
+    # one elimination record answers every right-hand side; the batch path
+    # over the unit vectors eliminates [M | v] and must give the same
+    # canonical solution
+    record = eliminate(m)
+    assert len(record.pivots) == sm.rank() and len(record.checks) == m.rows - sm.rank()
+    for functional in record.checks:  # a Farkas functional annihilates M
+        rows = [m.row(i) for i, _ in functional]
+        assert combination([a for _, a in functional], rows, m.cols) == zero_vector(m.cols)
+    units = [tuple(F(int(i == j)) for i in range(m.cols)) for j in range(m.cols)]
     for v in vs:
+        got = solve_general(record, v)
+        assert in_span(m, [v], units) == (None if got is None else [(got, got)])
         try:
-            solution, params = sm.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v]))
+            solution, params = sm.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v], 1))
         except ValueError:  # sympy: the system is inconsistent
-            assert solve_general(m, v) is None
+            assert got is None
+            seen["outside"] += 1
         else:
             expected = solution.subs({p: 0 for p in params})
-            assert solve_general(m, v) == _from_sympy(expected)
+            assert got == _from_sympy(expected)
+            seen["inside"] += 1
+
+
+def _with_zero_lines(rng, rows, cols):
+    """A rows x cols matrix of rank at most 2 with one zero row and one
+    zero column when it has any; either dimension may be 0."""
+    r = min(rows, cols, 2)
+    left = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(r)] for _ in range(rows)]
+    right = [[F(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(r)]
+    dense = [[sum((a[t] * right[t][j] for t in range(r)), F(0)) for j in range(cols)]
+             for a in left]
+    if rows:
+        dense[rng.randrange(rows)] = [F(0)] * cols
+    if cols:
+        j = rng.randrange(cols)
+        for row in dense:
+            row[j] = F(0)
+    return Matrix.from_rows(dense, cols=cols)
 
 
 def test_solver_matches_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(8123)
+    seen = {"inside": 0, "outside": 0}
     for _ in range(50):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = _low_rank_matrix(rng, rows, cols) if rng.random() < 0.7 else (
@@ -372,16 +411,34 @@ def test_solver_matches_sympy_oracle():
             v = mul(m, [F(rng.randint(-3, 3)) for _ in range(cols)])
         else:
             v = vector([F(rng.randint(-3, 3)) for _ in range(rows)])
-        _check_against_sympy(sympy, m, [v])
+        _check_against_sympy(sympy, m, [v], seen)
+    assert seen["inside"] > 20 and seen["outside"] > 10
 
     rng = random.Random(6067)
+    seen = {"inside": 0, "outside": 0}
     for _ in range(30):
         m, left_over, zero_col = _sparse_case(rng)
-        rank = _to_sympy(sympy, m.entries).rank()
+        rank = _to_sympy(sympy, m.entries, m.cols).rank()
         vs = _sparse_rhss(rng, m, rank, left_over)
-        assert solve_general(m, vs[1]) is None and solve_general(m, vs[2]) is None
-        _check_against_sympy(sympy, m, vs)
+        assert solve(m, vs[1]) is None and solve(m, vs[2]) is None
+        _check_against_sympy(sympy, m, vs, seen)
         assert tuple(F(int(j == zero_col)) for j in range(m.cols)) in kernel_basis(m)
+    assert seen["inside"] >= 30 and seen["outside"] >= 60
+
+    # zero rows and zero columns, and matrices with no rows or no columns
+    rng = random.Random(5407)
+    seen = {"inside": 0, "outside": 0}
+    shapes = set()
+    for _ in range(60):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        m = _with_zero_lines(rng, rows, cols)
+        vs = [mul(m, [F(rng.randint(-3, 3)) for _ in range(cols)]),
+              vector([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rows)]),
+              zero_vector(rows)]
+        _check_against_sympy(sympy, m, vs, seen)
+        shapes.add((rows == 0, cols == 0))
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+    assert seen["inside"] > 100 and seen["outside"] > 20
 
 
 def _check_span_batch(sympy, m, batch, span, seen):
@@ -394,11 +451,11 @@ def _check_span_batch(sympy, m, batch, span, seen):
         assert got == [single[0] for single in singles]
 
     images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
-    images = _to_sympy(sympy, images.entries)
+    images = _to_sympy(sympy, images.entries, images.cols)
     for v, single in zip(batch, singles):
         solved = single and single[0]
         try:
-            solution, params = images.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v]))
+            solution, params = images.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v], 1))
         except ValueError:  # sympy: v is outside M·span
             assert solved is None
             seen["unsolvable"] += 1
@@ -448,7 +505,7 @@ def test_batched_span_solves_match_single_solves_and_sympy():
         span = [tuple(F(int(i == j)) for i in range(m.cols)) for j in units]
         span.append(tuple(F(2) * x for x in span[-1]))
         images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
-        rank = _to_sympy(sympy, images.entries).rank()
+        rank = _to_sympy(sympy, images.entries, images.cols).rank()
         batch = _sparse_rhss(rng, images, rank, left_over)
         _check_span_batch(sympy, m, [mul(m, x) for x in span] + batch, span, seen)
     assert seen["solvable"] > 40 and seen["unsolvable"] > 60
@@ -465,7 +522,7 @@ def test_verdicts_invariant_under_row_permutation():
         pm = Matrix.from_rows([m.row(i) for i in order])
         pv = tuple(v[i] for i in order)
         assert kernel_basis(m) == kernel_basis(pm)
-        assert (solve_general(m, v) is None) == (solve_general(pm, pv) is None)
+        assert (solve(m, v) is None) == (solve(pm, pv) is None)
 
 
 def test_scalar_serialization_round_trip():

@@ -114,3 +114,34 @@ def test_memos_live_only_on_base_operators():
                     memos.append((cls.__name__, f.name))
                     assert (f.init, f.compare, f.repr) == (False, False, False), f.name
     assert memos and {cls for cls, _ in memos} == {"BaseOperators"}
+
+
+def _solves_eliminating_c(tree):
+    """Calls of solve_general with c_matrix in an argument: each would
+    eliminate C again instead of reading the operators' record."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else \
+            getattr(node.func, "id", None)
+        if name != "solve_general":
+            continue
+        args = node.args + [kw.value for kw in node.keywords]
+        if any(getattr(sub, "attr", None) == "c_matrix" or getattr(sub, "id", None) == "c_matrix"
+               for arg in args for sub in ast.walk(arg)):
+            found.append(f"{node.lineno}: solve_general on c_matrix")
+    return found
+
+
+def test_solves_against_c_read_one_elimination_per_analysis():
+    # every solve against C goes through the operators' elimination record,
+    # so an analysis eliminates C once for the kernel and once for its solves
+    found = {rel: bad for rel, tree in _package_trees() if (bad := _solves_eliminating_c(tree))}
+    assert not found, f"solves that eliminate C again: {found}"
+    probe = ast.parse("solve_general(ops.c_matrix, v)\n"
+                      "ratlinalg.solve_general(eliminate(self.c_matrix), v)\n"
+                      "solve_general(e=eliminate(c_matrix), v=v)\n"
+                      "solve_general(self._elimination, v)\n"
+                      "solve_in_span_coefficients(ops.c_matrix, vs, span, images)\n")
+    assert len(_solves_eliminating_c(probe)) == 3
