@@ -296,12 +296,23 @@ def span_closure_check(
     constant family. `residual_order` validates each order of a candidate
     once across all (q, k), and the images C Yk .. C Yq come from the
     operators' memo, so each coefficient object is multiplied by C once
-    per analysis. All q(q-k+1) equations C Y = B(Yi, Yj) are solved in one
-    elimination, which gives up before building any solution when one
-    pair has none; only when all solve are coefficients and vectors
-    scaled by -2 to solve the pair equations C Y = -2 B(Yi, Yj). The
-    canonical solution is linear in the right-hand side, so this equals
-    solving the scaled equations.
+    per analysis.
+
+    B is symmetric, so the q(q-k+1) pair equations C Y = B(Yi, Yj) have
+    one right-hand side per distinct product B(Ya, Yb), a <= b, b >= k;
+    these are solved in one elimination, ordered by decreasing b, which
+    gives up before building any solution when one of them has none.
+    Only when all solve are coefficients and vectors scaled by -2 to
+    solve the pair equations C Y = -2 B(Yi, Yj), and (j, i) gets the
+    values of (i, j). The canonical solution is linear in the right-hand
+    side, so this equals solving each scaled equation on its own.
+
+    A failure carries over to later k. The first product B(Ya, Yb) found
+    outside C·span{Yk..Yq} has the largest b of the failing ones, and it
+    stays outside the smaller C·span{Yk'..Yq} for k < k' <= b, where the
+    pair (a, b) is required too. The operators record (k, b) under the
+    identities of Y1..Yq, and a check at such a k' returns None after its
+    preconditions, without building its right-hand sides.
 
     A result with 2k > q + 1 is not a proof of flexibility: the span
     condition then misses pairs that enter later orders (see
@@ -318,17 +329,27 @@ def span_closure_check(
         raise PreconditionError(f"series is not an approximate solution of degree {q}")
     if prefix.is_constant():
         return None
+    ys = prefix.coeffs[1:]
+    key = tuple(map(id, ys))
+    _, failed_k, failed_b = ops._span_failures.get(key, ((), q, 0))
+    if failed_k < k <= failed_b:
+        return None  # a product this check needs is outside a larger span
     span = prefix.coeffs[k : q + 1]
-    pairs = [(i, j) for i in range(1, q + 1) for j in range(k, q + 1)]
-    rhss = [ops.bilinear(prefix.coefficient(i), prefix.coefficient(j)) for i, j in pairs]
+    # the distinct products B(Ya, Yb), a <= b, b >= k, largest b first
+    products = [(a, b) for b in range(q, k - 1, -1) for a in range(1, b + 1)]
+    rhss = [ops.bilinear(prefix.coefficient(a), prefix.coefficient(b)) for a, b in products]
     images = [ops.image(y) for y in span]
     solved = solve_in_span_coefficients(ops.c_matrix, rhss, span, images)
-    if solved is None:
+    if isinstance(solved, int):
+        ops._span_failures[key] = (ys, k, products[solved][1])
         return None
+    scaled = {
+        ab: (combination((-2,), (coeffs,), len(span)), combination((-2,), (vec,), ops.system.m))
+        for ab, (coeffs, vec) in zip(products, solved)
+    }
     pair_solutions = tuple(
-        PairSolution(i, j, combination((-2,), (coeffs,), len(span)),
-                     combination((-2,), (vec,), ops.system.m))
-        for (i, j), (coeffs, vec) in zip(pairs, solved)
+        PairSolution(i, j, *scaled[min(i, j), max(i, j)])
+        for i in range(1, q + 1) for j in range(k, q + 1)
     )
     return SpanClosureFlex(q=q, k=k, series=prefix, pair_solutions=pair_solutions)
 

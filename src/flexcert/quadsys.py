@@ -192,7 +192,12 @@ class BaseOperators:
     argument object, and eliminates C for its solves once. Products and
     images are keyed by the identities of their arguments; each entry
     holds the objects whose ids key it, so those ids cannot pass to other
-    objects while it lives. `_vanishing` serves `series.residual_order`.
+    objects while it lives. `_vanishing` serves `series.residual_order`;
+    its entry for the order just above a prefix's degree also keeps that
+    order's product sum, which the next longer prefix reuses.
+    `_span_failures` serves `certify.span_closure_check`: keyed by the
+    ids of Y1..Yq, it holds the last (k0, b) for which a product
+    B(Ya, Yb) was proven outside C·span{Yk0..Yq}.
     `_elimination`, the reduced [C | I] that answers every `solve`, is
     built on the first solve, so operators that never solve (a trivial
     kernel) never pay for it."""
@@ -205,7 +210,9 @@ class BaseOperators:
         default_factory=dict, init=False, compare=False, repr=False)
     _images_by_id: dict[int, tuple[Vector, Vector]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    _vanishing: dict[tuple[int, ...], tuple[tuple[Vector, ...], bool]] = field(
+    _vanishing: dict[tuple[int, ...], tuple[tuple[Vector, ...], Optional[Vector], bool]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _span_failures: dict[tuple[int, ...], tuple[tuple[Vector, ...], int, int]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _elimination: Optional[Elimination] = field(
         default=None, init=False, compare=False, repr=False)

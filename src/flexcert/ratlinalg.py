@@ -46,8 +46,11 @@ span: it appends them as extra columns to the images M·span_i, which the
 caller passes in (the analysis keeps them in its operators' memo, so
 each is computed once), and eliminates that small matrix once, pivoting
 only in the image columns. A batch is all or nothing: the canonical
-solutions of every right-hand side, or None, with no solution vector
-built, as soon as one of them is outside the span's image.
+solutions of every right-hand side, or, with no solution vector built
+as soon as one of them is outside the span's image, the index of the
+first such right-hand side, read off the rows the elimination leaves
+over. The span-closure check uses that index to rule out later checks
+that need the same product (see `certify.span_closure_check`).
 
 `kernel_basis`, `solve_general` and `solve_in_span_coefficients` are
 also the probes through which the benchmark (bench/tracer.py) times this
@@ -61,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -414,10 +417,10 @@ def solve_general(e: Elimination, v: Vector) -> Optional[Vector]:
 
 def solve_in_span_coefficients(
     m: Matrix, vs: Sequence[Vector], span: Sequence[Vector], images: Sequence[Vector]
-) -> Optional[list[tuple[Vector, Vector]]]:
+) -> Union[list[tuple[Vector, Vector]], int]:
     """For each right-hand side v, the coefficients c and the vector
-    Y = sum c_i span_i with MY = v; None for the whole batch as soon as
-    one v has no such Y.
+    Y = sum c_i span_i with MY = v; or, for the whole batch, the index
+    of the first v that has no such Y.
 
     images[i] is M·span[i], supplied by the caller: the analysis reads
     each from its operators' memo, so it is computed once however many
@@ -425,6 +428,11 @@ def solve_in_span_coefficients(
     elimination of the matrix with columns images[i]. The coefficients
     are the canonical solution over the span (free coordinates zero);
     span vectors need not be independent.
+
+    The rows the elimination leaves over are the Farkas functionals of
+    M·span applied to the right-hand sides, so v_t is outside M·span
+    exactly when one of them has an entry in v_t's column; the failing
+    index is read off them, and no solution is built.
     """
     if len(images) != len(span):
         raise DimensionError("one image is needed per span vector")
@@ -441,7 +449,7 @@ def solve_in_span_coefficients(
                  for i, row in enumerate(matrix_from_columns(images, rows=m.rows).nonzeros)]
     reduced, pivots, rest = _rref(augmented, k)
     if rest:
-        return None
+        return min(min(row) for row in rest) - k
     out = []
     for col in range(k, k + len(vs)):
         coeffs = [Fraction(0)] * k

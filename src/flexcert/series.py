@@ -118,7 +118,11 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     The t^p coefficient depends only on p and on Y1..Y(min(p, q)), so the
     operators remember whether it vanishes under p and the identities of
     that head, holding it (see BaseOperators): each order of a prefix that
-    several checks share is validated once, the orders above q too."""
+    several checks share is validated once, the orders above q too. The
+    entry for order q+1 also keeps its product sum P = sum B(Yl, Y(q+1-l)),
+    so validating the degree-(q+1) prefix with the same head checks order
+    q+1 as P + C Y(q+1), a two-term sum, without summing the q products
+    again."""
     if s.coefficient(0) != ops.base_point:
         raise DimensionError("series base coefficient is not the base point of the operators")
     q = s.degree
@@ -127,11 +131,15 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
         key = (p, *map(id, head))
         hit = ops._vanishing.get(key)
         if hit is None:
-            terms = _products(ops, s, p)
+            # validating the degree-(p-1) prefix with this head kept the sum
+            # of the order-p products under the key without Yp
+            below = ops._vanishing.get(key[:-1]) if p <= q else None
+            terms = [below[1]] if below is not None else _products(ops, s, p)
             if p <= q:
                 terms.append(ops.image(s.coefficient(p)))
             total = combination((1,) * len(terms), terms, ops.system.n)
-            hit = ops._vanishing[key] = (head, is_zero_vector(total))
+            hit = ops._vanishing[key] = (head, total if p == q + 1 else None,
+                                         is_zero_vector(total))
         if not hit[-1]:
             return p
     return INFINITE

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flexcert import certify, quadsys, series
+from flexcert import certify, fileio, quadsys, series
 from flexcert.certify import (
     FLEXIBLE,
     INCONCLUSIVE,
@@ -40,7 +40,10 @@ from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
 from conftest import (
+    FRAMEWORK_CORPUS,
+    SYSTEM_CORPUS,
     broken_series,
+    corpus_path,
     dense_system,
     load_corpus_framework,
     load_corpus_system,
@@ -499,7 +502,7 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
         (vector([1, 1, 0]), vector([1, 0, 1])), 6, ops4.kernel[0]))
     assert isinstance(fail, TStandardFail) and fail.fail_index == 2
     assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs], fail.t_basis,
-                                      [ops4.image(t) for t in fail.t_basis]) is None
+                                      [ops4.image(t) for t in fail.t_basis]) == 0
     assert replay_certificate(sys4, base4, fail)
 
 
@@ -744,6 +747,106 @@ def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
     fw, auto = load_corpus_framework("bricard_octahedron.json")
     assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
     assert len(computed) == 16
+
+
+def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch):
+    # every check of the search is still made (the benchmark fingerprints
+    # hash these counts), but a check ruled out by a product an earlier k
+    # proved outside the span solves nothing
+    solves, checks = [], []
+    real_solve, real_check = certify.solve_in_span_coefficients, certify.span_closure_check
+    monkeypatch.setattr(certify, "solve_in_span_coefficients",
+                        lambda *args: solves.append(1) or real_solve(*args))
+    monkeypatch.setattr(certify, "span_closure_check",
+                        lambda *args: checks.append(1) or real_check(*args))
+    octahedron, auto = load_corpus_framework("bricard_octahedron.json")
+    analyses = [
+        (lambda: analyze_system(*load_corpus_system("example2.json")), INCONCLUSIVE),
+        (lambda: analyze_system(*load_corpus_system("example3.json")), INCONCLUSIVE),
+        (lambda: analyze_framework(octahedron, use_auto_pin=auto), FLEXIBLE),
+    ]
+    per_analysis = []
+    for analyze, verdict in analyses:
+        checks.clear()
+        assert analyze().verdict == verdict
+        per_analysis.append(len(checks))
+    assert per_analysis == [39, 22, 16]
+    assert len(solves) == 35
+
+
+def _oracle_search_inputs():
+    """(system, base point, q_max) of every corpus system, every corpus
+    framework as analyzed (pinned), and 100 seeded random systems."""
+    out = [(*load_corpus_system(name), AnalyzeConfig.q_max) for name in SYSTEM_CORPUS]
+    poly, base = fileio.load_poly(corpus_path("cubic.json"))
+    reduced, rmap = quadsys.reduce_degree(poly)
+    out.append((reduced, quadsys.lift_base_point(rmap, base), AnalyzeConfig.q_max))
+    for name in FRAMEWORK_CORPUS:
+        fw, auto = load_corpus_framework(name)
+        sys_, _, base = build_edge_system(analyze_framework(fw, use_auto_pin=auto).pinned)
+        out.append((sys_, base, AnalyzeConfig.q_max))
+    rng = random.Random(8086)
+    for trial in range(100):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        make = _random_system_with_solution if trial % 2 else _low_rank_system
+        out.append((*make(rng, m, n), 4))
+    return out
+
+
+def _fresh_span_check(sys_, base, cand, q, k):
+    """span_closure_check at (q, k) on fresh operators (empty memos), and
+    the set of b for which a one-at-a-time solve finds a product
+    B(Ya, Yb), a <= b, b >= k, outside C·span{Yk..Yq}."""
+    fresh = linearize(sys_, base)
+    cert = span_closure_check(fresh, cand, q, k)
+    ys, span = cand.coeffs, cand.coeffs[k : q + 1]
+    images = [fresh.image(y) for y in span]
+    outside = {b for b in range(k, q + 1) for a in range(1, b + 1)
+               if solve_in_span_coefficients(fresh.c_matrix, [fresh.bilinear(ys[a], ys[b])],
+                                             span, images) == 0}
+    return cert, outside
+
+
+def test_span_checks_on_shared_operators_match_fresh_checks(monkeypatch):
+    # on one ops, the search's (q, k, candidate) order and then every
+    # 1 <= k <= q in the same order: each check must give what the same
+    # check gives on fresh operators. The shared check must also solve
+    # exactly when its prefix is not constant and no earlier failure on the
+    # prefix covers its k: the last failure (k0, b) that solved covers
+    # k0 < k <= b, where b is the largest b of a product the fresh
+    # one-at-a-time solves find outside the span at k0
+    solves = []
+    real_solve = certify.solve_in_span_coefficients
+    monkeypatch.setattr(certify, "solve_in_span_coefficients",
+                        lambda *args: solves.append(1) or real_solve(*args))
+    seen = {"certificates": 0, "skipped": 0, "failed": 0, "several_b": 0}
+    for sys_, base, q_max in _oracle_search_inputs():
+        ops = linearize(sys_, base)
+        candidates = certify.canonical_candidates(ops, q_max)
+        every_k = [(q, k, cand) for q in range(2, q_max + 1) for k in range(1, q + 1)
+                   for cand in candidates if cand.degree >= q]
+        fresh = [_fresh_span_check(sys_, base, cand, q, k) for q, k, cand in every_k]
+        checks = list(zip(every_k, fresh))
+        searched = [check for check in checks if 2 * check[0][1] <= check[0][0] + 1]
+        last_failure = {}
+        for (q, k, cand), (expected, outside) in searched + checks:
+            constant = cand.truncated(q).is_constant()
+            # the check fails exactly when some product is outside the span
+            assert (expected is None) == (constant or bool(outside))
+            key = tuple(map(id, cand.coeffs[1 : q + 1]))
+            k0, b = last_failure.get(key, (q, 0))
+            solving = not constant and not k0 < k <= b
+            before = len(solves)
+            assert span_closure_check(ops, cand, q, k) == expected, (q, k)
+            assert (len(solves) > before) == solving, (q, k)
+            seen["certificates"] += expected is not None
+            seen["skipped"] += not solving and not constant
+            if solving and expected is None:
+                last_failure[key] = (k, max(outside))
+                seen["failed"] += 1
+                seen["several_b"] += len(outside) > 1
+    assert seen["certificates"] >= 500 and seen["skipped"] >= 500, seen
+    assert seen["failed"] >= 500 and seen["several_b"] >= 10, seen
 
 
 def test_solve_record_is_built_once_per_analysis(monkeypatch):

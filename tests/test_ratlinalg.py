@@ -89,7 +89,7 @@ def test_solve_in_span_reference_cases():
     assert in_span(C_LINE, [zero_vector(3)], [vector([4, 3, 5])]) == [(
         vector([0]), vector([0, 0, 0]))]
     eye = Matrix.from_rows([[1, 0], [0, 1]])
-    assert in_span(eye, [vector([1, 1])], [vector([1, 0])]) is None
+    assert in_span(eye, [vector([1, 1])], [vector([1, 0])]) == 0
     m = Matrix.from_rows([[1, 0], [0, 0]])
     [(coeffs, got)] = in_span(m, [vector([1, 0])], [vector([1, 1])])
     assert coeffs == vector([1])
@@ -105,7 +105,7 @@ def test_solve_in_span_handles_dependent_and_zero_span_vectors():
     assert got == tuple(sum(c * s[i] for c, s in zip(coeffs, span)) for i in range(2))
     # empty span solves only the zero right-hand side
     assert in_span(m, [zero_vector(2)], []) == [((), zero_vector(2))]
-    assert in_span(m, [vector([1, 0])], []) is None
+    assert in_span(m, [vector([1, 0])], []) == 0
 
 
 def test_solve_in_span_empty_batches():
@@ -113,10 +113,10 @@ def test_solve_in_span_empty_batches():
     assert in_span(m, [], [vector([1, 0])]) == []
     assert in_span(m, [], []) == []
     # an empty span in one batch: zero right-hand sides solvable, and one
-    # that is not makes the whole batch None
+    # that is not fails the whole batch with its index
     batch = [vector([0, 0, 0]), vector([0, 0, 0])]
     assert in_span(m, batch, []) == [((), zero_vector(2))] * 2
-    assert in_span(m, batch + [vector([0, 1, 0])], []) is None
+    assert in_span(m, batch + [vector([0, 1, 0])], []) == 2
     with pytest.raises(DimensionError):
         in_span(m, [vector([1, 2])], [vector([1, 0])])
     with pytest.raises(DimensionError):
@@ -152,7 +152,7 @@ def test_unsolvable_batch_builds_no_solution():
     solvable, unsolvable = [vector([1, 1, 2]), vector([F(1, 2), 3, F(7, 2)])], vector([1, 1, 0])
     batch = [solvable[0], unsolvable, solvable[1]]
     got, built = _fractions_built(lambda: solve_in_span_coefficients(m, batch, span, images))
-    assert got is None and built == 0
+    assert got == 1 and built == 0
     got, built = _fractions_built(lambda: solve_in_span_coefficients(m, solvable, span, images))
     assert [y for _, y in got] == [vector([1, 0, 1]), vector([F(1, 2), 0, 3])] and built > 0
     # one right-hand side against the elimination record: the canonical
@@ -161,6 +161,29 @@ def test_unsolvable_batch_builds_no_solution():
     assert solve_general(record, solvable[0]) == vector([1, 0, 1])
     assert solve_general(record, solvable[1]) == vector([F(1, 2), 0, 3])
     assert _fractions_built(lambda: solve_general(record, unsolvable)) == (None, 0)
+
+
+def test_failing_batch_reports_its_first_unsolvable_right_hand_side():
+    # im M = span{e0}: e1 and e2 are outside it, and so is any vector with
+    # an entry past the first
+    m = Matrix.from_rows([[1, 0], [0, 0], [0, 0]])
+    span = [vector([1, 0]), vector([0, 1])]
+    images = [m.mul_vec(y) for y in span]
+    e0, e1, e2 = (tuple(F(int(i == j)) for i in range(3)) for j in range(3))
+    # two failing right-hand sides whose leftover rows differ: the one in
+    # the first leftover row (e1, row 1) comes later in the batch than the
+    # one in the second (e2, row 2)
+    assert solve_in_span_coefficients(m, [e0, e2, e0, e1], span, images) == 1
+    assert solve_in_span_coefficients(m, [e0, e1, e2], span, images) == 1
+    # two failing right-hand sides in one leftover row
+    assert solve_in_span_coefficients(m, [e1, vector([3, 2, 0])], span, images) == 0
+    assert solve_in_span_coefficients(m, [e0, vector([3, 2, 0]), e1], span, images) == 1
+    # a failure builds no solution
+    got, built = _fractions_built(
+        lambda: solve_in_span_coefficients(m, [e0, e0, e2, e1], span, images))
+    assert got == 2 and built == 0
+    [(coeffs, y)] = solve_in_span_coefficients(m, [e0], span, images)
+    assert coeffs == vector([1, 0]) and y == vector([1, 0])
 
 
 def test_matrix_stores_canonical_nonzeros():
@@ -279,7 +302,7 @@ def test_solve_in_span_agrees_with_grid_bruteforce():
         span = [vector([F(rng.randint(-2, 2)) for _ in range(cols)]) for _ in range(2)]
         v = vector([F(rng.randint(-2, 2)) for _ in range(rows)])
         solved = in_span(m, [v], span)
-        if solved is not None:
+        if solved != 0:
             got = solved[0][1]
             assert mul(m, got) == v
             # returned vector really is a combination of the span
@@ -370,7 +393,7 @@ def _check_against_sympy(sympy, m, vs, seen):
     units = [tuple(F(int(i == j)) for i in range(m.cols)) for j in range(m.cols)]
     for v in vs:
         got = solve_general(record, v)
-        assert in_span(m, [v], units) == (None if got is None else [(got, got)])
+        assert in_span(m, [v], units) == (0 if got is None else [(got, got)])
         try:
             solution, params = sm.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v], 1))
         except ValueError:  # sympy: the system is inconsistent
@@ -442,26 +465,27 @@ def test_solver_matches_sympy_oracle():
 
 
 def _check_span_batch(sympy, m, batch, span, seen):
-    # the batch is None exactly when some single solve is, else their list
+    # the batch fails with the index of the first right-hand side whose
+    # single solve fails, else it is the list of the single solves
     singles = [in_span(m, [v], span) for v in batch]
     got = in_span(m, batch, span)
-    if None in singles:
-        assert got is None
+    failing = [t for t, single in enumerate(singles) if single == 0]
+    if failing:
+        assert got == failing[0]
     else:
         assert got == [single[0] for single in singles]
 
     images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
     images = _to_sympy(sympy, images.entries, images.cols)
     for v, single in zip(batch, singles):
-        solved = single and single[0]
         try:
             solution, params = images.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v], 1))
         except ValueError:  # sympy: v is outside M·span
-            assert solved is None
+            assert single == 0
             seen["unsolvable"] += 1
             continue
         seen["solvable"] += 1
-        coeffs, vec = solved
+        [(coeffs, vec)] = single
         expected = solution.subs({p: 0 for p in params})
         assert coeffs == _from_sympy(expected)
         assert vec == tuple(sum((c * s[i] for c, s in zip(coeffs, span)), F(0))
