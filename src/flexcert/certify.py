@@ -55,8 +55,10 @@ class AnalyzeConfig:
     max_depth: int = 24
 
     def __post_init__(self):
-        if self.q_max < 1 or self.max_depth < 2:
-            raise PreconditionError("analysis caps must be positive")
+        for name, least in (("q_max", 1), ("max_depth", 2)):
+            if getattr(self, name) < least:
+                raise PreconditionError(f"invalid analysis caps: {name} must be at least "
+                                        f"{least}, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,7 @@ class TStandardFail:
 
     fail_index: int
     unreachable_rhs: Vector
-    t_basis: tuple[Vector, ...]
+    normal: Vector  # T = ker normal
     leading: Vector
     prefix: SeriesCoefficients  # coefficients Y0 .. Y_{fail_index-1}
 
@@ -135,7 +137,7 @@ class TStandardSurvived:
     proves nothing by itself and is reported as evidence only."""
 
     depth: int
-    t_basis: tuple[Vector, ...]
+    normal: Vector  # T = ker normal
     leading: Vector
     series: SeriesCoefficients
 
@@ -366,7 +368,12 @@ def canonical_candidates(ops: BaseOperators, q_max: int) -> list[SeriesCoefficie
     the right-hand side is 0 and so is its canonical solution. At p = r*n
     the nonzero products are B(X_l, X_{n-l}), the right-hand side of X_n,
     which has the same canonical solution. So if X stalls at degree s
-    (no X_{s+1}), the variant stalls at degree r*(s+1) - 1."""
+    (no X_{s+1}), the variant stalls at degree r*(s+1) - 1.
+
+    Likewise a span check on the variant at (q, k) equals the check on X
+    at (q // r, ceil(k / r)). The scan's bound 2k <= q + 1 is not kept by
+    that map (r = 3 takes (8, 4) to (2, 2)), and some variants certify
+    at points whose base check the scan never runs."""
     out = []
     zero = zero_vector(ops.system.m)
     for kvec in ops.kernel:
@@ -410,7 +417,7 @@ def span_closure_search(ops: BaseOperators, q_max: int) -> Optional[SpanClosureF
 
 @dataclass(frozen=True)
 class TStandardConfig:
-    t_basis: tuple[Vector, ...]
+    normal: Vector  # the complement T of ker C is ker normal
     max_depth: int
     leading_coeff: Vector
 
@@ -418,46 +425,35 @@ class TStandardConfig:
 def default_t_standard_config(
     ops: BaseOperators, max_depth: int = AnalyzeConfig.max_depth
 ) -> TStandardConfig:
-    """T is the coordinate hyperplane omitting the kernel vector's pivot
-    coordinate (largest absolute value, ties to the lowest index), which
-    keeps T rational and transversal to the kernel."""
+    """T = ker e_i, the coordinate hyperplane omitting the kernel vector's
+    pivot coordinate i (largest absolute value, ties to the lowest
+    index), which keeps T rational and transversal to the kernel."""
     if len(ops.kernel) != 1:
         raise InapplicableError(
             f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
         )
     kvec = ops.kernel[0]
     pivot = max(range(len(kvec)), key=lambda i: (abs(kvec[i]), -i))
-    m = ops.system.m
-    basis = tuple(
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        for i in range(m)
-        if i != pivot
-    )
-    return TStandardConfig(t_basis=basis, max_depth=max_depth, leading_coeff=kvec)
+    normal = tuple(Fraction(int(j == pivot)) for j in range(len(kvec)))
+    return TStandardConfig(normal=normal, max_depth=max_depth, leading_coeff=kvec)
 
 
-def _validate_t_standard(ops: BaseOperators, t_basis: tuple[Vector, ...],
-                         lead: Vector) -> Vector:
-    """Check the T-standard preconditions on T = span(t_basis) and the
-    leading coefficient, and return the functional phi with T = ker phi."""
+def _validate_t_standard(ops: BaseOperators, normal: Vector, lead: Vector) -> None:
+    """Check the T-standard preconditions on T = ker normal and the
+    leading coefficient. normal . lead != 0 also rules out a zero normal."""
     if len(ops.kernel) != 1:
         raise InapplicableError(
             f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
         )
     if is_zero_vector(lead) or not is_zero_vector(ops.c_matrix.mul_vec(lead)):
         raise PreconditionError("leading coefficient must be a nonzero kernel vector")
-    m = ops.system.m
-    if len(t_basis) != m - 1 or any(len(t) != m for t in t_basis):
-        raise PreconditionError("T must have codimension 1")
-    normal = kernel_basis(Matrix.from_rows(t_basis, cols=m))
-    if len(normal) != 1 or _dot(normal[0], lead) == 0:
-        raise PreconditionError("T is degenerate or meets the kernel of C")
-    return normal[0]
+    if len(normal) != ops.system.m or _dot(normal, lead) == 0:
+        raise PreconditionError("T must be a hyperplane that meets the kernel of C only in 0")
 
 
-def _into_t(x: Vector, lead: Vector, phi: Vector) -> Vector:
-    # the one point of the line x + span{lead} inside T = ker phi
-    return combination((1, -_dot(phi, x) / _dot(phi, lead)), (x, lead), len(x))
+def _into_t(x: Vector, lead: Vector, normal: Vector) -> Vector:
+    # the one point of the line x + span{lead} inside T = ker normal
+    return combination((1, -_dot(normal, x) / _dot(normal, lead)), (x, lead), len(x))
 
 
 def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
@@ -470,7 +466,7 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
     im C: a step is solvable in T exactly when it is solvable at all, and
     its solution in T is the canonical solution moved along lead into T.
     """
-    phi = _validate_t_standard(ops, cfg.t_basis, cfg.leading_coeff)
+    _validate_t_standard(ops, cfg.normal, cfg.leading_coeff)
     if cfg.max_depth < 2:
         raise PreconditionError("max_depth must be at least 2")
     s = SeriesCoefficients((ops.base_point, cfg.leading_coeff))
@@ -481,13 +477,13 @@ def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
             return TStandardFail(
                 fail_index=p,
                 unreachable_rhs=rhs,
-                t_basis=cfg.t_basis,
+                normal=cfg.normal,
                 leading=cfg.leading_coeff,
                 prefix=s,
             )
-        s = s.appended(_into_t(x, cfg.leading_coeff, phi))
+        s = s.appended(_into_t(x, cfg.leading_coeff, cfg.normal))
     return TStandardSurvived(
-        depth=cfg.max_depth, t_basis=cfg.t_basis, leading=cfg.leading_coeff, series=s
+        depth=cfg.max_depth, normal=cfg.normal, leading=cfg.leading_coeff, series=s
     )
 
 
@@ -579,14 +575,10 @@ def _replay(ops: BaseOperators, cert: Certificate) -> bool:
         return _replay_span_closure(ops, cert)
 
     if isinstance(cert, TStandardFail):
-        return _replay_t_standard(ops, cert.t_basis, cert.leading, cert.prefix,
-                                  fail_index=cert.fail_index,
-                                  unreachable_rhs=cert.unreachable_rhs)
+        return _replay_t_standard(ops, cert, cert.prefix)
 
     if isinstance(cert, TStandardSurvived):
-        return cert.series.degree == cert.depth and _replay_t_standard(
-            ops, cert.t_basis, cert.leading, cert.series,
-            fail_index=None, unreachable_rhs=None)
+        return cert.series.degree == cert.depth and _replay_t_standard(ops, cert, cert.series)
 
     return False
 
@@ -658,26 +650,20 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     return seen == required
 
 
-def _replay_t_standard(
-    ops: BaseOperators,
-    t_basis: tuple[Vector, ...],
-    leading: Vector,
-    coeffs: SeriesCoefficients,
-    fail_index: Optional[int],
-    unreachable_rhs: Optional[Vector],
-) -> bool:
-    phi = _validate_t_standard(ops, t_basis, leading)
-    if coeffs.coeffs[:2] != (ops.base_point, leading):
+def _replay_t_standard(ops: BaseOperators, cert: Union[TStandardFail, TStandardSurvived],
+                       coeffs: SeriesCoefficients) -> bool:
+    _validate_t_standard(ops, cert.normal, cert.leading)
+    if coeffs.coeffs[:2] != (ops.base_point, cert.leading):
         return False
-    if any(_dot(phi, y) != 0 for y in coeffs.coeffs[2:]):
+    if any(_dot(cert.normal, y) != 0 for y in coeffs.coeffs[2:]):
         return False
     if residual_order(ops, coeffs) <= coeffs.degree:
         return False
-    if fail_index is not None:
-        if coeffs.degree != fail_index - 1:
+    if isinstance(cert, TStandardFail):
+        if coeffs.degree != cert.fail_index - 1:
             return False
-        rhs = recurrence_rhs(ops, coeffs, fail_index)
-        if rhs != unreachable_rhs:
+        rhs = recurrence_rhs(ops, coeffs, cert.fail_index)
+        if rhs != cert.unreachable_rhs:
             return False
         # C maps T onto im C (checked above), so outside im C is outside C(T)
         return ops.solve(rhs) is None

@@ -67,7 +67,10 @@ def framework(
         vec = vector(c)
         if len(vec) != dimension:
             raise FrameworkError(f"joint {jid!r} has {len(vec)} coordinates, expected {dimension}")
-        coords[str(jid)] = vec
+        key = str(jid)
+        if key in coords:
+            raise FrameworkError(f"two joint ids read as the same string {key!r}")
+        coords[key] = vec
     norm_bars = set()
     for bar in bars:
         a, b = str(bar[0]), str(bar[1])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flexcert import certify, fileio, quadsys, series
+from flexcert import certify, fileio, quadsys, ratlinalg, series
 from flexcert.certify import (
     FLEXIBLE,
     INCONCLUSIVE,
@@ -312,6 +312,20 @@ def test_replay_rejects_t_standard_survived_with_a_false_depth():
         assert not replay_certificate(sys_, base, dataclasses.replace(cert, depth=depth))
 
 
+def test_t_standard_replay_eliminates_only_c(monkeypatch):
+    # T is read from its stored normal: replay eliminates C (for its kernel
+    # and solves) and nothing else
+    sys_, base = load_corpus_system("example1.json")
+    ops = linearize(sys_, base)
+    cert = t_standard_run(ops, default_t_standard_config(ops, max_depth=6))
+    assert isinstance(cert, TStandardSurvived)
+    calls = []
+    original = ratlinalg._rref
+    monkeypatch.setattr(ratlinalg, "_rref", lambda *args: calls.append(args) or original(*args))
+    assert replay_certificate(sys_, base, cert)
+    assert len(calls) == 1
+
+
 def _tampered_certificates():
     # name -> (system, base point, certificate with a witness of the wrong shape)
     ex1, base1 = load_corpus_system("example1.json")
@@ -335,12 +349,24 @@ def _tampered_certificates():
         "no_common_line_functional": (cross, zero_vector(2), dataclasses.replace(
             no_line, functionals=(vector([1]),) + no_line.functionals[1:])),
         "t_standard_leading": (ex1, base1, dataclasses.replace(survived, leading=vector([1]))),
+        # the leading coefficient is (4, 3, 5) and every later coefficient is
+        # 0, so each of these normals passes the T test on the series itself
+        "t_standard_short_normal": (ex1, base1,
+                                    dataclasses.replace(survived, normal=vector([0, 1]))),
+        "t_standard_long_normal": (ex1, base1,
+                                   dataclasses.replace(survived, normal=vector([0, 0, 1, 0]))),
+        "t_standard_zero_normal": (ex1, base1,
+                                   dataclasses.replace(survived, normal=zero_vector(3))),
+        "t_standard_normal_orthogonal_to_leading": (
+            ex1, base1, dataclasses.replace(survived, normal=vector([3, -4, 0]))),
     }
 
 
 @pytest.mark.parametrize("case", ["span_pair_index", "single_direction_kernel",
                                   "definite_form_functional", "no_common_line_functional",
-                                  "t_standard_leading"])
+                                  "t_standard_leading", "t_standard_short_normal",
+                                  "t_standard_long_normal", "t_standard_zero_normal",
+                                  "t_standard_normal_orthogonal_to_leading"])
 def test_replay_rejects_witnesses_of_the_wrong_shape(case):
     sys_, base, cert = _tampered_certificates()[case]
     assert replay_certificate(sys_, base, cert) is False
@@ -397,7 +423,7 @@ def test_t_standard_fail_reference(tangent_sphere_cylinder):
     sys_, base = tangent_sphere_cylinder
     ops = linearize(sys_, base)
     cfg = default_t_standard_config(ops)
-    assert cfg.t_basis == (vector([1, 0, 0]), vector([0, 1, 0]))
+    assert cfg.normal == vector([0, 0, 1])
     out = t_standard_run(ops, cfg)
     assert isinstance(out, TStandardFail)
     assert out.fail_index == 2
@@ -418,7 +444,7 @@ def test_t_standard_circle_coefficients(circle_system):
     sys_, base = circle_system
     ops = linearize(sys_, base)
     cfg = default_t_standard_config(ops, max_depth=6)
-    assert cfg.t_basis == (vector([1, 0]),)
+    assert cfg.normal == vector([0, 1])
     out = t_standard_run(ops, cfg)
     assert isinstance(out, TStandardSurvived)
     got = out.series
@@ -450,8 +476,7 @@ def test_t_standard_requires_kernel_dimension_one(viviani_system):
     with pytest.raises(InapplicableError):
         default_t_standard_config(ops)
     with pytest.raises(InapplicableError):
-        t_standard_run(ops, TStandardConfig((vector([1, 0, 0]), vector([0, 1, 0])), 4,
-                                            vector([0, 0, 1])))
+        t_standard_run(ops, TStandardConfig(vector([0, 0, 1]), 4, vector([0, 0, 1])))
 
 
 def test_t_standard_rejects_t_meeting_kernel(circle_system):
@@ -459,7 +484,8 @@ def test_t_standard_rejects_t_meeting_kernel(circle_system):
     ops = linearize(sys_, base)
     assert ops.kernel == (vector([0, 1]),)
     with pytest.raises(PreconditionError):
-        t_standard_run(ops, TStandardConfig((vector([0, 1]),), 4, ops.kernel[0]))
+        # T = ker (1, 0) is the kernel line itself
+        t_standard_run(ops, TStandardConfig(vector([1, 0]), 4, ops.kernel[0]))
 
 
 def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
@@ -469,10 +495,12 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     base = vector([1, 0, 0])
     ops = linearize(sys_, base)
     assert ops.kernel == (vector([0, 1, 0]),)
-    # T = ker (1, -1, 1), a plane through no coordinate axis
-    t_basis = (vector([1, 1, 0]), vector([0, 1, 1]))
+    # T = ker (1, -1, 1), a plane through no coordinate axis; its basis is
+    # the oracle for the one solution inside T
+    basis = (vector([1, 1, 0]), vector([0, 1, 1]))
     depth = 7
-    out = t_standard_run(ops, TStandardConfig(t_basis, depth, ops.kernel[0]))
+    out = t_standard_run(ops, TStandardConfig(vector([1, -1, 1]), depth, ops.kernel[0]))
+    assert out.normal == vector([1, -1, 1])
     assert isinstance(out, TStandardSurvived)
     s = out.series
     for p in range(2, depth + 1):
@@ -481,8 +509,8 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
         rhs = series.recurrence_rhs(ops, s.truncated(p - 1), p)
         assert ops.c_matrix.mul_vec(y) == rhs
         # the one solution inside T, found by solving over T's basis
-        images = [ops.image(t) for t in t_basis]
-        [(_, in_t)] = solve_in_span_coefficients(ops.c_matrix, [rhs], t_basis, images)
+        images = [ops.image(t) for t in basis]
+        [(_, in_t)] = solve_in_span_coefficients(ops.c_matrix, [rhs], basis, images)
         assert y == in_t
     assert series.residual_order(ops, s) > depth
     assert replay_certificate(sys_, base, out)
@@ -498,11 +526,13 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     # an order-2 failure read off the same kind of plane
     sys4, base4 = tangent_sphere_cylinder
     ops4 = linearize(sys4, base4)
-    fail = t_standard_run(ops4, TStandardConfig(
-        (vector([1, 1, 0]), vector([1, 0, 1])), 6, ops4.kernel[0]))
+    # T = ker (1, -1, -1) = span{(1, 1, 0), (1, 0, 1)}
+    fail_basis = (vector([1, 1, 0]), vector([1, 0, 1]))
+    fail = t_standard_run(ops4, TStandardConfig(vector([1, -1, -1]), 6, ops4.kernel[0]))
     assert isinstance(fail, TStandardFail) and fail.fail_index == 2
-    assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs], fail.t_basis,
-                                      [ops4.image(t) for t in fail.t_basis]) == 0
+    assert fail.normal == vector([1, -1, -1])
+    assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs], fail_basis,
+                                      [ops4.image(t) for t in fail_basis]) == 0
     assert replay_certificate(sys4, base4, fail)
 
 
@@ -984,6 +1014,47 @@ def test_derived_candidates_equal_the_grown_ones():
             stalled_variants += sum(1 for s in variants if s.degree < q_max)
             long_variants += sum(1 for s in variants if s.degree >= 4 and not s.is_constant())
     assert stalled_variants >= 200 and long_variants >= 400
+
+
+def test_leading_zero_variant_checks_equal_base_checks():
+    # the variant X(t^r) has V_p = X_{p/r} when r divides p and 0 otherwise,
+    # so span{V_k..V_q} = span{X_k'..X_q'} with q' = q // r, k' = ceil(k / r),
+    # and its nonzero pair products are those of X: a check on the variant
+    # at (q, k) equals the check on X at (q', k'). It is constant when
+    # q' = 0 and holds vacuously when k' > q' >= 1. The scan keeps
+    # 2k <= q + 1 on the variant, which does not keep 2k' <= q' + 1, so
+    # some of the base checks it stands for are ones the scan never runs
+    seen = {"checks": 0, "certified": 0, "unscanned": 0, "unscanned_certified": 0}
+    inputs = [(*load_corpus_system(name), AnalyzeConfig.q_max) for name in SYSTEM_CORPUS]
+    rng = random.Random(2718)
+    for trial in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        make = _random_system_with_solution if trial % 2 else _low_rank_system
+        inputs.append((*make(rng, m, n), AnalyzeConfig.q_max))
+    for sys_, base, q_max in inputs:
+        ops = linearize(sys_, base)
+        candidates = certify.canonical_candidates(ops, q_max)
+        for x, *variants in zip(*[iter(candidates)] * 3):
+            for r, variant in zip((2, 3), variants):
+                for q in range(1, variant.degree + 1):
+                    for k in range(1, q + 1):
+                        got = span_closure_check(ops, variant, q, k) is not None
+                        q1, k1 = q // r, -(-k // r)
+                        assert x.degree >= q1
+                        if q1 == 0:
+                            expected = False
+                        elif k1 > q1:
+                            expected = True
+                        else:
+                            expected = span_closure_check(ops, x, q1, k1) is not None
+                        assert got == expected, (r, q, k)
+                        if q >= 2 and 2 * k <= q + 1:
+                            seen["checks"] += 1
+                            seen["certified"] += got
+                            seen["unscanned"] += 2 * k1 > q1 + 1
+                            seen["unscanned_certified"] += got and 2 * k1 > q1 + 1
+    assert seen["checks"] >= 1000 and seen["certified"] >= 400, seen
+    assert seen["unscanned"] >= 100 and seen["unscanned_certified"] >= 40, seen
 
 
 def test_cokernel_and_order_two_obstruction_match_sympy():

@@ -427,11 +427,11 @@ def _every_certificate_kind():
           "forms": [["0", "1", "0"], ["1", "0", "-1"]]}),
         (t_standard_run(ops4, default_t_standard_config(ops4)),
          {"kind": "t_standard_fail", "fail_index": 2, "unreachable_rhs": ["-1", "0", "0"],
-          "t_basis": [["1", "0", "0"], ["0", "1", "0"]], "leading": ["0", "0", "1"],
+          "normal": ["0", "0", "1"], "leading": ["0", "0", "1"],
           "prefix": {"degree": 1, "coefficients": [["2", "0", "0"], ["0", "0", "1"]]}}),
         (t_standard_run(ops1, default_t_standard_config(ops1, max_depth=3)),
          {"kind": "t_standard_survived", "depth": 3,
-          "t_basis": [["1", "0", "0"], ["0", "1", "0"]], "leading": ["4", "3", "5"],
+          "normal": ["0", "0", "1"], "leading": ["4", "3", "5"],
           "series": {"degree": 3, "coefficients": [["5", "5", "7"], ["4", "3", "5"],
                                                    ["0", "0", "0"], ["0", "0", "0"]]}}),
     ]
@@ -501,4 +501,12 @@ def test_invalid_caps_exit_2(capsys):
     code, _, err = run_cli(capsys, "analyze-system", corpus_path("example1.json"),
                            "--q-max", "0")
     assert code == 2
-    assert "caps" in err
+    assert err == "error: invalid analysis caps: q_max must be at least 1, got 0\n"
+
+
+def test_max_depth_below_two_names_the_cap_and_its_minimum(capsys):
+    # 1 is positive but too small: the error says which cap failed and why
+    code, out, err = run_cli(capsys, "analyze-system", corpus_path("example1.json"),
+                             "--max-depth", "1")
+    assert code == 2 and out == ""
+    assert err == "error: invalid analysis caps: max_depth must be at least 2, got 1\n"

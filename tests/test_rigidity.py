@@ -54,6 +54,14 @@ def test_framework_validation():
         framework(2, {"a": [0, 0, 0], "b": [1, 0]}, [["a", "b"]])
 
 
+def test_framework_rejects_ids_equal_as_strings():
+    # joints are keyed by str(id), so 1 and "1" would overwrite each other
+    with pytest.raises(FrameworkError, match="same string"):
+        framework(2, {1: [0, 0], "1": [1, 0], "b": [0, 1]}, [(1, "b")])
+    fw = framework(2, {1: [0, 0], "b": [0, 1]}, [(1, "b")])
+    assert fw.joints == {"1": vector([0, 0]), "b": vector([0, 1])}
+
+
 def test_auto_pin_triangle():
     pinned = auto_pin(triangle())
     assert sorted(pinned.pins) == [("v1", 0), ("v1", 1), ("v2", 1)]
