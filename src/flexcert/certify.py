@@ -23,6 +23,8 @@ from .ratlinalg import (
     DimensionError,
     Matrix,
     Vector,
+    _combine,
+    _integers,
     combination,
     is_zero_vector,
     kernel_basis,
@@ -631,20 +633,24 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
         return False
     if s.is_constant():
         return False
-    span = s.coeffs[k : q + 1]
-    # C·sum c_i Y_i = sum c_i C·Y_i, so each pair equation is checked on
+    m, n = ops.system.m, ops.system.n
+    # each span vector and each image is scaled to integers once; each pair
+    # is then two int zero tests: sum c_i Y_i - v = 0, and, since
+    # C·sum c_i Y_i = sum c_i C·Y_i, sum c_i C·Y_i + 2 B(Y_i, Y_j) = 0 over
     # the span images, which residual_order has already computed
-    images = [ops.image(y) for y in span]
+    ys = s.coeffs[k : q + 1]
+    span = [_integers(y) for y in ys]
+    images = [_integers(ops.image(y)) for y in ys]
     required = {(i, j) for i in range(1, q + 1) for j in range(k, q + 1)}
     seen = set()
     for ps in cert.pair_solutions:
-        if (ps.i, ps.j) not in required or len(ps.coefficients) != len(span):
+        if ((ps.i, ps.j) not in required or len(ps.coefficients) != len(span)
+                or len(ps.vector) != m):
             return False
-        if combination(ps.coefficients, span, ops.system.m) != ps.vector:
+        if any(_combine((*ps.coefficients, -1), (*span, _integers(ps.vector)), m)[1]):
             return False
         product = ops.bilinear(s.coefficient(ps.i), s.coefficient(ps.j))
-        if not is_zero_vector(combination((*ps.coefficients, 2), (*images, product),
-                                          ops.system.n)):
+        if any(_combine((*ps.coefficients, 2), (*images, _integers(product)), n)[1]):
             return False
         seen.add((ps.i, ps.j))
     return seen == required

@@ -192,9 +192,13 @@ class BaseOperators:
     argument object, and eliminates C for its solves once. Products and
     images are keyed by the identities of their arguments; each entry
     holds the objects whose ids key it, so those ids cannot pass to other
-    objects while it lives. `_vanishing` serves `series.residual_order`;
-    its entry for the order just above a prefix's degree also keeps that
-    order's product sum, which the next longer prefix reuses.
+    objects while it lives. `_vanishing` serves `series.residual_order`:
+    keyed by an order p and the ids of the coefficients that the t^p
+    coefficient depends on, an entry holds those coefficients, the
+    order's product sum or None, and whether the t^p coefficient
+    vanishes. The product sum is kept only for the order just above a
+    prefix's degree, which the next longer prefix reuses; it is held
+    scaled to integers, as the (common, int totals) of `ratlinalg._combine`.
     `_span_failures` serves `certify.span_closure_check`: keyed by the
     ids of Y1..Yq, it holds the last (k0, b) for which a product
     B(Ya, Yb) was proven outside C·span{Yk0..Yq}.
@@ -210,7 +214,8 @@ class BaseOperators:
         default_factory=dict, init=False, compare=False, repr=False)
     _images_by_id: dict[int, tuple[Vector, Vector]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    _vanishing: dict[tuple[int, ...], tuple[tuple[Vector, ...], Optional[Vector], bool]] = field(
+    _vanishing: dict[tuple[int, ...],
+                     tuple[tuple[Vector, ...], Optional[tuple[int, list[int]]], bool]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _span_failures: dict[tuple[int, ...], tuple[tuple[Vector, ...], int, int]] = field(
         default_factory=dict, init=False, compare=False, repr=False)

@@ -6,10 +6,18 @@ no floating point appears on any decision path.
 
 Sums are taken in int arithmetic. `_integers` is the one step that
 scales a vector to integers over its least common denominator.
-`combination` is the one linear combination sum c_i v_i of vectors;
-every such sum in the package goes through it. It scales each term
-once, sums the integers over the lcm of the terms' denominators and
-builds one Fraction per entry.
+`_combine` is the one linear combination sum c_i v_i of vectors; every
+such sum in the package goes through it. It takes the vectors already
+scaled by `_integers` and sums the integers over the lcm of the terms'
+denominators, returning (common, int totals), itself a scaled vector.
+`combination` is the wrapper that scales each vector with a nonzero
+coefficient and builds one Fraction per entry. A caller that only tests
+a sum for zero, or that sums the same vectors many times over (replay of
+a span-closure certificate, `series.residual_order`, the solutions of a
+span batch), scales each vector once and calls `_combine` directly; a
+zero test builds no Fraction at all. `_combine` is private so that the
+benchmark's tracer, which wraps every public function, adds no span per
+sum.
 
 A `Matrix` stores only its nonzero entries, row by row, and every
 operation on it (products, transposes, eliminations) touches only those.
@@ -50,7 +58,9 @@ solutions of every right-hand side, or, with no solution vector built
 as soon as one of them is outside the span's image, the index of the
 first such right-hand side, read off the rows the elimination leaves
 over. The span-closure check uses that index to rule out later checks
-that need the same product (see `certify.span_closure_check`).
+that need the same product (see `certify.span_closure_check`). The span
+vectors are scaled to integers once per batch, and each solution vector
+is summed from them by `_combine`.
 
 `kernel_basis`, `solve_general` and `solve_in_span_coefficients` are
 also the probes through which the benchmark (bench/tracer.py) times this
@@ -108,28 +118,41 @@ def _integers(x: Sequence) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in x]
 
 
-def combination(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
-    """sum c_i v_i as a vector of length n, for int or Fraction c_i.
-
-    Zero coefficients are skipped; a vector whose length is not n raises
-    DimensionError when its coefficient is nonzero. Each c_i v_i is
-    scaled once to integers, the terms are summed in int arithmetic over
-    the lcm of their denominators, and each entry builds one Fraction.
-    """
+def _combine(coeffs: Sequence, scaled: Sequence, n: int) -> tuple[int, list[int]]:
+    # sum c_i v_i for vectors v_i given as _integers(v_i) = (d_i, ints), as
+    # (common, totals) with the sum equal to totals / common; a zero c_i
+    # skips its entry, which may then be anything
+    if len(coeffs) != len(scaled):
+        raise DimensionError(f"{len(coeffs)} coefficients for {len(scaled)} vectors")
     terms = []
-    for c, v in zip(coeffs, vectors):
+    for c, v in zip(coeffs, scaled):
         if c:
-            if len(v) != n:
-                raise DimensionError(f"vector has {len(v)} entries, expected {n}")
-            d, xs = _integers(v)
+            d, xs = v
+            if len(xs) != n:
+                raise DimensionError(f"vector has {len(xs)} entries, expected {n}")
             terms.append((c.numerator, c.denominator * d, xs))
-    if not terms:
-        return zero_vector(n)
     common = lcm(*(d for _, d, _ in terms))
     total = [0] * n
     for c, d, xs in terms:
         scale = c * (common // d)
         total = [t + scale * x for t, x in zip(total, xs)]
+    return common, total
+
+
+def combination(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
+    """sum c_i v_i as a vector of length n, for int or Fraction c_i.
+
+    Zero coefficients are skipped; a vector whose length is not n raises
+    DimensionError when its coefficient is nonzero, and so does a count
+    of coefficients other than the count of vectors. Each vector with a
+    nonzero coefficient is scaled once by `_integers`, `_combine` sums
+    the terms in int arithmetic over the lcm of their denominators, and
+    each entry builds one Fraction.
+    """
+    if len(coeffs) != len(vectors):
+        raise DimensionError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
+    common, total = _combine(
+        coeffs, [_integers(v) if c else None for c, v in zip(coeffs, vectors)], n)
     return tuple(Fraction(t, common) for t in total)
 
 
@@ -450,6 +473,7 @@ def solve_in_span_coefficients(
     reduced, pivots, rest = _rref(augmented, k)
     if rest:
         return min(min(row) for row in rest) - k
+    scaled = [_integers(s) for s in span]
     out = []
     for col in range(k, k + len(vs)):
         coeffs = [Fraction(0)] * k
@@ -457,6 +481,6 @@ def solve_in_span_coefficients(
             v = row.get(col)
             if v is not None:
                 coeffs[pc] = Fraction(v, row[pc])
-        coeffs = tuple(coeffs)
-        out.append((coeffs, combination(coeffs, span, m.cols)))
+        common, total = _combine(coeffs, scaled, m.cols)
+        out.append((tuple(coeffs), tuple(Fraction(t, common) for t in total)))
     return out

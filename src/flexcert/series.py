@@ -2,10 +2,10 @@
 
 A candidate family X(t) = Y0 + Y1 t + ... + Yq t^q is held as its
 coefficient list. The products B(Yl, Y(p-l)), taken through the
-operators' memo and summed by `ratlinalg.combination`, serve the
-recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l)), canonical extension and
-exact residual-order measurement; t = tau + a tau^e normalizes leading
-coefficients.
+operators' memo, serve the recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l))
+(summed by `ratlinalg.combination`), canonical extension, and exact
+residual-order measurement (summed and tested for zero in integers);
+t = tau + a tau^e normalizes leading coefficients.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .quadsys import BaseOperators
 from .ratlinalg import (
     DimensionError,
     Vector,
+    _combine,
+    _integers,
     combination,
     is_zero_vector,
     vector,
@@ -112,17 +114,20 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     solution). Y0 must be the base point of the operators. Orders are
     tried one at a time up to the first nonzero coefficient: C Yp (for
     p <= q, from the operators' image memo), which is A(Yp) + 2 B(Y0, Yp),
-    and the products of the recurrence, summed in one `combination`. A
-    degree-q family gives no terms beyond t^(2q).
+    and the products of the recurrence. Each term is scaled to integers
+    once and the terms are summed by `ratlinalg._combine`, so each order
+    is an int zero test that builds no Fraction. A degree-q family gives
+    no terms beyond t^(2q).
 
     The t^p coefficient depends only on p and on Y1..Y(min(p, q)), so the
     operators remember whether it vanishes under p and the identities of
     that head, holding it (see BaseOperators): each order of a prefix that
     several checks share is validated once, the orders above q too. The
     entry for order q+1 also keeps its product sum P = sum B(Yl, Y(q+1-l)),
-    so validating the degree-(q+1) prefix with the same head checks order
-    q+1 as P + C Y(q+1), a two-term sum, without summing the q products
-    again."""
+    in the scaled int form (common, totals) that `_combine` returns, so
+    validating the degree-(q+1) prefix with the same head checks order q+1
+    as P + C Y(q+1), a two-term sum, without scaling or summing the q
+    products again."""
     if s.coefficient(0) != ops.base_point:
         raise DimensionError("series base coefficient is not the base point of the operators")
     q = s.degree
@@ -134,12 +139,13 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
             # validating the degree-(p-1) prefix with this head kept the sum
             # of the order-p products under the key without Yp
             below = ops._vanishing.get(key[:-1]) if p <= q else None
-            terms = [below[1]] if below is not None else _products(ops, s, p)
+            terms = ([below[1]] if below is not None
+                     else [_integers(b) for b in _products(ops, s, p)])
             if p <= q:
-                terms.append(ops.image(s.coefficient(p)))
-            total = combination((1,) * len(terms), terms, ops.system.n)
+                terms.append(_integers(ops.image(s.coefficient(p))))
+            total = _combine((1,) * len(terms), terms, ops.system.n)
             hit = ops._vanishing[key] = (head, total if p == q + 1 else None,
-                                         is_zero_vector(total))
+                                         not any(total[1]))
         if not hit[-1]:
             return p
     return INFINITE

@@ -335,13 +335,25 @@ def _tampered_certificates():
     cross = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
     ops1 = linearize(ex1, base1)
     span = analyze_system(ex1, base1).certificate
-    bad_pair = dataclasses.replace(span.pair_solutions[0], i=99)
+    first = span.pair_solutions[0]
+    bad_pair = dataclasses.replace(first, i=99)
     definite = second_order_obstruction_check(linearize(bowl, zero_vector(3)))
     no_line = second_order_obstruction_check(linearize(cross, zero_vector(2)))
     survived = t_standard_run(ops1, default_t_standard_config(ops1, max_depth=4))
     return {
         "span_pair_index": (ex1, base1, dataclasses.replace(
             span, pair_solutions=(bad_pair,) + span.pair_solutions[1:])),
+        # a zip over the m entries of the pair vector would accept the first
+        "span_pair_vector_trailing_zero": (ex1, base1, dataclasses.replace(
+            span, pair_solutions=(dataclasses.replace(first, vector=first.vector + (F(0),)),)
+            + span.pair_solutions[1:])),
+        "span_pair_vector_short": (ex1, base1, dataclasses.replace(
+            span, pair_solutions=(dataclasses.replace(first, vector=first.vector[:-1]),)
+            + span.pair_solutions[1:])),
+        "span_pair_vector_entry_off_by_one": (ex1, base1, dataclasses.replace(
+            span, pair_solutions=(dataclasses.replace(
+                first, vector=(first.vector[0] + 1,) + first.vector[1:]),)
+            + span.pair_solutions[1:])),
         "single_direction_kernel": (ex4, base4, dataclasses.replace(
             second_order_obstruction_check(linearize(ex4, base4)), kernel=(vector([1]),))),
         "definite_form_functional": (bowl, zero_vector(3),
@@ -362,7 +374,9 @@ def _tampered_certificates():
     }
 
 
-@pytest.mark.parametrize("case", ["span_pair_index", "single_direction_kernel",
+@pytest.mark.parametrize("case", ["span_pair_index", "span_pair_vector_trailing_zero",
+                                  "span_pair_vector_short", "span_pair_vector_entry_off_by_one",
+                                  "single_direction_kernel",
                                   "definite_form_functional", "no_common_line_functional",
                                   "t_standard_leading", "t_standard_short_normal",
                                   "t_standard_long_normal", "t_standard_zero_normal",
@@ -932,6 +946,22 @@ def test_span_closure_replay_multiplies_only_the_coefficients(monkeypatch):
                                   vector=combination(coeffs, span, sys_.m))
     assert not replay_certificate(sys_, base, dataclasses.replace(
         cert, pair_solutions=(altered,) + cert.pair_solutions[1:]))
+
+
+def test_span_closure_replay_builds_no_combination(monkeypatch):
+    # replay scales each span vector and image once and tests every pair
+    # equation and every residual order in integers, so it builds no
+    # Fraction vector through combination
+    fw, auto = load_corpus_framework("bricard_octahedron.json")
+    rep = analyze_framework(fw, use_auto_pin=auto)
+    sys_, _, base = build_edge_system(rep.pinned)
+    ops = linearize(sys_, base)
+    calls = []
+    real = ratlinalg.combination
+    for module in (ratlinalg, quadsys, series, certify):
+        monkeypatch.setattr(module, "combination", lambda *args: calls.append(1) or real(*args))
+    assert certify._replay(ops, rep.certificate)
+    assert calls == []
 
 
 def test_pair_solutions_equal_the_solves_of_the_scaled_products():

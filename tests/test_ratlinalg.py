@@ -228,7 +228,8 @@ def test_combination_matches_a_fraction_sum():
     rng = random.Random(71)
     for _ in range(200):
         n, k = rng.randint(0, 5), rng.randint(0, 4)
-        vectors = [tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
+        vectors = [zero_vector(n) if rng.random() < 0.2 else
+                   tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))
                    for _ in range(k)]
         # ints and Fractions, zero among them
         coeffs = [rng.choice([0, rng.randint(-3, 3), F(rng.randint(-5, 5), rng.randint(1, 7))])
@@ -238,8 +239,13 @@ def test_combination_matches_a_fraction_sum():
         got = combination(coeffs, vectors, n)
         assert got == expected
         assert all(type(x) is F for x in got)
+        # and so does the int kernel under it, on the vectors _integers scales
+        common, total = ratlinalg._combine(coeffs, [ratlinalg._integers(v) for v in vectors], n)
+        assert common > 0 and all(type(t) is int for t in total)
+        assert tuple(F(t, common) for t in total) == expected
     assert combination([], [], 3) == zero_vector(3)
     assert combination([0, F(0)], [(F(1),), (F(2),)], 1) == zero_vector(1)
+    assert ratlinalg._combine([], [], 2) == (1, [0, 0])
 
 
 def test_combination_checks_lengths_of_used_vectors_only():
@@ -247,8 +253,21 @@ def test_combination_checks_lengths_of_used_vectors_only():
         combination([1, 2], [vector([1, 2]), vector([1])], 2)
     with pytest.raises(DimensionError):
         combination([F(1, 2)], [vector([1, 2])], 3)
+    with pytest.raises(DimensionError):
+        ratlinalg._combine([1], [ratlinalg._integers(vector([1, 2]))], 3)
     # a zero coefficient skips its vector, whatever its length
     assert combination([1, 0], [vector([1, 2]), vector([1])], 2) == vector([1, 2])
+    assert ratlinalg._combine([0, 1], [None, (2, [1, 3])], 2) == (2, [1, 3])
+
+
+@pytest.mark.parametrize("coeffs, count", [((1, 2), 1), ((1,), 2), ((0, 0), 1), ((), 1)])
+def test_combination_rejects_a_coefficient_count_other_than_the_vector_count(coeffs, count):
+    # extra coefficients or extra vectors raise instead of dropping terms
+    vectors = [vector([1, 2])] * count
+    with pytest.raises(DimensionError):
+        combination(coeffs, vectors, 2)
+    with pytest.raises(DimensionError):
+        ratlinalg._combine(coeffs, [ratlinalg._integers(v) for v in vectors], 2)
 
 
 def _laplace(rows):
