@@ -44,11 +44,8 @@ INCONCLUSIVE = "Inconclusive"
 
 
 class PreconditionError(ValueError):
-    """An operation was invoked outside its stated preconditions."""
-
-
-class InapplicableError(ValueError):
-    """The requested test does not apply to this system."""
+    """An operation was invoked outside its stated preconditions, or a
+    test was asked of a system it does not apply to."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class SecondOrderObstruction:
     first-order deformation extends to second order.
 
     `case` records how this was proven:
-      - "empty_kernel": vacuous (no nonzero kernel direction exists);
       - "single_direction": 1-dim kernel, B(K,K) outside im C;
       - "definite_form": some cokernel functional projects B to a definite
         quadratic form on the kernel (the functional and the form are
@@ -249,14 +245,16 @@ def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderOb
     """SecondOrderObstruction certificate iff it is proven that no nonzero
     kernel direction K has B(K,K) in the image of C.
 
-    Decides exactly for kernel dimension <= 2. For dimension >= 3 only
-    the definite-functional sufficient test runs; when it does not fire
-    the question is left undecided and None is returned.
+    Decides exactly for kernel dimension 1 and 2. For dimension >= 3
+    only the definite-functional sufficient test runs; when it does not
+    fire the question is left undecided and None is returned. A trivial
+    kernel is rejected with PreconditionError: `first_order_rigidity_check`
+    settles it, and `analyze_system` runs that check first.
     """
     kernel = ops.kernel
     d = len(kernel)
     if d == 0:
-        return SecondOrderObstruction(case="empty_kernel", kernel=())
+        raise PreconditionError("the order-2 obstruction test needs a nontrivial kernel")
     if d == 1:
         k = kernel[0]
         bval = ops.bilinear(k, k)
@@ -348,7 +346,7 @@ def span_closure_check(
         ops._span_failures[key] = (ys, k, products[solved][1])
         return None
     scaled = {
-        ab: (combination((-2,), (coeffs,), len(span)), combination((-2,), (vec,), ops.system.m))
+        ab: (tuple(-2 * c for c in coeffs), tuple(-2 * x for x in vec))
         for ab, (coeffs, vec) in zip(products, solved)
     }
     pair_solutions = tuple(
@@ -431,7 +429,7 @@ def default_t_standard_config(
     pivot coordinate i (largest absolute value, ties to the lowest
     index), which keeps T rational and transversal to the kernel."""
     if len(ops.kernel) != 1:
-        raise InapplicableError(
+        raise PreconditionError(
             f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
         )
     kvec = ops.kernel[0]
@@ -444,7 +442,7 @@ def _validate_t_standard(ops: BaseOperators, normal: Vector, lead: Vector) -> No
     """Check the T-standard preconditions on T = ker normal and the
     leading coefficient. normal . lead != 0 also rules out a zero normal."""
     if len(ops.kernel) != 1:
-        raise InapplicableError(
+        raise PreconditionError(
             f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
         )
     if is_zero_vector(lead) or not is_zero_vector(ops.c_matrix.mul_vec(lead)):
@@ -562,7 +560,7 @@ def replay_certificate(sys: QuadraticSystem, x0: Vector, cert: Certificate) -> b
     ops = linearize(sys, x0)
     try:
         return _replay(ops, cert)
-    except (DimensionError, PreconditionError, InapplicableError):
+    except (DimensionError, PreconditionError):
         return False
 
 
@@ -587,10 +585,10 @@ def _replay(ops: BaseOperators, cert: Certificate) -> bool:
 
 def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> bool:
     d = len(ops.kernel)
+    if d == 0:
+        return False  # the order-2 test does not apply to a trivial kernel
     if cert.case != "single_direction" and tuple(cert.kernel) != tuple(ops.kernel):
         return False  # only a single direction may store another kernel vector
-    if cert.case == "empty_kernel":
-        return d == 0
     if cert.case == "single_direction":
         if d != 1 or len(cert.kernel) != 1:
             return False

@@ -183,7 +183,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BASE_POINT
     except (ParseError, FrameworkError, PinningError, quadsys.DimensionError,
-            certify.PreconditionError, certify.InapplicableError) as exc:
+            certify.PreconditionError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
 

@@ -50,9 +50,10 @@ keeps the record on its operators, so it eliminates C for its solves
 once.
 
 `solve_in_span_coefficients` solves a batch of right-hand sides inside a
-span: it appends them as extra columns to the images M·span_i, which the
-caller passes in (the analysis keeps them in its operators' memo, so
-each is computed once), and eliminates that small matrix once, pivoting
+span. The caller passes in the images M·span_i (the analysis keeps them
+in its operators' memo, so each is computed once). The rows of
+[M·span | v_1 ... v_P] are read straight off the images and the
+right-hand sides, with no `Matrix` built, and eliminated once, pivoting
 only in the image columns. A batch is all or nothing: the canonical
 solutions of every right-hand side, or, with no solution vector built
 as soon as one of them is outside the span's image, the index of the
@@ -193,12 +194,12 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable], cols: Optional[int] = None) -> "Matrix":
         dense = [vector(r) for r in rows]
-        if dense:
+        if cols is None:
+            if not dense:
+                raise DimensionError("empty matrix needs an explicit column count")
             cols = len(dense[0])
-        elif cols is None:
-            raise DimensionError("empty matrix needs an explicit column count")
         if any(len(r) != cols for r in dense):
-            raise DimensionError("ragged matrix rows")
+            raise DimensionError(f"ragged matrix rows, or rows that do not have {cols} entries")
         return cls(len(dense), cols,
                    tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in dense))
 
@@ -234,21 +235,6 @@ class Matrix:
             for j, v in row:
                 columns[j].append((i, v))
         return Matrix(self.cols, self.rows, tuple(map(tuple, columns)))
-
-
-def matrix_from_columns(columns: Sequence[Vector], rows: Optional[int] = None) -> Matrix:
-    if columns:
-        rows = len(columns[0])
-    elif rows is None:
-        raise DimensionError("empty column list needs an explicit row count")
-    out: list[list[tuple[int, Fraction]]] = [[] for _ in range(rows)]
-    for j, col in enumerate(columns):
-        if len(col) != rows:
-            raise DimensionError("ragged matrix columns")
-        for i, x in enumerate(col):
-            if x:
-                out[i].append((j, x))
-    return Matrix(rows, len(columns), tuple(map(tuple, out)))
 
 
 def _primitive_row(row: dict[int, int]) -> dict[int, int]:
@@ -448,7 +434,9 @@ def solve_in_span_coefficients(
     images[i] is M·span[i], supplied by the caller: the analysis reads
     each from its operators' memo, so it is computed once however many
     checks share the span vector. All right-hand sides are solved in one
-    elimination of the matrix with columns images[i]. The coefficients
+    elimination of [images | vs], whose row i holds the nonzero pairs
+    (t, images[t][i]) and then (k + t, vs[t][i]), k the span's length;
+    the rows go to `_rref` as they are. The coefficients
     are the canonical solution over the span (free coordinates zero);
     span vectors need not be independent.
 
@@ -468,8 +456,9 @@ def solve_in_span_coefficients(
     # one elimination of [M·span | v_1 ... v_P]; a leftover row holding a
     # right-hand side means that v is outside M·span
     k = len(span)
-    augmented = [row + tuple((k + t, v[i]) for t, v in enumerate(vs) if v[i])
-                 for i, row in enumerate(matrix_from_columns(images, rows=m.rows).nonzeros)]
+    columns = (*images, *vs)
+    augmented = [tuple((t, col[i]) for t, col in enumerate(columns) if col[i])
+                 for i in range(m.rows)]
     reduced, pivots, rest = _rref(augmented, k)
     if rest:
         return min(min(row) for row in rest) - k

@@ -11,7 +11,6 @@ from flexcert.certify import (
     RIGID,
     AnalyzeConfig,
     FirstOrderRigid,
-    InapplicableError,
     PreconditionError,
     SecondOrderObstruction,
     SpanClosureFlex,
@@ -136,13 +135,18 @@ def test_obstruction_kernel_tampering_is_rejected():
     assert cert.case == "no_common_line" and replay_certificate(sys_, origin, cert)
     for kernel in ((vector([7, 7]), vector([1, 2])), (), cert.kernel[:1]):
         assert not replay_certificate(sys_, origin, dataclasses.replace(cert, kernel=kernel))
-    # x = 0 in one variable: the kernel is trivial, and replay must not
-    # accept a stored kernel direction
+    # x = 0 in one variable: the kernel is trivial, which the first-order
+    # test settles, so the order-2 test does not apply, and replay accepts
+    # no vacuous obstruction: none with a stored kernel direction, and none
+    # that an empty kernel makes hold, such as an empty definite form
     line = validate_and_symmetrize(1, [[]], [[(0, 1)]], [0])
-    cert = second_order_obstruction_check(linearize(line, zero_vector(1)))
-    assert cert.case == "empty_kernel" and replay_certificate(line, zero_vector(1), cert)
-    tampered = dataclasses.replace(cert, kernel=(vector([1]),))
-    assert not replay_certificate(line, zero_vector(1), tampered)
+    with pytest.raises(PreconditionError, match="nontrivial kernel"):
+        second_order_obstruction_check(linearize(line, zero_vector(1)))
+    for vacuous in (SecondOrderObstruction(case="empty_kernel", kernel=()),
+                    SecondOrderObstruction(case="empty_kernel", kernel=(vector([1]),)),
+                    SecondOrderObstruction(case="definite_form", kernel=(),
+                                           functional=vector([0]), form=())):
+        assert not replay_certificate(line, zero_vector(1), vacuous)
 
 
 def test_obstruction_passes_on_common_rational_line():
@@ -487,9 +491,9 @@ def test_t_standard_circle_matches_sqrt_series(circle_system):
 def test_t_standard_requires_kernel_dimension_one(viviani_system):
     sys_, base = viviani_system
     ops = linearize(sys_, base)
-    with pytest.raises(InapplicableError):
+    with pytest.raises(PreconditionError, match="1-dimensional kernel"):
         default_t_standard_config(ops)
-    with pytest.raises(InapplicableError):
+    with pytest.raises(PreconditionError, match="1-dimensional kernel"):
         t_standard_run(ops, TStandardConfig(vector([0, 0, 1]), 4, vector([0, 0, 1])))
 
 
@@ -791,6 +795,20 @@ def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
     fw, auto = load_corpus_framework("bricard_octahedron.json")
     assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
     assert len(computed) == 16
+
+
+def test_matrix_count_on_the_search_inputs_is_pinned(monkeypatch):
+    # every Matrix of whole analyses: C, its transpose and the Sylvester
+    # submatrices; a span batch hands its rows to the elimination without
+    # building a Matrix, so one that builds one again raises the count
+    built = []
+    real = Matrix.__post_init__
+    monkeypatch.setattr(Matrix, "__post_init__", lambda *args: built.append(1) or real(*args))
+    for name in ("example2.json", "example3.json"):
+        assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
+    fw, auto = load_corpus_framework("bricard_octahedron.json")
+    assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
+    assert len(built) == 9
 
 
 def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch):

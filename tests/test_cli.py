@@ -403,7 +403,6 @@ def _every_certificate_kind():
         return second_order_obstruction_check(linearize(sys_, base))
 
     linear = dense_system([[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], [0, 0])
-    line = validate_and_symmetrize(1, [[]], [[(0, 1)]], [0])
     z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     bowl = dense_system([[[1, 0, 0], [0, 1, 0], [0, 0, 0]], z3], [[0, 0, 1], [0, 0, 1]], [0, 0])
     cross = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
@@ -412,8 +411,6 @@ def _every_certificate_kind():
     return [
         (first_order_rigidity_check(linearize(linear, zero_vector(2))),
          {"kind": "first_order_rigid", "rank": 2, "variables": 2}),
-        (obstruction(line, zero_vector(1)),
-         {"kind": "second_order_obstruction", "case": "empty_kernel", "kernel": []}),
         (second_order_obstruction_check(ops4),
          {"kind": "second_order_obstruction", "case": "single_direction",
           "kernel": [["0", "0", "1"]], "b_value": ["1", "0", "0"]}),

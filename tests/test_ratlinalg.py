@@ -12,7 +12,6 @@ from flexcert.ratlinalg import (
     determinant,
     eliminate,
     kernel_basis,
-    matrix_from_columns,
     solve_general,
     solve_in_span_coefficients,
     vector,
@@ -199,10 +198,14 @@ def test_matrix_stores_canonical_nonzeros():
             Matrix(1, 3, (bad,))
     with pytest.raises(DimensionError):
         Matrix(2, 3, ((),))
-    with pytest.raises(DimensionError):
-        Matrix.from_rows([[1, 2], [3]])
-    with pytest.raises(DimensionError):
-        matrix_from_columns([vector([1, 2]), vector([3])])
+    assert Matrix.from_rows([[1, 2]], cols=2) == Matrix.from_rows([[1, 2]])
+    assert Matrix.from_rows([], cols=3) == Matrix(0, 3, ())
+    # ragged rows, no rows without a column count, and a column count
+    # the rows do not have
+    for rows, cols in (([[1, 2], [3]], None), ([], None), ([[1, 2]], 3), ([[1, 2]], 1),
+                       ([[1, 2], [3, 4]], 0)):
+        with pytest.raises(DimensionError):
+            Matrix.from_rows(rows, cols=cols)
 
 
 def test_sparse_operations_match_dense_reference():
@@ -221,7 +224,7 @@ def test_sparse_operations_match_dense_reference():
         assert (t.rows, t.cols) == (cols, rows)
         assert t.entries == tuple(columns)
         assert t.transpose() == m
-        assert matrix_from_columns(columns, rows=rows) == m
+        assert Matrix.from_rows(columns, cols=rows) == t
 
 
 def test_combination_matches_a_fraction_sum():
@@ -325,7 +328,7 @@ def test_solve_in_span_agrees_with_grid_bruteforce():
             got = solved[0][1]
             assert mul(m, got) == v
             # returned vector really is a combination of the span
-            cols_m = matrix_from_columns(list(span), rows=cols)
+            cols_m = Matrix.from_rows(span, cols=cols).transpose()
             assert solve(cols_m, got) is not None
         else:
             for c1 in grid:
@@ -494,7 +497,7 @@ def _check_span_batch(sympy, m, batch, span, seen):
     else:
         assert got == [single[0] for single in singles]
 
-    images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
+    images = Matrix.from_rows([m.mul_vec(s) for s in span], cols=m.rows).transpose()
     images = _to_sympy(sympy, images.entries, images.cols)
     for v, single in zip(batch, singles):
         try:
@@ -547,7 +550,7 @@ def test_batched_span_solves_match_single_solves_and_sympy():
         units = [zero_col] + rng.sample(range(m.cols), rng.randint(2, m.cols))
         span = [tuple(F(int(i == j)) for i in range(m.cols)) for j in units]
         span.append(tuple(F(2) * x for x in span[-1]))
-        images = matrix_from_columns([m.mul_vec(s) for s in span], rows=m.rows)
+        images = Matrix.from_rows([m.mul_vec(s) for s in span], cols=m.rows).transpose()
         rank = _to_sympy(sympy, images.entries, images.cols).rank()
         batch = _sparse_rhss(rng, images, rank, left_over)
         _check_span_batch(sympy, m, [mul(m, x) for x in span] + batch, span, seen)

@@ -70,7 +70,8 @@ def test_readme_has_python_examples():
     assert len(BLOCKS) >= 4
 
 
-@pytest.mark.parametrize("start, source", BLOCKS, ids=[f"line{s}" for s, _ in BLOCKS])
+# named by ordinal, so that editing the prose above a block keeps its name
+@pytest.mark.parametrize("start, source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_prints_its_stated_output(start, source):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
