@@ -295,10 +295,10 @@ def span_closure_check(
     Requires 1 <= k <= q <= degree(s). The series (truncated to q) must
     start at the base point and be an approximate solution of degree q; a
     constant series is rejected with None since it certifies only the
-    constant family. `residual_order` validates each order of a candidate
-    once across all (q, k), and the images C Yk .. C Yq come from the
-    operators' memo, so each coefficient object is multiplied by C once
-    per analysis.
+    constant family. `residual_order` validates each prefix of a
+    candidate once across all k, starting from its one-shorter prefix, and
+    the images C Yk .. C Yq come from the operators' memo, so each
+    coefficient object is multiplied by C once per analysis.
 
     B is symmetric, so the q(q-k+1) pair equations C Y = B(Yi, Yj) have
     one right-hand side per distinct product B(Ya, Yb), a <= b, b >= k;
@@ -378,9 +378,8 @@ def canonical_candidates(ops: BaseOperators, q_max: int) -> list[SeriesCoefficie
     zero = zero_vector(ops.system.m)
     for kvec in ops.kernel:
         base = extend_to(ops, SeriesCoefficients((ops.base_point, kvec)), q_max)
-        stalled = base.degree < q_max
         for r in (1, 2, 3):
-            degree = min(q_max, r * (base.degree + 1) - 1) if stalled else q_max
+            degree = min(q_max, r * (base.degree + 1) - 1)
             out.append(SeriesCoefficients(tuple(
                 base.coefficient(p // r) if p % r == 0 else zero for p in range(degree + 1))))
     return out

@@ -216,6 +216,8 @@ def poly_from_dict(
                 term.get("coeff"), path, f"{where}.terms[{t}].coeff"
             )
         eqs.append(terms)
+    if not eqs:
+        raise ParseError(path, "polynomial system needs at least one equation")
     poly = quadsys.poly_system(eqs, m, variables)
     return poly, _base_point_in(data, m, path)
 
@@ -320,6 +322,9 @@ def series_from_dict(data: dict, path: str = "<memory>") -> SeriesCoefficients:
     for p, row in enumerate(_list_in(data["coefficients"], path, "'coefficients'")):
         if not isinstance(row, list):
             raise ParseError(path, f"coefficients[{p}] must be a list")
+        if coeffs and len(row) != len(coeffs[0]):
+            raise ParseError(path, f"coefficients[{p}] has {len(row)} entries, "
+                                   f"coefficients[0] has {len(coeffs[0])}")
         coeffs.append(tuple(_scalar_in(x, path, f"coefficients[{p}][{i}]")
                             for i, x in enumerate(row)))
     if not coeffs:

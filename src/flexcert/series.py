@@ -4,8 +4,9 @@ A candidate family X(t) = Y0 + Y1 t + ... + Yq t^q is held as its
 coefficient list. The products B(Yl, Y(p-l)), taken through the
 operators' memo, serve the recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l))
 (summed by `ratlinalg.combination`), canonical extension, and exact
-residual-order measurement (summed and tested for zero in integers);
-t = tau + a tau^e normalizes leading coefficients.
+residual-order measurement (summed and tested for zero in integers,
+remembered once per prefix Y1..Yq); t = tau + a tau^e normalizes
+leading coefficients.
 """
 
 from __future__ import annotations
@@ -119,36 +120,32 @@ def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     is an int zero test that builds no Fraction. A degree-q family gives
     no terms beyond t^(2q).
 
-    The t^p coefficient depends only on p and on Y1..Y(min(p, q)), so the
-    operators remember whether it vanishes under p and the identities of
-    that head, holding it (see BaseOperators): each order of a prefix that
-    several checks share is validated once, the orders above q too. The
-    entry for order q+1 also keeps its product sum P = sum B(Yl, Y(q+1-l)),
-    in the scaled int form (common, totals) that `_combine` returns, so
-    validating the degree-(q+1) prefix with the same head checks order q+1
-    as P + C Y(q+1), a two-term sum, without scaling or summing the q
-    products again."""
+    The operators remember the order of each prefix Y1..Yq under the ids
+    of those coefficients, holding them (see BaseOperators), so a prefix
+    that several checks share is validated once. A new prefix starts
+    from the entry of its one-shorter prefix Y1..Y(q-1), if there is one:
+    for p < q the t^p coefficient depends on Y1..Y(q-1) alone and is the
+    same in both, so if the shorter prefix has order r, no order below
+    min(r, q) needs a test."""
     if s.coefficient(0) != ops.base_point:
         raise DimensionError("series base coefficient is not the base point of the operators")
-    q = s.degree
-    for p in range(1, 2 * q + 1):
-        head = s.coeffs[1 : min(p, q) + 1]
-        key = (p, *map(id, head))
-        hit = ops._vanishing.get(key)
-        if hit is None:
-            # validating the degree-(p-1) prefix with this head kept the sum
-            # of the order-p products under the key without Yp
-            below = ops._vanishing.get(key[:-1]) if p <= q else None
-            terms = ([below[1]] if below is not None
-                     else [_integers(b) for b in _products(ops, s, p)])
+    ys = s.coeffs[1:]
+    key = tuple(map(id, ys))
+    hit = ops._vanishing.get(key)
+    if hit is None:
+        q = s.degree
+        shorter = ops._vanishing.get(key[:-1])
+        start = min(shorter[1], q) if shorter is not None else 1
+        order = INFINITE
+        for p in range(start, 2 * q + 1):
+            terms = [_integers(b) for b in _products(ops, s, p)]
             if p <= q:
                 terms.append(_integers(ops.image(s.coefficient(p))))
-            total = _combine((1,) * len(terms), terms, ops.system.n)
-            hit = ops._vanishing[key] = (head, total if p == q + 1 else None,
-                                         not any(total[1]))
-        if not hit[-1]:
-            return p
-    return INFINITE
+            if any(_combine((1,) * len(terms), terms, ops.system.n)[1]):
+                order = p
+                break
+        hit = ops._vanishing[key] = (ys, order)
+    return hit[1]
 
 
 def reparameterize(

@@ -753,21 +753,32 @@ def test_residual_order_matches_sympy_on_shared_operators():
     # one ops per system serves every case, so the memos of residual_order
     # and bilinear see each prefix interleaved with broken variants that
     # share all its coefficient objects but one; a variant dies after its
-    # check unless a memo entry holds it
+    # check unless a memo entry holds it. A broken degree-(q-1) series is
+    # also followed by the degree-q series that extends it with the same
+    # objects, so the longer series starts from the shorter one's entry,
+    # whose order may lie below q
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2718)
     orders = []
+    seeds_below_q = 0
     for _ in range(30):
         sys_, base = _random_system_with_solution(rng, rng.randint(1, 3), rng.randint(1, 3))
         ops = linearize(sys_, base)
         for cand in certify.canonical_candidates(ops, 4):
             for q in range(1, cand.degree + 1):
                 prefix = cand.truncated(q)
-                for s in (broken_series(rng, prefix), prefix, broken_series(rng, prefix)):
+                cases = [broken_series(rng, prefix), prefix, broken_series(rng, prefix)]
+                if q >= 2:
+                    shorter = broken_series(rng, cand.truncated(q - 1))
+                    cases += [shorter, shorter.appended(cand.coefficient(q))]
+                for s in cases:
                     expected = sympy_residual_order(sympy, sys_, s)
                     assert series.residual_order(ops, s) == expected, s
                     orders.append(expected)
+                if q >= 2 and orders[-2] < q:
+                    seeds_below_q += 1
     assert series.INFINITE in orders and len(set(orders)) >= 4
+    assert seeds_below_q > 0
 
 
 def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):

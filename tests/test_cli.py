@@ -298,6 +298,13 @@ MALFORMED = {
                                  "base_point": ["0"],
                                  "series": {"degree": 3, "coefficients": [["0"], ["1"]]}},
                                 "series: 'degree' must be 1"),
+    "series_rows_of_unequal_length": ("extend",
+                                      {"variables": ["x"], "equations": [{"alpha": []}],
+                                       "base_point": ["0"],
+                                       "series": {"coefficients": [["0"], ["1", "2"]]}},
+                                      "coefficients[1] has 2 entries, coefficients[0] has 1"),
+    "polynomial_system_without_equations": ("reduce", {"variables": ["x"], "equations": []},
+                                            "polynomial system needs at least one equation"),
     "term_extra_field": ("reduce",
                          {"variables": ["x"],
                           "equations": [{"terms": [{"exponents": [2], "coeff": "1",
@@ -314,6 +321,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     extra = {"extend": ["--degree", "2"], "reduce": ["-o", str(tmp_path / "out.json")]}
     code, _, err = run_cli(capsys, command, str(path), *extra.get(command, []))
     assert code == 2
+    assert f"error: {path}: " in err
     assert message in err
     assert "Traceback" not in err
 
