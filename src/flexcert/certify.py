@@ -33,6 +33,7 @@ from .ratlinalg import (
 )
 from .series import (
     SeriesCoefficients,
+    _vanishes,
     extend_to,
     recurrence_rhs,
     residual_order,
@@ -295,10 +296,12 @@ def span_closure_check(
     Requires 1 <= k <= q <= degree(s). The series (truncated to q) must
     start at the base point and be an approximate solution of degree q; a
     constant series is rejected with None since it certifies only the
-    constant family. `residual_order` validates each prefix of a
-    candidate once across all k, starting from its one-shorter prefix, and
-    the images C Yk .. C Yq come from the operators' memo, so each
-    coefficient object is multiplied by C once per analysis.
+    constant family. Each prefix Y1..Yq is validated once across all k
+    and then recorded in the operators' `_prefixes`: if its one-shorter
+    prefix has a record, only the t^q coefficient is tested, else
+    `residual_order` must exceed q. The images C Yk .. C Yq come from the
+    operators' memo, so each coefficient object is multiplied by C once
+    per analysis.
 
     B is symmetric, so the q(q-k+1) pair equations C Y = B(Yi, Yj) have
     one right-hand side per distinct product B(Ya, Yb), a <= b, b >= k;
@@ -312,9 +315,9 @@ def span_closure_check(
     A failure carries over to later k. The first product B(Ya, Yb) found
     outside C·span{Yk..Yq} has the largest b of the failing ones, and it
     stays outside the smaller C·span{Yk'..Yq} for k < k' <= b, where the
-    pair (a, b) is required too. The operators record (k, b) under the
-    identities of Y1..Yq, and a check at such a k' returns None after its
-    preconditions, without building its right-hand sides.
+    pair (a, b) is required too. The prefix's record keeps (k, b), and a
+    check at such a k' returns None after its preconditions, without
+    building its right-hand sides.
 
     A result with 2k > q + 1 is not a proof of flexibility: the span
     condition then misses pairs that enter later orders (see
@@ -327,13 +330,18 @@ def span_closure_check(
     prefix = s.truncated(q)
     if prefix.coefficient(0) != ops.base_point:
         raise PreconditionError("series does not start at the base point")
-    if residual_order(ops, prefix) <= q:
-        raise PreconditionError(f"series is not an approximate solution of degree {q}")
-    if prefix.is_constant():
-        return None
     ys = prefix.coeffs[1:]
     key = tuple(map(id, ys))
-    _, failed_k, failed_b = ops._span_failures.get(key, ((), q, 0))
+    record = ops._prefixes.get(key)
+    if record is None:
+        # the t^p coefficient for p < q depends on Y1..Y(q-1) alone
+        if not (_vanishes(ops, prefix, q) if key[:-1] in ops._prefixes
+                else residual_order(ops, prefix) > q):
+            raise PreconditionError(f"series is not an approximate solution of degree {q}")
+        record = ops._prefixes[key] = (ys, q, 0)
+    if prefix.is_constant():
+        return None
+    _, failed_k, failed_b = record
     if failed_k < k <= failed_b:
         return None  # a product this check needs is outside a larger span
     span = prefix.coeffs[k : q + 1]
@@ -343,7 +351,7 @@ def span_closure_check(
     images = [ops.image(y) for y in span]
     solved = solve_in_span_coefficients(ops.c_matrix, rhss, span, images)
     if isinstance(solved, int):
-        ops._span_failures[key] = (ys, k, products[solved][1])
+        ops._prefixes[key] = (ys, k, products[solved][1])
         return None
     scaled = {
         ab: (tuple(-2 * c for c in coeffs), tuple(-2 * x for x in vec))

@@ -177,6 +177,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "reduce": _run_reduce,
         "extend": _run_extend,
     }
+    # exact rationals may have any number of digits, so Python's limit on
+    # int <-> str conversion (3.10.7 and later) is lifted while a command runs
+    limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(_sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
     try:
         return handlers[args.command](args)
     except BasePointError as exc:
@@ -186,6 +191,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             certify.PreconditionError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -193,7 +193,8 @@ def poly_from_dict(
         raise ParseError(path, "expected an object with an 'equations' field")
     _known_fields(data, ("variables", "equations", "base_point"), path, "polynomial system")
     variables = data.get("variables")
-    if not isinstance(variables, list) or not variables:
+    if not (isinstance(variables, list) and variables
+            and all(isinstance(v, str) for v in variables)):
         raise ParseError(path, "'variables' must be a non-empty list of names")
     m = len(variables)
     eqs = []

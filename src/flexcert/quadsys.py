@@ -192,12 +192,12 @@ class BaseOperators:
     argument object, and eliminates C for its solves once. Products and
     images are keyed by the identities of their arguments; each entry
     holds the objects whose ids key it, so those ids cannot pass to other
-    objects while it lives. `_vanishing` serves `series.residual_order`:
-    keyed by the ids of a prefix's Y1..Yq, an entry holds those
-    coefficients and the prefix's residual order (an int or INFINITE).
-    `_span_failures` serves `certify.span_closure_check`: keyed by the
-    ids of Y1..Yq, it holds the last (k0, b) for which a product
-    B(Ya, Yb) was proven outside C·span{Yk0..Yq}.
+    objects while it lives. `_prefixes` belongs to
+    `certify.span_closure_check` alone: keyed by the ids of a prefix's
+    Y1..Yq, an entry exists only for a prefix validated as an approximate
+    solution of degree q, and holds those coefficients and the last
+    (k0, b) for which a product B(Ya, Yb) was proven outside
+    C·span{Yk0..Yq} ((q, 0) until one is).
     `_elimination`, the reduced [C | I] that answers every `solve`, is
     built on the first solve, so operators that never solve (a trivial
     kernel) never pay for it."""
@@ -210,9 +210,7 @@ class BaseOperators:
         default_factory=dict, init=False, compare=False, repr=False)
     _images_by_id: dict[int, tuple[Vector, Vector]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    _vanishing: dict[tuple[int, ...], tuple[tuple[Vector, ...], float]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
-    _span_failures: dict[tuple[int, ...], tuple[tuple[Vector, ...], int, int]] = field(
+    _prefixes: dict[tuple[int, ...], tuple[tuple[Vector, ...], int, int]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _elimination: Optional[Elimination] = field(
         default=None, init=False, compare=False, repr=False)

@@ -4,8 +4,8 @@ A candidate family X(t) = Y0 + Y1 t + ... + Yq t^q is held as its
 coefficient list. The products B(Yl, Y(p-l)), taken through the
 operators' memo, serve the recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l))
 (summed by `ratlinalg.combination`), canonical extension, and exact
-residual-order measurement (summed and tested for zero in integers,
-remembered once per prefix Y1..Yq); t = tau + a tau^e normalizes
+residual-order measurement (summed and tested for zero in integers, one
+order at a time, with no memo of its own); t = tau + a tau^e normalizes
 leading coefficients.
 """
 
@@ -109,43 +109,28 @@ def extend_to(ops: BaseOperators, s: SeriesCoefficients, degree: int) -> SeriesC
     return s
 
 
+def _vanishes(ops: BaseOperators, s: SeriesCoefficients, p: int) -> bool:
+    """Whether the t^p coefficient of F(Y(t)) is zero, for p >= 1 and
+    Y0 the base point of the operators: C Yp (for p <= degree(s), from
+    the operators' image memo), which is A(Yp) + 2 B(Y0, Yp), plus the
+    products of the recurrence. Each term is scaled to integers once and
+    the terms are summed by `ratlinalg._combine`, so the test is an int
+    zero test that builds no Fraction. It reads Y1..Yp alone."""
+    terms = [_integers(b) for b in _products(ops, s, p)]
+    if p <= s.degree:
+        terms.append(_integers(ops.image(s.coefficient(p))))
+    return not any(_combine((1,) * len(terms), terms, ops.system.n)[1])
+
+
 def residual_order(ops: BaseOperators, s: SeriesCoefficients):
     """Smallest p >= 1 with a nonzero t^p coefficient in F(Y(t)), or
     INFINITE when the whole expansion vanishes (an exact polynomial
     solution). Y0 must be the base point of the operators. Orders are
-    tried one at a time up to the first nonzero coefficient: C Yp (for
-    p <= q, from the operators' image memo), which is A(Yp) + 2 B(Y0, Yp),
-    and the products of the recurrence. Each term is scaled to integers
-    once and the terms are summed by `ratlinalg._combine`, so each order
-    is an int zero test that builds no Fraction. A degree-q family gives
-    no terms beyond t^(2q).
-
-    The operators remember the order of each prefix Y1..Yq under the ids
-    of those coefficients, holding them (see BaseOperators), so a prefix
-    that several checks share is validated once. A new prefix starts
-    from the entry of its one-shorter prefix Y1..Y(q-1), if there is one:
-    for p < q the t^p coefficient depends on Y1..Y(q-1) alone and is the
-    same in both, so if the shorter prefix has order r, no order below
-    min(r, q) needs a test."""
+    tested one at a time by `_vanishes` up to the first nonzero
+    coefficient; a degree-q family gives no terms beyond t^(2q)."""
     if s.coefficient(0) != ops.base_point:
         raise DimensionError("series base coefficient is not the base point of the operators")
-    ys = s.coeffs[1:]
-    key = tuple(map(id, ys))
-    hit = ops._vanishing.get(key)
-    if hit is None:
-        q = s.degree
-        shorter = ops._vanishing.get(key[:-1])
-        start = min(shorter[1], q) if shorter is not None else 1
-        order = INFINITE
-        for p in range(start, 2 * q + 1):
-            terms = [_integers(b) for b in _products(ops, s, p)]
-            if p <= q:
-                terms.append(_integers(ops.image(s.coefficient(p))))
-            if any(_combine((1,) * len(terms), terms, ops.system.n)[1]):
-                order = p
-                break
-        hit = ops._vanishing[key] = (ys, order)
-    return hit[1]
+    return next((p for p in range(1, 2 * s.degree + 1) if not _vanishes(ops, s, p)), INFINITE)
 
 
 def reparameterize(

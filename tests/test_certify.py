@@ -750,13 +750,15 @@ def test_residual_order_matches_sympy_on_fuzz_systems():
 
 
 def test_residual_order_matches_sympy_on_shared_operators():
-    # one ops per system serves every case, so the memos of residual_order
-    # and bilinear see each prefix interleaved with broken variants that
-    # share all its coefficient objects but one; a variant dies after its
-    # check unless a memo entry holds it. A broken degree-(q-1) series is
-    # also followed by the degree-q series that extends it with the same
-    # objects, so the longer series starts from the shorter one's entry,
-    # whose order may lie below q
+    # one ops per system serves every case, so the memos of bilinear and
+    # the span check's prefix records see each prefix interleaved with
+    # broken variants that share all its coefficient objects but one; a
+    # variant dies after its check unless a memo entry holds it. Each case
+    # is also validated by span_closure_check at (q, 1), q its degree,
+    # which must reject it exactly when its order is at most q. A broken
+    # degree-(q-1) series is also followed by the degree-q series that
+    # extends it with the same objects; a shorter series of order below q
+    # gets no record, so its extension must be tested at every order
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2718)
     orders = []
@@ -775,6 +777,11 @@ def test_residual_order_matches_sympy_on_shared_operators():
                     expected = sympy_residual_order(sympy, sys_, s)
                     assert series.residual_order(ops, s) == expected, s
                     orders.append(expected)
+                    if expected <= s.degree:
+                        with pytest.raises(PreconditionError):
+                            span_closure_check(ops, s, s.degree, 1)
+                    else:
+                        span_closure_check(ops, s, s.degree, 1)
                 if q >= 2 and orders[-2] < q:
                     seeds_below_q += 1
     assert series.INFINITE in orders and len(set(orders)) >= 4
@@ -825,13 +832,22 @@ def test_matrix_count_on_the_search_inputs_is_pinned(monkeypatch):
 def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch):
     # every check of the search is still made (the benchmark fingerprints
     # hash these counts), but a check ruled out by a product an earlier k
-    # proved outside the span solves nothing
-    solves, checks = [], []
+    # proved outside the span solves nothing. Each prefix is validated
+    # once: through residual_order when its one-shorter prefix has no
+    # record, else by testing its t^q coefficient alone, so losing that
+    # seed raises both the calls and the order tests
+    solves, checks, orders, tests = [], [], [], []
     real_solve, real_check = certify.solve_in_span_coefficients, certify.span_closure_check
+    real_order, real_vanishes = certify.residual_order, series._vanishes
     monkeypatch.setattr(certify, "solve_in_span_coefficients",
                         lambda *args: solves.append(1) or real_solve(*args))
     monkeypatch.setattr(certify, "span_closure_check",
                         lambda *args: checks.append(1) or real_check(*args))
+    monkeypatch.setattr(certify, "residual_order",
+                        lambda *args: orders.append(1) or real_order(*args))
+    for module in (certify, series):
+        monkeypatch.setattr(module, "_vanishes",
+                            lambda *args: tests.append(1) or real_vanishes(*args))
     octahedron, auto = load_corpus_framework("bricard_octahedron.json")
     analyses = [
         (lambda: analyze_system(*load_corpus_system("example2.json")), INCONCLUSIVE),
@@ -840,10 +856,11 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
     ]
     per_analysis = []
     for analyze, verdict in analyses:
-        checks.clear()
+        for counts in (checks, orders, tests):
+            counts.clear()
         assert analyze().verdict == verdict
-        per_analysis.append(len(checks))
-    assert per_analysis == [39, 22, 16]
+        per_analysis.append((len(checks), len(orders), len(tests)))
+    assert per_analysis == [(39, 4, 28), (22, 3, 20), (16, 3, 18)]
     assert len(solves) == 35
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import typing
 
 import pytest
@@ -117,6 +118,51 @@ def test_base_point_not_solution_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze-system", str(path))
     assert code == 3
     assert "(-15, -3, 1)" in err
+
+
+def _int_digit_limit():
+    # Python 3.10 before 3.10.7 has no limit on int <-> str conversion
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_reduce_writes_numbers_over_4300_digits(tmp_path, capsys):
+    # the lifted base point holds 2^30000 (9031 digits); the reduced file
+    # is read back, and its base point is no solution of x^30000 - 1
+    limit = _int_digit_limit()
+    data = {"variables": ["x"], "base_point": ["2"],
+            "equations": [{"terms": [{"exponents": [30000], "coeff": "1"},
+                                     {"exponents": [0], "coeff": "-1"}]}]}
+    path, out_path = tmp_path / "power.json", tmp_path / "reduced.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "reduce", str(path), "-o", str(out_path))
+    assert (code, err) == (0, "")
+    assert "reduced system written" in out
+    code, _, err = run_cli(capsys, "analyze-system", str(out_path))
+    assert code == 3
+    assert "base point is not a solution" in err and "Traceback" not in err
+    assert _int_digit_limit() == limit
+
+
+def test_rationals_over_4300_digits_are_read_and_reported(tmp_path, capsys):
+    limit = _int_digit_limit()
+    big = "1" + "0" * 5000
+    # x - 10^5000 = 0 at its solution: read, not misreported as malformed
+    path = tmp_path / "big_rational.json"
+    path.write_text(json.dumps({"variables": ["x"], "base_point": [big],
+                                "equations": [{"beta": [[0, "1"]], "gamma": "-" + big}]}),
+                    encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze-system", str(path))
+    assert code == 0
+    assert "verdict: Rigid" in out
+    # x^2 - 1 = 0 at 10^2957, a 2958-digit point: the residual has 5914 digits
+    path = tmp_path / "big_residual.json"
+    path.write_text(json.dumps({"variables": ["x"], "base_point": ["1" + "0" * 2957],
+                                "equations": [{"alpha": [[0, 0, "1"]], "gamma": "-1"}]}),
+                    encoding="utf-8")
+    code, _, err = run_cli(capsys, "analyze-system", str(path))
+    assert code == 3
+    assert "residual (" + "9" * 5914 + ")" in err
+    assert _int_digit_limit() == limit
 
 
 def test_reduce_round_trip(tmp_path, capsys):
@@ -305,6 +351,12 @@ MALFORMED = {
                                       "coefficients[1] has 2 entries, coefficients[0] has 1"),
     "polynomial_system_without_equations": ("reduce", {"variables": ["x"], "equations": []},
                                             "polynomial system needs at least one equation"),
+    # `reduce` copies the names into a quadratic system file, which needs strings
+    "polynomial_variables_not_names": ("reduce",
+                                       {"variables": [1, 2],
+                                        "equations": [{"terms": [{"exponents": [2, 0],
+                                                                  "coeff": "1"}]}]},
+                                       "'variables' must be a non-empty list of names"),
     "term_extra_field": ("reduce",
                          {"variables": ["x"],
                           "equations": [{"terms": [{"exponents": [2], "coeff": "1",

@@ -118,7 +118,8 @@ def test_residual_order_memo_on_short_lived_series(circle_system):
     # one ops checks many series whose coefficients draw from a small pool
     # of values and die after their check; built from lists, new
     # coefficients often take the memory, and so the ids, of dead ones,
-    # which must not answer for them
+    # which must not answer for them in the operators' product and image
+    # memos
     sys_, base = circle_system
     ops = linearize(sys_, base)
     rng = random.Random(23)
