@@ -295,27 +295,31 @@ def span_closure_check(
 
     Requires 1 <= k <= q <= degree(s). The series (truncated to q) must
     start at the base point and be an approximate solution of degree q; a
-    constant series is rejected with None since it certifies only the
-    constant family. Each prefix Y1..Yq is validated once across all k
-    and then recorded in the operators' `_prefixes`: if its one-shorter
-    prefix has a record, only the t^q coefficient is tested, else
-    `residual_order` must exceed q. The images C Yk .. C Yq come from the
-    operators' memo, so each coefficient object is multiplied by C once
-    per analysis.
+    constant series certifies only the constant family and gives None.
+    Each prefix has one record in the operators' `_prefixes`, keyed by
+    the ids of Y1..Yq: (prefix, k0, b), the series truncated to q and
+    the last (k0, b) for which a product B(Ya, Yb) was proven outside
+    C·span{Yk0..Yq}. The first check of a prefix validates it once (if
+    its one-shorter prefix has a record, only the t^q coefficient is
+    tested, else `residual_order` must exceed q) and records (q, 0), or
+    (0, q) for a constant prefix, which so fails at every k; later
+    checks neither truncate nor validate. The images C Yk .. C Yq come
+    from the operators' memo.
 
     B is symmetric, so the q(q-k+1) pair equations C Y = B(Yi, Yj) have
     one right-hand side per distinct product B(Ya, Yb), a <= b, b >= k;
     these are solved in one elimination, ordered by decreasing b, which
-    gives up before building any solution when one of them has none.
-    Only when all solve are coefficients and vectors scaled by -2 to
-    solve the pair equations C Y = -2 B(Yi, Yj), and (j, i) gets the
-    values of (i, j). The canonical solution is linear in the right-hand
-    side, so this equals solving each scaled equation on its own.
+    gives up before building any coefficient when one of them has none.
+    Only when all solve are the coefficients scaled by -2 to solve the
+    pair equations C Y = -2 B(Yi, Yj), and each vector Y summed from the
+    span once; (j, i) gets the values of (i, j). The canonical solution
+    is linear in the right-hand side, so this equals solving each scaled
+    equation on its own.
 
     A failure carries over to later k. The first product B(Ya, Yb) found
     outside C·span{Yk..Yq} has the largest b of the failing ones, and it
     stays outside the smaller C·span{Yk'..Yq} for k < k' <= b, where the
-    pair (a, b) is required too. The prefix's record keeps (k, b), and a
+    pair (a, b) is required too. The record then keeps (k, b), and a
     check at such a k' returns None after its preconditions, without
     building its right-hand sides.
 
@@ -327,38 +331,36 @@ def span_closure_check(
         raise PreconditionError(f"need 1 <= k <= q, got (q, k) = ({q}, {k})")
     if s.degree < q:
         raise PreconditionError(f"series degree {s.degree} is below q = {q}")
-    prefix = s.truncated(q)
-    if prefix.coefficient(0) != ops.base_point:
+    if s.coefficient(0) != ops.base_point:
         raise PreconditionError("series does not start at the base point")
-    ys = prefix.coeffs[1:]
-    key = tuple(map(id, ys))
+    key = tuple(map(id, s.coeffs[1 : q + 1]))
     record = ops._prefixes.get(key)
     if record is None:
+        prefix = s.truncated(q)
         # the t^p coefficient for p < q depends on Y1..Y(q-1) alone
         if not (_vanishes(ops, prefix, q) if key[:-1] in ops._prefixes
                 else residual_order(ops, prefix) > q):
             raise PreconditionError(f"series is not an approximate solution of degree {q}")
-        record = ops._prefixes[key] = (ys, q, 0)
-    if prefix.is_constant():
-        return None
-    _, failed_k, failed_b = record
+        record = ops._prefixes[key] = (prefix, 0, q) if prefix.is_constant() else (prefix, q, 0)
+    prefix, failed_k, failed_b = record
     if failed_k < k <= failed_b:
-        return None  # a product this check needs is outside a larger span
+        return None  # a constant prefix, or a product outside a larger span
     span = prefix.coeffs[k : q + 1]
     # the distinct products B(Ya, Yb), a <= b, b >= k, largest b first
     products = [(a, b) for b in range(q, k - 1, -1) for a in range(1, b + 1)]
     rhss = [ops.bilinear(prefix.coefficient(a), prefix.coefficient(b)) for a, b in products]
-    images = [ops.image(y) for y in span]
-    solved = solve_in_span_coefficients(ops.c_matrix, rhss, span, images)
+    solved = solve_in_span_coefficients([ops.image(y) for y in span], rhss)
     if isinstance(solved, int):
-        ops._prefixes[key] = (ys, k, products[solved][1])
+        ops._prefixes[key] = (prefix, k, products[solved][1])
         return None
-    scaled = {
-        ab: (tuple(-2 * c for c in coeffs), tuple(-2 * x for x in vec))
-        for ab, (coeffs, vec) in zip(products, solved)
-    }
+    scaled_span = [_integers(y) for y in span]
+    solutions = {}
+    for ab, coeffs in zip(products, solved):
+        coeffs = tuple(-2 * c for c in coeffs)
+        common, total = _combine(coeffs, scaled_span, ops.system.m)
+        solutions[ab] = coeffs, tuple(Fraction(t, common) for t in total)
     pair_solutions = tuple(
-        PairSolution(i, j, *scaled[min(i, j), max(i, j)])
+        PairSolution(i, j, *solutions[min(i, j), max(i, j)])
         for i in range(1, q + 1) for j in range(k, q + 1)
     )
     return SpanClosureFlex(q=q, k=k, series=prefix, pair_solutions=pair_solutions)

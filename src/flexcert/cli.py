@@ -21,6 +21,7 @@ from . import certify, fileio, quadsys, rigidity, series
 from .certify import AnalyzeConfig
 from .fileio import ParseError
 from .quadsys import BasePointError
+from .ratlinalg import _without_digit_limit
 from .rigidity import FrameworkError, PinningError
 
 EXIT_OK = 0
@@ -177,13 +178,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "reduce": _run_reduce,
         "extend": _run_extend,
     }
-    # exact rationals may have any number of digits, so Python's limit on
-    # int <-> str conversion (3.10.7 and later) is lifted while a command runs
-    limit = getattr(_sys, "get_int_max_str_digits", lambda: 0)()
-    set_limit = getattr(_sys, "set_int_max_str_digits", lambda digits: None)
-    set_limit(0)
     try:
-        return handlers[args.command](args)
+        return _without_digit_limit(handlers[args.command], args)
     except BasePointError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BASE_POINT
@@ -191,8 +187,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             certify.PreconditionError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
-    finally:
-        set_limit(limit)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Any, Optional
 
 from . import certify, quadsys, rigidity, series
 from .quadsys import GeneralPolySystem, QuadraticSystem
-from .ratlinalg import Vector, format_scalar
+from .ratlinalg import Vector, _without_digit_limit, format_scalar
 from .rigidity import Framework
 from .series import SeriesCoefficients
 
@@ -49,7 +49,7 @@ def _scalar_in(raw, path: str, where: str) -> Fraction:
     if isinstance(raw, str):
         if _RATIONAL.fullmatch(raw):
             try:
-                return Fraction(raw)
+                return _without_digit_limit(Fraction, raw)
             except (ValueError, ZeroDivisionError):
                 pass
         raise ParseError(path, f"{where}: not a rational string: {raw!r}")
@@ -71,6 +71,16 @@ def _known_fields(obj: dict, allowed: tuple[str, ...], path: str, where: str) ->
             raise ParseError(path, f"{where}: unknown field {key!r}")
 
 
+def _variables_in(data: dict, path: str) -> list[str]:
+    variables = data.get("variables")
+    if not (isinstance(variables, list) and variables
+            and all(isinstance(v, str) for v in variables)):
+        raise ParseError(path, "'variables' must be a non-empty list of names")
+    if len(set(variables)) != len(variables):
+        raise ParseError(path, "'variables' names a variable twice")
+    return variables
+
+
 def _base_point_in(data: dict, m: int, path: str) -> Optional[Vector]:
     if "base_point" not in data:
         return None
@@ -87,7 +97,7 @@ def _vector_out(v) -> list[str]:
 def load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _without_digit_limit(json.load, fh)
     except FileNotFoundError:
         raise ParseError(path, "file not found") from None
     except OSError as exc:  # a directory, no permission, ...
@@ -96,8 +106,6 @@ def load_json(path: str) -> Any:
         raise ParseError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError:
         raise ParseError(path, "not UTF-8 text") from None
-    except ValueError as exc:  # e.g. an integer literal past Python's digit limit
-        raise ParseError(path, f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(path, "JSON nested too deeply") from None
 
@@ -127,12 +135,8 @@ def system_from_dict(data: dict, path: str = "<memory>") -> tuple[QuadraticSyste
         raise ParseError(path, "expected an object with an 'equations' field")
     # `series` is the starting series of `flexcert extend`
     _known_fields(data, ("variables", "equations", "base_point", "series"), path, "system")
-    variables = data.get("variables")
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise ParseError(path, "'variables' must be a list of names")
+    variables = _variables_in(data, path)
     m = len(variables)
-    if m == 0:
-        raise ParseError(path, "system needs at least one variable")
     alphas, betas, gammas = [], [], []
     for k, eq in enumerate(_list_in(data["equations"], path, "'equations'")):
         where = f"equations[{k}]"
@@ -192,10 +196,7 @@ def poly_from_dict(
     if not isinstance(data, dict) or "equations" not in data:
         raise ParseError(path, "expected an object with an 'equations' field")
     _known_fields(data, ("variables", "equations", "base_point"), path, "polynomial system")
-    variables = data.get("variables")
-    if not (isinstance(variables, list) and variables
-            and all(isinstance(v, str) for v in variables)):
-        raise ParseError(path, "'variables' must be a non-empty list of names")
+    variables = _variables_in(data, path)
     m = len(variables)
     eqs = []
     for k, eq in enumerate(_list_in(data["equations"], path, "'equations'")):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -29,6 +30,7 @@ from .ratlinalg import (
     _integers,
     combination,
     eliminate,
+    format_scalar,
     is_zero_vector,
     kernel_basis,
     scalar,
@@ -42,7 +44,7 @@ class BasePointError(ValueError):
 
     def __init__(self, residual: Vector):
         self.residual = residual
-        pretty = "(" + ", ".join(str(x) for x in residual) + ")"
+        pretty = "(" + ", ".join(map(format_scalar, residual)) + ")"
         super().__init__(f"base point is not a solution; residual {pretty}")
 
 
@@ -193,11 +195,7 @@ class BaseOperators:
     images are keyed by the identities of their arguments; each entry
     holds the objects whose ids key it, so those ids cannot pass to other
     objects while it lives. `_prefixes` belongs to
-    `certify.span_closure_check` alone: keyed by the ids of a prefix's
-    Y1..Yq, an entry exists only for a prefix validated as an approximate
-    solution of degree q, and holds those coefficients and the last
-    (k0, b) for which a product B(Ya, Yb) was proven outside
-    C·span{Yk0..Yq} ((q, 0) until one is).
+    `certify.span_closure_check` alone, whose docstring gives its layout.
     `_elimination`, the reduced [C | I] that answers every `solve`, is
     built on the first solve, so operators that never solve (a trivial
     kernel) never pay for it."""
@@ -210,8 +208,7 @@ class BaseOperators:
         default_factory=dict, init=False, compare=False, repr=False)
     _images_by_id: dict[int, tuple[Vector, Vector]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    _prefixes: dict[tuple[int, ...], tuple[tuple[Vector, ...], int, int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    _prefixes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _elimination: Optional[Elimination] = field(
         default=None, init=False, compare=False, repr=False)
 
@@ -378,8 +375,10 @@ def reduce_degree(poly: GeneralPolySystem) -> tuple[QuadraticSystem, ReductionMa
     of the tuple (the lowest-indexed sub-monomial of that degree), is
     bound to an auxiliary variable by one defining equation (head minus
     variable), and every occurrence of the monomial becomes the rest of
-    it times that variable. Identical heads reuse the same auxiliary. The
-    solution sets correspond bijectively via the returned ReductionMap.
+    it times that variable. Identical heads reuse the same auxiliary,
+    named by the first x{k} no other variable has, from k = its index + 1
+    up. The solution sets correspond bijectively via the returned
+    ReductionMap.
     """
     equations = [
         {tuple((i, e) for i, e in enumerate(exps) if e): c for exps, c in eq.items() if c}
@@ -410,7 +409,7 @@ def reduce_degree(poly: GeneralPolySystem) -> tuple[QuadraticSystem, ReductionMa
         var = known.get(head)
         if var is None:
             var = known[head] = len(names)
-            names.append(f"x{var + 1}")
+            names.append(next(f"x{k}" for k in count(var + 1) if f"x{k}" not in names))
             exps = [0] * var
             for i, e in head:
                 exps[i] = e

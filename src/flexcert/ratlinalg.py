@@ -13,11 +13,11 @@ denominators, returning (common, int totals), itself a scaled vector.
 `combination` is the wrapper that scales each vector with a nonzero
 coefficient and builds one Fraction per entry. A caller that only tests
 a sum for zero, or that sums the same vectors many times over (replay of
-a span-closure certificate, `series.residual_order`, the solutions of a
-span batch), scales each vector once and calls `_combine` directly; a
-zero test builds no Fraction at all. `_combine` is private so that the
-benchmark's tracer, which wraps every public function, adds no span per
-sum.
+a span-closure certificate, `series.residual_order`, the pair vectors of
+a span-closure check), scales each vector once and calls `_combine`
+directly; a zero test builds no Fraction at all. `_combine` is private
+so that the benchmark's tracer, which wraps every public function, adds
+no span per sum.
 
 A `Matrix` stores only its nonzero entries, row by row, and every
 operation on it (products, transposes, eliminations) touches only those.
@@ -49,19 +49,18 @@ column. It builds no Fraction when v is outside the image. The analysis
 keeps the record on its operators, so it eliminates C for its solves
 once.
 
-`solve_in_span_coefficients` solves a batch of right-hand sides inside a
-span. The caller passes in the images M·span_i (the analysis keeps them
-in its operators' memo, so each is computed once). The rows of
-[M·span | v_1 ... v_P] are read straight off the images and the
-right-hand sides, with no `Matrix` built, and eliminated once, pivoting
-only in the image columns. A batch is all or nothing: the canonical
-solutions of every right-hand side, or, with no solution vector built
-as soon as one of them is outside the span's image, the index of the
-first such right-hand side, read off the rows the elimination leaves
-over. The span-closure check uses that index to rule out later checks
-that need the same product (see `certify.span_closure_check`). The span
-vectors are scaled to integers once per batch, and each solution vector
-is summed from them by `_combine`.
+`solve_in_span_coefficients` solves a batch of right-hand sides inside
+the span of some images M·span_i, which the caller supplies (the
+analysis keeps them in its operators' memo, so each is computed once).
+The rows of [images | v_1 ... v_P] are read straight off the images and
+the right-hand sides, with no `Matrix` built, and eliminated once,
+pivoting only in the image columns. A batch is all or nothing: the
+canonical coefficients of every right-hand side over the images, or,
+with no coefficient built as soon as one of them is outside the images'
+span, the index of the first such right-hand side, read off the rows
+the elimination leaves over. The span-closure check uses that index to
+rule out later checks that need the same product, and sums the solution
+vectors over its span itself (see `certify.span_closure_check`).
 
 `kernel_basis`, `solve_general` and `solve_in_span_coefficients` are
 also the probes through which the benchmark (bench/tracer.py) times this
@@ -72,6 +71,7 @@ layer, so they stay module-level functions under these names; a
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -92,13 +92,28 @@ def scalar(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _without_digit_limit(Fraction, value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def _without_digit_limit(call, *args):
+    # call(*args) with Python's limit on int <-> str conversion (3.10.7 and
+    # later) lifted, as exact rationals may have any number of digits; the
+    # limit is put back as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return call(*args)
+    sys.set_int_max_str_digits(0)
+    try:
+        return call(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def format_scalar(x: Fraction) -> str:
-    """Serialize as a decimal-integer string or 'p/q'; round-trips bit-exactly."""
-    return str(x)
+    """Serialize as a decimal-integer string or 'p/q', of any number of
+    digits; round-trips bit-exactly."""
+    return _without_digit_limit(str, x)
 
 
 def vector(values: Iterable) -> Vector:
@@ -425,51 +440,38 @@ def solve_general(e: Elimination, v: Vector) -> Optional[Vector]:
 
 
 def solve_in_span_coefficients(
-    m: Matrix, vs: Sequence[Vector], span: Sequence[Vector], images: Sequence[Vector]
-) -> Union[list[tuple[Vector, Vector]], int]:
-    """For each right-hand side v, the coefficients c and the vector
-    Y = sum c_i span_i with MY = v; or, for the whole batch, the index
-    of the first v that has no such Y.
+    images: Sequence[Vector], vs: Sequence[Vector]
+) -> Union[list[Vector], int]:
+    """For each right-hand side v, the canonical coefficients c with
+    sum c_i images_i = v (free coordinates zero); or, for the whole batch,
+    the index of the first v that has none.
 
-    images[i] is M·span[i], supplied by the caller: the analysis reads
-    each from its operators' memo, so it is computed once however many
-    checks share the span vector. All right-hand sides are solved in one
-    elimination of [images | vs], whose row i holds the nonzero pairs
-    (t, images[t][i]) and then (k + t, vs[t][i]), k the span's length;
-    the rows go to `_rref` as they are. The coefficients
-    are the canonical solution over the span (free coordinates zero);
-    span vectors need not be independent.
-
-    The rows the elimination leaves over are the Farkas functionals of
-    M·span applied to the right-hand sides, so v_t is outside M·span
-    exactly when one of them has an entry in v_t's column; the failing
-    index is read off them, and no solution is built.
+    The images need not be independent. All right-hand sides are solved
+    in one elimination of [images | vs], whose row i holds the nonzero
+    pairs (t, images[t][i]) and then (k + t, vs[t][i]), k the number of
+    images; the rows go to `_rref` as they are. The rows the elimination
+    leaves over are the Farkas functionals of the images applied to the
+    right-hand sides, so v_t is outside their span exactly when one of
+    them has an entry in v_t's column; the failing index is read off
+    them, and no coefficient is built.
     """
-    if len(images) != len(span):
-        raise DimensionError("one image is needed per span vector")
-    for s, image in zip(span, images):
-        if len(s) != m.cols or len(image) != m.rows:
-            raise DimensionError("span vector or image length does not match the matrix")
-    for v in vs:
-        if len(v) != m.rows:
-            raise DimensionError(f"matrix has {m.rows} rows, rhs has {len(v)}")
-    # one elimination of [M·span | v_1 ... v_P]; a leftover row holding a
-    # right-hand side means that v is outside M·span
-    k = len(span)
     columns = (*images, *vs)
+    rows = len(columns[0]) if columns else 0
+    if any(len(col) != rows for col in columns):
+        raise DimensionError("images and right-hand sides must have equal lengths")
+    # a leftover row holding a right-hand side means that v is outside the span
+    k = len(images)
     augmented = [tuple((t, col[i]) for t, col in enumerate(columns) if col[i])
-                 for i in range(m.rows)]
+                 for i in range(rows)]
     reduced, pivots, rest = _rref(augmented, k)
     if rest:
         return min(min(row) for row in rest) - k
-    scaled = [_integers(s) for s in span]
     out = []
-    for col in range(k, k + len(vs)):
+    for col in range(k, len(columns)):
         coeffs = [Fraction(0)] * k
         for row, pc in zip(reduced, pivots):
             v = row.get(col)
             if v is not None:
                 coeffs[pc] = Fraction(v, row[pc])
-        common, total = _combine(coeffs, scaled, m.cols)
-        out.append((tuple(coeffs), tuple(Fraction(t, common) for t in total)))
+        out.append(tuple(coeffs))
     return out

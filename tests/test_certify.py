@@ -528,8 +528,8 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
         assert ops.c_matrix.mul_vec(y) == rhs
         # the one solution inside T, found by solving over T's basis
         images = [ops.image(t) for t in basis]
-        [(_, in_t)] = solve_in_span_coefficients(ops.c_matrix, [rhs], basis, images)
-        assert y == in_t
+        [coeffs] = solve_in_span_coefficients(images, [rhs])
+        assert y == combination(coeffs, basis, 3)
     assert series.residual_order(ops, s) > depth
     assert replay_certificate(sys_, base, out)
 
@@ -549,8 +549,8 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     fail = t_standard_run(ops4, TStandardConfig(vector([1, -1, -1]), 6, ops4.kernel[0]))
     assert isinstance(fail, TStandardFail) and fail.fail_index == 2
     assert fail.normal == vector([1, -1, -1])
-    assert solve_in_span_coefficients(ops4.c_matrix, [fail.unreachable_rhs], fail_basis,
-                                      [ops4.image(t) for t in fail_basis]) == 0
+    assert solve_in_span_coefficients([ops4.image(t) for t in fail_basis],
+                                      [fail.unreachable_rhs]) == 0
     assert replay_certificate(sys4, base4, fail)
 
 
@@ -836,7 +836,7 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
     # once: through residual_order when its one-shorter prefix has no
     # record, else by testing its t^q coefficient alone, so losing that
     # seed raises both the calls and the order tests
-    solves, checks, orders, tests = [], [], [], []
+    solves, checks, orders, tests, constants, truncations = [], [], [], [], [], []
     real_solve, real_check = certify.solve_in_span_coefficients, certify.span_closure_check
     real_order, real_vanishes = certify.residual_order, series._vanishes
     monkeypatch.setattr(certify, "solve_in_span_coefficients",
@@ -848,20 +848,54 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
     for module in (certify, series):
         monkeypatch.setattr(module, "_vanishes",
                             lambda *args: tests.append(1) or real_vanishes(*args))
+    # a prefix's truncation and constancy are computed once, when its
+    # record is made, and never on a check its record answers
+    real_constant, real_truncated = SeriesCoefficients.is_constant, SeriesCoefficients.truncated
+    monkeypatch.setattr(SeriesCoefficients, "is_constant",
+                        lambda *args: constants.append(1) or real_constant(*args))
+    monkeypatch.setattr(SeriesCoefficients, "truncated",
+                        lambda *args: truncations.append(1) or real_truncated(*args))
+    operators, real_linearize = [], certify.linearize
+    monkeypatch.setattr(certify, "linearize",
+                        lambda *args: operators.append(real_linearize(*args)) or operators[-1])
     octahedron, auto = load_corpus_framework("bricard_octahedron.json")
     analyses = [
         (lambda: analyze_system(*load_corpus_system("example2.json")), INCONCLUSIVE),
         (lambda: analyze_system(*load_corpus_system("example3.json")), INCONCLUSIVE),
         (lambda: analyze_framework(octahedron, use_auto_pin=auto), FLEXIBLE),
     ]
-    per_analysis = []
+    per_analysis, per_record = [], []
     for analyze, verdict in analyses:
-        for counts in (checks, orders, tests):
+        for counts in (checks, orders, tests, constants, truncations, operators):
             counts.clear()
         assert analyze().verdict == verdict
         per_analysis.append((len(checks), len(orders), len(tests)))
+        [ops] = operators
+        per_record.append((len(ops._prefixes), len(constants), len(truncations)))
     assert per_analysis == [(39, 4, 28), (22, 3, 20), (16, 3, 18)]
     assert len(solves) == 35
+    assert per_record == [(n, n, n) for n in (17, 11, 10)]
+
+
+def test_constant_series_fails_every_check_and_is_validated_once(monkeypatch):
+    # a constant prefix certifies only the constant family: its one record
+    # rules out every k, so no check after the first validates or solves
+    sys_, base = load_corpus_system("example1.json")
+    ops = linearize(sys_, base)
+    orders, solves, constants = [], [], []
+    real_order, real_solve = certify.residual_order, certify.solve_in_span_coefficients
+    real_constant = SeriesCoefficients.is_constant
+    monkeypatch.setattr(certify, "residual_order",
+                        lambda *args: orders.append(1) or real_order(*args))
+    monkeypatch.setattr(certify, "solve_in_span_coefficients",
+                        lambda *args: solves.append(1) or real_solve(*args))
+    monkeypatch.setattr(SeriesCoefficients, "is_constant",
+                        lambda *args: constants.append(1) or real_constant(*args))
+    q = 4
+    constant = SeriesCoefficients((ops.base_point,) + (zero_vector(sys_.m),) * q)
+    for k in range(1, q + 1):
+        assert span_closure_check(ops, constant, q, k) is None
+    assert (len(orders), len(constants), len(solves)) == (1, 1, 0)
 
 
 def _oracle_search_inputs():
@@ -892,8 +926,7 @@ def _fresh_span_check(sys_, base, cand, q, k):
     ys, span = cand.coeffs, cand.coeffs[k : q + 1]
     images = [fresh.image(y) for y in span]
     outside = {b for b in range(k, q + 1) for a in range(1, b + 1)
-               if solve_in_span_coefficients(fresh.c_matrix, [fresh.bilinear(ys[a], ys[b])],
-                                             span, images) == 0}
+               if solve_in_span_coefficients(images, [fresh.bilinear(ys[a], ys[b])]) == 0}
     return cert, outside
 
 
@@ -1037,8 +1070,8 @@ def test_pair_solutions_equal_the_solves_of_the_scaled_products():
         for ps in cert.pair_solutions:
             rhs = tuple(-2 * b for b in quadsys.bilinear(sys_, y[ps.i], y[ps.j]))
             images = [ops.image(s) for s in span]
-            assert solve_in_span_coefficients(ops.c_matrix, [rhs], span, images) == [
-                (ps.coefficients, ps.vector)]
+            assert solve_in_span_coefficients(images, [rhs]) == [ps.coefficients]
+            assert combination(ps.coefficients, span, sys_.m) == ps.vector
 
 
 def _low_rank_system(rng, m, n):

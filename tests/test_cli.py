@@ -2,10 +2,11 @@ import hashlib
 import json
 import sys
 import typing
+from fractions import Fraction as F
 
 import pytest
 
-from flexcert import certify, cli, fileio
+from flexcert import certify, cli, fileio, ratlinalg
 from flexcert.certify import (
     analyze_system,
     default_t_standard_config,
@@ -14,7 +15,7 @@ from flexcert.certify import (
     t_standard_run,
 )
 from flexcert.corpus import corpus_path, list_corpus
-from flexcert.quadsys import linearize, validate_and_symmetrize
+from flexcert.quadsys import BasePointError, linearize, validate_and_symmetrize
 from flexcert.ratlinalg import zero_vector
 from flexcert.rigidity import analyze_framework, framework
 
@@ -162,6 +163,26 @@ def test_rationals_over_4300_digits_are_read_and_reported(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze-system", str(path))
     assert code == 3
     assert "residual (" + "9" * 5914 + ")" in err
+    assert _int_digit_limit() == limit
+
+
+def test_library_reads_and_writes_rationals_over_4300_digits():
+    # the limit is lifted only while a rational is read or written, and put
+    # back as it was; n = 10^5000 + 1 has 5001 digits
+    limit = _int_digit_limit()
+    n, digits = 10 ** 5000 + 1, "1" + "0" * 4999 + "1"
+    system, base = fileio.system_from_dict(
+        {"variables": ["x"], "equations": [{"beta": [[0, "3"]], "gamma": digits + "/3"}],
+         "base_point": ["-" + digits + "/3"]})
+    assert _int_digit_limit() == limit
+    assert system.gamma == (F(n, 3),) and base == (F(-n, 3),)
+    assert ratlinalg.format_scalar(base[0] / 3) == "-" + digits + "/9"
+    assert fileio.system_to_dict(system, base)["base_point"] == ["-" + digits + "/3"]
+    assert ratlinalg.scalar(digits) == n
+    # x^2 - 1 = 0 at n: the residual n^2 - 1 has 10001 digits
+    squares = validate_and_symmetrize(1, [[(0, 0, 1)]], [[]], [-1])
+    with pytest.raises(BasePointError, match=r"residual \(1" + "0" * 4999 + "20"):
+        linearize(squares, (n,))
     assert _int_digit_limit() == limit
 
 
@@ -357,6 +378,16 @@ MALFORMED = {
                                         "equations": [{"terms": [{"exponents": [2, 0],
                                                                   "coeff": "1"}]}]},
                                        "'variables' must be a non-empty list of names"),
+    # a repeated name would make two variables of a written file one
+    "system_variable_named_twice": ("analyze-system",
+                                    {"variables": ["x", "y", "x"], "equations": [{"alpha": []}],
+                                     "base_point": ["0", "0", "0"]},
+                                    "'variables' names a variable twice"),
+    "polynomial_variable_named_twice": ("reduce",
+                                        {"variables": ["x", "x"],
+                                         "equations": [{"terms": [{"exponents": [3, 0],
+                                                                   "coeff": "1"}]}]},
+                                        "'variables' names a variable twice"),
     "term_extra_field": ("reduce",
                          {"variables": ["x"],
                           "equations": [{"terms": [{"exponents": [2], "coeff": "1",

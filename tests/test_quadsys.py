@@ -380,6 +380,17 @@ def test_reduce_degree_splits_the_greatest_exponent_vector_first(equations):
     assert red.variable_names == ("x1", "x2", "x3", "x4")
 
 
+def test_reduce_degree_names_no_auxiliary_after_an_input_variable():
+    # x3^3 - y: the auxiliary for x3^2 is variable 3, but "x3" is taken, so
+    # it is named by the first free x{k} from there up
+    poly = poly_system([{(3, 0): 1, (0, 1): -1}], 2, ["x3", "y"])
+    red, rmap = reduce_degree(poly)
+    assert rmap.auxiliary_definitions == ((2, (2, 0)),)
+    assert red.variable_names == ("x3", "y", "x4")
+    red, _ = reduce_degree(poly_system([{(3, 0, 0): 1}], 3, ["x4", "x5", "x3"]))
+    assert red.variable_names == ("x4", "x5", "x3", "x6")
+
+
 def test_reduce_degree_memory_grows_with_exponent_bits():
     # x^1000000 - y: each monomial is held by its (index, exponent) pairs,
     # so no step builds a tuple as long as the degree (8 MB of pointers)

@@ -33,8 +33,12 @@ def solve(m, v):
 
 
 def in_span(m, vs, span):
-    # solve_in_span_coefficients with the images M·span_i computed here
-    return solve_in_span_coefficients(m, vs, span, [m.mul_vec(s) for s in span])
+    # solve_in_span_coefficients over the images M·span_i computed here; each
+    # solution's coefficients come paired with Y = sum c_i span_i
+    solved = solve_in_span_coefficients([m.mul_vec(s) for s in span], vs)
+    if isinstance(solved, int):
+        return solved
+    return [(coeffs, combination(coeffs, span, m.cols)) for coeffs in solved]
 
 
 def test_solve_general_singular_homogeneous():
@@ -119,11 +123,13 @@ def test_solve_in_span_empty_batches():
     with pytest.raises(DimensionError):
         in_span(m, [vector([1, 2])], [vector([1, 0])])
     with pytest.raises(DimensionError):
-        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0, 0])], [zero_vector(3)])
+        in_span(m, [zero_vector(3)], [vector([1, 0, 0])])
     with pytest.raises(DimensionError):
-        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0])], [zero_vector(2)])
+        combination((1,), [vector([1, 0, 0])], m.cols)
     with pytest.raises(DimensionError):
-        solve_in_span_coefficients(m, [zero_vector(3)], [vector([1, 0])], [])
+        solve_in_span_coefficients([zero_vector(2)], [zero_vector(3)])
+    with pytest.raises(DimensionError):
+        solve_in_span_coefficients([zero_vector(3), zero_vector(2)], [])
 
 
 def _fractions_built(call):
@@ -150,10 +156,11 @@ def test_unsolvable_batch_builds_no_solution():
     images = [m.mul_vec(y) for y in span]
     solvable, unsolvable = [vector([1, 1, 2]), vector([F(1, 2), 3, F(7, 2)])], vector([1, 1, 0])
     batch = [solvable[0], unsolvable, solvable[1]]
-    got, built = _fractions_built(lambda: solve_in_span_coefficients(m, batch, span, images))
+    got, built = _fractions_built(lambda: solve_in_span_coefficients(images, batch))
     assert got == 1 and built == 0
-    got, built = _fractions_built(lambda: solve_in_span_coefficients(m, solvable, span, images))
-    assert [y for _, y in got] == [vector([1, 0, 1]), vector([F(1, 2), 0, 3])] and built > 0
+    got, built = _fractions_built(lambda: solve_in_span_coefficients(images, solvable))
+    assert built > 0
+    assert [combination(c, span, 3) for c in got] == [vector([1, 0, 1]), vector([F(1, 2), 0, 3])]
     # one right-hand side against the elimination record: the canonical
     # solution, or None without building one
     record = eliminate(m)
@@ -172,17 +179,16 @@ def test_failing_batch_reports_its_first_unsolvable_right_hand_side():
     # two failing right-hand sides whose leftover rows differ: the one in
     # the first leftover row (e1, row 1) comes later in the batch than the
     # one in the second (e2, row 2)
-    assert solve_in_span_coefficients(m, [e0, e2, e0, e1], span, images) == 1
-    assert solve_in_span_coefficients(m, [e0, e1, e2], span, images) == 1
+    assert solve_in_span_coefficients(images, [e0, e2, e0, e1]) == 1
+    assert solve_in_span_coefficients(images, [e0, e1, e2]) == 1
     # two failing right-hand sides in one leftover row
-    assert solve_in_span_coefficients(m, [e1, vector([3, 2, 0])], span, images) == 0
-    assert solve_in_span_coefficients(m, [e0, vector([3, 2, 0]), e1], span, images) == 1
+    assert solve_in_span_coefficients(images, [e1, vector([3, 2, 0])]) == 0
+    assert solve_in_span_coefficients(images, [e0, vector([3, 2, 0]), e1]) == 1
     # a failure builds no solution
-    got, built = _fractions_built(
-        lambda: solve_in_span_coefficients(m, [e0, e0, e2, e1], span, images))
+    got, built = _fractions_built(lambda: solve_in_span_coefficients(images, [e0, e0, e2, e1]))
     assert got == 2 and built == 0
-    [(coeffs, y)] = solve_in_span_coefficients(m, [e0], span, images)
-    assert coeffs == vector([1, 0]) and y == vector([1, 0])
+    [coeffs] = solve_in_span_coefficients(images, [e0])
+    assert coeffs == vector([1, 0]) and combination(coeffs, span, 2) == vector([1, 0])
 
 
 def test_matrix_stores_canonical_nonzeros():
