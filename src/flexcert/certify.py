@@ -5,8 +5,11 @@ Three rigidity tests (trivial kernel, order-2 obstruction, failure of a
 T-standard formal solution when the kernel is a line) and one
 flexibility test (span closure of the bilinear products of a candidate
 series) are implemented, together with the orchestrating analyzer. Every
-emitted certificate carries enough exact witness data to be re-verified
-from scratch by `replay_certificate`.
+series they grow is a canonical extension by `series.extend_to`; the
+T-standard solution is the one that starts [X0, K], read in T = ker e_f
+for the free column f of C. Every emitted certificate carries enough
+exact witness data to be re-verified from scratch by
+`replay_certificate`, which accepts any rational transversal T.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .ratlinalg import (
     Vector,
     _combine,
     _integers,
-    combination,
     is_zero_vector,
     kernel_basis,
     solve_in_span_coefficients,
@@ -424,76 +426,51 @@ def span_closure_search(ops: BaseOperators, q_max: int) -> Optional[SpanClosureF
 # T-standard formal solutions (kernel dimension 1)
 
 
-@dataclass(frozen=True)
-class TStandardConfig:
-    normal: Vector  # the complement T of ker C is ker normal
-    max_depth: int
-    leading_coeff: Vector
-
-
-def default_t_standard_config(
-    ops: BaseOperators, max_depth: int = AnalyzeConfig.max_depth
-) -> TStandardConfig:
-    """T = ker e_i, the coordinate hyperplane omitting the kernel vector's
-    pivot coordinate i (largest absolute value, ties to the lowest
-    index), which keeps T rational and transversal to the kernel."""
+def _line_kernel(ops: BaseOperators) -> Vector:
+    # the one kernel vector K, with a message naming the precondition otherwise
     if len(ops.kernel) != 1:
         raise PreconditionError(
             f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
         )
-    kvec = ops.kernel[0]
-    pivot = max(range(len(kvec)), key=lambda i: (abs(kvec[i]), -i))
-    normal = tuple(Fraction(int(j == pivot)) for j in range(len(kvec)))
-    return TStandardConfig(normal=normal, max_depth=max_depth, leading_coeff=kvec)
+    return ops.kernel[0]
 
 
 def _validate_t_standard(ops: BaseOperators, normal: Vector, lead: Vector) -> None:
     """Check the T-standard preconditions on T = ker normal and the
     leading coefficient. normal . lead != 0 also rules out a zero normal."""
-    if len(ops.kernel) != 1:
-        raise PreconditionError(
-            f"T-standard analysis needs a 1-dimensional kernel, got {len(ops.kernel)}"
-        )
+    _line_kernel(ops)
     if is_zero_vector(lead) or not is_zero_vector(ops.c_matrix.mul_vec(lead)):
         raise PreconditionError("leading coefficient must be a nonzero kernel vector")
     if len(normal) != ops.system.m or _dot(normal, lead) == 0:
         raise PreconditionError("T must be a hyperplane that meets the kernel of C only in 0")
 
 
-def _into_t(x: Vector, lead: Vector, normal: Vector) -> Vector:
-    # the one point of the line x + span{lead} inside T = ker normal
-    return combination((1, -_dot(normal, x) / _dot(normal, lead)), (x, lead), len(x))
-
-
-def t_standard_run(ops: BaseOperators, cfg: TStandardConfig) -> Certificate:
-    """Grow the unique T-standard formal solution with the configured
-    leading coefficient. An unsolvable step at index p proves (kernel
+def t_standard_run(ops: BaseOperators, max_depth: int = AnalyzeConfig.max_depth) -> Certificate:
+    """Grow the T-standard formal solution led by the kernel vector K up
+    to `max_depth`. An unsolvable step at index p proves (kernel
     dimension 1) that no nonconstant analytic family exists through the
     base point; surviving to max_depth proves nothing.
 
-    ker C = span{lead} and lead is not in T, so C maps T one-to-one onto
-    im C: a step is solvable in T exactly when it is solvable at all, and
-    its solution in T is the canonical solution moved along lead into T.
+    T = ker e_f, f the last nonzero entry of K. That is the one free
+    column of the reduced form of C: `kernel_basis` puts K's nonzeros at
+    f and at pivot columns left of f only. The canonical solution of
+    each step is 0 in every free column, so it lies in T, and the
+    T-standard series is the canonical extension of [X0, K]. ker C =
+    span{K} and K_f != 0, so C maps T one-to-one onto im C: a step is
+    solvable in T exactly when it is solvable at all. Any other rational
+    transversal gives a reparametrization t -> t + a2 t^2 + ... of the
+    same series, and so the same outcome.
     """
-    _validate_t_standard(ops, cfg.normal, cfg.leading_coeff)
-    if cfg.max_depth < 2:
+    lead = _line_kernel(ops)
+    if max_depth < 2:
         raise PreconditionError("max_depth must be at least 2")
-    s = SeriesCoefficients((ops.base_point, cfg.leading_coeff))
-    for p in range(2, cfg.max_depth + 1):
-        rhs = recurrence_rhs(ops, s, p)
-        x = ops.solve(rhs)
-        if x is None:
-            return TStandardFail(
-                fail_index=p,
-                unreachable_rhs=rhs,
-                normal=cfg.normal,
-                leading=cfg.leading_coeff,
-                prefix=s,
-            )
-        s = s.appended(_into_t(x, cfg.leading_coeff, cfg.normal))
-    return TStandardSurvived(
-        depth=cfg.max_depth, normal=cfg.normal, leading=cfg.leading_coeff, series=s
-    )
+    f = max(i for i, x in enumerate(lead) if x)
+    normal = tuple(Fraction(int(i == f)) for i in range(len(lead)))
+    s = extend_to(ops, SeriesCoefficients((ops.base_point, lead)), max_depth)
+    if s.degree < max_depth:
+        p = s.degree + 1
+        return TStandardFail(p, recurrence_rhs(ops, s, p), normal, lead, s)
+    return TStandardSurvived(max_depth, normal, lead, s)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +519,7 @@ def analyze_system(
     )
 
     if d == 1:
-        outcome = t_standard_run(ops, default_t_standard_config(ops, config.max_depth))
+        outcome = t_standard_run(ops, config.max_depth)
         if isinstance(outcome, TStandardFail):
             notes.append(
                 f"T-standard recurrence unsolvable at order {outcome.fail_index}: "
@@ -665,6 +642,11 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
 
 def _replay_t_standard(ops: BaseOperators, cert: Union[TStandardFail, TStandardSurvived],
                        coeffs: SeriesCoefficients) -> bool:
+    """Check a T-standard certificate for any rational T = ker normal
+    that meets ker C only in 0, not only the ker e_f that
+    `t_standard_run` uses: the series leads with the stored kernel
+    vector, its later coefficients lie in T, it solves the recurrence
+    through its degree, and a failure's right-hand side is outside im C."""
     _validate_t_standard(ops, cert.normal, cert.leading)
     if coeffs.coeffs[:2] != (ops.base_point, cert.leading):
         return False

@@ -145,6 +145,9 @@ def _run_extend(args) -> int:
     ops = quadsys.linearize(sys_, base)
     if isinstance(data, dict) and "series" in data:
         s = fileio.series_from_dict(data["series"], args.file)
+        if s.width != sys_.m:
+            raise ParseError(args.file, f"series coefficient length {s.width} differs "
+                                        f"from the variable count {sys_.m}")
         if s.coefficient(0) != ops.base_point:
             raise ParseError(args.file, "series constant coefficient differs from base_point")
     elif ops.kernel:

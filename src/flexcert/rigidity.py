@@ -10,9 +10,10 @@ nontrivial flexion: some non-bar pair whose distance actually changes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import certify
 from .certify import (
@@ -51,6 +52,13 @@ class Framework:
         return sorted(self.joints)
 
 
+def _pair(item, what: str) -> tuple:
+    # a bar or pin of another shape is malformed; reading two of its items would hide that
+    if isinstance(item, str) or not isinstance(item, Sequence) or len(item) != 2:
+        raise FrameworkError(f"{what} {item!r} is not a pair")
+    return item[0], item[1]
+
+
 def framework(
     dimension: int,
     joints: dict[str, Sequence],
@@ -73,7 +81,7 @@ def framework(
         coords[key] = vec
     norm_bars = set()
     for bar in bars:
-        a, b = str(bar[0]), str(bar[1])
+        a, b = map(str, _pair(bar, "bar"))
         if a == b:
             raise FrameworkError(f"self-loop bar at joint {a!r}")
         for end in (a, b):
@@ -95,13 +103,16 @@ def framework(
     if seen != set(coords):
         raise FrameworkError("framework graph is not connected")
     norm_pins = set()
-    for jid, idx in pins:
+    for pin in pins:
+        jid, idx = _pair(pin, "pin")
         jid = str(jid)
         if jid not in coords:
             raise FrameworkError(f"pin references unknown joint {jid!r}")
-        if not 0 <= int(idx) < dimension:
+        if isinstance(idx, bool) or not isinstance(idx, int):
+            raise FrameworkError(f"pin coordinate {idx!r} of joint {jid!r} is not an integer")
+        if not 0 <= idx < dimension:
             raise FrameworkError(f"pin coordinate {idx} out of range for joint {jid!r}")
-        norm_pins.add((jid, int(idx)))
+        norm_pins.add((jid, idx))
     return Framework(dimension, coords, tuple(sorted(norm_bars)), frozenset(norm_pins))
 
 

@@ -22,7 +22,6 @@ from flexcert.certify import (
     SpanClosureFlex,
     TStandardFail,
     analyze_system,
-    default_t_standard_config,
     replay_certificate,
     span_closure_check,
     span_closure_search,
@@ -141,7 +140,7 @@ def test_criterion_4_tangent_intersection_rigid():
     bval = bilinear(sys_, ops.kernel[0], ops.kernel[0])
     assert bval == vector([1, 0, 0])
     assert ops.solve(bval) is None
-    out = t_standard_run(ops, default_t_standard_config(ops))
+    out = t_standard_run(ops)
     assert isinstance(out, TStandardFail) and out.fail_index == 2
     rep = analyze_system(sys_, base)
     assert rep.verdict == RIGID

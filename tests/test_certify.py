@@ -14,11 +14,9 @@ from flexcert.certify import (
     PreconditionError,
     SecondOrderObstruction,
     SpanClosureFlex,
-    TStandardConfig,
     TStandardFail,
     TStandardSurvived,
     analyze_system,
-    default_t_standard_config,
     first_order_rigidity_check,
     replay_certificate,
     second_order_obstruction_check,
@@ -310,7 +308,7 @@ def test_replay_rejects_t_standard_survived_with_a_false_depth():
     # the series has degree 4; a certificate claiming another depth is false
     sys_, base = load_corpus_system("example1.json")
     ops = linearize(sys_, base)
-    cert = t_standard_run(ops, default_t_standard_config(ops, max_depth=4))
+    cert = t_standard_run(ops, 4)
     assert isinstance(cert, TStandardSurvived) and replay_certificate(sys_, base, cert)
     for depth in (3, 10**6):
         assert not replay_certificate(sys_, base, dataclasses.replace(cert, depth=depth))
@@ -321,7 +319,7 @@ def test_t_standard_replay_eliminates_only_c(monkeypatch):
     # and solves) and nothing else
     sys_, base = load_corpus_system("example1.json")
     ops = linearize(sys_, base)
-    cert = t_standard_run(ops, default_t_standard_config(ops, max_depth=6))
+    cert = t_standard_run(ops, 6)
     assert isinstance(cert, TStandardSurvived)
     calls = []
     original = ratlinalg._rref
@@ -343,7 +341,7 @@ def _tampered_certificates():
     bad_pair = dataclasses.replace(first, i=99)
     definite = second_order_obstruction_check(linearize(bowl, zero_vector(3)))
     no_line = second_order_obstruction_check(linearize(cross, zero_vector(2)))
-    survived = t_standard_run(ops1, default_t_standard_config(ops1, max_depth=4))
+    survived = t_standard_run(ops1, 4)
     return {
         "span_pair_index": (ex1, base1, dataclasses.replace(
             span, pair_solutions=(bad_pair,) + span.pair_solutions[1:])),
@@ -440,10 +438,9 @@ def test_span_closure_search_deterministic(hyperboloid_line):
 def test_t_standard_fail_reference(tangent_sphere_cylinder):
     sys_, base = tangent_sphere_cylinder
     ops = linearize(sys_, base)
-    cfg = default_t_standard_config(ops)
-    assert cfg.normal == vector([0, 0, 1])
-    out = t_standard_run(ops, cfg)
+    out = t_standard_run(ops)
     assert isinstance(out, TStandardFail)
+    assert out.normal == vector([0, 0, 1])
     assert out.fail_index == 2
     assert out.unreachable_rhs == vector([-1, 0, 0])
     assert replay_certificate(sys_, base, out)
@@ -452,7 +449,7 @@ def test_t_standard_fail_reference(tangent_sphere_cylinder):
 def test_t_standard_survives_line_family(hyperboloid_line):
     sys_, base = hyperboloid_line
     ops = linearize(sys_, base)
-    out = t_standard_run(ops, default_t_standard_config(ops, max_depth=8))
+    out = t_standard_run(ops, 8)
     assert isinstance(out, TStandardSurvived)
     assert all(c == zero_vector(3) for c in out.series.coeffs[2:])
     assert replay_certificate(sys_, base, out)
@@ -461,10 +458,9 @@ def test_t_standard_survives_line_family(hyperboloid_line):
 def test_t_standard_circle_coefficients(circle_system):
     sys_, base = circle_system
     ops = linearize(sys_, base)
-    cfg = default_t_standard_config(ops, max_depth=6)
-    assert cfg.normal == vector([0, 1])
-    out = t_standard_run(ops, cfg)
+    out = t_standard_run(ops, 6)
     assert isinstance(out, TStandardSurvived)
+    assert out.normal == vector([0, 1])
     got = out.series
     assert got.coefficient(2) == vector([F(-1, 2), 0])
     assert got.coefficient(3) == vector([0, 0])
@@ -483,27 +479,85 @@ def test_t_standard_circle_matches_sqrt_series(circle_system):
         conv = sum(y[i] * y[p - i] for i in range(1, p))
         target = F(-1) if p == 2 else F(0)
         y[p] = (target - conv) / 2
-    out = t_standard_run(ops, default_t_standard_config(ops, max_depth=depth))
+    out = t_standard_run(ops, depth)
     for p in range(2, depth + 1):
         assert out.series.coefficient(p) == (y[p], F(0))
+
+
+def _t_standard_by_basis(ops, normal, basis, depth):
+    """Reference T-standard certificate for T = ker normal = span(basis),
+    led by the kernel vector: each coefficient is the one solution inside
+    T, found by solving over T's basis."""
+    lead = ops.kernel[0]
+    s = SeriesCoefficients((ops.base_point, lead))
+    images = [ops.image(t) for t in basis]
+    for p in range(2, depth + 1):
+        rhs = series.recurrence_rhs(ops, s, p)
+        solved = solve_in_span_coefficients(images, [rhs])
+        if isinstance(solved, int):
+            return TStandardFail(p, rhs, normal, lead, s)
+        s = s.appended(combination(solved[0], basis, len(lead)))
+    return TStandardSurvived(depth, normal, lead, s)
+
+
+def test_t_standard_run_is_the_canonical_extension_in_ker_e_f():
+    # T = ker e_f, f the last nonzero entry of K, and the series is the
+    # canonical extension of [X0, K]; a reference run in a random rational
+    # transversal T has the same outcome
+    rng = random.Random(2025)
+    depth = 6
+    seen = {"other_argmax": 0, "fail": 0, "survived": 0}
+    while min(seen.values()) < 3:
+        m = rng.randint(2, 5)
+        sys_, base = _random_system_with_solution(rng, m, rng.randint(1, m + 1))
+        ops = linearize(sys_, base)
+        if len(ops.kernel) != 1:
+            continue
+        (k,) = ops.kernel
+        out = t_standard_run(ops, depth)
+        s = out.series if isinstance(out, TStandardSurvived) else out.prefix
+        assert s == series.extend_to(ops, SeriesCoefficients((base, k)), depth)
+        f = max(i for i in range(m) if k[i])
+        assert out.normal == tuple(F(int(i == f)) for i in range(m))
+        assert out.leading == k and replay_certificate(sys_, base, out)
+        if f != max(range(m), key=lambda i: (abs(k[i]), -i)):
+            seen["other_argmax"] += 1
+        seen["fail" if isinstance(out, TStandardFail) else "survived"] += 1
+
+        normal = zero_vector(m)
+        while sum(a * b for a, b in zip(normal, k)) == 0:
+            normal = vector([rng.randint(-3, 3) for _ in range(m)])
+        basis = ratlinalg.kernel_basis(Matrix.from_rows([normal]))
+        reference = _t_standard_by_basis(ops, normal, basis, depth)
+        assert type(reference) is type(out)
+        assert getattr(reference, "fail_index", None) == getattr(out, "fail_index", None)
+        assert replay_certificate(sys_, base, reference)
 
 
 def test_t_standard_requires_kernel_dimension_one(viviani_system):
     sys_, base = viviani_system
     ops = linearize(sys_, base)
+    assert len(ops.kernel) == 2
     with pytest.raises(PreconditionError, match="1-dimensional kernel"):
-        default_t_standard_config(ops)
-    with pytest.raises(PreconditionError, match="1-dimensional kernel"):
-        t_standard_run(ops, TStandardConfig(vector([0, 0, 1]), 4, vector([0, 0, 1])))
+        t_standard_run(ops, 4)
+    # a hand-built certificate for one of the kernel directions is rejected
+    lead = ops.kernel[0]
+    forged = TStandardSurvived(1, vector([int(x != 0) for x in lead]), lead,
+                               SeriesCoefficients((base, lead)))
+    assert not replay_certificate(sys_, base, forged)
 
 
 def test_t_standard_rejects_t_meeting_kernel(circle_system):
     sys_, base = circle_system
     ops = linearize(sys_, base)
     assert ops.kernel == (vector([0, 1]),)
-    with pytest.raises(PreconditionError):
-        # T = ker (1, 0) is the kernel line itself
-        t_standard_run(ops, TStandardConfig(vector([1, 0]), 4, ops.kernel[0]))
+    out = t_standard_run(ops, 4)
+    assert replay_certificate(sys_, base, out)
+    # T = ker (1, 0) is the kernel line itself
+    meeting = dataclasses.replace(out, normal=vector([1, 0]))
+    assert not replay_certificate(sys_, base, meeting)
+    with pytest.raises(PreconditionError, match="meets the kernel"):
+        certify._validate_t_standard(ops, meeting.normal, meeting.leading)
 
 
 def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
@@ -517,21 +571,17 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     # the oracle for the one solution inside T
     basis = (vector([1, 1, 0]), vector([0, 1, 1]))
     depth = 7
-    out = t_standard_run(ops, TStandardConfig(vector([1, -1, 1]), depth, ops.kernel[0]))
-    assert out.normal == vector([1, -1, 1])
+    out = _t_standard_by_basis(ops, vector([1, -1, 1]), basis, depth)
     assert isinstance(out, TStandardSurvived)
     s = out.series
     for p in range(2, depth + 1):
         y = s.coefficient(p)
         assert y[0] - y[1] + y[2] == 0
-        rhs = series.recurrence_rhs(ops, s.truncated(p - 1), p)
-        assert ops.c_matrix.mul_vec(y) == rhs
-        # the one solution inside T, found by solving over T's basis
-        images = [ops.image(t) for t in basis]
-        [coeffs] = solve_in_span_coefficients(images, [rhs])
-        assert y == combination(coeffs, basis, 3)
+        assert ops.c_matrix.mul_vec(y) == series.recurrence_rhs(ops, s.truncated(p - 1), p)
     assert series.residual_order(ops, s) > depth
     assert replay_certificate(sys_, base, out)
+    # the same outcome as the run in T = ker e_y
+    assert isinstance(t_standard_run(ops, depth), TStandardSurvived)
 
     # moving the last coefficient along the kernel keeps C·Y_p = rhs (and no
     # later step depends on it) but leaves T
@@ -541,17 +591,15 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     assert ops.c_matrix.mul_vec(coeffs[depth]) == ops.c_matrix.mul_vec(s.coefficient(depth))
     assert not replay_certificate(sys_, base, moved)
 
-    # an order-2 failure read off the same kind of plane
+    # an order-2 failure read off the same kind of plane:
+    # T = ker (1, -1, -1) = span{(1, 1, 0), (1, 0, 1)}
     sys4, base4 = tangent_sphere_cylinder
     ops4 = linearize(sys4, base4)
-    # T = ker (1, -1, -1) = span{(1, 1, 0), (1, 0, 1)}
-    fail_basis = (vector([1, 1, 0]), vector([1, 0, 1]))
-    fail = t_standard_run(ops4, TStandardConfig(vector([1, -1, -1]), 6, ops4.kernel[0]))
+    fail = _t_standard_by_basis(ops4, vector([1, -1, -1]),
+                                (vector([1, 1, 0]), vector([1, 0, 1])), 6)
     assert isinstance(fail, TStandardFail) and fail.fail_index == 2
-    assert fail.normal == vector([1, -1, -1])
-    assert solve_in_span_coefficients([ops4.image(t) for t in fail_basis],
-                                      [fail.unreachable_rhs]) == 0
     assert replay_certificate(sys4, base4, fail)
+    assert t_standard_run(ops4, 6).fail_index == 2
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +644,7 @@ def test_rigidity_and_flexibility_certificates_mutually_exclusive(
         ops = linearize(sys_, base)
         flex = span_closure_search(ops, 5)
         if len(ops.kernel) == 1:
-            t_out = t_standard_run(ops, default_t_standard_config(ops, 12))
+            t_out = t_standard_run(ops, 12)
             if isinstance(t_out, TStandardFail):
                 assert flex is None
 
@@ -1037,8 +1085,10 @@ def test_span_closure_replay_builds_no_combination(monkeypatch):
     ops = linearize(sys_, base)
     calls = []
     real = ratlinalg.combination
+    # raising=False: a module that does not import combination has nothing to patch
     for module in (ratlinalg, quadsys, series, certify):
-        monkeypatch.setattr(module, "combination", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(module, "combination", lambda *args: calls.append(1) or real(*args),
+                            raising=False)
     assert certify._replay(ops, rep.certificate)
     assert calls == []
 

@@ -9,7 +9,6 @@ import pytest
 from flexcert import certify, cli, fileio, ratlinalg
 from flexcert.certify import (
     analyze_system,
-    default_t_standard_config,
     first_order_rigidity_check,
     second_order_obstruction_check,
     t_standard_run,
@@ -370,6 +369,20 @@ MALFORMED = {
                                        "base_point": ["0"],
                                        "series": {"coefficients": [["0"], ["1", "2"]]}},
                                       "coefficients[1] has 2 entries, coefficients[0] has 1"),
+    # rows of the wrong width are named as such, not as a wrong constant term
+    "series_rows_longer_than_variables": ("extend",
+                                          {"variables": ["x"], "equations": [{"alpha": []}],
+                                           "base_point": ["0"],
+                                           "series": {"coefficients": [["0", "0"], ["1", "0"]]}},
+                                          "series coefficient length 2 differs "
+                                          "from the variable count 1"),
+    "series_rows_shorter_than_variables": ("extend",
+                                           {"variables": ["x", "y"],
+                                            "equations": [{"alpha": []}],
+                                            "base_point": ["0", "0"],
+                                            "series": {"coefficients": [["0"], ["1"]]}},
+                                           "series coefficient length 1 differs "
+                                           "from the variable count 2"),
     "polynomial_system_without_equations": ("reduce", {"variables": ["x"], "equations": []},
                                             "polynomial system needs at least one equation"),
     # `reduce` copies the names into a quadratic system file, which needs strings
@@ -513,11 +526,11 @@ def _every_certificate_kind():
          {"kind": "second_order_obstruction", "case": "no_common_line",
           "kernel": [["1", "0"], ["0", "1"]], "functionals": [["1", "0"], ["0", "1"]],
           "forms": [["0", "1", "0"], ["1", "0", "-1"]]}),
-        (t_standard_run(ops4, default_t_standard_config(ops4)),
+        (t_standard_run(ops4),
          {"kind": "t_standard_fail", "fail_index": 2, "unreachable_rhs": ["-1", "0", "0"],
           "normal": ["0", "0", "1"], "leading": ["0", "0", "1"],
           "prefix": {"degree": 1, "coefficients": [["2", "0", "0"], ["0", "0", "1"]]}}),
-        (t_standard_run(ops1, default_t_standard_config(ops1, max_depth=3)),
+        (t_standard_run(ops1, 3),
          {"kind": "t_standard_survived", "depth": 3,
           "normal": ["0", "0", "1"], "leading": ["4", "3", "5"],
           "series": {"degree": 3, "coefficients": [["5", "5", "7"], ["4", "3", "5"],

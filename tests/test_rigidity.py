@@ -62,6 +62,25 @@ def test_framework_rejects_ids_equal_as_strings():
     assert fw.joints == {"1": vector([0, 0]), "b": vector([0, 1])}
 
 
+@pytest.mark.parametrize("bar", [("a", "b", "c"), ("a",), "ab", 7])
+def test_framework_rejects_a_bar_that_is_not_a_pair(bar):
+    joints = {"a": [0, 0], "b": [1, 0], "c": [0, 1]}
+    with pytest.raises(FrameworkError, match="is not a pair"):
+        framework(2, joints, [("a", "b"), ("b", "c"), bar])
+
+
+@pytest.mark.parametrize("pin", [("a",), ("a", 0, 1), 0])
+def test_framework_rejects_a_pin_that_is_not_a_pair(pin):
+    with pytest.raises(FrameworkError, match="is not a pair"):
+        framework(2, {"a": [0, 0], "b": [1, 0]}, [("a", "b")], pins=[pin])
+
+
+@pytest.mark.parametrize("idx", [1.7, 1.0, True, "1"])
+def test_framework_rejects_a_pin_index_that_is_not_an_int(idx):
+    with pytest.raises(FrameworkError, match="is not an integer"):
+        framework(2, {"a": [0, 0], "b": [1, 0]}, [("a", "b")], pins=[("a", idx)])
+
+
 def test_auto_pin_triangle():
     pinned = auto_pin(triangle())
     assert sorted(pinned.pins) == [("v1", 0), ("v1", 1), ("v2", 1)]
