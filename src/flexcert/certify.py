@@ -27,6 +27,7 @@ from .ratlinalg import (
     Matrix,
     Vector,
     _combine,
+    _fractions,
     _integers,
     is_zero_vector,
     kernel_basis,
@@ -35,6 +36,7 @@ from .ratlinalg import (
 )
 from .series import (
     SeriesCoefficients,
+    _recurrence_sum,
     _vanishes,
     extend_to,
     recurrence_rhs,
@@ -260,10 +262,10 @@ def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderOb
         raise PreconditionError("the order-2 obstruction test needs a nontrivial kernel")
     if d == 1:
         k = kernel[0]
-        bval = ops.bilinear(k, k)
-        if ops.solve(bval) is not None:
+        if ops.solve(ops._product(k, k)) is not None:
             return None
-        return SecondOrderObstruction(case="single_direction", kernel=(k,), b_value=bval)
+        return SecondOrderObstruction(
+            case="single_direction", kernel=(k,), b_value=ops.bilinear(k, k))
     cokernel = _cokernel(ops)
     if not cokernel:
         return None  # C surjective: every B value lies in the image
@@ -305,8 +307,8 @@ def span_closure_check(
     its one-shorter prefix has a record, only the t^q coefficient is
     tested, else `residual_order` must exceed q) and records (q, 0), or
     (0, q) for a constant prefix, which so fails at every k; later
-    checks neither truncate nor validate. The images C Yk .. C Yq come
-    from the operators' memo.
+    checks neither truncate nor validate. The span, the products and the
+    images C Yk .. C Yq come from the operators' memos, scaled.
 
     B is symmetric, so the q(q-k+1) pair equations C Y = B(Yi, Yj) have
     one right-hand side per distinct product B(Ya, Yb), a <= b, b >= k;
@@ -350,17 +352,16 @@ def span_closure_check(
     span = prefix.coeffs[k : q + 1]
     # the distinct products B(Ya, Yb), a <= b, b >= k, largest b first
     products = [(a, b) for b in range(q, k - 1, -1) for a in range(1, b + 1)]
-    rhss = [ops.bilinear(prefix.coefficient(a), prefix.coefficient(b)) for a, b in products]
-    solved = solve_in_span_coefficients([ops.image(y) for y in span], rhss)
+    rhss = [ops._product(prefix.coefficient(a), prefix.coefficient(b)) for a, b in products]
+    solved = solve_in_span_coefficients([ops._image(y) for y in span], rhss)
     if isinstance(solved, int):
         ops._prefixes[key] = (prefix, k, products[solved][1])
         return None
-    scaled_span = [_integers(y) for y in span]
+    scaled_span = [ops._scaled(y) for y in span]
     solutions = {}
     for ab, coeffs in zip(products, solved):
         coeffs = tuple(-2 * c for c in coeffs)
-        common, total = _combine(coeffs, scaled_span, ops.system.m)
-        solutions[ab] = coeffs, tuple(Fraction(t, common) for t in total)
+        solutions[ab] = coeffs, _fractions(_combine(coeffs, scaled_span, ops.system.m))
     pair_solutions = tuple(
         PairSolution(i, j, *solutions[min(i, j), max(i, j)])
         for i in range(1, q + 1) for j in range(k, q + 1)
@@ -439,7 +440,7 @@ def _validate_t_standard(ops: BaseOperators, normal: Vector, lead: Vector) -> No
     """Check the T-standard preconditions on T = ker normal and the
     leading coefficient. normal . lead != 0 also rules out a zero normal."""
     _line_kernel(ops)
-    if is_zero_vector(lead) or not is_zero_vector(ops.c_matrix.mul_vec(lead)):
+    if is_zero_vector(lead) or any(ops._image(lead)[1]):
         raise PreconditionError("leading coefficient must be a nonzero kernel vector")
     if len(normal) != ops.system.m or _dot(normal, lead) == 0:
         raise PreconditionError("T must be a hyperplane that meets the kernel of C only in 0")
@@ -579,10 +580,9 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
         if d != 1 or len(cert.kernel) != 1:
             return False
         k = cert.kernel[0]
-        if not is_zero_vector(ops.c_matrix.mul_vec(k)) or is_zero_vector(k):
+        if any(ops._image(k)[1]) or is_zero_vector(k):
             return False
-        bval = ops.bilinear(k, k)
-        return bval == cert.b_value and ops.solve(bval) is None
+        return ops.bilinear(k, k) == cert.b_value and ops.solve(ops._product(k, k)) is None
     c_transposed = ops.c_matrix.transpose()
     if cert.case == "definite_form":
         w = cert.functional
@@ -618,13 +618,11 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     if s.is_constant():
         return False
     m, n = ops.system.m, ops.system.n
-    # each span vector and each image is scaled to integers once; each pair
-    # is then two int zero tests: sum c_i Y_i - v = 0, and, since
-    # C·sum c_i Y_i = sum c_i C·Y_i, sum c_i C·Y_i + 2 B(Y_i, Y_j) = 0 over
-    # the span images, which residual_order has already computed
+    # each pair is two int zero tests on the memos' scaled vectors: sum c_i Y_i - v = 0
+    # and, as C·sum c_i Y_i = sum c_i C·Y_i, sum c_i C·Y_i + 2 B(Y_i, Y_j) = 0
     ys = s.coeffs[k : q + 1]
-    span = [_integers(y) for y in ys]
-    images = [_integers(ops.image(y)) for y in ys]
+    span = [ops._scaled(y) for y in ys]
+    images = [ops._image(y) for y in ys]
     required = {(i, j) for i in range(1, q + 1) for j in range(k, q + 1)}
     seen = set()
     for ps in cert.pair_solutions:
@@ -633,8 +631,8 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
             return False
         if any(_combine((*ps.coefficients, -1), (*span, _integers(ps.vector)), m)[1]):
             return False
-        product = ops.bilinear(s.coefficient(ps.i), s.coefficient(ps.j))
-        if any(_combine((*ps.coefficients, 2), (*images, _integers(product)), n)[1]):
+        product = ops._product(s.coefficient(ps.i), s.coefficient(ps.j))
+        if any(_combine((*ps.coefficients, 2), (*images, product), n)[1]):
             return False
         seen.add((ps.i, ps.j))
     return seen == required
@@ -657,8 +655,8 @@ def _replay_t_standard(ops: BaseOperators, cert: Union[TStandardFail, TStandardS
     if isinstance(cert, TStandardFail):
         if coeffs.degree != cert.fail_index - 1:
             return False
-        rhs = recurrence_rhs(ops, coeffs, cert.fail_index)
-        if rhs != cert.unreachable_rhs:
+        rhs = _recurrence_sum(ops, coeffs, cert.fail_index)
+        if _fractions(rhs) != cert.unreachable_rhs:
             return False
         # C maps T onto im C (checked above), so outside im C is outside C(T)
         return ops.solve(rhs) is None

@@ -7,11 +7,11 @@ and den_k > 0 the lcm of the denominators of the equation's rational
 coefficients (the integers are not reduced further). Equal systems
 compare equal. F, B, A and the rows of the linearization C at a base
 point (the object every rigidity test interrogates) cost O(nnz) in int
-arithmetic: each Fraction argument is scaled once to integers over its
-common denominator and each output entry is one Fraction. `alpha`,
-`beta` and `gamma` are Fraction views of the same form. Higher-degree
-polynomial systems are brought into this form by introducing auxiliary
-variables for sub-monomials.
+arithmetic. B's one kernel, `_polarize`, works in the scaled form
+(common, ints) that `BaseOperators` holds, and `bilinear`, like `alpha`,
+`beta` and `gamma`, is a Fraction view. Higher-degree polynomial systems
+are brought into this form by introducing auxiliary variables for
+sub-monomials.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .ratlinalg import (
     DimensionError,
     Elimination,
     Matrix,
+    Scaled,
     Vector,
+    _fractions,
     _integers,
     combination,
     eliminate,
@@ -160,18 +162,23 @@ def evaluate(sys: QuadraticSystem, x: Vector) -> Vector:
 
 def bilinear(sys: QuadraticSystem, x: Vector, y: Vector) -> Vector:
     """B(X,Y): component k is sum_ij alpha_ij^k x_i y_j (symmetric in X,Y)."""
-    if len(x) != sys.m or len(y) != sys.m:
+    return _fractions(_polarize(sys, _integers(x), _integers(y)))
+
+
+def _polarize(sys: QuadraticSystem, x: Scaled, y: Scaled) -> Scaled:
+    # B(X, Y) for scaled X, Y, over 2 lcm(den) dx dy: a x_i x_j polarizes
+    # to a (x_i y_j + x_j y_i) / 2, also when i = j
+    (dx, xs), (dy, ys) = x, y
+    if len(xs) != sys.m or len(ys) != sys.m:
         raise DimensionError("bilinear arguments must have m entries")
-    dx, xs = _integers(x)
-    dy, ys = _integers(y)
+    common = lcm(*sys.den)
     out = []
     for quad, den in zip(sys.quad, sys.den):
-        # a x_i x_j polarizes to a (x_i y_j + x_j y_i) / 2, also when i = j
         total = 0
         for i, j, a in quad:
             total += a * (xs[i] * ys[j] + xs[j] * ys[i])
-        out.append(Fraction(total, 2 * den * dx * dy))
-    return tuple(out)
+        out.append(total * (common // den))
+    return 2 * common * dx * dy, out
 
 
 def linear_part(sys: QuadraticSystem, x: Vector) -> Vector:
@@ -188,14 +195,14 @@ class BaseOperators:
     """The linearization C = B(X0,.) + B(.,X0) + A at an exact solution X0,
     with its kernel basis cached.
 
-    The memos belong to this object alone, so one analysis (the life of
-    the operators one `linearize` call builds) computes each B(X, Y) once
-    for each pair of argument objects, each image C·Y once for each
-    argument object, and eliminates C for its solves once. Products and
-    images are keyed by the identities of their arguments; each entry
-    holds the objects whose ids key it, so those ids cannot pass to other
-    objects while it lives. `_prefixes` belongs to
-    `certify.span_closure_check` alone, whose docstring gives its layout.
+    One analysis is the life of the operators one `linearize` call
+    builds. Its memos hold the scaled form (common, ints) of each vector
+    it is given (`_scaled`), each B(X, Y) (`_product`) and each C·Y
+    (`_image`), once per argument object, and `solve` takes that form;
+    `bilinear` and `image` are Fraction views. An entry is keyed by the
+    ids of its arguments and holds those objects, so the ids cannot pass
+    to other objects while it lives. `_prefixes` belongs to
+    `certify.span_closure_check`, whose docstring gives its layout.
     `_elimination`, the reduced [C | I] that answers every `solve`, is
     built on the first solve, so operators that never solve (a trivial
     kernel) never pay for it."""
@@ -204,33 +211,47 @@ class BaseOperators:
     base_point: Vector
     c_matrix: Matrix
     kernel: tuple[Vector, ...]
-    _products_by_id: dict[tuple[int, int], tuple[Vector, Vector, Vector]] = field(
+    _scaled_by_id: dict[int, tuple[Vector, Scaled]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
-    _images_by_id: dict[int, tuple[Vector, Vector]] = field(
+    _products_by_id: dict[tuple[int, int], tuple[Vector, Vector, Scaled]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
+    _images_by_id: dict[int, tuple[Vector, Scaled]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _prefixes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _elimination: Optional[Elimination] = field(
         default=None, init=False, compare=False, repr=False)
 
-    def bilinear(self, x: Vector, y: Vector) -> Vector:
+    def _scaled(self, y: Vector) -> Scaled:
+        hit = self._scaled_by_id.get(id(y))
+        if hit is None:
+            hit = self._scaled_by_id[id(y)] = (y, _integers(y))
+        return hit[-1]
+
+    def _product(self, x: Vector, y: Vector) -> Scaled:
         # B is symmetric, so one entry serves both argument orders
         key = (id(x), id(y)) if id(x) <= id(y) else (id(y), id(x))
         hit = self._products_by_id.get(key)
         if hit is None:
-            hit = self._products_by_id[key] = (x, y, bilinear(self.system, x, y))
+            hit = self._products_by_id[key] = (
+                x, y, _polarize(self.system, self._scaled(x), self._scaled(y)))
         return hit[-1]
 
-    def image(self, y: Vector) -> Vector:
-        """C·Y, computed once per object Y."""
+    def _image(self, y: Vector) -> Scaled:
         hit = self._images_by_id.get(id(y))
         if hit is None:
-            hit = self._images_by_id[id(y)] = (y, self.c_matrix.mul_vec(y))
+            hit = self._images_by_id[id(y)] = (y, self.c_matrix._mul_scaled(self._scaled(y)))
         return hit[-1]
 
-    def solve(self, v: Vector) -> Optional[Vector]:
-        """The canonical solution of C·X = v, or None when v is outside
-        im C. The first solve eliminates [C | I]; every solve reads the
-        answer off that one record."""
+    def bilinear(self, x: Vector, y: Vector) -> Vector:
+        return _fractions(self._product(x, y))
+
+    def image(self, y: Vector) -> Vector:
+        return _fractions(self._image(y))
+
+    def solve(self, v: Scaled) -> Optional[Vector]:
+        """The canonical solution of C·X = v for a scaled v, or None when
+        v is outside im C. The first solve eliminates [C | I]; every solve
+        reads the answer off that one record."""
         if self._elimination is None:
             object.__setattr__(self, "_elimination", eliminate(self.c_matrix))
         return solve_general(self._elimination, v)

@@ -4,63 +4,41 @@ Every verdict produced by the analyzer ultimately reduces to a rank /
 kernel / solvability question answered here, so all arithmetic is exact;
 no floating point appears on any decision path.
 
-Sums are taken in int arithmetic. `_integers` is the one step that
-scales a vector to integers over its least common denominator.
-`_combine` is the one linear combination sum c_i v_i of vectors; every
-such sum in the package goes through it. It takes the vectors already
-scaled by `_integers` and sums the integers over the lcm of the terms'
-denominators, returning (common, int totals), itself a scaled vector.
-`combination` is the wrapper that scales each vector with a nonzero
-coefficient and builds one Fraction per entry. A caller that only tests
-a sum for zero, or that sums the same vectors many times over (replay of
-a span-closure certificate, `series.residual_order`, the pair vectors of
-a span-closure check), scales each vector once and calls `_combine`
-directly; a zero test builds no Fraction at all. `_combine` is private
-so that the benchmark's tracer, which wraps every public function, adds
-no span per sum.
+Inside the analysis a vector has one form, scaled: (common, ints), the
+vector ints / common. `_integers` scales a Fraction vector over its least
+common denominator, `_fractions` builds the Fraction view wherever a
+vector becomes a series coefficient, a certificate field or a public
+result, and `_combine` is the one linear combination sum c_i v_i, over the
+lcm of the terms' denominators, so a zero test builds no Fraction. They
+stay private so that the benchmark's tracer, which wraps every public
+function, adds no span per vector.
 
 A `Matrix` stores only its nonzero entries, row by row, and every
 operation on it (products, transposes, eliminations) touches only those.
-`mul_vec` sums each row as ints over the common denominators of the row
-and of the vector, and builds one Fraction per entry. `mul_vec` and
-`_rref` scale their (column, value) rows inline: through `_integers`, the
-extra call and list per row made those loops 20-40% slower.
+`Matrix._mul_scaled` is M·x on scaled vectors, `mul_vec` its Fraction
+view. Row loops scale their (column, value) rows inline: through
+`_integers`, the extra call and list per row made them 20-40% slower.
 
 One routine, `_rref`, answers every kernel and solve question: a sparse,
-fraction-free Gauss–Jordan elimination. It scales each row to coprime
-integers in a {column: int} dict; row operations touch only the stored
-entries and strip the gcd of every row they produce. The reduced row
+fraction-free Gauss–Jordan elimination of {column: int} rows, each made
+coprime; `_int_rows` scales a `Matrix`'s rows for it. The reduced row
 echelon form is unique, so the kernel basis, the canonical solutions and
-every report built from them do not depend on how the elimination orders
-its pivots. `kernel_basis`, `eliminate` and `solve_in_span_coefficients`
-read the reduced rows directly. Bareiss `determinant` is separate: it
-gives the Sylvester minors of small square forms from the dense view of
-a matrix.
+every report built from them do not depend on the pivoting order. Bareiss
+`determinant` gives the Sylvester minors of small square forms.
 
 Solves against one matrix M many times over (the series recurrence
 solves against the linearization C at every order) share one
 elimination: `eliminate(M)` reduces [M | I] once, pivoting only in M's
 columns, and records each reduced row [R | E], for which E·M = R.
-`solve_general(record, v)` then needs one `_integers(v)` and int dot
-products: v is in im M exactly when E·v = 0 for every row without a
-pivot (the Farkas functionals), and the canonical solution has E·v
-divided by R's pivot entry in each pivot column and 0 in every free
-column. It builds no Fraction when v is outside the image. The analysis
-keeps the record on its operators, so it eliminates C for its solves
-once.
+`solve_general(record, v)` takes v scaled and needs int dot products
+alone: v is in im M exactly when E·v = 0 for every row without a pivot
+(the Farkas functionals), and the canonical solution has E·v divided by
+R's pivot entry in each pivot column and 0 in every free column.
 
-`solve_in_span_coefficients` solves a batch of right-hand sides inside
-the span of some images M·span_i, which the caller supplies (the
-analysis keeps them in its operators' memo, so each is computed once).
-The rows of [images | v_1 ... v_P] are read straight off the images and
-the right-hand sides, with no `Matrix` built, and eliminated once,
-pivoting only in the image columns. A batch is all or nothing: the
-canonical coefficients of every right-hand side over the images, or,
-with no coefficient built as soon as one of them is outside the images'
-span, the index of the first such right-hand side, read off the rows
-the elimination leaves over. The span-closure check uses that index to
-rule out later checks that need the same product, and sums the solution
-vectors over its span itself (see `certify.span_closure_check`).
+`solve_in_span_coefficients` solves a batch of scaled right-hand sides
+inside the span of scaled images M·span_i in one elimination, all or
+nothing: the canonical coefficients of every right-hand side, or the
+index of the first one outside the span, with no coefficient built.
 
 `kernel_basis`, `solve_general` and `solve_in_span_coefficients` are
 also the probes through which the benchmark (bench/tracer.py) times this
@@ -79,6 +57,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
+Scaled = tuple[int, list[int]]  # (common, ints): the vector ints / common
 
 
 class DimensionError(ValueError):
@@ -128,16 +107,21 @@ def is_zero_vector(x: Vector) -> bool:
     return all(a == 0 for a in x)
 
 
-def _integers(x: Sequence) -> tuple[int, list[int]]:
+def _integers(x: Sequence) -> Scaled:
     # x over its least common denominator d: (d, [d * x_i]), each an int
     d = lcm(*(v.denominator for v in x))
     return d, [v.numerator * (d // v.denominator) for v in x]
 
 
-def _combine(coeffs: Sequence, scaled: Sequence, n: int) -> tuple[int, list[int]]:
-    # sum c_i v_i for vectors v_i given as _integers(v_i) = (d_i, ints), as
-    # (common, totals) with the sum equal to totals / common; a zero c_i
-    # skips its entry, which may then be anything
+def _fractions(x: Scaled) -> Vector:
+    common, ints = x
+    return tuple(Fraction(t, common) for t in ints)
+
+
+def _combine(coeffs: Sequence, scaled: Sequence[Scaled], n: int) -> Scaled:
+    # sum c_i v_i for scaled vectors v_i = (d_i, ints), scaled over the lcm
+    # of the terms' denominators; a zero c_i skips its entry, which may
+    # then be anything
     if len(coeffs) != len(scaled):
         raise DimensionError(f"{len(coeffs)} coefficients for {len(scaled)} vectors")
     terms = []
@@ -156,20 +140,16 @@ def _combine(coeffs: Sequence, scaled: Sequence, n: int) -> tuple[int, list[int]
 
 
 def combination(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
-    """sum c_i v_i as a vector of length n, for int or Fraction c_i.
+    """sum c_i v_i as a vector of length n, for int or Fraction c_i: the
+    Fraction view of `_combine`.
 
     Zero coefficients are skipped; a vector whose length is not n raises
     DimensionError when its coefficient is nonzero, and so does a count
-    of coefficients other than the count of vectors. Each vector with a
-    nonzero coefficient is scaled once by `_integers`, `_combine` sums
-    the terms in int arithmetic over the lcm of their denominators, and
-    each entry builds one Fraction.
-    """
+    of coefficients other than the count of vectors."""
     if len(coeffs) != len(vectors):
         raise DimensionError(f"{len(coeffs)} coefficients for {len(vectors)} vectors")
-    common, total = _combine(
-        coeffs, [_integers(v) if c else None for c, v in zip(coeffs, vectors)], n)
-    return tuple(Fraction(t, common) for t in total)
+    return _fractions(_combine(
+        coeffs, [_integers(v) if c else None for c, v in zip(coeffs, vectors)], n))
 
 
 Row = tuple[tuple[int, Fraction], ...]
@@ -229,20 +209,22 @@ class Matrix:
         return tuple(dense)
 
     def mul_vec(self, x: Vector) -> Vector:
-        """M·x. x is scaled once to integers over its common denominator,
-        and each row's values to integers over theirs, so every entry is
-        summed in int arithmetic and builds one Fraction."""
-        if len(x) != self.cols:
-            raise DimensionError(f"matrix has {self.cols} columns, vector has {len(x)}")
-        d, xs = _integers(x)
+        """M·x, the Fraction view of `_mul_scaled`."""
+        return _fractions(self._mul_scaled(_integers(x)))
+
+    def _mul_scaled(self, x: Scaled) -> Scaled:
+        # M·x for a scaled x, each row summed in ints over one lcm of M's denominators
+        d, xs = x
+        if len(xs) != self.cols:
+            raise DimensionError(f"matrix has {self.cols} columns, vector has {len(xs)}")
+        common = lcm(*(v.denominator for row in self.nonzeros for _, v in row))
         out = []
         for row in self.nonzeros:
-            scale = lcm(*(v.denominator for _, v in row))
             total = 0
             for j, v in row:
-                total += v.numerator * (scale // v.denominator) * xs[j]
-            out.append(Fraction(total, scale * d))
-        return tuple(out)
+                total += v.numerator * (common // v.denominator) * xs[j]
+            out.append(total)
+        return common * d, out
 
     def transpose(self) -> "Matrix":
         columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
@@ -259,31 +241,30 @@ def _primitive_row(row: dict[int, int]) -> dict[int, int]:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def _rref(
-    nonzeros: Iterable[Sequence[tuple[int, Fraction]]], cols: int
-) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
-    """Sparse fraction-free Gauss–Jordan elimination.
-
-    Takes rows as (column, nonzero value) pairs and makes each a
-    {column: int} dict, scaled to coprime integers from the values'
-    numerators and denominators. Pivots are chosen only in the first
-    `cols` columns, in column order, from the first remaining row with an
-    entry in that column; that entry is cleared from every other row, so
-    any further columns (right-hand sides, or the identity block of
-    `eliminate`) are carried along. Rows that cancel to zero are dropped.
-
-    Returns the pivot rows, row i having its pivot in column pivots[i]
-    (dividing it by that entry gives row i of the reduced row echelon
-    form), and the rows left over, whose entries all lie past `cols`.
-    The reduced row echelon form is unique, so nothing read from these
-    rows depends on the pivoting order.
-    """
-    rest = []
+def _int_rows(nonzeros: Iterable[Sequence[tuple[int, Fraction]]]) -> list[dict[int, int]]:
+    # (column, value) rows as {column: int} dicts, each over its values' lcm
+    rows = []
     for row in nonzeros:
-        if row:
-            mult = lcm(*(f.denominator for _, f in row))
-            rest.append(_primitive_row(
-                {j: f.numerator * (mult // f.denominator) for j, f in row}))
+        mult = lcm(*(f.denominator for _, f in row))
+        rows.append({j: f.numerator * (mult // f.denominator) for j, f in row})
+    return rows
+
+
+def _rref(
+    rows: Iterable[dict[int, int]], cols: int
+) -> tuple[list[dict[int, int]], list[int], list[dict[int, int]]]:
+    """Sparse fraction-free Gauss–Jordan elimination of {column: nonzero
+    int} rows, each first made coprime. Pivots are chosen only in the
+    first `cols` columns, in column order, from the first remaining row
+    with an entry in that column; that entry is cleared from every other
+    row, so any further columns (right-hand sides, or the identity block
+    of `eliminate`) are carried along. Rows that cancel to zero are
+    dropped. Returns the pivot rows, row i having its pivot in column
+    pivots[i] (dividing it by that entry gives row i of the reduced row
+    echelon form, which is unique), and the rows left over, whose entries
+    all lie past `cols`.
+    """
+    rest = [_primitive_row(row) for row in rows if row]
     reduced: list[dict[int, int]] = []
     pivots: list[int] = []
     for c in range(cols):
@@ -292,8 +273,8 @@ def _rref(
             continue
         pivot = rest.pop(k)
         p = pivot[c]
-        for rows in (reduced, rest):
-            for i, row in enumerate(rows):
+        for block in (reduced, rest):
+            for i, row in enumerate(block):
                 f = row.get(c)
                 if f is None:
                     continue
@@ -307,7 +288,7 @@ def _rref(
                         out[j] = w
                     else:
                         del out[j]
-                rows[i] = _primitive_row(out)
+                block[i] = _primitive_row(out)
         rest = [row for row in rest if row]
         reduced.append(pivot)
         pivots.append(c)
@@ -353,7 +334,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     integer form (positive in their free column); the list is empty
     exactly when the kernel is trivial.
     """
-    reduced, pivots, _ = _rref(m.nonzeros, m.cols)
+    reduced, pivots, _ = _rref(_int_rows(m.nonzeros), m.cols)
     # the pivot rows' entries in each free column
     in_column: dict[int, list[tuple[int, int, int]]] = {}
     for row, pc in zip(reduced, pivots):
@@ -401,7 +382,7 @@ def eliminate(m: Matrix) -> Elimination:
     """One elimination of [M | I], which answers every later
     `solve_general` against M without eliminating M again."""
     augmented = [row + ((m.cols + i, 1),) for i, row in enumerate(m.nonzeros)]
-    reduced, pivots, rest = _rref(augmented, m.cols)
+    reduced, pivots, rest = _rref(_int_rows(augmented), m.cols)
 
     def functional(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
         return tuple((j - m.cols, v) for j, v in row.items() if j >= m.cols)
@@ -412,17 +393,14 @@ def eliminate(m: Matrix) -> Elimination:
         tuple(functional(row) for row in rest))
 
 
-def solve_general(e: Elimination, v: Vector) -> Optional[Vector]:
-    """Solve MX = v exactly, for the matrix M that `e` eliminates.
-
-    Returns the canonical solution, with zeros in every free-variable
-    position of the reduced echelon form, or None when v is outside the
-    image of M. v is scaled once to integers; None comes from int dot
-    products alone, and a solution builds one Fraction per nonzero entry.
-    """
-    if len(v) != e.rows:
-        raise DimensionError(f"matrix has {e.rows} rows, rhs has {len(v)}")
-    d, xs = _integers(v)
+def solve_general(e: Elimination, v: Scaled) -> Optional[Vector]:
+    """Solve MX = v exactly, for the matrix M that `e` eliminates and v
+    scaled: the canonical solution, zero in every free-variable position
+    of the reduced echelon form, or None, from int dot products alone,
+    when v is outside im M."""
+    d, xs = v
+    if len(xs) != e.rows:
+        raise DimensionError(f"matrix has {e.rows} rows, rhs has {len(xs)}")
     for functional in e.checks:
         total = 0
         for i, a in functional:
@@ -440,30 +418,29 @@ def solve_general(e: Elimination, v: Vector) -> Optional[Vector]:
 
 
 def solve_in_span_coefficients(
-    images: Sequence[Vector], vs: Sequence[Vector]
+    images: Sequence[Scaled], vs: Sequence[Scaled]
 ) -> Union[list[Vector], int]:
-    """For each right-hand side v, the canonical coefficients c with
-    sum c_i images_i = v (free coordinates zero); or, for the whole batch,
-    the index of the first v that has none.
+    """For each scaled right-hand side v, the canonical coefficients c
+    with sum c_i images_i = v (free coordinates zero), the images scaled
+    too; or, for the whole batch, the index of the first v that has none.
 
-    The images need not be independent. All right-hand sides are solved
-    in one elimination of [images | vs], whose row i holds the nonzero
-    pairs (t, images[t][i]) and then (k + t, vs[t][i]), k the number of
-    images; the rows go to `_rref` as they are. The rows the elimination
-    leaves over are the Farkas functionals of the images applied to the
-    right-hand sides, so v_t is outside their span exactly when one of
-    them has an entry in v_t's column; the failing index is read off
-    them, and no coefficient is built.
+    The images need not be independent. Row i of [images | vs] is
+    equation i times the lcm of every column's denominator, and all
+    right-hand sides are solved in one elimination of those rows. The
+    rows it leaves over are the Farkas functionals of the images applied
+    to the right-hand sides, so v_t is outside their span exactly when
+    one of them has an entry in v_t's column; the failing index is read
+    off them, and no coefficient is built.
     """
     columns = (*images, *vs)
-    rows = len(columns[0]) if columns else 0
-    if any(len(col) != rows for col in columns):
+    rows = len(columns[0][1]) if columns else 0
+    if any(len(ints) != rows for _, ints in columns):
         raise DimensionError("images and right-hand sides must have equal lengths")
-    # a leftover row holding a right-hand side means that v is outside the span
     k = len(images)
-    augmented = [tuple((t, col[i]) for t, col in enumerate(columns) if col[i])
-                 for i in range(rows)]
-    reduced, pivots, rest = _rref(augmented, k)
+    common = lcm(*(d for d, _ in columns))
+    columns = [(t, common // d, ints) for t, (d, ints) in enumerate(columns)]
+    reduced, pivots, rest = _rref(
+        ({t: scale * ints[i] for t, scale, ints in columns if ints[i]} for i in range(rows)), k)
     if rest:
         return min(min(row) for row in rest) - k
     out = []

@@ -1,12 +1,12 @@
 """Formal power-series machinery for candidate solution families.
 
 A candidate family X(t) = Y0 + Y1 t + ... + Yq t^q is held as its
-coefficient list. The products B(Yl, Y(p-l)), taken through the
-operators' memo, serve the recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l))
-(summed by `ratlinalg.combination`), canonical extension, and exact
-residual-order measurement (summed and tested for zero in integers, one
-order at a time, with no memo of its own); t = tau + a tau^e normalizes
-leading coefficients.
+coefficient list. The products B(Yl, Y(p-l)) and images C Yp come from
+the operators' memos, scaled (common, ints), and each sum of them is one
+`ratlinalg._combine`: the recurrence C Yp = -sum_{l=1}^{p-1} B(Yl, Y(p-l))
+goes to the solve scaled (`recurrence_rhs` is its Fraction view), and
+exact residual-order measurement tests each order for zero in ints, with
+no memo of its own. t = tau + a tau^e normalizes leading coefficients.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from . import ratlinalg
 from .quadsys import BaseOperators
 from .ratlinalg import (
     DimensionError,
+    Scaled,
     Vector,
     _combine,
-    _integers,
+    _fractions,
     combination,
     is_zero_vector,
     vector,
@@ -71,10 +72,15 @@ def series(coeffs: Sequence[Sequence]) -> SeriesCoefficients:
     return SeriesCoefficients(tuple(vector(c) for c in coeffs))
 
 
-def _products(ops: BaseOperators, s: SeriesCoefficients, p: int) -> list[Vector]:
+def _products(ops: BaseOperators, s: SeriesCoefficients, p: int) -> list[Scaled]:
     """B(Yl, Y(p-l)) for 1 <= l, p-l <= degree(s): the terms of the t^p part of F(Y(t)) without Y0."""
-    return [ops.bilinear(s.coefficient(l), s.coefficient(p - l))
+    return [ops._product(s.coefficient(l), s.coefficient(p - l))
             for l in range(max(1, p - s.degree), min(p - 1, s.degree) + 1)]
+
+
+def _recurrence_sum(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Scaled:
+    products = _products(ops, s, p)
+    return _combine((-1,) * len(products), products, ops.system.n)
 
 
 def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
@@ -85,16 +91,15 @@ def recurrence_rhs(ops: BaseOperators, s: SeriesCoefficients, p: int) -> Vector:
     """
     if p < 1 or p > s.degree + 1:
         raise DimensionError(f"coefficient index {p} out of range for degree {s.degree}")
-    products = _products(ops, s, p)
-    return combination((-1,) * len(products), products, ops.system.n)
+    return _fractions(_recurrence_sum(ops, s, p))
 
 
 def extend_step(ops: BaseOperators, s: SeriesCoefficients) -> Optional[Vector]:
     """Canonical next coefficient Y(q+1) with C Y(q+1) equal to the
     recurrence right-hand side, or None if no such vector exists.
     Appending a returned vector preserves approximate-solution status at
-    degree q+1. The solve reads the operators' one elimination of C."""
-    return ops.solve(recurrence_rhs(ops, s, s.degree + 1))
+    degree q+1. The scaled sum is solved on the operators' one elimination of C."""
+    return ops.solve(_recurrence_sum(ops, s, s.degree + 1))
 
 
 def extend_to(ops: BaseOperators, s: SeriesCoefficients, degree: int) -> SeriesCoefficients:
@@ -113,12 +118,11 @@ def _vanishes(ops: BaseOperators, s: SeriesCoefficients, p: int) -> bool:
     """Whether the t^p coefficient of F(Y(t)) is zero, for p >= 1 and
     Y0 the base point of the operators: C Yp (for p <= degree(s), from
     the operators' image memo), which is A(Yp) + 2 B(Y0, Yp), plus the
-    products of the recurrence. Each term is scaled to integers once and
-    the terms are summed by `ratlinalg._combine`, so the test is an int
-    zero test that builds no Fraction. It reads Y1..Yp alone."""
-    terms = [_integers(b) for b in _products(ops, s, p)]
+    products of the recurrence: an int zero test of the scaled terms'
+    `ratlinalg._combine`, which builds no Fraction. It reads Y1..Yp alone."""
+    terms = _products(ops, s, p)
     if p <= s.degree:
-        terms.append(_integers(ops.image(s.coefficient(p))))
+        terms.append(ops._image(s.coefficient(p)))
     return not any(_combine((1,) * len(terms), terms, ops.system.n)[1])
 
 

@@ -139,7 +139,7 @@ def test_criterion_4_tangent_intersection_rigid():
     assert ops.kernel[0] == vector([0, 0, 1])
     bval = bilinear(sys_, ops.kernel[0], ops.kernel[0])
     assert bval == vector([1, 0, 0])
-    assert ops.solve(bval) is None
+    assert ops.solve(ratlinalg._integers(bval)) is None
     out = t_standard_run(ops)
     assert isinstance(out, TStandardFail) and out.fail_index == 2
     rep = analyze_system(sys_, base)

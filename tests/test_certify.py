@@ -27,6 +27,7 @@ from flexcert.certify import (
 from flexcert.quadsys import linearize, validate_and_symmetrize
 from flexcert.ratlinalg import (
     Matrix,
+    _integers,
     combination,
     is_zero_vector,
     solve_in_span_coefficients,
@@ -490,10 +491,10 @@ def _t_standard_by_basis(ops, normal, basis, depth):
     T, found by solving over T's basis."""
     lead = ops.kernel[0]
     s = SeriesCoefficients((ops.base_point, lead))
-    images = [ops.image(t) for t in basis]
+    images = [ops._image(t) for t in basis]
     for p in range(2, depth + 1):
         rhs = series.recurrence_rhs(ops, s, p)
-        solved = solve_in_span_coefficients(images, [rhs])
+        solved = solve_in_span_coefficients(images, [_integers(rhs)])
         if isinstance(solved, int):
             return TStandardFail(p, rhs, normal, lead, s)
         s = s.appended(combination(solved[0], basis, len(lead)))
@@ -837,11 +838,12 @@ def test_residual_order_matches_sympy_on_shared_operators():
 
 
 def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
-    # products computed by quadsys.bilinear over whole analyses, memo
-    # misses only; a memo change that loses hits raises the count
+    # products computed by the one polarization kernel over whole analyses,
+    # the linearize probe's included, memo misses only; a memo change that
+    # loses hits raises the count
     computed = []
-    real = quadsys.bilinear
-    monkeypatch.setattr(quadsys, "bilinear", lambda *args: computed.append(1) or real(*args))
+    real = quadsys._polarize
+    monkeypatch.setattr(quadsys, "_polarize", lambda *args: computed.append(1) or real(*args))
     for name in ("example2.json", "example3.json"):
         assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
     fw, auto = load_corpus_framework("bricard_octahedron.json")
@@ -850,12 +852,13 @@ def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
 
 
 def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
-    # every C·Y of whole analyses, the linearization probes included; the
-    # search reads each image from the operators' memo, so a memo change
-    # that loses hits raises the count
+    # every C·Y of whole analyses, the linearization probes included, as
+    # the scaled product that mul_vec wraps; the search reads each image
+    # from the operators' memo, so a memo change that loses hits raises
+    # the count
     computed = []
-    real = Matrix.mul_vec
-    monkeypatch.setattr(Matrix, "mul_vec", lambda *args: computed.append(1) or real(*args))
+    real = Matrix._mul_scaled
+    monkeypatch.setattr(Matrix, "_mul_scaled", lambda *args: computed.append(1) or real(*args))
     for name in ("example2.json", "example3.json"):
         assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
     fw, auto = load_corpus_framework("bricard_octahedron.json")
@@ -972,9 +975,9 @@ def _fresh_span_check(sys_, base, cand, q, k):
     fresh = linearize(sys_, base)
     cert = span_closure_check(fresh, cand, q, k)
     ys, span = cand.coeffs, cand.coeffs[k : q + 1]
-    images = [fresh.image(y) for y in span]
+    images = [fresh._image(y) for y in span]
     outside = {b for b in range(k, q + 1) for a in range(1, b + 1)
-               if solve_in_span_coefficients(images, [fresh.bilinear(ys[a], ys[b])]) == 0}
+               if solve_in_span_coefficients(images, [fresh._product(ys[a], ys[b])]) == 0}
     return cert, outside
 
 
@@ -1057,8 +1060,8 @@ def test_span_closure_replay_multiplies_only_the_coefficients(monkeypatch):
     cert = rep.certificate
     assert (cert.q, cert.k, len(cert.pair_solutions)) == (5, 1, 25)
     computed = []
-    real = Matrix.mul_vec
-    monkeypatch.setattr(Matrix, "mul_vec", lambda *args: computed.append(1) or real(*args))
+    real = Matrix._mul_scaled
+    monkeypatch.setattr(Matrix, "_mul_scaled", lambda *args: computed.append(1) or real(*args))
     assert replay_certificate(sys_, base, cert)
     assert len(computed) == 1 + cert.q
     monkeypatch.undo()
@@ -1118,8 +1121,8 @@ def test_pair_solutions_equal_the_solves_of_the_scaled_products():
         y = cert.series.coeffs
         span = y[cert.k : cert.q + 1]
         for ps in cert.pair_solutions:
-            rhs = tuple(-2 * b for b in quadsys.bilinear(sys_, y[ps.i], y[ps.j]))
-            images = [ops.image(s) for s in span]
+            rhs = _integers(tuple(-2 * b for b in quadsys.bilinear(sys_, y[ps.i], y[ps.j])))
+            images = [ops._image(s) for s in span]
             assert solve_in_span_coefficients(images, [rhs]) == [ps.coefficients]
             assert combination(ps.coefficients, span, sys_.m) == ps.vector
 

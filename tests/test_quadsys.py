@@ -292,12 +292,13 @@ def test_base_operators_memoize_products_per_instance(hyperboloid_line):
     ops, again = linearize(sys_, base), linearize(sys_, base)
     x, y = vector([1, 2, 3]), vector([F(1, 2), 0, -4])
     assert ops.bilinear(x, y) == bilinear(sys_, x, y)
-    assert ops.bilinear(y, x) is ops.bilinear(x, y)
+    # the memo holds the scaled product, one entry for both argument orders
+    assert ops._product(y, x) is ops._product(x, y)
     # each linearize call builds its own memo, which takes no part in equality
     assert again._products_by_id == {} and again._products_by_id is not ops._products_by_id
     assert ops == again and "_products_by_id" not in repr(ops)
     with pytest.raises(DimensionError):
-        ops.bilinear(x, vector([1, 2]))
+        ops._product(x, vector([1, 2]))
 
 
 def test_base_operators_memoize_images_per_instance(hyperboloid_line):
@@ -305,12 +306,14 @@ def test_base_operators_memoize_images_per_instance(hyperboloid_line):
     ops, again = linearize(sys_, base), linearize(sys_, base)
     y = vector([F(1, 2), 0, -4])
     assert ops.image(y) == ops.c_matrix.mul_vec(y)
-    assert ops.image(y) is ops.image(y)
+    # the memo holds the scaled image, and the scaled argument once
+    assert ops._image(y) is ops._image(y) and ops._scaled(y) is ops._scaled(y)
     # each linearize call builds its own memo, which takes no part in equality
     assert again._images_by_id == {} and again._images_by_id is not ops._images_by_id
+    assert again._scaled_by_id == {} and "_scaled_by_id" not in repr(ops)
     assert ops == again and "_images_by_id" not in repr(ops)
     with pytest.raises(DimensionError):
-        ops.image(vector([1, 2]))
+        ops._image(vector([1, 2]))
 
 
 def test_base_operators_memo_agrees_with_bilinear_on_short_lived_vectors(hyperboloid_line):

@@ -8,6 +8,7 @@ from flexcert import ratlinalg
 from flexcert.ratlinalg import (
     DimensionError,
     Matrix,
+    _integers,
     combination,
     determinant,
     eliminate,
@@ -28,14 +29,15 @@ def mul(m, x):
 
 
 def solve(m, v):
-    # solve_general against the elimination record of m
-    return solve_general(eliminate(m), v)
+    # solve_general against the elimination record of m, v scaled
+    return solve_general(eliminate(m), _integers(v))
 
 
 def in_span(m, vs, span):
-    # solve_in_span_coefficients over the images M·span_i computed here; each
-    # solution's coefficients come paired with Y = sum c_i span_i
-    solved = solve_in_span_coefficients([m.mul_vec(s) for s in span], vs)
+    # solve_in_span_coefficients over the images M·span_i computed here, all
+    # scaled; each solution's coefficients come paired with Y = sum c_i span_i
+    solved = solve_in_span_coefficients([m._mul_scaled(_integers(s)) for s in span],
+                                        [_integers(v) for v in vs])
     if isinstance(solved, int):
         return solved
     return [(coeffs, combination(coeffs, span, m.cols)) for coeffs in solved]
@@ -127,9 +129,9 @@ def test_solve_in_span_empty_batches():
     with pytest.raises(DimensionError):
         combination((1,), [vector([1, 0, 0])], m.cols)
     with pytest.raises(DimensionError):
-        solve_in_span_coefficients([zero_vector(2)], [zero_vector(3)])
+        solve_in_span_coefficients([_integers(zero_vector(2))], [_integers(zero_vector(3))])
     with pytest.raises(DimensionError):
-        solve_in_span_coefficients([zero_vector(3), zero_vector(2)], [])
+        solve_in_span_coefficients([_integers(zero_vector(3)), _integers(zero_vector(2))], [])
 
 
 def _fractions_built(call):
@@ -153,8 +155,9 @@ def test_unsolvable_batch_builds_no_solution():
     # rank 2, im M = {v : v_0 + v_1 = v_2}
     m = Matrix.from_rows([[1, 2, 0], [0, 0, 1], [1, 2, 1]])
     span = [vector([1, 0, 0]), vector([0, 1, 0]), vector([0, 0, 1])]
-    images = [m.mul_vec(y) for y in span]
-    solvable, unsolvable = [vector([1, 1, 2]), vector([F(1, 2), 3, F(7, 2)])], vector([1, 1, 0])
+    images = [m._mul_scaled(_integers(y)) for y in span]
+    solvable = [_integers(vector([1, 1, 2])), _integers(vector([F(1, 2), 3, F(7, 2)]))]
+    unsolvable = _integers(vector([1, 1, 0]))
     batch = [solvable[0], unsolvable, solvable[1]]
     got, built = _fractions_built(lambda: solve_in_span_coefficients(images, batch))
     assert got == 1 and built == 0
@@ -174,16 +177,16 @@ def test_failing_batch_reports_its_first_unsolvable_right_hand_side():
     # an entry past the first
     m = Matrix.from_rows([[1, 0], [0, 0], [0, 0]])
     span = [vector([1, 0]), vector([0, 1])]
-    images = [m.mul_vec(y) for y in span]
-    e0, e1, e2 = (tuple(F(int(i == j)) for i in range(3)) for j in range(3))
+    images = [m._mul_scaled(_integers(y)) for y in span]
+    e0, e1, e2 = (_integers(tuple(F(int(i == j)) for i in range(3))) for j in range(3))
     # two failing right-hand sides whose leftover rows differ: the one in
     # the first leftover row (e1, row 1) comes later in the batch than the
     # one in the second (e2, row 2)
     assert solve_in_span_coefficients(images, [e0, e2, e0, e1]) == 1
     assert solve_in_span_coefficients(images, [e0, e1, e2]) == 1
     # two failing right-hand sides in one leftover row
-    assert solve_in_span_coefficients(images, [e1, vector([3, 2, 0])]) == 0
-    assert solve_in_span_coefficients(images, [e0, vector([3, 2, 0]), e1]) == 1
+    assert solve_in_span_coefficients(images, [e1, _integers(vector([3, 2, 0]))]) == 0
+    assert solve_in_span_coefficients(images, [e0, _integers(vector([3, 2, 0])), e1]) == 1
     # a failure builds no solution
     got, built = _fractions_built(lambda: solve_in_span_coefficients(images, [e0, e0, e2, e1]))
     assert got == 2 and built == 0
@@ -420,7 +423,7 @@ def _check_against_sympy(sympy, m, vs, seen):
         assert combination([a for _, a in functional], rows, m.cols) == zero_vector(m.cols)
     units = [tuple(F(int(i == j)) for i in range(m.cols)) for j in range(m.cols)]
     for v in vs:
-        got = solve_general(record, v)
+        got = solve_general(record, _integers(v))
         assert in_span(m, [v], units) == (0 if got is None else [(got, got)])
         try:
             solution, params = sm.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v], 1))
