@@ -588,14 +588,14 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
         w = cert.functional
         if w is None or cert.form is None:
             return False
-        if not is_zero_vector(c_transposed.mul_vec(w)):
+        if any(c_transposed._mul_scaled(_integers(w))[1]):
             return False  # functional must annihilate the image of C
         return _projected_form(ops, w) == cert.form and _is_definite(cert.form)
     if cert.case == "no_common_line":
         if d != 2 or cert.functionals is None or cert.forms is None:
             return False
         for w in cert.functionals:
-            if not is_zero_vector(c_transposed.mul_vec(w)):
+            if any(c_transposed._mul_scaled(_integers(w))[1]):
                 return False
         recomputed = tuple(
             _form_triple(_projected_form(ops, w)) for w in cert.functionals

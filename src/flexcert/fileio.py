@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Optional
 
-from . import certify, quadsys, rigidity, series
+from . import certify, quadsys, rigidity
 from .quadsys import GeneralPolySystem, QuadraticSystem
 from .ratlinalg import Vector, _without_digit_limit, format_scalar
 from .rigidity import Framework

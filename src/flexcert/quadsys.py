@@ -7,11 +7,12 @@ and den_k > 0 the lcm of the denominators of the equation's rational
 coefficients (the integers are not reduced further). Equal systems
 compare equal. F, B, A and the rows of the linearization C at a base
 point (the object every rigidity test interrogates) cost O(nnz) in int
-arithmetic. B's one kernel, `_polarize`, works in the scaled form
-(common, ints) that `BaseOperators` holds, and `bilinear`, like `alpha`,
-`beta` and `gamma`, is a Fraction view. Higher-degree polynomial systems
-are brought into this form by introducing auxiliary variables for
-sub-monomials.
+arithmetic, and `linearize` stores C in the scaled `Matrix` form, ints
+over one common denominator. B's one kernel, `_polarize`, works in the
+scaled form (common, ints) that `BaseOperators` holds, and `bilinear`,
+like `alpha`, `beta` and `gamma`, is a Fraction view. Higher-degree
+polynomial systems are brought into this form by introducing auxiliary
+variables for sub-monomials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .ratlinalg import (
@@ -199,9 +200,9 @@ class BaseOperators:
     builds. Its memos hold the scaled form (common, ints) of each vector
     it is given (`_scaled`), each B(X, Y) (`_product`) and each C·Y
     (`_image`), once per argument object, and `solve` takes that form;
-    `bilinear` and `image` are Fraction views. An entry is keyed by the
-    ids of its arguments and holds those objects, so the ids cannot pass
-    to other objects while it lives. `_prefixes` belongs to
+    `bilinear` is a Fraction view. An entry is keyed by the ids of its
+    arguments and holds those objects, so the ids cannot pass to other
+    objects while it lives. `_prefixes` belongs to
     `certify.span_closure_check`, whose docstring gives its layout.
     `_elimination`, the reduced [C | I] that answers every `solve`, is
     built on the first solve, so operators that never solve (a trivial
@@ -245,9 +246,6 @@ class BaseOperators:
     def bilinear(self, x: Vector, y: Vector) -> Vector:
         return _fractions(self._product(x, y))
 
-    def image(self, y: Vector) -> Vector:
-        return _fractions(self._image(y))
-
     def solve(self, v: Scaled) -> Optional[Vector]:
         """The canonical solution of C·X = v for a scaled v, or None when
         v is outside im C. The first solve eliminates [C | I]; every solve
@@ -263,13 +261,16 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     Row k of C is the gradient of F_k at X0: a term a x_i x_j adds a x_j
     to column i and a x_i to column j (2 a x_i when i = j), and b x_i
     adds b to column i. Each row is summed in integers over den_k and
-    X0's common denominator, from the equation's own terms, in O(nnz).
+    X0's common denominator d, from the equation's own terms, in O(nnz),
+    then scaled by lcm(den) / den_k, so that C is stored over lcm(den)·d
+    with the gcd divided out.
     """
     x0 = vector(base_point)
     residual = evaluate(sys, x0)
     if not is_zero_vector(residual):
         raise BasePointError(residual)
     d, xs = _integers(x0)
+    common = lcm(*sys.den)
     rows = []
     for quad, lin, den in zip(sys.quad, sys.lin, sys.den):
         row: dict[int, int] = {}
@@ -278,9 +279,11 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
             row[j] = row.get(j, 0) + a * xs[i]
         for i, b in lin:
             row[i] = row.get(i, 0) + b * d
-        scale = den * d
-        rows.append(tuple((j, Fraction(v, scale)) for j, v in sorted(row.items()) if v))
-    c = Matrix(sys.n, sys.m, tuple(rows))
+        scale = common // den
+        rows.append([(j, v * scale) for j, v in sorted(row.items()) if v])
+    g = gcd(common * d, *(v for row in rows for _, v in row))
+    c = Matrix(sys.n, sys.m, common * d // g,
+               tuple(tuple((j, v // g) for j, v in row) for row in rows))
     # spot-check the closed-form columns against the operational definition
     probe = (Fraction(1),) * sys.m
     bx, ap = bilinear(sys, x0, probe), linear_part(sys, probe)

@@ -13,18 +13,18 @@ lcm of the terms' denominators, so a zero test builds no Fraction. They
 stay private so that the benchmark's tracer, which wraps every public
 function, adds no span per vector.
 
-A `Matrix` stores only its nonzero entries, row by row, and every
-operation on it (products, transposes, eliminations) touches only those.
+A `Matrix` is stored scaled too: one common denominator and, row by
+row, the int numerators of its nonzero entries, so every operation on it
+(products, transposes, eliminations) touches only those, in ints.
 `Matrix._mul_scaled` is M·x on scaled vectors, `mul_vec` its Fraction
-view. Row loops scale their (column, value) rows inline: through
-`_integers`, the extra call and list per row made them 20-40% slower.
+view.
 
 One routine, `_rref`, answers every kernel and solve question: a sparse,
 fraction-free Gauss–Jordan elimination of {column: int} rows, each made
-coprime; `_int_rows` scales a `Matrix`'s rows for it. The reduced row
-echelon form is unique, so the kernel basis, the canonical solutions and
-every report built from them do not depend on the pivoting order. Bareiss
-`determinant` gives the Sylvester minors of small square forms.
+coprime, which reads a `Matrix`'s stored rows as they are. The reduced
+row echelon form is unique, so the kernel basis, the canonical solutions
+and every report built from them do not depend on the pivoting order.
+Bareiss `determinant` gives the Sylvester minors of small square forms.
 
 Solves against one matrix M many times over (the series recurrence
 solves against the linearization C at every order) share one
@@ -152,26 +152,26 @@ def combination(coeffs: Sequence, vectors: Sequence[Vector], n: int) -> Vector:
         coeffs, [_integers(v) if c else None for c, v in zip(coeffs, vectors)], n))
 
 
-Row = tuple[tuple[int, Fraction], ...]
-
-
 @dataclass(frozen=True)
 class Matrix:
-    """Sparse rectangular matrix of Fractions.
+    """Sparse rectangular matrix of rationals, stored scaled like a vector.
 
-    Row i is stored as `nonzeros[i]`: its (column, value) pairs in
-    increasing column order, without zero values. The form is canonical,
-    so equal matrices compare equal, and products, transposes and
-    eliminations cost O(nnz). `rows`/`cols` are stored explicitly so that
-    degenerate shapes (zero rows or zero columns) stay well defined.
+    Entry (i, j) is v / `common` for the int v stored with column j in
+    `nonzeros[i]`, row i's (column, int) pairs in increasing column order,
+    without zeros. `common` is the least positive common denominator, so
+    the form is canonical and equal matrices compare equal; products,
+    transposes and eliminations cost O(nnz) in ints. `rows`/`cols` are
+    stored explicitly so that degenerate shapes (zero rows or zero
+    columns) stay well defined.
 
     `from_rows` builds a matrix from dense rows; `entries` and `row(i)`
-    are dense views for display, tests and `determinant`.
+    are Fraction views for display and tests.
     """
 
     rows: int
     cols: int
-    nonzeros: tuple[Row, ...]
+    common: int
+    nonzeros: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
         if len(self.nonzeros) != self.rows:
@@ -185,6 +185,8 @@ class Matrix:
                 if not v:
                     raise ValueError(f"zero value stored in column {j}")
                 last = j
+        if self.common < 1 or gcd(self.common, *(v for row in self.nonzeros for _, v in row)) != 1:
+            raise ValueError(f"common denominator {self.common} is not positive and reduced")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Iterable], cols: Optional[int] = None) -> "Matrix":
@@ -195,8 +197,10 @@ class Matrix:
             cols = len(dense[0])
         if any(len(r) != cols for r in dense):
             raise DimensionError(f"ragged matrix rows, or rows that do not have {cols} entries")
-        return cls(len(dense), cols,
-                   tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in dense))
+        common = lcm(*(x.denominator for r in dense for x in r))
+        return cls(len(dense), cols, common, tuple(
+            tuple((j, x.numerator * (common // x.denominator)) for j, x in enumerate(r) if x)
+            for r in dense))
 
     @property
     def entries(self) -> tuple[Vector, ...]:
@@ -205,7 +209,7 @@ class Matrix:
     def row(self, i: int) -> Vector:
         dense = [Fraction(0)] * self.cols
         for j, v in self.nonzeros[i]:
-            dense[j] = v
+            dense[j] = Fraction(v, self.common)
         return tuple(dense)
 
     def mul_vec(self, x: Vector) -> Vector:
@@ -213,25 +217,24 @@ class Matrix:
         return _fractions(self._mul_scaled(_integers(x)))
 
     def _mul_scaled(self, x: Scaled) -> Scaled:
-        # M·x for a scaled x, each row summed in ints over one lcm of M's denominators
+        # M·x for a scaled x: each row summed in ints, over common·d
         d, xs = x
         if len(xs) != self.cols:
             raise DimensionError(f"matrix has {self.cols} columns, vector has {len(xs)}")
-        common = lcm(*(v.denominator for row in self.nonzeros for _, v in row))
         out = []
         for row in self.nonzeros:
             total = 0
             for j, v in row:
-                total += v.numerator * (common // v.denominator) * xs[j]
+                total += v * xs[j]
             out.append(total)
-        return common * d, out
+        return self.common * d, out
 
     def transpose(self) -> "Matrix":
-        columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.nonzeros):
             for j, v in row:
                 columns[j].append((i, v))
-        return Matrix(self.cols, self.rows, tuple(map(tuple, columns)))
+        return Matrix(self.cols, self.rows, self.common, tuple(map(tuple, columns)))
 
 
 def _primitive_row(row: dict[int, int]) -> dict[int, int]:
@@ -239,15 +242,6 @@ def _primitive_row(row: dict[int, int]) -> dict[int, int]:
     # rank, the kernel or which right-hand sides are solvable
     g = gcd(*row.values())
     return {j: v // g for j, v in row.items()} if g > 1 else row
-
-
-def _int_rows(nonzeros: Iterable[Sequence[tuple[int, Fraction]]]) -> list[dict[int, int]]:
-    # (column, value) rows as {column: int} dicts, each over its values' lcm
-    rows = []
-    for row in nonzeros:
-        mult = lcm(*(f.denominator for _, f in row))
-        rows.append({j: f.numerator * (mult // f.denominator) for j, f in row})
-    return rows
 
 
 def _rref(
@@ -304,12 +298,10 @@ def determinant(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a = []
-    denom = 1
-    for row in m.entries:
-        mult, ints = _integers(row)
-        denom *= mult
-        a.append(ints)
+    a = [[0] * n for _ in range(n)]
+    for i, row in enumerate(m.nonzeros):
+        for j, v in row:
+            a[i][j] = v
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -324,7 +316,7 @@ def determinant(m: Matrix) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], denom)
+    return Fraction(sign * a[n - 1][n - 1], m.common ** n)
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -334,7 +326,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     integer form (positive in their free column); the list is empty
     exactly when the kernel is trivial.
     """
-    reduced, pivots, _ = _rref(_int_rows(m.nonzeros), m.cols)
+    reduced, pivots, _ = _rref(map(dict, m.nonzeros), m.cols)
     # the pivot rows' entries in each free column
     in_column: dict[int, list[tuple[int, int, int]]] = {}
     for row, pc in zip(reduced, pivots):
@@ -381,8 +373,9 @@ class Elimination(NamedTuple):
 def eliminate(m: Matrix) -> Elimination:
     """One elimination of [M | I], which answers every later
     `solve_general` against M without eliminating M again."""
-    augmented = [row + ((m.cols + i, 1),) for i, row in enumerate(m.nonzeros)]
-    reduced, pivots, rest = _rref(_int_rows(augmented), m.cols)
+    # row i of [M | I] times common: E·M = R holds for M itself
+    augmented = (dict(row + ((m.cols + i, m.common),)) for i, row in enumerate(m.nonzeros))
+    reduced, pivots, rest = _rref(augmented, m.cols)
 
     def functional(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
         return tuple((j - m.cols, v) for j, v in row.items() if j >= m.cols)

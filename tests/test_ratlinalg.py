@@ -195,20 +195,28 @@ def test_failing_batch_reports_its_first_unsolvable_right_hand_side():
 
 
 def test_matrix_stores_canonical_nonzeros():
-    m = Matrix(2, 3, (((0, F(1)), (2, F(-1, 2))), ()))
+    # entry (i, j) is an int over one common denominator, the least one
+    m = Matrix(2, 3, 2, (((0, 2), (2, -1)), ()))
     assert m.entries == ((F(1), F(0), F(-1, 2)), zero_vector(3))
     assert m.row(1) == zero_vector(3)
-    assert Matrix.from_rows([[0, 2, 0], [0, 0, 0]]).nonzeros == (((1, F(2)),), ())
+    assert Matrix.from_rows([[1, 0, F(-1, 2)], [0, 0, 0]]) == m
+    assert Matrix.from_rows([[0, 2, 0], [0, 0, 0]]).nonzeros == (((1, 2),), ())
+    assert Matrix.from_rows([[F(1, 6), F(1, 4)]]) == Matrix(1, 2, 12, (((0, 2), (1, 3)),))
     with pytest.raises(ValueError, match="zero"):
-        Matrix(1, 3, (((1, F(0)),),))
-    for bad in [((3, F(1)),), ((-1, F(1)),), ((2, F(1)), (1, F(1))),
-                ((1, F(1)), (1, F(2)))]:
+        Matrix(1, 3, 1, (((1, 0),),))
+    for bad in [((3, 1),), ((-1, 1),), ((2, 1), (1, 1)), ((1, 1), (1, 2))]:
         with pytest.raises(DimensionError):
-            Matrix(1, 3, (bad,))
+            Matrix(1, 3, 1, (bad,))
     with pytest.raises(DimensionError):
-        Matrix(2, 3, ((),))
+        Matrix(2, 3, 1, ((),))
+    # a common denominator that is not positive, or not reduced against
+    # the stored ints (a zero matrix has common 1)
+    for common, row in [(0, ((0, 1),)), (-2, ((0, 1),)), (4, ((0, 2), (2, 6))),
+                        (3, ((1, 3),)), (2, ())]:
+        with pytest.raises(ValueError, match="common"):
+            Matrix(1, 3, common, (row,))
     assert Matrix.from_rows([[1, 2]], cols=2) == Matrix.from_rows([[1, 2]])
-    assert Matrix.from_rows([], cols=3) == Matrix(0, 3, ())
+    assert Matrix.from_rows([], cols=3) == Matrix(0, 3, 1, ())
     # ragged rows, no rows without a column count, and a column count
     # the rows do not have
     for rows, cols in (([[1, 2], [3]], None), ([], None), ([[1, 2]], 3), ([[1, 2]], 1),
@@ -225,12 +233,16 @@ def test_sparse_operations_match_dense_reference():
                   for _ in range(cols)] for _ in range(rows)]
         columns = [tuple(dense[i][j] for i in range(rows)) for j in range(cols)]
         m = Matrix.from_rows(dense, cols=cols)
-        assert m.nonzeros == tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in dense)
+        common = lcm(*(a.denominator for r in dense for a in r))
+        assert m.common == common
+        assert m.nonzeros == tuple(tuple((j, a.numerator * (common // a.denominator))
+                                         for j, a in enumerate(r) if a) for r in dense)
+        assert all(type(v) is int for row in m.nonzeros for _, v in row)
         assert m.entries == tuple(map(tuple, dense))
         x = vector([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)])
         assert m.mul_vec(x) == tuple(sum((a * b for a, b in zip(r, x)), F(0)) for r in dense)
         t = m.transpose()
-        assert (t.rows, t.cols) == (cols, rows)
+        assert (t.rows, t.cols, t.common) == (cols, rows, common)
         assert t.entries == tuple(columns)
         assert t.transpose() == m
         assert Matrix.from_rows(columns, cols=rows) == t

@@ -1,12 +1,14 @@
-"""The analysis holds its vectors in one scaled form, (common, ints): the
-polarization kernel, the image product, the recurrence sum and the solves
-on that form agree with Fraction references, and each series coefficient
-is scaled once per operators."""
+"""The analysis holds its vectors and matrices in one scaled form, ints
+over one common denominator: the stored `Matrix`, the linearization C,
+the polarization kernel, the image product, the recurrence sum and the
+solves on that form agree with Fraction references, and each series
+coefficient is scaled once per operators."""
 
 from collections import Counter
 from fractions import Fraction as F
+from math import gcd, lcm
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexcert import certify, quadsys, ratlinalg, series
@@ -17,6 +19,7 @@ from flexcert.ratlinalg import (
     _fractions,
     _integers,
     combination,
+    determinant,
     eliminate,
     kernel_basis,
     solve_general,
@@ -27,7 +30,7 @@ from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
 from conftest import load_corpus_framework, load_corpus_system
-from test_ratlinalg import _fractions_built
+from test_ratlinalg import _fractions_built, _laplace
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 PRIMES = (2, 3, 5, 7)
@@ -35,13 +38,14 @@ rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 9])
 
 
 @st.composite
-def systems_with_base(draw):
-    """A system through a drawn integer base point whose equation k has
-    den_k = PRIMES[k]: every coefficient is an integer or an integer over
-    that prime, and one x_i^2 term is exactly ±1 over it, so the lcm
-    across equations is never one equation's den."""
+def systems_with_base(draw, coordinates=st.builds(F, st.integers(-3, 3))):
+    """A system through a drawn base point whose equation k has den_k =
+    PRIMES[k] when the point is integral: every coefficient is an integer
+    or an integer over that prime, and one x_i^2 term is exactly ±1 over
+    it, so the lcm across equations is never one equation's den. A
+    rational point adds the denominator of its constant to den_k."""
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    base = tuple(F(draw(st.integers(-3, 3))) for _ in range(m))
+    base = tuple(draw(coordinates) for _ in range(m))
     index = st.integers(0, m - 1)
     alphas, betas = [], []
     for p in PRIMES[:n]:
@@ -53,7 +57,8 @@ def systems_with_base(draw):
         betas.append(draw(st.lists(st.tuples(index, coeff), max_size=3)))
     gammas = [-r for r in evaluate(validate_and_symmetrize(m, alphas, betas, [0] * n), base)]
     sys_ = validate_and_symmetrize(m, alphas, betas, gammas)
-    assert sys_.den == PRIMES[:n]
+    assert all(den % p == 0 for den, p in zip(sys_.den, PRIMES))
+    assert sys_.den == PRIMES[:n] or any(x.denominator > 1 for x in base)
     return sys_, base
 
 
@@ -61,6 +66,105 @@ def _reference_bilinear(sys_, x, y):
     # B(X, Y) read off the alpha view in Fractions, i = j terms included
     return tuple(sum((c * x[i] * y[i] if i == j else c * (x[i] * y[j] + x[j] * y[i])
                       for i, j, c in alpha), F(0)) for alpha in sys_.alpha)
+
+
+def _reference_jacobian(sys_, base):
+    # row k of C as Fractions, off the alpha and beta views: an alpha
+    # entry c at (i, j) is c x_i x_j + c x_j x_i, also when i = j
+    rows = []
+    for alpha, beta in zip(sys_.alpha, sys_.beta):
+        row = [F(0)] * sys_.m
+        for i, j, c in alpha:
+            row[i] += 2 * c * base[j]
+            if i != j:
+                row[j] += 2 * c * base[i]
+        for i, b in beta:
+            row[i] += b
+        rows.append(row)
+    return rows
+
+
+def _reference_rref(rows, cols):
+    # Gauss–Jordan in Fractions, pivoting in the first `cols` columns only:
+    # the reduced rows (pivot entry 1), their pivot columns and the rows left
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [a - row[c] * b for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots, rows[len(pivots):]
+
+
+def _reference_kernel(dense, cols):
+    # one vector per free column of the RREF, primitive and positive there
+    reduced, pivots, _ = _reference_rref(dense, cols)
+    basis = []
+    for free in (j for j in range(cols) if j not in pivots):
+        vec = [F(int(j == free)) for j in range(cols)]
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [x.numerator * (scale // x.denominator) for x in vec]
+        basis.append(tuple(F(x // gcd(*ints)) for x in ints))
+    return basis
+
+
+def _reference_solve(dense, cols, v):
+    # the canonical solution of M·X = v, free coordinates zero, or None
+    reduced, pivots, rest = _reference_rref(
+        [list(r) + [x] for r, x in zip(dense, v)], cols)
+    if any(row[-1] for row in rest):
+        return None
+    solution = [F(0)] * cols
+    for row, pc in zip(reduced, pivots):
+        solution[pc] = row[-1]
+    return tuple(solution)
+
+
+dense_matrices = st.integers(0, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.just(F(0)), rationals), min_size=cols, max_size=cols),
+    max_size=5).map(lambda rows: (rows, cols)))
+
+
+@PROPERTY
+@given(dense_matrices, st.data())
+def test_stored_matrix_matches_dense_references(case, data):
+    dense, cols = case
+    m = Matrix.from_rows(dense, cols=cols)
+    values = [v for row in m.nonzeros for _, v in row]
+    assert m.common == lcm(*(x.denominator for r in dense for x in r))
+    assert gcd(m.common, *values) == 1 and all(type(v) is int for v in values)
+    assert m.entries == tuple(map(tuple, dense))
+    assert m.transpose().common == m.common and m.transpose().transpose() == m
+    x = tuple(data.draw(rationals) for _ in range(cols))
+    product = tuple(sum((a * b for a, b in zip(r, x)), F(0)) for r in dense)
+    assert _fractions(m._mul_scaled(_redundant(x, data.draw(st.integers(1, 4))))) == product
+    assert kernel_basis(m) == _reference_kernel(dense, cols)
+    record = eliminate(m)
+    for v in (product, tuple(data.draw(rationals) for _ in dense)):
+        assert solve_general(record, _integers(v)) == _reference_solve(dense, cols, v)
+    k = min(len(dense), cols)
+    square = [r[:k] for r in dense[:k]]
+    assert determinant(Matrix.from_rows(square, cols=k)) == _laplace(square)
+
+
+# x^2 - 1/4 = 0 at x = 1/2: row 8 over den·d = 4·2 reduces to 1 over 1
+@example((validate_and_symmetrize(1, [[(0, 0, 1)]], [[]], [F(-1, 4)]), (F(1, 2),)))
+@PROPERTY
+@given(systems_with_base(coordinates=rationals))
+def test_linearize_stores_c_scaled_over_its_least_common_denominator(case):
+    sys_, base = case
+    c = linearize(sys_, base).c_matrix
+    assert all(type(v) is int for row in c.nonzeros for _, v in row)
+    assert c == Matrix.from_rows(_reference_jacobian(sys_, base), cols=sys_.m)
 
 
 def _redundant(v, factor):

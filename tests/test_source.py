@@ -145,3 +145,31 @@ def test_solves_against_c_read_one_elimination_per_analysis():
                       "solve_general(self._elimination, v)\n"
                       "kernel_basis(ops.c_matrix)\n")
     assert len(_solves_eliminating_c(probe)) == 3
+
+
+def _unused_imports(tree):
+    """Names that `tree` imports and never reads: a name bound by an
+    import is used when it appears as a Name anywhere in the module
+    (attribute access, calls and annotations included)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    # no linter runs on the package, so an import nothing reads would stay;
+    # __init__ imports to re-export
+    found = {rel: bad for rel, tree in _package_trees()
+             if rel != "__init__.py" and (bad := _unused_imports(tree))}
+    assert not found, f"unused imports in flexcert: {found}"
+    probe = ast.parse("from __future__ import annotations\nimport os.path, json\n"
+                      "from . import a, b as c\nfrom .x import (d, e)\n"
+                      "def f(y: d) -> None:\n    return os.sep, a.z, c\n")
+    assert _unused_imports(probe) == ["2: json", "4: e"]
