@@ -113,7 +113,11 @@ class SpanClosureFlex:
     """Span-closure certificate: for every i in [1,q], j in [k,q] the
     equation C Y = -B(Y_i,Y_j)-B(Y_j,Y_i) is solved inside
     span{Y_k,...,Y_q}; this extends the series to a convergent analytic
-    family with the same initial coefficients."""
+    family with the same initial coefficients.
+
+    Every Flexible certificate keeps this contract: its `series` matches
+    a true family through its degree, and that degree is the last order
+    the flexion check of `rigidity.analyze_framework` reads."""
 
     q: int
     k: int

@@ -8,7 +8,8 @@ coefficients (the integers are not reduced further). Equal systems
 compare equal. F, B, A and the rows of the linearization C at a base
 point (the object every rigidity test interrogates) cost O(nnz) in int
 arithmetic, and `linearize` stores C in the scaled `Matrix` form, ints
-over one common denominator. B's one kernel, `_polarize`, works in the
+over one common denominator. C is eliminated only when a kernel or a
+solve is read, once for each. B's one kernel, `_polarize`, works in the
 scaled form (common, ints) that `BaseOperators` holds, and `bilinear`,
 like `alpha`, `beta` and `gamma`, is a Fraction view. Higher-degree
 polynomial systems are brought into this form by introducing auxiliary
@@ -193,8 +194,7 @@ def linear_part(sys: QuadraticSystem, x: Vector) -> Vector:
 
 @dataclass(frozen=True)
 class BaseOperators:
-    """The linearization C = B(X0,.) + B(.,X0) + A at an exact solution X0,
-    with its kernel basis cached.
+    """The linearization C = B(X0,.) + B(.,X0) + A at an exact solution X0.
 
     One analysis is the life of the operators one `linearize` call
     builds. Its memos hold the scaled form (common, ints) of each vector
@@ -204,14 +204,15 @@ class BaseOperators:
     arguments and holds those objects, so the ids cannot pass to other
     objects while it lives. `_prefixes` belongs to
     `certify.span_closure_check`, whose docstring gives its layout.
-    `_elimination`, the reduced [C | I] that answers every `solve`, is
-    built on the first solve, so operators that never solve (a trivial
-    kernel) never pay for it."""
+    Two records are built on first use, so operators that never read
+    one never pay for it: `_kernel`, the basis `kernel` returns, on the
+    first read of `kernel` (a span-closure replay never reads it), and
+    `_elimination`, the reduced [C | I] that answers every `solve`, on
+    the first solve (a trivial kernel never solves)."""
 
     system: QuadraticSystem
     base_point: Vector
     c_matrix: Matrix
-    kernel: tuple[Vector, ...]
     _scaled_by_id: dict[int, tuple[Vector, Scaled]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _products_by_id: dict[tuple[int, int], tuple[Vector, Vector, Scaled]] = field(
@@ -219,8 +220,17 @@ class BaseOperators:
     _images_by_id: dict[int, tuple[Vector, Scaled]] = field(
         default_factory=dict, init=False, compare=False, repr=False)
     _prefixes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _kernel: Optional[tuple[Vector, ...]] = field(
+        default=None, init=False, compare=False, repr=False)
     _elimination: Optional[Elimination] = field(
         default=None, init=False, compare=False, repr=False)
+
+    @property
+    def kernel(self) -> tuple[Vector, ...]:
+        """`kernel_basis(C)`: one primitive integer vector per free column."""
+        if self._kernel is None:
+            object.__setattr__(self, "_kernel", tuple(kernel_basis(self.c_matrix)))
+        return self._kernel
 
     def _scaled(self, y: Vector) -> Scaled:
         hit = self._scaled_by_id.get(id(y))
@@ -263,7 +273,8 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     adds b to column i. Each row is summed in integers over den_k and
     X0's common denominator d, from the equation's own terms, in O(nnz),
     then scaled by lcm(den) / den_k, so that C is stored over lcm(den)·d
-    with the gcd divided out.
+    with the gcd divided out. C is not eliminated here: the operators
+    find its kernel on the first read of `kernel`.
     """
     x0 = vector(base_point)
     residual = evaluate(sys, x0)
@@ -289,7 +300,7 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     bx, ap = bilinear(sys, x0, probe), linear_part(sys, probe)
     if c.mul_vec(probe) != combination((2, 1), (bx, ap), sys.n):
         raise RuntimeError("linearization C disagrees with 2 B(X0, .) + A at the probe")
-    return BaseOperators(sys, x0, c, tuple(kernel_basis(c)))
+    return BaseOperators(sys, x0, c)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ from .certify import (
     Certificate,
     FirstOrderRigid,
     SecondOrderObstruction,
-    SpanClosureFlex,
     TStandardFail,
 )
 from .quadsys import QuadraticSystem, validate_and_symmetrize
-from .ratlinalg import Vector, _integers, combination, vector
+from .ratlinalg import Vector, _integers, vector
 from .series import SeriesCoefficients
 
 
@@ -222,42 +221,6 @@ class FlexionReport:
     witness_value: Optional[Fraction] = None
 
 
-def _trajectories(
-    fw: Framework, variables: Sequence[tuple[str, int]], s: SeriesCoefficients
-) -> dict[str, list[Vector]]:
-    """Each joint's coefficient vectors, one per order 0..q: a variable
-    coordinate reads its entries of the series, a pinned one its
-    position at order 0 and zero above."""
-    index = {sc: i for i, sc in enumerate(variables)}
-    return {
-        jid: [tuple(y[index[jid, c]] if (jid, c) in index else x if p == 0 else Fraction(0)
-                    for c, x in enumerate(fw.joints[jid]))
-              for p, y in enumerate(s.coeffs)]
-        for jid in fw.joint_ids()
-    }
-
-
-def _squared_distance(xa: list[Vector], xb: list[Vector], top: int) -> list[Fraction]:
-    # the difference series times itself, orders 0..top
-    diff = [combination((1, -1), (ya, yb), len(ya)) for ya, yb in zip(xa, xb)]
-    q = len(diff) - 1
-    return [sum((u * v for l in range(max(0, p - q), min(p, q) + 1)
-                 for u, v in zip(diff[l], diff[p - l])), Fraction(0))
-            for p in range(top + 1)]
-
-
-def squared_distance_series(
-    fw: Framework,
-    variables: Sequence[tuple[str, int]],
-    s: SeriesCoefficients,
-    a: str,
-    b: str,
-) -> list[Fraction]:
-    """Exact coefficients of |x_a(t) - x_b(t)|^2 through order 2q."""
-    table = _trajectories(fw, variables, s)
-    return _squared_distance(table[a], table[b], 2 * s.degree)
-
-
 def flexion_nontriviality(
     fw: Framework, variables: Sequence[tuple[str, int]], s: SeriesCoefficients
 ) -> FlexionReport:
@@ -266,29 +229,46 @@ def flexion_nontriviality(
     complete bar graph there are no admissible witness pairs and the
     classification is Trivial by definition.
 
+    The pairs are read in id order, and each only up to its first
+    moving order: with D_l the difference x_a - x_b at order l (a
+    pinned coordinate is its position at order 0 and 0 above), the
+    coefficient at order p is sum_{l=0..p} D_l . D_{p-l}. The witness is
+    the first pair with a nonzero coefficient, at its lowest such order.
+
     Orders above q are not read. The certified family agrees with the
     series only through t^q, so the series' distance coefficients past q
     need not be the family's: the rotation of a braced square about a
     pinned corner, cut at q = 2, moves a non-bar distance at order 4.
     Truncated expansions must not be read past their order (Connelly &
     Servatius 1994 give second-order flexes that do not extend)."""
+    index = {sc: i for i, sc in enumerate(variables)}
+
+    def difference(a: str, b: str, p: int) -> list[Fraction]:
+        # D_p; a pinned coordinate is its position at order 0 and 0 above
+        y = s.coeffs[p]
+        return [(y[index[a, c]] if (a, c) in index else xa if p == 0 else 0)
+                - (y[index[b, c]] if (b, c) in index else xb if p == 0 else 0)
+                for c, (xa, xb) in enumerate(zip(fw.joints[a], fw.joints[b]))]
+
     bar_set = set(fw.bars)
     ids = fw.joint_ids()
-    table = _trajectories(fw, variables, s)
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             if (a, b) in bar_set:
                 continue
-            coeffs = _squared_distance(table[a], table[b], s.degree)
-            for order in range(1, s.degree + 1):
-                if coeffs[order] != 0:
+            diff = [difference(a, b, 0)]
+            for p in range(1, s.degree + 1):
+                diff.append(difference(a, b, p))
+                value = sum((u * v for l in range(p + 1)
+                             for u, v in zip(diff[l], diff[p - l])), Fraction(0))
+                if value:
                     return FlexionReport(
                         order=s.degree,
                         series=s,
                         classification="Nontrivial",
                         witness_pair=(a, b),
-                        witness_order=order,
-                        witness_value=coeffs[order],
+                        witness_order=p,
+                        witness_value=value,
                     )
     return FlexionReport(order=s.degree, series=s, classification="Trivial")
 
@@ -343,10 +323,6 @@ def analyze_framework(
                 f"{cert.fail_index} extension, hence rigid"
             )
     elif report.verdict == FLEXIBLE:
-        if not isinstance(report.certificate, SpanClosureFlex):
-            raise RuntimeError(
-                f"Flexible verdict without a span-closure certificate: {report.certificate!r}"
-            )
         flexion = flexion_nontriviality(pinned, variables, report.certificate.series)
         if flexion.classification == "Nontrivial":
             a, b = flexion.witness_pair

@@ -330,6 +330,35 @@ def test_t_standard_replay_eliminates_only_c(monkeypatch):
     assert len(calls) == 1
 
 
+def test_replay_eliminates_only_what_its_certificate_reads(monkeypatch):
+    # the operators eliminate C for a kernel only when one is read: a
+    # span-closure replay reads none, a FirstOrderRigid replay reads the
+    # kernel, and an obstruction reads the kernel and solves once
+    def corpus_input(name):
+        if name in FRAMEWORK_CORPUS:
+            fw, auto = load_corpus_framework(name)
+            sys_, _, base = build_edge_system(analyze_framework(fw, use_auto_pin=auto).pinned)
+            return sys_, base
+        return load_corpus_system(name)
+
+    expected = {"example1.json": (SpanClosureFlex, 0), "circle.json": (SpanClosureFlex, 0),
+                "square.json": (SpanClosureFlex, 0),
+                "bricard_octahedron.json": (SpanClosureFlex, 0),
+                "triangle.json": (FirstOrderRigid, 1),
+                "cross_braced_square.json": (FirstOrderRigid, 1),
+                "k4.json": (FirstOrderRigid, 1), "example4.json": (SecondOrderObstruction, 2)}
+    calls = []
+    original = ratlinalg._rref
+    monkeypatch.setattr(ratlinalg, "_rref", lambda *args: calls.append(1) or original(*args))
+    for name, (kind, eliminations) in expected.items():
+        sys_, base = corpus_input(name)
+        cert = analyze_system(sys_, base).certificate
+        assert isinstance(cert, kind), name
+        calls.clear()
+        assert replay_certificate(sys_, base, cert)
+        assert len(calls) == eliminations, name
+
+
 def _tampered_certificates():
     # name -> (system, base point, certificate with a witness of the wrong shape)
     ex1, base1 = load_corpus_system("example1.json")
@@ -1025,10 +1054,10 @@ def test_span_checks_on_shared_operators_match_fresh_checks(monkeypatch):
 
 
 def test_solve_record_is_built_once_per_analysis(monkeypatch):
-    # linearize eliminates C for its kernel; every later solve against C
-    # reads the one [C | I] record its operators build on the first solve,
-    # so C is eliminated at most twice per analysis, and a first-order-rigid
-    # input, which never solves, builds no record
+    # the operators eliminate C for their kernel on its first read; every
+    # later solve against C reads the one [C | I] record they build on the
+    # first solve, so C is eliminated at most twice per analysis, and a
+    # first-order-rigid input, which never solves, builds no record
     built, solves = [], []
     real_eliminate, real_solve = quadsys.eliminate, quadsys.solve_general
     monkeypatch.setattr(quadsys, "eliminate", lambda m: built.append(1) or real_eliminate(m))

@@ -16,13 +16,13 @@ from flexcert.rigidity import (
     analyze_framework,
     auto_pin,
     build_edge_system,
+    coordinate_order,
     flexion_nontriviality,
     framework,
-    squared_distance_series,
 )
 from flexcert.series import SeriesCoefficients
 
-from conftest import load_corpus_framework, triangulated_grid
+from conftest import FRAMEWORK_CORPUS, load_corpus_framework, triangulated_grid
 
 
 def triangle():
@@ -238,10 +238,10 @@ def test_flexion_complete_graph_gate():
     assert flexion_nontriviality(pinned, variables, any_series).classification == "Trivial"
 
 
-def test_squared_distance_series_matches_direct_expansion():
+def test_flexion_square_hand_expansion():
     fw, variables, s = _square_flex_series()
-    coeffs = squared_distance_series(fw, variables, s, "v1", "v3")
-    # independent expansion: |v3(t)|^2 with v3(t) from the series by hand
+    # v1 is pinned at the origin, so the first non-bar pair (v1, v3) moves
+    # as |v3(t)|^2, expanded here by hand
     var_index = {vc: i for i, vc in enumerate(variables)}
     xs = [s.coefficient(p)[var_index[("v3", 0)]] for p in range(s.degree + 1)]
     ys = [s.coefficient(p)[var_index[("v3", 1)]] for p in range(s.degree + 1)]
@@ -249,7 +249,123 @@ def test_squared_distance_series_matches_direct_expansion():
     for i in range(s.degree + 1):
         for j in range(s.degree + 1):
             expect[i + j] += xs[i] * xs[j] + ys[i] * ys[j]
-    assert coeffs == expect
+    order = next(p for p in range(1, s.degree + 1) if expect[p])
+    report = flexion_nontriviality(fw, variables, s)
+    assert (report.witness_pair, report.witness_order, report.witness_value) == \
+        (("v1", "v3"), order, expect[order])
+
+
+def _full_distance_series(fw, variables, s):
+    """Reference: every joint's trajectory, and each non-bar pair's squared
+    distance as the whole Cauchy product of its difference series, orders
+    0..2q, keyed by pair in id order."""
+    index = {sc: i for i, sc in enumerate(variables)}
+    q = s.degree
+    trajectory = {
+        jid: [[s.coeffs[p][index[jid, c]] if (jid, c) in index else x if p == 0 else F(0)
+               for c, x in enumerate(fw.joints[jid])] for p in range(q + 1)]
+        for jid in fw.joint_ids()}
+    out = {}
+    ids = fw.joint_ids()
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if (a, b) in fw.bars:
+                continue
+            diff = [[u - v for u, v in zip(ya, yb)]
+                    for ya, yb in zip(trajectory[a], trajectory[b])]
+            product = [F(0)] * (2 * q + 1)
+            for l in range(q + 1):
+                for r in range(q + 1):
+                    product[l + r] += sum((u * v for u, v in zip(diff[l], diff[r])), F(0))
+            out[a, b] = product
+    return out
+
+
+def _reference_flexion(products, q):
+    # the first pair in id order that moves at an order in [1, q], at its lowest such order
+    for pair, product in products.items():
+        for order in range(1, q + 1):
+            if product[order]:
+                return "Nontrivial", pair, order, product[order]
+    return "Trivial", None, None, None
+
+
+def _random_flexion_draw(rng):
+    """A framework of dimension 1-3 with random bars and pins (some joints
+    fully pinned) and a rational series of degree 1-5 through its
+    positions, sparse and starting at a random order so that witnesses
+    at high orders and Trivial results both occur. A quarter of the
+    planar draws instead turn about the origin, where the fully pinned
+    j0 sits: the series is exp(tJ) X0 cut at q, which moves no distance
+    through q and, for odd q, moves every one at q + 1."""
+    dim = rng.randint(1, 3)
+    ids = [f"j{i}" for i in range(rng.randint(3, 6))]
+
+    def small():
+        return F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    joints = {jid: [small() for _ in range(dim)] for jid in ids}
+    bars = [[ids[rng.randrange(i)], ids[i]] for i in range(1, len(ids))]
+    bars += [rng.sample(ids, 2) for _ in range(rng.randint(0, len(ids) // 2))]
+    q = rng.randint(1, 5)
+    if dim == 2 and rng.random() < 0.25:
+        joints["j0"] = [0, 0]
+        fw = framework(dim, joints, bars, [("j0", 0), ("j0", 1)])
+        variables = [sc for sc in coordinate_order(fw) if sc not in fw.pins]
+        turned = fw.joints
+        coeffs = []
+        for p in range(q + 1):
+            coeffs.append(tuple(turned[jid][c] for jid, c in variables))
+            turned = {jid: (-y / (p + 1), x / (p + 1)) for jid, (x, y) in turned.items()}
+        return fw, variables, SeriesCoefficients(tuple(coeffs))
+    pins = []
+    for jid in ids:
+        roll = rng.random()
+        if roll < 0.2:
+            pins += [(jid, c) for c in range(dim)]
+        elif roll < 0.5:
+            pins.append((jid, rng.randrange(dim)))
+    fw = framework(dim, joints, bars, pins)
+    variables = [sc for sc in coordinate_order(fw) if sc not in fw.pins]
+    lead, sparsity = rng.randint(1, q + 1), rng.uniform(0, 0.8)
+    coeffs = [tuple(fw.joints[jid][c] for jid, c in variables)]
+    for p in range(1, q + 1):
+        coeffs.append(tuple(F(0) if p < lead or rng.random() < sparsity else small()
+                            for _ in variables))
+    return fw, variables, SeriesCoefficients(tuple(coeffs))
+
+
+def test_flexion_matches_full_cauchy_product():
+    # the flexion check reads each pair only up to its first moving order;
+    # the reference builds every pair's whole product first
+    certified = []
+    for name in FRAMEWORK_CORPUS:
+        fw, auto = load_corpus_framework(name)
+        rep = analyze_framework(fw, use_auto_pin=auto)
+        if rep.flexion is not None:
+            _, variables, _ = build_edge_system(rep.pinned)
+            certified.append((rep.pinned, variables, rep.certificate.series))
+    assert len(certified) == 2
+    rng = random.Random(20240611)
+    draws = [_random_flexion_draw(rng) for _ in range(400)]
+    seen = {"order 1": 0, "order 2": 0, "order >= 3": 0, "Trivial": 0,
+            "earlier pair moves later": 0, "Trivial, moving at q + 1": 0}
+    for fw, variables, s in certified + draws:
+        report = flexion_nontriviality(fw, variables, s)
+        products = _full_distance_series(fw, variables, s)
+        assert (report.classification, report.witness_pair, report.witness_order,
+                report.witness_value) == _reference_flexion(products, s.degree)
+        assert (report.order, report.series) == (s.degree, s)
+        if report.classification == "Trivial":
+            seen["Trivial"] += 1
+            seen["Trivial, moving at q + 1"] += any(c[s.degree + 1] for c in products.values())
+            continue
+        seen[("order 1", "order 2", "order >= 3")[min(report.witness_order, 3) - 1]] += 1
+        firsts = [next((p for p in range(1, s.degree + 1) if c[p]), None)
+                  for c in products.values()]
+        seen["earlier pair moves later"] += \
+            min(p for p in firsts if p is not None) < report.witness_order
+    assert all(count >= 1 for count in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +482,3 @@ def test_thirty_by_thirty_grid_is_first_order_rigid_within_budget():
     assert isinstance(rep.certificate, FirstOrderRigid) and rep.certificate.rank == 1797
     assert certify.replay_certificate(sys_, base, rep.certificate)
     assert elapsed <= 10, f"analysis took {elapsed:.1f}s"
-
-
-def test_flexible_verdict_needs_span_closure_certificate(monkeypatch):
-    fw = square()
-    real = certify.analyze_system
-
-    def flexible_with_wrong_certificate(sys_, base, config):
-        rep = real(sys_, base, config)
-        return certify.AnalysisReport(FLEXIBLE, FirstOrderRigid(0, sys_.m), rep.depth_reached,
-                                      rep.notes)
-
-    monkeypatch.setattr(certify, "analyze_system", flexible_with_wrong_certificate)
-    with pytest.raises(RuntimeError, match="span-closure"):
-        analyze_framework(fw, use_auto_pin=True)

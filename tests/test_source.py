@@ -136,7 +136,8 @@ def _solves_eliminating_c(tree):
 
 def test_solves_against_c_read_one_elimination_per_analysis():
     # every solve against C goes through the operators' elimination record,
-    # so an analysis eliminates C once for the kernel and once for its solves
+    # so an analysis eliminates C once for the kernel, on its first read,
+    # and once for its solves
     found = {rel: bad for rel, tree in _package_trees() if (bad := _solves_eliminating_c(tree))}
     assert not found, f"solves that eliminate C again: {found}"
     probe = ast.parse("solve_general(ops.c_matrix, v)\n"
