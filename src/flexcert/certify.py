@@ -14,13 +14,10 @@ exact witness data to be re-verified from scratch by
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
-from . import ratlinalg
 from .quadsys import BaseOperators, QuadraticSystem, linearize
 from .ratlinalg import (
     DimensionError,
@@ -86,7 +83,7 @@ class SecondOrderObstruction:
       - "single_direction": 1-dim kernel, B(K,K) outside im C;
       - "definite_form": some cokernel functional projects B to a definite
         quadratic form on the kernel (the functional and the form are
-        stored; replay recomputes the Sylvester minors of the form);
+        stored; replay recomputes the form and its definiteness);
       - "no_common_line": 2-dim kernel, the projected binary forms have no
         common nonzero real root.
     """
@@ -180,52 +177,39 @@ def _dot(x: Vector, y: Vector) -> Fraction:
 
 
 def _projected_form(ops: BaseOperators, w: Vector) -> tuple[tuple[Fraction, ...], ...]:
-    # d x d symmetric matrix Q with Q[i][j] = w . B(K_i, K_j)
-    kernel = ops.kernel
-    d = len(kernel)
+    # d x d symmetric matrix Q with Q[i][j] = w . B(K_i, K_j), summed in
+    # ints from the memo's scaled products, one Fraction per entry
+    dw, ws = _integers(w)
     rows = []
-    for i in range(d):
+    for x in ops.kernel:
         row = []
-        for j in range(d):
-            row.append(_dot(w, ops.bilinear(kernel[i], kernel[j])))
+        for y in ops.kernel:
+            d, bs = ops._product(x, y)
+            row.append(Fraction(sum(a * b for a, b in zip(ws, bs)), dw * d))
         rows.append(tuple(row))
     return tuple(rows)
 
 
 def _is_definite(q: tuple[tuple[Fraction, ...], ...]) -> bool:
-    """Exact definiteness (positive or negative) via Sylvester's criterion."""
-    d = len(q)
-    minors = []
-    for k in range(1, d + 1):
-        sub = Matrix.from_rows([q[i][:k] for i in range(k)])
-        minors.append(ratlinalg.determinant(sub))
-    if all(m > 0 for m in minors):
-        return True
-    return all((m > 0 if k % 2 == 0 else m < 0) for k, m in enumerate(minors, start=1))
+    """Exact definiteness (positive or negative) by Sylvester's criterion,
+    in one elimination pass without row exchanges: pivot k is the ratio
+    of the leading minors of orders k and k - 1, so the form is definite
+    exactly when no pivot is zero and all pivots have one sign."""
+    a = [list(row) for row in q]
+    for k, row in enumerate(a):
+        p = row[k]
+        if p == 0 or (p > 0) != (a[0][0] > 0):
+            return False
+        for lower in a[k + 1:]:
+            f = lower[k] / p
+            for j in range(k + 1, len(row)):
+                lower[j] -= f * row[j]
+    return True
 
 
 def _form_triple(q: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, Fraction, Fraction]:
     # binary form a u^2 + b uv + c v^2 from a 2x2 symmetric matrix
     return (q[0][0], 2 * q[0][1], q[1][1])
-
-
-def _stripped(coeffs) -> list[Fraction]:
-    # coefficient list, highest degree first, without its leading zeros
-    coeffs = list(coeffs)
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-    return coeffs
-
-
-def _polynomial_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Euclid over Q on nonzero coefficient lists, highest degree first
-    and without leading zeros; the gcd is returned up to a scalar."""
-    while g:
-        while len(f) >= len(g):  # f := f mod g
-            ratio = f[0] / g[0]
-            f = _stripped(x - ratio * y for x, y in zip_longest(f[1:], g[1:], fillvalue=0))
-        f, g = g, f
-    return f
 
 
 def _binary_forms_have_common_root(
@@ -234,20 +218,22 @@ def _binary_forms_have_common_root(
     """Whether the binary quadratic forms a u^2 + b uv + c v^2 share a
     nonzero real root (u, v).
 
-    When every nonzero form has a = 0 they all vanish on the line v = 0.
-    Otherwise that line is no common root, and the common root lines are
-    (u, 1) for the real roots u of the gcd over Q of the forms at v = 1:
-    a linear gcd has one, and a quadratic gcd has real roots exactly
-    when its discriminant is not negative.
+    They do exactly when some (u^2, uv, v^2) is orthogonal to every
+    (a, b, c), so the null space N of the coefficient rows decides: with
+    no nonzero form (dim N = 3) every line is a root; one form up to
+    scale (dim N = 2) has real roots exactly when its discriminant is
+    not negative; two independent forms (N = span{n}) share at most the
+    one line n = (u^2, uv, v^2), which exists exactly when
+    n_1^2 = n_0 n_2; three (N = 0) share none.
     """
-    nonzero = [t for t in triples if any(t)]
-    if all(a == 0 for a, _, _ in nonzero):
-        return True  # with no form left, every kernel direction works
-    g = functools.reduce(_polynomial_gcd, (_stripped(t) for t in nonzero))
-    if len(g) == 3:
-        a, b, c = g
+    null = kernel_basis(Matrix.from_rows(triples, cols=3))
+    if len(null) == 2:
+        a, b, c = next(t for t in triples if any(t))
         return b * b - 4 * a * c >= 0
-    return len(g) == 2
+    if len(null) == 1:
+        n0, n1, n2 = null[0]
+        return n1 * n1 == n0 * n2
+    return len(null) == 3
 
 
 def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderObstruction]:
@@ -587,27 +573,20 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
         if any(ops._image(k)[1]) or is_zero_vector(k):
             return False
         return ops.bilinear(k, k) == cert.b_value and ops.solve(ops._product(k, k)) is None
+    if cert.case == "definite_form" and cert.functional is not None:
+        functionals = (cert.functional,)
+    elif cert.case == "no_common_line" and d == 2 and cert.functionals is not None:
+        functionals = cert.functionals
+    else:
+        return False
     c_transposed = ops.c_matrix.transpose()
+    if any(any(c_transposed._mul_scaled(_integers(w))[1]) for w in functionals):
+        return False  # each functional must annihilate the image of C
+    forms = tuple(_projected_form(ops, w) for w in functionals)
     if cert.case == "definite_form":
-        w = cert.functional
-        if w is None or cert.form is None:
-            return False
-        if any(c_transposed._mul_scaled(_integers(w))[1]):
-            return False  # functional must annihilate the image of C
-        return _projected_form(ops, w) == cert.form and _is_definite(cert.form)
-    if cert.case == "no_common_line":
-        if d != 2 or cert.functionals is None or cert.forms is None:
-            return False
-        for w in cert.functionals:
-            if any(c_transposed._mul_scaled(_integers(w))[1]):
-                return False
-        recomputed = tuple(
-            _form_triple(_projected_form(ops, w)) for w in cert.functionals
-        )
-        if recomputed != cert.forms:
-            return False
-        return not _binary_forms_have_common_root(cert.forms)
-    return False
+        return forms == (cert.form,) and _is_definite(forms[0])
+    triples = tuple(map(_form_triple, forms))
+    return triples == cert.forms and not _binary_forms_have_common_root(triples)
 
 
 def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:

@@ -30,9 +30,9 @@ from .ratlinalg import (
     Matrix,
     Scaled,
     Vector,
+    _combine,
     _fractions,
     _integers,
-    combination,
     eliminate,
     format_scalar,
     is_zero_vector,
@@ -295,10 +295,12 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     g = gcd(common * d, *(v for row in rows for _, v in row))
     c = Matrix(sys.n, sys.m, common * d // g,
                tuple(tuple((j, v // g) for j, v in row) for row in rows))
-    # spot-check the closed-form columns against the operational definition
-    probe = (Fraction(1),) * sys.m
-    bx, ap = bilinear(sys, x0, probe), linear_part(sys, probe)
-    if c.mul_vec(probe) != combination((2, 1), (bx, ap), sys.n):
+    # spot-check the closed-form columns against the operational definition:
+    # C·1 - 2 B(X0, 1) - A(1) = 0 in ints, A(1)_k the sum of b over equation k
+    bx = bilinear(sys, x0, (Fraction(1),) * sys.m)
+    ap = common, [sum(b for _, b in lin) * (common // den) for lin, den in zip(sys.lin, sys.den)]
+    scaled = (c._mul_scaled((1, [1] * sys.m)), _integers(bx), ap)
+    if any(_combine((1, -2, -1), scaled, sys.n)[1]):
         raise RuntimeError("linearization C disagrees with 2 B(X0, .) + A at the probe")
     return BaseOperators(sys, x0, c)
 

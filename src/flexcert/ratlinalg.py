@@ -24,7 +24,7 @@ fraction-free Gauss–Jordan elimination of {column: int} rows, each made
 coprime, which reads a `Matrix`'s stored rows as they are. The reduced
 row echelon form is unique, so the kernel basis, the canonical solutions
 and every report built from them do not depend on the pivoting order.
-Bareiss `determinant` gives the Sylvester minors of small square forms.
+Bareiss `determinant` is an exact public helper; no verdict reads it.
 
 Solves against one matrix M many times over (the series recurrence
 solves against the linearization C at every order) share one

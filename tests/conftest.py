@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from flexcert import fileio, quadsys, rigidity
 from flexcert.corpus import corpus_path
-from flexcert.ratlinalg import vector
+from flexcert.ratlinalg import vector, zero_vector
 
 
 def dense_system(alpha_raw, beta_raw, gamma_raw):
@@ -23,6 +24,44 @@ def dense_system(alpha_raw, beta_raw, gamma_raw):
     ]
     betas = [[(i, c) for i, c in enumerate(b) if c != 0] for b in beta_raw]
     return quadsys.validate_and_symmetrize(m, alphas, betas, gamma_raw)
+
+
+def random_system_with_solution(rng, m, n):
+    """Random degree-<=2 system adjusted so a random point solves it."""
+    base = vector([F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)])
+    alphas, betas, gammas = [], [], []
+    for _ in range(n):
+        a = [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
+        b = [F(rng.randint(-2, 2)) for _ in range(m)]
+        alphas.append(a)
+        betas.append(b)
+        gammas.append(F(0))
+    sys0 = dense_system(alphas, betas, gammas)
+    residual = quadsys.evaluate(sys0, base)
+    gammas = [-r for r in residual]
+    return dense_system(alphas, betas, gammas), base
+
+
+def low_rank_system(rng, m, n):
+    """System at the origin whose linearization (the beta part) has rank
+    at most m - 1, so the kernel of C is never trivial."""
+    r = rng.randint(max(0, m - 2), m - 1)
+    left = [[F(rng.randint(-2, 2)) for _ in range(r)] for _ in range(n)]
+    right = [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(r)]
+    betas = [[sum((row[t] * right[t][j] for t in range(r)), F(0)) for j in range(m)]
+             for row in left]
+    alphas = [[[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
+              for _ in range(n)]
+    return dense_system(alphas, betas, [F(0)] * n), zero_vector(m)
+
+
+def fuzz_systems(seed, count, makers=(low_rank_system, random_system_with_solution)):
+    """`count` seeded (system, solution) pairs with m and n in 1..4, the
+    maker cycling through `makers` trial by trial."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        yield makers[trial % len(makers)](rng, m, n)
 
 
 def triangulated_grid(n):

@@ -44,8 +44,11 @@ from conftest import (
     broken_series,
     corpus_path,
     dense_system,
+    fuzz_systems,
     load_corpus_framework,
     load_corpus_system,
+    low_rank_system,
+    random_system_with_solution,
     sympy_equations,
     sympy_residual_order,
     triangulated_grid,
@@ -391,6 +394,13 @@ def _tampered_certificates():
             second_order_obstruction_check(linearize(ex4, base4)), kernel=(vector([1]),))),
         "definite_form_functional": (bowl, zero_vector(3),
                                      dataclasses.replace(definite, functional=vector([1]))),
+        # a stored form that is ragged or not square is compared, never decided
+        "definite_form_ragged_form": (bowl, zero_vector(3), dataclasses.replace(
+            definite, form=(definite.form[0], definite.form[1][:1]))),
+        "definite_form_non_square_form": (bowl, zero_vector(3), dataclasses.replace(
+            definite, form=definite.form[:1])),
+        "no_common_line_short_form": (cross, zero_vector(2), dataclasses.replace(
+            no_line, forms=(no_line.forms[0][:2],) + no_line.forms[1:])),
         "no_common_line_functional": (cross, zero_vector(2), dataclasses.replace(
             no_line, functionals=(vector([1]),) + no_line.functionals[1:])),
         "t_standard_leading": (ex1, base1, dataclasses.replace(survived, leading=vector([1]))),
@@ -410,7 +420,9 @@ def _tampered_certificates():
 @pytest.mark.parametrize("case", ["span_pair_index", "span_pair_vector_trailing_zero",
                                   "span_pair_vector_short", "span_pair_vector_entry_off_by_one",
                                   "single_direction_kernel",
-                                  "definite_form_functional", "no_common_line_functional",
+                                  "definite_form_functional", "definite_form_ragged_form",
+                                  "definite_form_non_square_form",
+                                  "no_common_line_functional", "no_common_line_short_form",
                                   "t_standard_leading", "t_standard_short_normal",
                                   "t_standard_long_normal", "t_standard_zero_normal",
                                   "t_standard_normal_orthogonal_to_leading"])
@@ -540,7 +552,7 @@ def test_t_standard_run_is_the_canonical_extension_in_ker_e_f():
     seen = {"other_argmax": 0, "fail": 0, "survived": 0}
     while min(seen.values()) < 3:
         m = rng.randint(2, 5)
-        sys_, base = _random_system_with_solution(rng, m, rng.randint(1, m + 1))
+        sys_, base = random_system_with_solution(rng, m, rng.randint(1, m + 1))
         ops = linearize(sys_, base)
         if len(ops.kernel) != 1:
             continue
@@ -730,28 +742,8 @@ def test_flexible_certificate_series_extend_to_double_depth(hyperboloid_line,
         assert series.residual_order(linearize(sys_, s.coefficient(0)), s) > 2 * cert.q
 
 
-def _random_system_with_solution(rng, m, n):
-    """Random degree-<=2 system adjusted so a random point solves it."""
-    base = vector([F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(m)])
-    alphas, betas, gammas = [], [], []
-    for _ in range(n):
-        a = [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
-        b = [F(rng.randint(-2, 2)) for _ in range(m)]
-        alphas.append(a)
-        betas.append(b)
-        gammas.append(F(0))
-    sys0 = dense_system(alphas, betas, gammas)
-    residual = quadsys.evaluate(sys0, base)
-    gammas = [-r for r in residual]
-    return dense_system(alphas, betas, gammas), base
-
-
 def test_pipeline_fuzz_replay_and_soundness():
-    rng = random.Random(424242)
-    for _ in range(40):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 4)
-        sys_, base = _random_system_with_solution(rng, m, n)
+    for sys_, base in fuzz_systems(424242, 40, (random_system_with_solution,)):
         rep = analyze_system(sys_, base, AnalyzeConfig(q_max=4, max_depth=6))
         assert rep.verdict in (RIGID, FLEXIBLE, INCONCLUSIVE)
         if rep.verdict == FLEXIBLE:
@@ -811,7 +803,7 @@ def test_residual_order_matches_sympy_on_fuzz_systems():
     rng = random.Random(31337)
     orders = []
     for _ in range(30):
-        sys_, base = _random_system_with_solution(rng, rng.randint(1, 3), rng.randint(1, 3))
+        sys_, base = random_system_with_solution(rng, rng.randint(1, 3), rng.randint(1, 3))
         ops = linearize(sys_, base)
         cases = [SeriesCoefficients((base,))]
         rep = analyze_system(sys_, base, AnalyzeConfig(q_max=4, max_depth=6))
@@ -843,7 +835,7 @@ def test_residual_order_matches_sympy_on_shared_operators():
     orders = []
     seeds_below_q = 0
     for _ in range(30):
-        sys_, base = _random_system_with_solution(rng, rng.randint(1, 3), rng.randint(1, 3))
+        sys_, base = random_system_with_solution(rng, rng.randint(1, 3), rng.randint(1, 3))
         ops = linearize(sys_, base)
         for cand in certify.canonical_candidates(ops, 4):
             for q in range(1, cand.degree + 1):
@@ -897,9 +889,10 @@ def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
 
 
 def test_matrix_count_on_the_search_inputs_is_pinned(monkeypatch):
-    # every Matrix of whole analyses: C, its transpose and the Sylvester
-    # submatrices; a span batch hands its rows to the elimination without
-    # building a Matrix, so one that builds one again raises the count
+    # every Matrix of whole analyses: C, and for each 2-dim kernel (cusp,
+    # Viviani) C's transpose and the forms' 3-column coefficient matrix; a
+    # span batch hands its rows to the elimination without building a
+    # Matrix, so a step that builds one again raises the count
     built = []
     real = Matrix.__post_init__
     monkeypatch.setattr(Matrix, "__post_init__", lambda *args: built.append(1) or real(*args))
@@ -907,7 +900,7 @@ def test_matrix_count_on_the_search_inputs_is_pinned(monkeypatch):
         assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
     fw, auto = load_corpus_framework("bricard_octahedron.json")
     assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
-    assert len(built) == 9
+    assert len(built) == 7
 
 
 def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch):
@@ -990,11 +983,7 @@ def _oracle_search_inputs():
         fw, auto = load_corpus_framework(name)
         sys_, _, base = build_edge_system(analyze_framework(fw, use_auto_pin=auto).pinned)
         out.append((sys_, base, AnalyzeConfig.q_max))
-    rng = random.Random(8086)
-    for trial in range(100):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        make = _random_system_with_solution if trial % 2 else _low_rank_system
-        out.append((*make(rng, m, n), 4))
+    out += [(*system, 4) for system in fuzz_systems(8086, 100)]
     return out
 
 
@@ -1137,11 +1126,7 @@ def test_pair_solutions_equal_the_solves_of_the_scaled_products():
     for name in ("square.json", "bricard_octahedron.json"):
         rep = analyze_framework(load_corpus_framework(name)[0], use_auto_pin=True)
         found.append((build_edge_system(rep.pinned)[0], rep.certificate))
-    rng = random.Random(424242)
-    for trial in range(80):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        make = _random_system_with_solution if trial % 2 else _low_rank_system
-        sys_, base = make(rng, m, n)
+    for sys_, base in fuzz_systems(424242, 80):
         rep = analyze_system(sys_, base, AnalyzeConfig(q_max=4, max_depth=6))
         found.append((sys_, rep.certificate))
     flexes = [(sys_, cert) for sys_, cert in found if isinstance(cert, SpanClosureFlex)]
@@ -1155,19 +1140,6 @@ def test_pair_solutions_equal_the_solves_of_the_scaled_products():
             images = [ops._image(s) for s in span]
             assert solve_in_span_coefficients(images, [rhs]) == [ps.coefficients]
             assert combination(ps.coefficients, span, sys_.m) == ps.vector
-
-
-def _low_rank_system(rng, m, n):
-    """System at the origin whose linearization (the beta part) has rank
-    at most m - 1, so the kernel of C is never trivial."""
-    r = rng.randint(max(0, m - 2), m - 1)
-    left = [[F(rng.randint(-2, 2)) for _ in range(r)] for _ in range(n)]
-    right = [[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(r)]
-    betas = [[sum((row[t] * right[t][j] for t in range(r)), F(0)) for j in range(m)]
-             for row in left]
-    alphas = [[[F(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
-              for _ in range(n)]
-    return dense_system(alphas, betas, [F(0)] * n), zero_vector(m)
 
 
 def _grown_candidates(ops, q_max):
@@ -1192,12 +1164,8 @@ def _grown_candidates(ops, q_max):
 def test_derived_candidates_equal_the_grown_ones():
     # each variant is X(t^r) of the one grown series X, with the stall
     # degree r*(s+1) - 1 when X stalls at degree s
-    rng = random.Random(5150)
     stalled_variants = long_variants = 0
-    for trial in range(120):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        make = _random_system_with_solution if trial % 2 else _low_rank_system
-        sys_, base = make(rng, m, n)
+    for trial, (sys_, base) in enumerate(fuzz_systems(5150, 120)):
         for q_max in range(7):
             ops = linearize(sys_, base)
             expected = _grown_candidates(ops, q_max)
@@ -1218,11 +1186,7 @@ def test_leading_zero_variant_checks_equal_base_checks():
     # some of the base checks it stands for are ones the scan never runs
     seen = {"checks": 0, "certified": 0, "unscanned": 0, "unscanned_certified": 0}
     inputs = [(*load_corpus_system(name), AnalyzeConfig.q_max) for name in SYSTEM_CORPUS]
-    rng = random.Random(2718)
-    for trial in range(40):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        make = _random_system_with_solution if trial % 2 else _low_rank_system
-        inputs.append((*make(rng, m, n), AnalyzeConfig.q_max))
+    inputs += [(*system, AnalyzeConfig.q_max) for system in fuzz_systems(2718, 40)]
     for sys_, base, q_max in inputs:
         ops = linearize(sys_, base)
         candidates = certify.canonical_candidates(ops, q_max)
@@ -1256,9 +1220,9 @@ def test_cokernel_and_order_two_obstruction_match_sympy():
     for trial in range(60):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         if trial % 2:
-            sys_, base = _random_system_with_solution(rng, m, n)
+            sys_, base = random_system_with_solution(rng, m, n)
         else:
-            sys_, base = _low_rank_system(rng, m, n)
+            sys_, base = low_rank_system(rng, m, n)
         # C and B from sympy derivatives of the expanded equations
         xs = sympy.symbols(f"x0:{m}")
         polys = sympy_equations(sympy, sys_, xs)
@@ -1366,3 +1330,49 @@ def test_binary_forms_common_root_matches_sympy():
         rng.shuffle(forms)
         seen[check(forms)] += 1
     assert all(n >= 10 for n in seen.values()), seen
+
+
+def test_definiteness_matches_sympy():
+    # the one elimination pass of _is_definite against sympy's own tests,
+    # on seeded rational symmetric forms of size 1-4: Gram forms L^T D L
+    # with D of one sign (definite, or semidefinite when L or D is
+    # singular) or of mixed signs, random forms, and forms with a zero
+    # first leading minor
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1913)
+    seen = {"positive": 0, "negative": 0, "semidefinite": 0, "indefinite": 0,
+            "first_minor_zero": 0}
+
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+    for trial in range(300):
+        d = rng.randint(1, 4)
+        if trial % 3 == 2:
+            q = [[entry() for _ in range(d)] for _ in range(d)]
+            q = [[q[i][j] + q[j][i] for j in range(d)] for i in range(d)]
+        else:
+            sign = rng.choice([-1, 1])
+            diagonal = [sign * rng.randint(0 if trial % 3 else 1, 3) for _ in range(d)]
+            if rng.random() < 0.3:
+                diagonal[rng.randrange(d)] *= -1
+            lower = [[entry() if j < i else F(int(i == j) or rng.randint(0, 1))
+                      for j in range(d)] for i in range(d)]
+            q = [[sum((lower[t][i] * diagonal[t] * lower[t][j] for t in range(d)), F(0))
+                  for j in range(d)] for i in range(d)]
+        if rng.random() < 0.15:
+            q[0][0] = F(0)
+        form = tuple(map(tuple, q))
+        matrix = sympy.Matrix([[sympy.Rational(x) for x in row] for row in form])
+        expected = matrix.is_positive_definite or matrix.is_negative_definite
+        assert certify._is_definite(form) == expected, form
+        if matrix.is_positive_definite:
+            seen["positive"] += 1
+        elif matrix.is_negative_definite:
+            seen["negative"] += 1
+        elif matrix.is_positive_semidefinite or matrix.is_negative_semidefinite:
+            seen["semidefinite"] += 1
+        else:
+            seen["indefinite"] += 1
+        seen["first_minor_zero"] += form[0][0] == 0
+    assert all(n >= 15 for n in seen.values()), seen

@@ -4,17 +4,25 @@ next to a true family, so Newton projection onto F = 0, with the slice
 <X - X0, Y_r> held fixed, converges. It is not a proof; a disagreement is
 a bug to investigate."""
 
+import random
+
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from flexcert.certify import SpanClosureFlex, analyze_system
+from flexcert.certify import AnalyzeConfig, SpanClosureFlex, analyze_system
 from flexcert.quadsys import validate_and_symmetrize
 from flexcert.ratlinalg import vector
-from flexcert.rigidity import analyze_framework, build_edge_system
+from flexcert.rigidity import analyze_framework, build_edge_system, framework
 from flexcert.series import SeriesCoefficients
 
-from conftest import FRAMEWORK_CORPUS, load_corpus_framework, load_corpus_system
+from conftest import (
+    FRAMEWORK_CORPUS,
+    fuzz_systems,
+    load_corpus_framework,
+    load_corpus_system,
+    random_system_with_solution,
+)
 
 DIGITS = 60
 
@@ -95,6 +103,53 @@ def test_certified_series_lies_on_a_true_family(name):
     assert isinstance(cert, SpanClosureFlex)
     for residual in _projected_residuals(sys_, cert.series):
         assert residual < 1e-40, (name, residual)
+
+
+# the `fuzz_systems` arguments of the seeded systems that test_certify.py analyzes
+FUZZ_SETS = {
+    "pipeline": (424242, 40, (random_system_with_solution,)),
+    "pair_solutions": (424242, 80),
+    "oracle_inputs": (8086, 100),
+}
+
+
+@pytest.mark.parametrize("name", FUZZ_SETS)
+def test_fuzz_certified_series_lie_on_true_families(name):
+    checked = 0
+    for sys_, base in fuzz_systems(*FUZZ_SETS[name]):
+        cert = analyze_system(sys_, base, AnalyzeConfig(q_max=4, max_depth=6)).certificate
+        if isinstance(cert, SpanClosureFlex):
+            checked += 1
+            for residual in _projected_residuals(sys_, cert.series):
+                assert residual < 1e-40, (name, checked, residual)
+    assert checked >= 10, (name, checked)
+
+
+def _cycle(n, rng):
+    # an n-gon drawn as the flex-certify benchmark draws it: v0 at the
+    # origin, v1 on axis 1, the others lattice points above it, redrawn
+    # until distinct with no three consecutive joints collinear
+    while True:
+        pts = [(0, 0), (rng.randint(1, 4), 0)]
+        pts += [(rng.randint(-3, 6), rng.randint(1, 4)) for _ in range(n - 2)]
+        if len(set(pts)) == n and all(
+                (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0])
+                for a, b, c in ((pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n))):
+            joints = {f"v{i}": list(p) for i, p in enumerate(pts)}
+            return framework(2, joints, [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cycle_certified_series_lie_on_true_families(n):
+    # this stream's first cycle is the benchmark's seed-7 n-gon
+    rng = random.Random(f"flexcert-bench/7/cycle{n}")
+    for _ in range(3):
+        rep = analyze_framework(_cycle(n, rng), use_auto_pin=True)
+        assert isinstance(rep.certificate, SpanClosureFlex)
+        sys_, _, _ = build_edge_system(rep.pinned)
+        assert sys_.m <= 20
+        for residual in _projected_residuals(sys_, rep.certificate.series):
+            assert residual < 1e-40, (n, residual)
 
 
 def test_false_series_stalls_at_its_defect():

@@ -265,7 +265,7 @@ def test_kernels_build_one_fraction_per_output():
         "bilinear": (lambda: bilinear(sys_, base, y), sys_.n),
         "linear_part": (lambda: linear_part(sys_, y), sys_.n),
         "mul_vec": (lambda: ops.c_matrix.mul_vec(y), sys_.n),
-        "linearize": (lambda: linearize(sys_, base), 6 * sys_.n),
+        "linearize": (lambda: linearize(sys_, base), 2 * sys_.n + 1),
     }
     built = 0
     saved = F.__dict__["__new__"]
