@@ -185,11 +185,17 @@ def _polarize(sys: QuadraticSystem, x: Scaled, y: Scaled) -> Scaled:
 
 def linear_part(sys: QuadraticSystem, x: Vector) -> Vector:
     """A(X): component k is sum_i beta_i^k x_i."""
-    if len(x) != sys.m:
+    return _fractions(_linear(sys, _integers(x)))
+
+
+def _linear(sys: QuadraticSystem, x: Scaled) -> Scaled:
+    # A(X) for scaled X, over lcm(den) dx: entry k times lcm / den_k
+    dx, xs = x
+    if len(xs) != sys.m:
         raise DimensionError("linear_part argument must have m entries")
-    d, xs = _integers(x)
-    return tuple(Fraction(sum(b * xs[i] for i, b in lin), den * d)
-                 for lin, den in zip(sys.lin, sys.den))
+    common = lcm(*sys.den)
+    return common * dx, [sum(b * xs[i] for i, b in lin) * (common // den)
+                         for lin, den in zip(sys.lin, sys.den)]
 
 
 @dataclass(frozen=True)
@@ -295,12 +301,10 @@ def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:
     g = gcd(common * d, *(v for row in rows for _, v in row))
     c = Matrix(sys.n, sys.m, common * d // g,
                tuple(tuple((j, v // g) for j, v in row) for row in rows))
-    # spot-check the closed-form columns against the operational definition:
-    # C·1 - 2 B(X0, 1) - A(1) = 0 in ints, A(1)_k the sum of b over equation k
-    bx = bilinear(sys, x0, (Fraction(1),) * sys.m)
-    ap = common, [sum(b for _, b in lin) * (common // den) for lin, den in zip(sys.lin, sys.den)]
-    scaled = (c._mul_scaled((1, [1] * sys.m)), _integers(bx), ap)
-    if any(_combine((1, -2, -1), scaled, sys.n)[1]):
+    # spot-check the closed-form columns: C·1 - 2 B(X0, 1) - A(1) = 0 in ints
+    ones = 1, [1] * sys.m
+    bx = _integers(bilinear(sys, x0, (Fraction(1),) * sys.m))
+    if any(_combine((1, -2, -1), (c._mul_scaled(ones), bx, _linear(sys, ones)), sys.n)[1]):
         raise RuntimeError("linearization C disagrees with 2 B(X0, .) + A at the probe")
     return BaseOperators(sys, x0, c)
 

@@ -139,12 +139,22 @@ def _cycle(n, rng):
             return framework(2, joints, [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
 
 
+# the joints of the seed-7 flex-certify benchmark's n-gons
+SEED7_CYCLES = {
+    5: [(0, 0), (2, 0), (0, 3), (-2, 3), (-2, 4)],
+    6: [(0, 0), (3, 0), (1, 1), (3, 2), (2, 1), (6, 4)],
+}
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_cycle_certified_series_lie_on_true_families(n):
-    # this stream's first cycle is the benchmark's seed-7 n-gon
+    # the benchmark's cycle stream, whose first cycle is pinned above
     rng = random.Random(f"flexcert-bench/7/cycle{n}")
-    for _ in range(3):
-        rep = analyze_framework(_cycle(n, rng), use_auto_pin=True)
+    for k in range(3):
+        fw = _cycle(n, rng)
+        if k == 0:
+            assert [fw.joints[f"v{i}"] for i in range(n)] == SEED7_CYCLES[n]
+        rep = analyze_framework(fw, use_auto_pin=True)
         assert isinstance(rep.certificate, SpanClosureFlex)
         sys_, _, _ = build_edge_system(rep.pinned)
         assert sys_.m <= 20
