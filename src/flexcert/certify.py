@@ -68,7 +68,12 @@ class AnalyzeConfig:
 
 @dataclass(frozen=True)
 class FirstOrderRigid:
-    """ker C = {0}: zero is the only first-order deformation."""
+    """ker C = {0}: zero is the only first-order deformation, and C has
+    rank `rank` = `variables` = m.
+
+    Analysis and replay alike read it off `ops.kernel`, which proves it
+    from a full column rank of C mod a prime, a lower bound for the rank
+    over Q, and eliminates C over Q only when that rank falls short."""
 
     rank: int
     variables: int

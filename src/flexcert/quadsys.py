@@ -9,7 +9,8 @@ compare equal. F, B, A and the rows of the linearization C at a base
 point (the object every rigidity test interrogates) cost O(nnz) in int
 arithmetic, and `linearize` stores C in the scaled `Matrix` form, ints
 over one common denominator. C is eliminated only when a kernel or a
-solve is read, once for each. B's one kernel, `_polarize`, works in the
+solve is read, once for each, and not for a kernel that the rank of C mod
+a prime proves trivial. B's one kernel, `_polarize`, works in the
 scaled form (common, ints) that `BaseOperators` holds, and `bilinear`,
 like `alpha`, `beta` and `gamma`, is a Fraction view. Higher-degree
 polynomial systems are brought into this form by introducing auxiliary
@@ -37,6 +38,7 @@ from .ratlinalg import (
     format_scalar,
     is_zero_vector,
     kernel_basis,
+    rank_mod_p,
     scalar,
     solve_general,
     vector,
@@ -214,7 +216,10 @@ class BaseOperators:
     one never pay for it: `_kernel`, the basis `kernel` returns, on the
     first read of `kernel` (a span-closure replay never reads it), and
     `_elimination`, the reduced [C | I] that answers every `solve`, on
-    the first solve (a trivial kernel never solves)."""
+    the first solve (a trivial kernel never solves). A trivial kernel is
+    proven by the rank of C mod a prime where it can be, so a
+    first-order-rigid analysis eliminates C over Q only when that rank
+    falls short."""
 
     system: QuadraticSystem
     base_point: Vector
@@ -233,9 +238,17 @@ class BaseOperators:
 
     @property
     def kernel(self) -> tuple[Vector, ...]:
-        """`kernel_basis(C)`: one primitive integer vector per free column."""
+        """`kernel_basis(C)`: one primitive integer vector per free column.
+
+        When C has at least as many rows as columns, its rank mod a prime
+        comes first: full column rank there proves the kernel trivial (see
+        `rank_mod_p`), and C is not eliminated over Q. A lower rank proves
+        nothing, and `kernel_basis` eliminates C exactly."""
         if self._kernel is None:
-            object.__setattr__(self, "_kernel", tuple(kernel_basis(self.c_matrix)))
+            rows, cols = self.c_matrix.rows, self.c_matrix.cols
+            trivial = rows >= cols and rank_mod_p(self.c_matrix) == cols
+            basis = () if trivial else kernel_basis(self.c_matrix)
+            object.__setattr__(self, "_kernel", tuple(basis))
         return self._kernel
 
     def _scaled(self, y: Vector) -> Scaled:

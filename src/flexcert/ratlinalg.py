@@ -19,12 +19,15 @@ row, the int numerators of its nonzero entries, so every operation on it
 `Matrix._mul_scaled` is M·x on scaled vectors, `mul_vec` its Fraction
 view.
 
-One routine, `_rref`, answers every kernel and solve question: a sparse,
-fraction-free Gauss–Jordan elimination of {column: int} rows, each made
-coprime, which reads a `Matrix`'s stored rows as they are. The reduced
-row echelon form is unique, so the kernel basis, the canonical solutions
-and every report built from them do not depend on the pivoting order.
-Bareiss `determinant` is an exact public helper; no verdict reads it.
+One routine, `_rref`, answers every kernel and solve question over Q: a
+sparse, fraction-free Gauss–Jordan elimination of {column: int} rows,
+each made coprime, which reads a `Matrix`'s stored rows as they are. The
+reduced row echelon form is unique, so the kernel basis, the canonical
+solutions and every report built from them do not depend on the pivoting
+order. A trivial kernel needs no such elimination: `rank_mod_p` takes
+the rank of the stored ints mod the word-size prime `PRIME`, a lower
+bound for the rank over Q, so a rank equal to the column count proves
+it. Bareiss `determinant` is an exact public helper; no verdict reads it.
 
 Solves against one matrix M many times over (the series recurrence
 solves against the linearization C at every order) share one
@@ -44,7 +47,7 @@ index of the first one outside the span, with no coefficient built.
 also the probes through which the benchmark (bench/tracer.py) times this
 layer, so they stay module-level functions under these names; a
 `solve_general` call is one solve against a recorded elimination, and
-`eliminate` is traced as a span of its own.
+`eliminate` and `rank_mod_p` are traced as spans of their own.
 """
 
 from __future__ import annotations
@@ -317,6 +320,50 @@ def determinant(m: Matrix) -> Fraction:
             a[i][k] = 0
         prev = a[k][k]
     return Fraction(sign * a[n - 1][n - 1], m.common ** n)
+
+
+PRIME = 1073741789  # the largest prime below 2^30
+
+
+def rank_mod_p(m: Matrix) -> int:
+    """The rank of M's stored int rows reduced mod PRIME, by one forward
+    elimination (no back-substitution) in column order.
+
+    It is a lower bound for the rank of M over Q. M is ints / common, and
+    a rank r mod PRIME means an r × r minor of the ints that is nonzero
+    mod PRIME, hence nonzero over Z. So a rank of `cols` proves the kernel
+    of M trivial; a smaller rank proves nothing. An index maps each column
+    to the ids of the rows holding it: a column's pivot is the lowest row
+    id there, and it touches only the rows that index names.
+    """
+    rows = [{j: v % PRIME for j, v in row if v % PRIME} for row in m.nonzeros]
+    holding: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holding.setdefault(j, set()).add(i)
+    rank = 0
+    for c in range(m.cols):
+        ids = holding.get(c)
+        if not ids:
+            continue
+        k = min(ids)
+        pivot = rows[k]
+        for j in pivot:
+            holding[j].discard(k)
+        inverse = pow(pivot[c], -1, PRIME)
+        for i in tuple(ids):
+            row = rows[i]
+            f = row[c] * inverse % PRIME
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - f * v) % PRIME
+                if w:
+                    holding[j].add(i)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    holding[j].discard(i)
+        rank += 1
+    return rank
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:

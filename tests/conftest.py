@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from flexcert import fileio, quadsys, rigidity
+from flexcert import fileio, quadsys, ratlinalg, rigidity
 from flexcert.corpus import corpus_path
 from flexcert.ratlinalg import vector, zero_vector
 
@@ -62,6 +62,16 @@ def fuzz_systems(seed, count, makers=(low_rank_system, random_system_with_soluti
     for trial in range(count):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         yield makers[trial % len(makers)](rng, m, n)
+
+
+def check_rank_mod_p(c):
+    """Assert that `rank_mod_p` bounds the rank of C over Q from below and,
+    when the kernel is trivial, reaches the column count, so that the
+    operators' modular proof fires; return whether the kernel is trivial."""
+    rank, nullity = ratlinalg.rank_mod_p(c), len(ratlinalg.kernel_basis(c))
+    assert rank <= c.cols - nullity, (rank, c.cols, nullity)
+    assert nullity or rank == c.cols, (rank, c.cols)
+    return not nullity
 
 
 def triangulated_grid(n):

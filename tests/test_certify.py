@@ -42,6 +42,7 @@ from conftest import (
     FRAMEWORK_CORPUS,
     SYSTEM_CORPUS,
     broken_series,
+    check_rank_mod_p,
     corpus_path,
     dense_system,
     fuzz_systems,
@@ -319,47 +320,100 @@ def test_replay_rejects_t_standard_survived_with_a_false_depth():
         assert not replay_certificate(sys_, base, dataclasses.replace(cert, depth=depth))
 
 
-def test_t_standard_replay_eliminates_only_c(monkeypatch):
+@pytest.fixture
+def rref_calls(monkeypatch):
+    # the arguments of every sparse elimination over Q, in call order
+    calls = []
+    original = ratlinalg._rref
+    monkeypatch.setattr(ratlinalg, "_rref", lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def test_t_standard_replay_eliminates_only_c(rref_calls):
     # T is read from its stored normal: replay eliminates C (for its kernel
     # and solves) and nothing else
     sys_, base = load_corpus_system("example1.json")
     ops = linearize(sys_, base)
     cert = t_standard_run(ops, 6)
     assert isinstance(cert, TStandardSurvived)
-    calls = []
-    original = ratlinalg._rref
-    monkeypatch.setattr(ratlinalg, "_rref", lambda *args: calls.append(args) or original(*args))
+    rref_calls.clear()
     assert replay_certificate(sys_, base, cert)
-    assert len(calls) == 1
+    assert len(rref_calls) == 1
 
 
-def test_replay_eliminates_only_what_its_certificate_reads(monkeypatch):
+def _corpus_input(name):
+    # (system, base point) of a corpus file; a framework pinned as its file says
+    if name in FRAMEWORK_CORPUS:
+        fw, auto = load_corpus_framework(name)
+        sys_, _, base = build_edge_system(analyze_framework(fw, use_auto_pin=auto).pinned)
+        return sys_, base
+    return load_corpus_system(name)
+
+
+def _grid_input(n):
+    # (system, base point) of the auto-pinned triangulated n x n grid
+    sys_, _, base = build_edge_system(
+        analyze_framework(triangulated_grid(n), use_auto_pin=True).pinned)
+    return sys_, base
+
+
+def test_replay_eliminates_only_what_its_certificate_reads(rref_calls):
     # the operators eliminate C for a kernel only when one is read: a
-    # span-closure replay reads none, a FirstOrderRigid replay reads the
-    # kernel, and an obstruction reads the kernel and solves once
-    def corpus_input(name):
-        if name in FRAMEWORK_CORPUS:
-            fw, auto = load_corpus_framework(name)
-            sys_, _, base = build_edge_system(analyze_framework(fw, use_auto_pin=auto).pinned)
-            return sys_, base
-        return load_corpus_system(name)
-
+    # span-closure replay reads none, a FirstOrderRigid replay reads a
+    # kernel that the rank mod p proves trivial, and an obstruction reads
+    # the kernel and solves once
     expected = {"example1.json": (SpanClosureFlex, 0), "circle.json": (SpanClosureFlex, 0),
                 "square.json": (SpanClosureFlex, 0),
                 "bricard_octahedron.json": (SpanClosureFlex, 0),
-                "triangle.json": (FirstOrderRigid, 1),
-                "cross_braced_square.json": (FirstOrderRigid, 1),
-                "k4.json": (FirstOrderRigid, 1), "example4.json": (SecondOrderObstruction, 2)}
-    calls = []
-    original = ratlinalg._rref
-    monkeypatch.setattr(ratlinalg, "_rref", lambda *args: calls.append(1) or original(*args))
+                "triangle.json": (FirstOrderRigid, 0),
+                "cross_braced_square.json": (FirstOrderRigid, 0),
+                "k4.json": (FirstOrderRigid, 0), "example4.json": (SecondOrderObstruction, 2)}
     for name, (kind, eliminations) in expected.items():
-        sys_, base = corpus_input(name)
+        sys_, base = _corpus_input(name)
         cert = analyze_system(sys_, base).certificate
         assert isinstance(cert, kind), name
-        calls.clear()
+        rref_calls.clear()
         assert replay_certificate(sys_, base, cert)
-        assert len(calls) == eliminations, name
+        assert len(rref_calls) == eliminations, name
+
+
+def test_first_order_rigid_analyses_eliminate_nothing(rref_calls):
+    # C has full column rank mod the prime on each of these, which proves
+    # the kernel trivial with no elimination over Q
+    inputs = [_corpus_input(name) for name in ("triangle.json", "cross_braced_square.json",
+                                               "k4.json")]
+    inputs += [_grid_input(n) for n in (2, 3, 5, 8)]
+    rref_calls.clear()
+    for sys_, base in inputs:
+        assert isinstance(analyze_system(sys_, base).certificate, FirstOrderRigid)
+    assert rref_calls == []
+
+
+def test_rank_mod_p_bounds_the_rank_over_q():
+    # on every seeded input the rank mod p is at most the rank over Q, and
+    # it is the full column count whenever the kernel is trivial
+    inputs = [_corpus_input(name) for name in SYSTEM_CORPUS + FRAMEWORK_CORPUS]
+    inputs += [_grid_input(n) for n in range(2, 7)]
+    for args in ((424242, 40, (random_system_with_solution,)), (424242, 80), (8086, 100),
+                 (5150, 120), (2718, 40)):
+        inputs += fuzz_systems(*args)
+    trivial = [check_rank_mod_p(linearize(sys_, base).c_matrix) for sys_, base in inputs]
+    assert sum(trivial) >= 100 and len(trivial) - sum(trivial) >= 200
+
+
+def test_rank_lost_mod_p_falls_back_to_the_exact_kernel(rref_calls):
+    # PRIME·x = 0, y = 0 at the origin: C = diag(PRIME, 1) has full rank
+    # over Q and rank 1 mod the prime, which proves nothing, so the
+    # operators eliminate C over Q once and still find the kernel trivial
+    prime = ratlinalg.PRIME
+    sys_ = validate_and_symmetrize(2, [[], []], [[(0, prime)], [(1, 1)]], [0, 0])
+    ops = linearize(sys_, zero_vector(2))
+    assert ops.c_matrix.nonzeros == (((0, prime),), ((1, 1),))
+    assert ratlinalg.rank_mod_p(ops.c_matrix) == 1
+    report = analyze_system(sys_, zero_vector(2))
+    assert report.certificate == FirstOrderRigid(rank=2, variables=2)
+    assert len(rref_calls) == 1
+    assert replay_certificate(sys_, zero_vector(2), report.certificate)
 
 
 def _tampered_certificates():

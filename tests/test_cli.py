@@ -110,6 +110,22 @@ def test_invalid_framework_exits_2(tmp_path, capsys):
     assert "bars" in err
 
 
+def test_fully_pinned_framework_is_rank_0_of_0(tmp_path, capsys):
+    # every coordinate pinned leaves C with no columns: the kernel is
+    # trivial with nothing to eliminate, mod the prime or over Q
+    data = {"dimension": 2,
+            "joints": [{"id": "a", "coords": ["0", "0"]},
+                       {"id": "b", "coords": ["1", "0"]}],
+            "bars": [["a", "b"]],
+            "pins": [{"joint": "a", "coords": [0, 1]}, {"joint": "b", "coords": [0, 1]}]}
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze-framework", str(path))
+    assert code == 0
+    assert out.splitlines()[:2] == ["verdict: Rigid",
+                                    "certificate: first-order rigidity (rank 0 of 0)"]
+
+
 def test_base_point_not_solution_exits_3(tmp_path, capsys):
     data = json.loads(open(corpus_path("example1.json")).read())
     data["base_point"] = ["5", "5", "8"]

@@ -13,6 +13,8 @@ from flexcert import auto_pin, framework, linearize
 from flexcert.certify import first_order_rigidity_check
 from flexcert.rigidity import build_edge_system
 
+from conftest import check_rank_mod_p
+
 
 def henneberg_graph(rng, n):
     """Bars of a Laman graph on joints 0..n-1, grown from the bar (0, 1)
@@ -57,7 +59,10 @@ def first_order_rigid(rng, n, bars):
     joints["v01"] = [F(rng.randint(1, 30), rng.randint(1, 7)), 0]
     fw = auto_pin(framework(2, joints, [(f"v{a:02d}", f"v{b:02d}") for a, b in bars]))
     system, _, base = build_edge_system(fw)
-    return first_order_rigidity_check(linearize(system, base)) is not None
+    ops = linearize(system, base)
+    rigid = first_order_rigidity_check(ops) is not None
+    assert check_rank_mod_p(ops.c_matrix) == rigid
+    return rigid
 
 
 def test_first_order_rigidity_agrees_with_the_laman_count():

@@ -424,6 +424,8 @@ def _check_against_sympy(sympy, m, vs, seen):
     nullspace = sm.nullspace()
     assert kernel_basis(m) == [_primitive(_from_sympy(k)) for k in nullspace]
     assert len(nullspace) == m.cols - sm.rank()
+    # a lower bound in general, equal to the rank on these small seeded inputs
+    assert ratlinalg.rank_mod_p(m) == sm.rank()
 
     # one elimination record answers every right-hand side; the batch path
     # over the unit vectors eliminates [M | v] and must give the same

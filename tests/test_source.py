@@ -116,28 +116,68 @@ def test_memos_live_only_on_base_operators():
     assert memos and {cls for cls, _ in memos} == {"BaseOperators"}
 
 
+def _call_name(node):
+    # the name a call node calls, as `f(...)` or `module.f(...)`, else None
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.attr if isinstance(node.func, ast.Attribute) else \
+        getattr(node.func, "id", None)
+
+
+def _reads_c(arg):
+    return any(getattr(sub, "attr", None) == "c_matrix" or getattr(sub, "id", None) == "c_matrix"
+               for sub in ast.walk(arg))
+
+
 def _solves_eliminating_c(tree):
     """Calls of solve_general with c_matrix in an argument: each would
     eliminate C again instead of reading the operators' record."""
     found = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = node.func.attr if isinstance(node.func, ast.Attribute) else \
-            getattr(node.func, "id", None)
-        if name != "solve_general":
-            continue
-        args = node.args + [kw.value for kw in node.keywords]
-        if any(getattr(sub, "attr", None) == "c_matrix" or getattr(sub, "id", None) == "c_matrix"
-               for arg in args for sub in ast.walk(arg)):
+        if _call_name(node) == "solve_general" and any(
+                _reads_c(arg) for arg in node.args + [kw.value for kw in node.keywords]):
             found.append(f"{node.lineno}: solve_general on c_matrix")
     return found
 
 
+def _kernels_of_c(tree, scope=""):
+    """The enclosing class.function of each kernel_basis call with
+    c_matrix in an argument; an argument that is a `.transpose()` call,
+    the cokernel, does not count."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{node.name}" if scope else node.name
+        if _call_name(node) == "kernel_basis" and any(
+                _reads_c(arg) and _call_name(arg) != "transpose"
+                for arg in node.args + [kw.value for kw in node.keywords]):
+            found.append(inner)
+        found += _kernels_of_c(node, inner)
+    return found
+
+
+def test_only_the_operators_eliminate_c_for_its_kernel():
+    # BaseOperators.kernel proves a trivial kernel mod a prime before it
+    # eliminates C over Q; a reader calling kernel_basis on C itself would
+    # skip that proof
+    found = {rel: bad for rel, tree in _package_trees() if (bad := _kernels_of_c(tree))}
+    assert found == {"quadsys.py": ["BaseOperators.kernel"]}
+    probe = ast.parse("def f(ops):\n"
+                      "    kernel_basis(ops.c_matrix)\n"
+                      "    ratlinalg.kernel_basis(m=c_matrix)\n"
+                      "    kernel_basis(ops.c_matrix.transpose())\n"
+                      "    kernel_basis(m)\n"
+                      "class A:\n"
+                      "    def g(self):\n"
+                      "        return [kernel_basis(self.c_matrix)]\n")
+    assert _kernels_of_c(probe) == ["f", "f", "A.g"]
+
+
 def test_solves_against_c_read_one_elimination_per_analysis():
     # every solve against C goes through the operators' elimination record,
-    # so an analysis eliminates C once for the kernel, on its first read,
-    # and once for its solves
+    # so an analysis eliminates C at most once for the kernel, on its first
+    # read, and once for its solves
     found = {rel: bad for rel, tree in _package_trees() if (bad := _solves_eliminating_c(tree))}
     assert not found, f"solves that eliminate C again: {found}"
     probe = ast.parse("solve_general(ops.c_matrix, v)\n"
