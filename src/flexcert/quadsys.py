@@ -4,8 +4,11 @@ A system is stored sparsely, in one canonical form: equation k is
 (sum a x_i x_j + sum b x_i + c) / den_k = 0, with integer coefficients,
 (i, j, a) triples with i <= j and (i, b) pairs sorted and without zeros,
 and den_k > 0 the lcm of the denominators of the equation's rational
-coefficients (the integers are not reduced further). Equal systems
-compare equal. F, B, A and the rows of the linearization C at a base
+coefficients, so no prime divides den_k and all its integers (which are
+not reduced further). Equal systems compare equal, as long as every
+writer keeps this form: `validate_and_symmetrize` builds it from raw
+terms, and `rigidity.build_edge_system` straight from the bars of a
+framework. F, B, A and the rows of the linearization C at a base
 point (the object every rigidity test interrogates) cost O(nnz) in int
 arithmetic, and `linearize` stores C in the scaled `Matrix` form, ints
 over one common denominator. C is eliminated only when a kernel or a
@@ -57,7 +60,8 @@ class BasePointError(ValueError):
 @dataclass(frozen=True)
 class QuadraticSystem:
     """n equations of degree <= 2 in m variables, with exact coefficients,
-    in the canonical integer form that validate_and_symmetrize builds.
+    in the canonical integer form of the module docstring, which
+    validate_and_symmetrize and rigidity.build_edge_system write.
 
     `alpha`, `beta` and `gamma` give the same equations as Fractions:
     alpha^k is the symmetric matrix of the quadratic form, as (i, j, c)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from . import certify
@@ -27,7 +28,7 @@ from .certify import (
     SecondOrderObstruction,
     TStandardFail,
 )
-from .quadsys import QuadraticSystem, validate_and_symmetrize
+from .quadsys import QuadraticSystem
 from .ratlinalg import Vector, _integers, vector
 from .series import SeriesCoefficients
 
@@ -163,50 +164,53 @@ def coordinate_order(fw: Framework) -> list[tuple[str, int]]:
 def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, int], ...], Vector]:
     """Compile the bar-length constraints into a quadratic system.
 
-    One equation per bar: sum_c (x_ic - x_jc)^2 - L_ij^2 = 0, with pinned
+    One equation per bar: sum_c (x_ac - x_bc)^2 - L_ab^2 = 0, with pinned
     coordinates substituted as constants; a coordinate pinned at both
-    ends cancels against its share of L_ij^2 and is left out. Each bar's
-    constants are summed in integers over the common denominator of its
-    two joints' coordinates, one Fraction per term. Returns the system, the
-    coordinate map (variable index -> (joint, coordinate)), and the base
-    point (the initial unpinned coordinates). Each equation vanishes at
-    the base point by construction; `quadsys.linearize`, which every
+    ends cancels against its share of L_ab^2 and is left out. The bar is
+    written straight in the canonical integer form, no Fraction built:
+    with d the lcm of its joints' denominators, its numerators over d^2
+    are 1 on a free square, -2 on a free cross term, -2 k d on a free
+    coordinate whose partner is pinned at k / d (none for k = 0) and the
+    constant, with their gcd with d^2 divided out. Returns the system,
+    the coordinate map (variable index -> (joint, coordinate)), and the
+    base point (the initial unpinned coordinates). Each equation vanishes
+    at the base point by construction; `quadsys.linearize`, which every
     analysis and replay of the system runs, checks it exactly.
     """
-    slots = coordinate_order(fw)
-    variables = [sc for sc in slots if sc not in fw.pins]
-    var_index = {sc: i for i, sc in enumerate(variables)}
-    m = len(variables)
+    variables = [sc for sc in coordinate_order(fw) if sc not in fw.pins]
     if not fw.bars:
         raise FrameworkError("framework has no bars to compile")
-    dim = fw.dimension
-    alphas, betas, gammas = [], [], []
+    index = {sc: i for i, sc in enumerate(variables)}
+    slots = {jid: [index.get((jid, c)) for c in range(fw.dimension)] for jid in fw.joints}
+    scaled = {jid: _integers(x) for jid, x in fw.joints.items()}
+    equations = []
     for a, b in fw.bars:
-        d, ints = _integers(fw.joints[a] + fw.joints[b])
-        alpha, beta = [], []
-        gamma = 0  # times d^2
-        for c in range(dim):
-            ia = var_index.get((a, c))
-            ib = var_index.get((b, c))
-            ka, kb = ints[c], ints[dim + c]
-            # expand (u - v)^2 - (ka - kb)^2, this coordinate's share of
-            # the equation, with u, v each a variable or a constant
-            if ia is not None and ib is not None:
-                alpha += [(ia, ia, 1), (ib, ib, 1), (ia, ib, -2)]
-                gamma -= (ka - kb) ** 2
-            elif ia is not None:
-                alpha.append((ia, ia, 1))
-                beta.append((ia, Fraction(-2 * kb, d)))
+        (da, xa), (db, xb) = scaled[a], scaled[b]
+        d = lcm(da, db)
+        quad, lin, gamma = [], [], 0  # numerators over d^2
+        for i, j, ka, kb in zip(slots[a], slots[b], xa, xb):
+            # (u - v)^2 - (ka - kb)^2 is symmetric in (u, ka) and (v, kb):
+            # swap them so that u is a variable whenever one of them is
+            ka, kb = ka * (d // da), kb * (d // db)
+            if i is None:
+                i, j, ka, kb = j, i, kb, ka
+            if i is None:
+                continue
+            quad.append((i, i, 1))
+            if j is None:
                 gamma += kb * kb - (ka - kb) ** 2
-            elif ib is not None:
-                alpha.append((ib, ib, 1))
-                beta.append((ib, Fraction(-2 * ka, d)))
-                gamma += ka * ka - (ka - kb) ** 2
-        alphas.append(alpha)
-        betas.append(beta)
-        gammas.append(Fraction(gamma, d * d))
-    names = [f"{jid}[{c}]" for jid, c in variables]
-    sys = validate_and_symmetrize(m, alphas, betas, gammas, names)
+                if kb:
+                    lin.append((i, -2 * kb * d))
+            else:
+                quad += [(j, j, 1), (i, j, -2)]  # i < j: a's variables precede b's
+                gamma -= (ka - kb) ** 2
+        g = gcd(d * d, gamma, *(t for _, t in lin))
+        den = d * d // g
+        equations.append((tuple((i, j, c * den) for i, j, c in sorted(quad)),
+                          tuple((i, t // g) for i, t in sorted(lin)), gamma // g, den))
+    quads, lins, consts, dens = map(tuple, zip(*equations))
+    names = tuple(f"{jid}[{c}]" for jid, c in variables)
+    sys = QuadraticSystem(len(variables), len(fw.bars), quads, lins, consts, dens, names)
     base = tuple(fw.joints[jid][c] for jid, c in variables)
     return sys, tuple(variables), base
 

@@ -254,8 +254,11 @@ def test_equivalent_raw_terms_give_equal_systems():
 def test_kernels_build_one_fraction_per_output():
     # F, B, A and M·x build one Fraction per output entry, and linearize
     # O(n) for its checks and none per entry of C, however many alpha
-    # terms there are
+    # terms there are; a framework compiles straight to ints, with none
     fw = rigidity.auto_pin(triangulated_grid(10))
+    rational = rigidity.framework(
+        3, {"a": [F(1, 2), 0, F(-3, 4)], "b": [2, F(5, 3), 1], "c": [F(7, 9), F(1, 6), 0]},
+        [("a", "b"), ("b", "c"), ("a", "c")], [("a", 0), ("a", 1), ("a", 2), ("b", 1)])
     sys_, _, base = rigidity.build_edge_system(fw)
     ops = linearize(sys_, base)
     nnz = sum(len(row) for row in ops.c_matrix.nonzeros)
@@ -266,6 +269,8 @@ def test_kernels_build_one_fraction_per_output():
         "linear_part": (lambda: linear_part(sys_, y), sys_.n),
         "mul_vec": (lambda: ops.c_matrix.mul_vec(y), sys_.n),
         "linearize": (lambda: linearize(sys_, base), 2 * sys_.n + 1),
+        "build_edge_system": (lambda: rigidity.build_edge_system(fw), 0),
+        "build_edge_system_rational": (lambda: rigidity.build_edge_system(rational), 0),
     }
     built = 0
     saved = F.__dict__["__new__"]

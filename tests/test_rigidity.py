@@ -177,6 +177,83 @@ def test_edge_system_is_bar_length_change_with_rational_coordinates_and_pins():
             assert quadsys.evaluate(sys_, tuple(x)) == expected
 
 
+def _reference_edge_system(fw):
+    """The bar equations expanded into Fraction terms, (u - v)^2 - L^2 per
+    coordinate with u, v each a variable or its pinned value, and put in
+    canonical form by validate_and_symmetrize."""
+    variables = [sc for sc in coordinate_order(fw) if sc not in fw.pins]
+    index = {sc: i for i, sc in enumerate(variables)}
+    alphas, betas, gammas = [], [], []
+    for a, b in fw.bars:
+        alpha, beta, gamma = [], [], F(0)
+        for c, (xa, xb) in enumerate(zip(fw.joints[a], fw.joints[b])):
+            u, v = index.get((a, c)), index.get((b, c))
+            gamma -= (xa - xb) ** 2
+            for i, x in ((u, xa), (v, xb)):  # u^2 and v^2
+                if i is None:
+                    gamma += x * x
+                else:
+                    alpha.append((i, i, F(1)))
+            if u is not None and v is not None:  # -2 u v
+                alpha.append((v, u, F(-2)))
+            elif u is not None:
+                beta.append((u, -2 * xb))
+            elif v is not None:
+                beta.append((v, -2 * xa))
+            else:
+                gamma -= 2 * xa * xb
+        alphas.append(alpha)
+        betas.append(beta)
+        gammas.append(gamma)
+    names = [f"{jid}[{c}]" for jid, c in variables]
+    return quadsys.validate_and_symmetrize(len(variables), alphas, betas, gammas, names)
+
+
+def _random_rational_framework(rng):
+    # joints with their own denominators up to 9, random pins, and some
+    # joints pinned in every coordinate
+    dim = rng.randint(1, 3)
+    ids = [f"v{i}" for i in range(rng.randint(2, 6))]
+    joints = {j: [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)] for j in ids}
+    bars = [(ids[i - 1], ids[i]) for i in range(1, len(ids))]
+    bars += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 4))]
+    pins = [(j, c) for j in ids for c in range(dim)
+            if rng.random() < 0.2 or rng.random() < 0.4 and j in ids[:2]]
+    return framework(dim, joints, bars, pins)
+
+
+def test_edge_system_equals_the_fraction_expansion():
+    # the compiler writes the canonical integer form directly; it must be
+    # the system validate_and_symmetrize builds from the expanded bars
+    cases = []
+    for name in FRAMEWORK_CORPUS:
+        fw, _ = load_corpus_framework(name)
+        bare = Framework(fw.dimension, fw.joints, fw.bars, frozenset())
+        cases += [fw, bare, auto_pin(bare)]
+    for n in range(2, 7):
+        cases += [triangulated_grid(n), auto_pin(triangulated_grid(n))]
+    rng = random.Random(31)
+    cases += [_random_rational_framework(rng) for _ in range(300)]
+    assert sum(any(all((j, c) in fw.pins for c in range(fw.dimension)) for j in fw.joints)
+               for fw in cases) > 100
+    for fw in cases:
+        sys_, variables, base = build_edge_system(fw)
+        assert sys_ == _reference_edge_system(fw), fw
+        assert variables == tuple(sc for sc in coordinate_order(fw) if sc not in fw.pins)
+        assert base == tuple(fw.joints[j][c] for j, c in variables)
+    # a bar with every coordinate pinned is the empty equation over 1
+    fw = framework(2, {"a": [F(1, 2), 3], "b": [2, F(1, 3)], "c": [F(5, 7), 1]},
+                   [("a", "b"), ("b", "c")], [("a", 0), ("a", 1), ("b", 0), ("b", 1)])
+    sys_, _, _ = build_edge_system(fw)
+    assert (sys_.quad[0], sys_.lin[0], sys_.const[0], sys_.den[0]) == ((), (), 0, 1)
+    assert sys_ == _reference_edge_system(fw)
+    # a free coordinate whose partner is pinned at 0 has no linear term
+    fw = framework(1, {"a": [0], "b": [F(3, 2)]}, [("a", "b")], [("a", 0)])
+    sys_, _, _ = build_edge_system(fw)
+    assert (sys_.quad, sys_.lin, sys_.const, sys_.den) == ((((0, 0, 4),),), ((),), (-9,), (4,))
+    assert sys_ == _reference_edge_system(fw)
+
+
 def test_pin_accounting():
     for name in ("triangle.json", "square.json", "cross_braced_square.json",
                  "k4.json", "bricard_octahedron.json"):
@@ -470,8 +547,8 @@ def test_ten_by_ten_grid_is_first_order_rigid_within_budget():
 
 
 def test_thirty_by_thirty_grid_is_first_order_rigid_within_budget():
-    # the sparse elimination of C keeps this at a few seconds; a dense one
-    # took over 20 s
+    # C has full column rank mod a prime, so the analysis eliminates
+    # nothing over Q; a dense elimination of C took over 20 s
     fw = triangulated_grid(30)
     start = time.time()
     rep = analyze_framework(fw, use_auto_pin=True)
