@@ -4,20 +4,18 @@ A system is stored sparsely, in one canonical form: equation k is
 (sum a x_i x_j + sum b x_i + c) / den_k = 0, with integer coefficients,
 (i, j, a) triples with i <= j and (i, b) pairs sorted and without zeros,
 and den_k > 0 the lcm of the denominators of the equation's rational
-coefficients, so no prime divides den_k and all its integers (which are
-not reduced further). Equal systems compare equal, as long as every
-writer keeps this form: `validate_and_symmetrize` builds it from raw
-terms, and `rigidity.build_edge_system` straight from the bars of a
-framework. F, B, A and the rows of the linearization C at a base
-point (the object every rigidity test interrogates) cost O(nnz) in int
-arithmetic, and `linearize` stores C in the scaled `Matrix` form, ints
-over one common denominator. C is eliminated only when a kernel or a
-solve is read, once for each, and not for a kernel that the rank of C mod
-a prime proves trivial. B's one kernel, `_polarize`, works in the
-scaled form (common, ints) that `BaseOperators` holds, and `bilinear`,
-like `alpha`, `beta` and `gamma`, is a Fraction view. Higher-degree
-polynomial systems are brought into this form by introducing auxiliary
-variables for sub-monomials.
+coefficients (the integers are not reduced further). Equal systems
+compare equal; every writer ends with `_canonical_equation`, which
+reduces one equation to this form. F, B, A and the rows of the
+linearization C at a base point (the object every rigidity test
+interrogates) cost O(nnz) in int arithmetic, and `linearize` stores C in
+the scaled `Matrix` form, ints over one common denominator. C is
+eliminated only when a kernel or a solve is read, once for each, and not
+for a kernel that the rank of C mod a prime proves trivial. B's one
+kernel, `_polarize`, works in the scaled form (common, ints) that
+`BaseOperators` holds, and `bilinear`, like `alpha`, `beta` and `gamma`,
+is a Fraction view. Higher-degree polynomial systems are brought into
+this form by introducing auxiliary variables for sub-monomials.
 """
 
 from __future__ import annotations
@@ -60,8 +58,7 @@ class BasePointError(ValueError):
 @dataclass(frozen=True)
 class QuadraticSystem:
     """n equations of degree <= 2 in m variables, with exact coefficients,
-    in the canonical integer form of the module docstring, which
-    validate_and_symmetrize and rigidity.build_edge_system write.
+    in the canonical integer form of the module docstring.
 
     `alpha`, `beta` and `gamma` give the same equations as Fractions:
     alpha^k is the symmetric matrix of the quadratic form, as (i, j, c)
@@ -125,7 +122,7 @@ def validate_and_symmetrize(
     n = len(alpha_terms)
     if n == 0 or len(beta_terms) != n or len(gamma) != n:
         raise DimensionError("need one or more equations, with equal alpha/beta/gamma counts")
-    quads, lins, consts, dens = [], [], [], []
+    equations = []
     for quad, lin, g in zip(alpha_terms, beta_terms, gamma):
         poly: dict[tuple[int, int], int | Fraction] = {}
         for i, j, c in quad:
@@ -139,16 +136,21 @@ def validate_and_symmetrize(
                 raise DimensionError(f"beta term {i} out of range for m = {m}")
             acc[i] = acc.get(i, 0) + _exact(c)
         g = _exact(g)
-        den = lcm(g.denominator, *(c.denominator for c in poly.values()),
-                  *(c.denominator for c in acc.values()))
-        quads.append(tuple((i, j, c.numerator * (den // c.denominator))
-                           for (i, j), c in sorted(poly.items()) if c))
-        lins.append(tuple((i, c.numerator * (den // c.denominator))
-                          for i, c in sorted(acc.items()) if c))
-        consts.append(g.numerator * (den // g.denominator))
-        dens.append(den)
+        den = lcm(g.denominator, *(c.denominator for c in [*poly.values(), *acc.values()]))
+        equations.append(_canonical_equation(
+            [(i, j, c.numerator * (den // c.denominator)) for (i, j), c in poly.items()],
+            [(i, c.numerator * (den // c.denominator)) for i, c in acc.items()],
+            g.numerator * (den // g.denominator), den))
     names = tuple(variable_names) if variable_names is not None else default_names(m)
-    return QuadraticSystem(m, n, tuple(quads), tuple(lins), tuple(consts), tuple(dens), names)
+    return QuadraticSystem(m, n, *map(tuple, zip(*equations)), names)
+
+
+def _canonical_equation(quad, lin, const: int, over: int):
+    """(quad, lin, const, den) from integer numerators over `over` > 0, with i <= j and
+    no index repeated: their gcd with `over` is divided out, terms sorted, zeros dropped."""
+    g = gcd(over, const, *[t[-1] for t in quad], *[t[-1] for t in lin])
+    return (tuple([(i, j, a // g) for i, j, a in sorted(quad) if a]),
+            tuple([(i, b // g) for i, b in sorted(lin) if b]), const // g, over // g)
 
 
 def evaluate(sys: QuadraticSystem, x: Vector) -> Vector:

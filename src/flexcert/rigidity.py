@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from . import certify
@@ -28,7 +28,7 @@ from .certify import (
     SecondOrderObstruction,
     TStandardFail,
 )
-from .quadsys import QuadraticSystem
+from .quadsys import QuadraticSystem, _canonical_equation
 from .ratlinalg import Vector, _integers, vector
 from .series import SeriesCoefficients
 
@@ -166,16 +166,12 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
 
     One equation per bar: sum_c (x_ac - x_bc)^2 - L_ab^2 = 0, with pinned
     coordinates substituted as constants; a coordinate pinned at both
-    ends cancels against its share of L_ab^2 and is left out. The bar is
-    written straight in the canonical integer form, no Fraction built:
-    with d the lcm of its joints' denominators, its numerators over d^2
-    are 1 on a free square, -2 on a free cross term, -2 k d on a free
-    coordinate whose partner is pinned at k / d (none for k = 0) and the
-    constant, with their gcd with d^2 divided out. Returns the system,
-    the coordinate map (variable index -> (joint, coordinate)), and the
-    base point (the initial unpinned coordinates). Each equation vanishes
-    at the base point by construction; `quadsys.linearize`, which every
-    analysis and replay of the system runs, checks it exactly.
+    ends cancels against its share of L_ab^2 and is left out. A bar is
+    written in ints over d^2, d the lcm of its joints' denominators, and
+    reduced by `quadsys._canonical_equation`; no Fraction is built.
+    Returns the system, the coordinate map (variable index -> (joint,
+    coordinate)) and the base point (the initial unpinned coordinates),
+    where each equation vanishes; `quadsys.linearize` checks it exactly.
     """
     variables = [sc for sc in coordinate_order(fw) if sc not in fw.pins]
     if not fw.bars:
@@ -187,30 +183,24 @@ def build_edge_system(fw: Framework) -> tuple[QuadraticSystem, tuple[tuple[str, 
     for a, b in fw.bars:
         (da, xa), (db, xb) = scaled[a], scaled[b]
         d = lcm(da, db)
-        quad, lin, gamma = [], [], 0  # numerators over d^2
+        quad, lin, gamma, n2 = [], [], 0, d * d  # numerators over n2
         for i, j, ka, kb in zip(slots[a], slots[b], xa, xb):
-            # (u - v)^2 - (ka - kb)^2 is symmetric in (u, ka) and (v, kb):
-            # swap them so that u is a variable whenever one of them is
+            # (u - v)^2 - (ka - kb)^2 is symmetric in (u, ka), (v, kb): make u a variable
             ka, kb = ka * (d // da), kb * (d // db)
             if i is None:
                 i, j, ka, kb = j, i, kb, ka
             if i is None:
                 continue
-            quad.append((i, i, 1))
+            quad.append((i, i, n2))
             if j is None:
                 gamma += kb * kb - (ka - kb) ** 2
-                if kb:
-                    lin.append((i, -2 * kb * d))
+                lin.append((i, -2 * kb * d))
             else:
-                quad += [(j, j, 1), (i, j, -2)]  # i < j: a's variables precede b's
+                quad += [(j, j, n2), (i, j, -2 * n2) if i < j else (j, i, -2 * n2)]
                 gamma -= (ka - kb) ** 2
-        g = gcd(d * d, gamma, *(t for _, t in lin))
-        den = d * d // g
-        equations.append((tuple((i, j, c * den) for i, j, c in sorted(quad)),
-                          tuple((i, t // g) for i, t in sorted(lin)), gamma // g, den))
-    quads, lins, consts, dens = map(tuple, zip(*equations))
+        equations.append(_canonical_equation(quad, lin, gamma, n2))
     names = tuple(f"{jid}[{c}]" for jid, c in variables)
-    sys = QuadraticSystem(len(variables), len(fw.bars), quads, lins, consts, dens, names)
+    sys = QuadraticSystem(len(variables), len(fw.bars), *map(tuple, zip(*equations)), names)
     base = tuple(fw.joints[jid][c] for jid, c in variables)
     return sys, tuple(variables), base
 

@@ -3,6 +3,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -209,6 +210,17 @@ def _reference_edge_system(fw):
     return quadsys.validate_and_symmetrize(len(variables), alphas, betas, gammas, names)
 
 
+def _assert_canonical(sys_):
+    # the form itself, so a fault that the reference shares still shows:
+    # i <= j, indices increasing, no zeros, and no factor common to den
+    for quad, lin, c, den in zip(sys_.quad, sys_.lin, sys_.const, sys_.den):
+        keys = [(i, j) for i, j, _ in quad]
+        assert all(i <= j for i, j in keys) and keys == sorted(set(keys))
+        assert [i for i, _ in lin] == sorted({i for i, _ in lin})
+        assert all(a for *_, a in quad + lin)
+        assert den > 0 and gcd(den, c, *(a for *_, a in quad + lin)) == 1
+
+
 def _random_rational_framework(rng):
     # joints with their own denominators up to 9, random pins, and some
     # joints pinned in every coordinate
@@ -236,9 +248,13 @@ def test_edge_system_equals_the_fraction_expansion():
     cases += [_random_rational_framework(rng) for _ in range(300)]
     assert sum(any(all((j, c) in fw.pins for c in range(fw.dimension)) for j in fw.joints)
                for fw in cases) > 100
+    # a Framework built directly may list a bar as (b, a) with b after a
+    cases += [Framework(fw.dimension, fw.joints, tuple((b, a) for a, b in fw.bars), fw.pins)
+              for fw in cases]
     for fw in cases:
         sys_, variables, base = build_edge_system(fw)
         assert sys_ == _reference_edge_system(fw), fw
+        _assert_canonical(sys_)
         assert variables == tuple(sc for sc in coordinate_order(fw) if sc not in fw.pins)
         assert base == tuple(fw.joints[j][c] for j, c in variables)
     # a bar with every coordinate pinned is the empty equation over 1
