@@ -7,8 +7,10 @@ flexibility test (span closure of the bilinear products of a candidate
 series) are implemented, together with the orchestrating analyzer. Every
 series they grow is a canonical extension by `series.extend_to`; the
 T-standard solution is the one that starts [X0, K], read in T = ker e_f
-for the free column f of C. Every emitted certificate carries enough
-exact witness data to be re-verified from scratch by
+for the free column f of C. Each test either proves its outcome or
+returns None; an Inconclusive report carries no certificate, and its
+notes name the caps that were reached. Every emitted certificate carries
+enough exact witness data to be re-verified from scratch by
 `replay_certificate`, which accepts any rational transversal T.
 """
 
@@ -140,20 +142,7 @@ class TStandardFail:
     prefix: SeriesCoefficients  # coefficients Y0 .. Y_{fail_index-1}
 
 
-@dataclass(frozen=True)
-class TStandardSurvived:
-    """The T-standard recurrence stayed solvable through `depth`; this
-    proves nothing by itself and is reported as evidence only."""
-
-    depth: int
-    normal: Vector  # T = ker normal
-    leading: Vector
-    series: SeriesCoefficients
-
-
-Certificate = Union[
-    FirstOrderRigid, SecondOrderObstruction, SpanClosureFlex, TStandardFail, TStandardSurvived
-]
+Certificate = Union[FirstOrderRigid, SecondOrderObstruction, SpanClosureFlex, TStandardFail]
 
 # ---------------------------------------------------------------------------
 # First-order rigidity: trivial kernel of the linearization
@@ -441,11 +430,14 @@ def _validate_t_standard(ops: BaseOperators, normal: Vector, lead: Vector) -> No
         raise PreconditionError("T must be a hyperplane that meets the kernel of C only in 0")
 
 
-def t_standard_run(ops: BaseOperators, max_depth: int = AnalyzeConfig.max_depth) -> Certificate:
-    """Grow the T-standard formal solution led by the kernel vector K up
-    to `max_depth`. An unsolvable step at index p proves (kernel
-    dimension 1) that no nonconstant analytic family exists through the
-    base point; surviving to max_depth proves nothing.
+def t_standard_run(ops: BaseOperators,
+                   max_depth: int = AnalyzeConfig.max_depth) -> Optional[TStandardFail]:
+    """TStandardFail certificate iff the T-standard formal solution led
+    by the kernel vector K has an unsolvable step at an index
+    p <= `max_depth`, which proves (kernel dimension 1) that no
+    nonconstant analytic family exists through the base point. A run
+    that stays solvable through max_depth proves nothing and gives None;
+    its series is `extend_to(ops, SeriesCoefficients((X0, K)), max_depth)`.
 
     T = ker e_f, f the last nonzero entry of K. That is the one free
     column of the reduced form of C: `kernel_basis` puts K's nonzeros at
@@ -463,10 +455,10 @@ def t_standard_run(ops: BaseOperators, max_depth: int = AnalyzeConfig.max_depth)
     f = max(i for i, x in enumerate(lead) if x)
     normal = tuple(Fraction(int(i == f)) for i in range(len(lead)))
     s = extend_to(ops, SeriesCoefficients((ops.base_point, lead)), max_depth)
-    if s.degree < max_depth:
-        p = s.degree + 1
-        return TStandardFail(p, recurrence_rhs(ops, s, p), normal, lead, s)
-    return TStandardSurvived(max_depth, normal, lead, s)
+    if s.degree == max_depth:
+        return None
+    p = s.degree + 1
+    return TStandardFail(p, recurrence_rhs(ops, s, p), normal, lead, s)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +478,11 @@ def analyze_system(
 ) -> AnalysisReport:
     """Run the rigidity tests and the flexibility search in order:
     trivial kernel, order-2 obstruction, span-closure search, and (for a
-    1-dimensional kernel) the T-standard recurrence."""
+    1-dimensional kernel) the T-standard recurrence. The first test that
+    proves its outcome gives the verdict and its certificate. Otherwise
+    the report is Inconclusive with no certificate: at depth q_max, or,
+    when the T-standard recurrence stays solvable, at depth max_depth
+    with a note naming it."""
     ops = linearize(sys, x0)
     d = len(ops.kernel)
     notes = [f"kernel dimension {d}"]
@@ -515,17 +511,17 @@ def analyze_system(
     )
 
     if d == 1:
-        outcome = t_standard_run(ops, config.max_depth)
-        if isinstance(outcome, TStandardFail):
+        fail = t_standard_run(ops, config.max_depth)
+        if fail is not None:
             notes.append(
-                f"T-standard recurrence unsolvable at order {outcome.fail_index}: "
+                f"T-standard recurrence unsolvable at order {fail.fail_index}: "
                 "no nonconstant analytic family exists"
             )
-            return AnalysisReport(RIGID, outcome, outcome.fail_index, tuple(notes))
+            return AnalysisReport(RIGID, fail, fail.fail_index, tuple(notes))
         notes.append(
-            f"T-standard recurrence solvable through depth {outcome.depth} (cap reached)"
+            f"T-standard recurrence solvable through depth {config.max_depth} (cap reached)"
         )
-        return AnalysisReport(INCONCLUSIVE, outcome, outcome.depth, tuple(notes))
+        return AnalysisReport(INCONCLUSIVE, None, config.max_depth, tuple(notes))
 
     return AnalysisReport(INCONCLUSIVE, None, config.q_max, tuple(notes))
 
@@ -557,10 +553,7 @@ def _replay(ops: BaseOperators, cert: Certificate) -> bool:
         return _replay_span_closure(ops, cert)
 
     if isinstance(cert, TStandardFail):
-        return _replay_t_standard(ops, cert, cert.prefix)
-
-    if isinstance(cert, TStandardSurvived):
-        return cert.series.degree == cert.depth and _replay_t_standard(ops, cert, cert.series)
+        return _replay_t_standard(ops, cert)
 
     return False
 
@@ -626,26 +619,22 @@ def _replay_span_closure(ops: BaseOperators, cert: SpanClosureFlex) -> bool:
     return seen == required
 
 
-def _replay_t_standard(ops: BaseOperators, cert: Union[TStandardFail, TStandardSurvived],
-                       coeffs: SeriesCoefficients) -> bool:
-    """Check a T-standard certificate for any rational T = ker normal
-    that meets ker C only in 0, not only the ker e_f that
-    `t_standard_run` uses: the series leads with the stored kernel
-    vector, its later coefficients lie in T, it solves the recurrence
-    through its degree, and a failure's right-hand side is outside im C."""
+def _replay_t_standard(ops: BaseOperators, cert: TStandardFail) -> bool:
+    """Check a T-standard failure for any rational T = ker normal that
+    meets ker C only in 0, not only the ker e_f that `t_standard_run`
+    uses: the prefix leads with the stored kernel vector, its later
+    coefficients lie in T, it solves the recurrence through its degree
+    fail_index - 1, and the right-hand side at fail_index is outside im C."""
     _validate_t_standard(ops, cert.normal, cert.leading)
-    if coeffs.coeffs[:2] != (ops.base_point, cert.leading):
+    prefix = cert.prefix
+    if prefix.coeffs[:2] != (ops.base_point, cert.leading):
         return False
-    if any(_dot(cert.normal, y) != 0 for y in coeffs.coeffs[2:]):
+    if any(_dot(cert.normal, y) != 0 for y in prefix.coeffs[2:]):
         return False
-    if residual_order(ops, coeffs) <= coeffs.degree:
+    if prefix.degree != cert.fail_index - 1 or residual_order(ops, prefix) <= prefix.degree:
         return False
-    if isinstance(cert, TStandardFail):
-        if coeffs.degree != cert.fail_index - 1:
-            return False
-        rhs = _recurrence_sum(ops, coeffs, cert.fail_index)
-        if _fractions(rhs) != cert.unreachable_rhs:
-            return False
-        # C maps T onto im C (checked above), so outside im C is outside C(T)
-        return ops.solve(rhs) is None
-    return True
+    rhs = _recurrence_sum(ops, prefix, cert.fail_index)
+    if _fractions(rhs) != cert.unreachable_rhs:
+        return False
+    # C maps T onto im C (checked above), so outside im C is outside C(T)
+    return ops.solve(rhs) is None

@@ -74,8 +74,6 @@ def _certificate_summary(cert) -> str:
         return f"span-closure certificate at (q, k) = ({cert.q}, {cert.k})"
     if isinstance(cert, certify.TStandardFail):
         return f"T-standard recurrence fails at order {cert.fail_index}"
-    if isinstance(cert, certify.TStandardSurvived):
-        return f"T-standard recurrence survived to depth {cert.depth}"
     return "none"
 
 

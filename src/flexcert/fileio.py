@@ -343,7 +343,6 @@ CERTIFICATE_KINDS = MappingProxyType({
     certify.SecondOrderObstruction: "second_order_obstruction",
     certify.SpanClosureFlex: "span_closure_flex",
     certify.TStandardFail: "t_standard_fail",
-    certify.TStandardSurvived: "t_standard_survived",
 })
 
 

@@ -92,6 +92,39 @@ def triangulated_grid(n):
     return rigidity.framework(2, joints, bars)
 
 
+def henneberg_mechanism(rng, joints):
+    """A plane type-I Henneberg graph on `joints` >= 3 joints with one
+    bar removed: a Laman graph minus a bar, a mechanism with one degree
+    of freedom at a generic placement. Unpinned; analyze it with
+    `use_auto_pin=True`, which pins v00 and the second coordinate of v01.
+
+    The draws, in order, from `rng` alone so that a seed reproduces them:
+    v00 sits at the origin and v01 at (x, 0), x = rng.randint(-60, 60)
+    redrawn while 0, barred to v00. Each later joint v02, v03, ... is
+    barred to the pair rng.sample(earlier joints, 2) and placed at
+    (rng.randint(-60, 60), rng.randint(-60, 60)); pair and placement are
+    drawn again while the three points are collinear. Last,
+    rng.choice(bars), over the bars in the order they were added, is the
+    one removed."""
+    names = [f"v{i:02d}" for i in range(joints)]
+    x = 0
+    while x == 0:
+        x = rng.randint(-60, 60)
+    coords = {names[0]: (0, 0), names[1]: (x, 0)}
+    bars = [(names[0], names[1])]
+    for name in names[2:]:
+        while True:
+            a, b = rng.sample(names[:len(coords)], 2)
+            p = (rng.randint(-60, 60), rng.randint(-60, 60))
+            (ax, ay), (bx, by) = coords[a], coords[b]
+            if (bx - ax) * (p[1] - ay) != (by - ay) * (p[0] - ax):
+                break
+        coords[name] = p
+        bars += [(a, name), (b, name)]
+    bars.remove(rng.choice(bars))
+    return rigidity.framework(2, coords, bars)
+
+
 def system_poly_terms(sys_):
     """Expand a quadratic system back into exponent-map equations."""
     eqs = []

@@ -15,7 +15,6 @@ from flexcert.certify import (
     SecondOrderObstruction,
     SpanClosureFlex,
     TStandardFail,
-    TStandardSurvived,
     analyze_system,
     first_order_rigidity_check,
     replay_certificate,
@@ -310,16 +309,6 @@ def test_replay_rejects_span_closure_with_2k_above_q_plus_1():
     assert not replay_certificate(sys_, base, forged)
 
 
-def test_replay_rejects_t_standard_survived_with_a_false_depth():
-    # the series has degree 4; a certificate claiming another depth is false
-    sys_, base = load_corpus_system("example1.json")
-    ops = linearize(sys_, base)
-    cert = t_standard_run(ops, 4)
-    assert isinstance(cert, TStandardSurvived) and replay_certificate(sys_, base, cert)
-    for depth in (3, 10**6):
-        assert not replay_certificate(sys_, base, dataclasses.replace(cert, depth=depth))
-
-
 @pytest.fixture
 def rref_calls(monkeypatch):
     # the arguments of every sparse elimination over Q, in call order
@@ -330,15 +319,15 @@ def rref_calls(monkeypatch):
 
 
 def test_t_standard_replay_eliminates_only_c(rref_calls):
-    # T is read from its stored normal: replay eliminates C (for its kernel
-    # and solves) and nothing else
-    sys_, base = load_corpus_system("example1.json")
-    ops = linearize(sys_, base)
-    cert = t_standard_run(ops, 6)
-    assert isinstance(cert, TStandardSurvived)
-    rref_calls.clear()
-    assert replay_certificate(sys_, base, cert)
-    assert len(rref_calls) == 1
+    # T is read from its stored normal: replay eliminates C once for its
+    # kernel and once to solve the unreachable right-hand side, and
+    # nothing else
+    for sys_, base in (load_corpus_system("example4.json"), _cubic_contact()):
+        cert = t_standard_run(linearize(sys_, base), 6)
+        assert isinstance(cert, TStandardFail)
+        rref_calls.clear()
+        assert replay_certificate(sys_, base, cert)
+        assert len(rref_calls) == 2
 
 
 def _corpus_input(name):
@@ -416,6 +405,16 @@ def test_rank_lost_mod_p_falls_back_to_the_exact_kernel(rref_calls):
     assert replay_certificate(sys_, zero_vector(2), report.certificate)
 
 
+def _cubic_contact():
+    """y = x^2, xy = 0 and z = 0 at the origin: x^3 = 0 on the curve, so
+    the point is isolated. ker C = span{e_x}, B(K, K) lies in im C, and
+    the T-standard run in T = ker e_x fails at order 3 after the prefix
+    [0, e_x, e_y]."""
+    sys_ = validate_and_symmetrize(3, [[(0, 0, -1)], [(0, 1, 1)], []],
+                                   [[(1, 1)], [], [(2, 1)]], [0, 0, 0])
+    return sys_, zero_vector(3)
+
+
 def _tampered_certificates():
     # name -> (system, base point, certificate with a witness of the wrong shape)
     ex1, base1 = load_corpus_system("example1.json")
@@ -423,13 +422,20 @@ def _tampered_certificates():
     bowl = dense_system([[[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[0] * 3] * 3],
                         [[0, 0, 1], [0, 0, 1]], [0, 0])
     cross = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
-    ops1 = linearize(ex1, base1)
     span = analyze_system(ex1, base1).certificate
     first = span.pair_solutions[0]
     bad_pair = dataclasses.replace(first, i=99)
     definite = second_order_obstruction_check(linearize(bowl, zero_vector(3)))
     no_line = second_order_obstruction_check(linearize(cross, zero_vector(2)))
-    survived = t_standard_run(ops1, 4)
+    cubic, origin = _cubic_contact()
+    fail = t_standard_run(linearize(cubic, origin))
+    y0, y1, y2 = fail.prefix.coeffs
+    # z = x^2, y = xz, z^2 = xy: the curve (x, x^3, x^2), whose T-standard
+    # series it is. Read off its prefix of degree 2 with Y3 left out, the
+    # right-hand side at order 4 is -B(Y2, Y2) = (0, 0, -1), outside im C
+    curve = validate_and_symmetrize(3, [[(0, 0, -1)], [(0, 2, -1)], [(2, 2, 1), (0, 1, -1)]],
+                                    [[(2, 1)], [(1, 1)], []], [0, 0, 0])
+    curve_prefix = SeriesCoefficients((origin, vector([1, 0, 0]), vector([0, 0, 1])))
     return {
         "span_pair_index": (ex1, base1, dataclasses.replace(
             span, pair_solutions=(bad_pair,) + span.pair_solutions[1:])),
@@ -457,17 +463,30 @@ def _tampered_certificates():
             no_line, forms=(no_line.forms[0][:2],) + no_line.forms[1:])),
         "no_common_line_functional": (cross, zero_vector(2), dataclasses.replace(
             no_line, functionals=(vector([1]),) + no_line.functionals[1:])),
-        "t_standard_leading": (ex1, base1, dataclasses.replace(survived, leading=vector([1]))),
-        # the leading coefficient is (4, 3, 5) and every later coefficient is
-        # 0, so each of these normals passes the T test on the series itself
-        "t_standard_short_normal": (ex1, base1,
-                                    dataclasses.replace(survived, normal=vector([0, 1]))),
-        "t_standard_long_normal": (ex1, base1,
-                                   dataclasses.replace(survived, normal=vector([0, 0, 1, 0]))),
-        "t_standard_zero_normal": (ex1, base1,
-                                   dataclasses.replace(survived, normal=zero_vector(3))),
+        "t_standard_leading": (cubic, origin, dataclasses.replace(fail, leading=vector([1]))),
+        # the failure has normal (1, 0, 0), leading (1, 0, 0) and Y2 = (0, 1, 0):
+        # a zip over the entries of the first two normals would read (1, 0, 0),
+        # and the last one passes the T test on Y2, so only their shape is wrong
+        "t_standard_short_normal": (cubic, origin,
+                                    dataclasses.replace(fail, normal=vector([1, 0]))),
+        "t_standard_long_normal": (cubic, origin,
+                                   dataclasses.replace(fail, normal=vector([1, 0, 0, 0]))),
+        "t_standard_zero_normal": (cubic, origin,
+                                   dataclasses.replace(fail, normal=zero_vector(3))),
         "t_standard_normal_orthogonal_to_leading": (
-            ex1, base1, dataclasses.replace(survived, normal=vector([3, -4, 0]))),
+            cubic, origin, dataclasses.replace(fail, normal=vector([0, 0, 1]))),
+        # the stored depth and right-hand side of the failure at order 3
+        "t_standard_fail_index_below": (cubic, origin, dataclasses.replace(fail, fail_index=2)),
+        "t_standard_fail_index_above": (cubic, origin, dataclasses.replace(fail, fail_index=4)),
+        "t_standard_unreachable_rhs_entry": (cubic, origin, dataclasses.replace(
+            fail, unreachable_rhs=vector([0, -1, 1]))),
+        "t_standard_prefix_longer": (cubic, origin, dataclasses.replace(
+            fail, prefix=SeriesCoefficients((y0, y1, y2, zero_vector(3))))),
+        "t_standard_prefix_shorter": (cubic, origin, dataclasses.replace(
+            fail, prefix=SeriesCoefficients((y0, y1)))),
+        # every other check passes: only the prefix's degree shows the gap
+        "t_standard_fail_index_past_prefix": (curve, origin, TStandardFail(
+            4, vector([0, 0, -1]), vector([1, 0, 0]), vector([1, 0, 0]), curve_prefix)),
     }
 
 
@@ -479,7 +498,11 @@ def _tampered_certificates():
                                   "no_common_line_functional", "no_common_line_short_form",
                                   "t_standard_leading", "t_standard_short_normal",
                                   "t_standard_long_normal", "t_standard_zero_normal",
-                                  "t_standard_normal_orthogonal_to_leading"])
+                                  "t_standard_normal_orthogonal_to_leading",
+                                  "t_standard_fail_index_below", "t_standard_fail_index_above",
+                                  "t_standard_unreachable_rhs_entry",
+                                  "t_standard_prefix_longer", "t_standard_prefix_shorter",
+                                  "t_standard_fail_index_past_prefix"])
 def test_replay_rejects_witnesses_of_the_wrong_shape(case):
     sys_, base, cert = _tampered_certificates()[case]
     assert replay_certificate(sys_, base, cert) is False
@@ -543,26 +566,31 @@ def test_t_standard_fail_reference(tangent_sphere_cylinder):
     assert replay_certificate(sys_, base, out)
 
 
+def _t_standard_series(ops, depth):
+    # the series a T-standard run that survives to `depth` grows
+    return series.extend_to(ops, SeriesCoefficients((ops.base_point, ops.kernel[0])), depth)
+
+
 def test_t_standard_survives_line_family(hyperboloid_line):
     sys_, base = hyperboloid_line
     ops = linearize(sys_, base)
-    out = t_standard_run(ops, 8)
-    assert isinstance(out, TStandardSurvived)
-    assert all(c == zero_vector(3) for c in out.series.coeffs[2:])
-    assert replay_certificate(sys_, base, out)
+    assert t_standard_run(ops, 8) is None
+    s = _t_standard_series(ops, 8)
+    assert s.degree == 8 and series.residual_order(ops, s) > 8
+    assert all(c == zero_vector(3) for c in s.coeffs[2:])
 
 
 def test_t_standard_circle_coefficients(circle_system):
     sys_, base = circle_system
     ops = linearize(sys_, base)
-    out = t_standard_run(ops, 6)
-    assert isinstance(out, TStandardSurvived)
-    assert out.normal == vector([0, 1])
-    got = out.series
+    assert ops.kernel == (vector([0, 1]),)
+    assert t_standard_run(ops, 6) is None
+    got = _t_standard_series(ops, 6)
+    # T = ker e_y: every later coefficient has y = 0
+    assert all(y[1] == 0 for y in got.coeffs[2:])
     assert got.coefficient(2) == vector([F(-1, 2), 0])
     assert got.coefficient(3) == vector([0, 0])
     assert got.coefficient(4) == vector([F(-1, 8), 0])
-    assert replay_certificate(sys_, base, out)
 
 
 def test_t_standard_circle_matches_sqrt_series(circle_system):
@@ -576,15 +604,18 @@ def test_t_standard_circle_matches_sqrt_series(circle_system):
         conv = sum(y[i] * y[p - i] for i in range(1, p))
         target = F(-1) if p == 2 else F(0)
         y[p] = (target - conv) / 2
-    out = t_standard_run(ops, depth)
+    assert t_standard_run(ops, depth) is None
+    got = _t_standard_series(ops, depth)
     for p in range(2, depth + 1):
-        assert out.series.coefficient(p) == (y[p], F(0))
+        assert got.coefficient(p) == (y[p], F(0))
 
 
 def _t_standard_by_basis(ops, normal, basis, depth):
-    """Reference T-standard certificate for T = ker normal = span(basis),
-    led by the kernel vector: each coefficient is the one solution inside
-    T, found by solving over T's basis."""
+    """Reference T-standard run for T = ker normal = span(basis), led by
+    the kernel vector: each coefficient is the one solution inside T,
+    found by solving over T's basis. Returns the series, through `depth`
+    or through the last solvable step, and the TStandardFail of an
+    unsolvable step, or None."""
     lead = ops.kernel[0]
     s = SeriesCoefficients((ops.base_point, lead))
     images = [ops._image(t) for t in basis]
@@ -592,9 +623,9 @@ def _t_standard_by_basis(ops, normal, basis, depth):
         rhs = series.recurrence_rhs(ops, s, p)
         solved = solve_in_span_coefficients(images, [_integers(rhs)])
         if isinstance(solved, int):
-            return TStandardFail(p, rhs, normal, lead, s)
+            return s, TStandardFail(p, rhs, normal, lead, s)
         s = s.appended(combination(solved[0], basis, len(lead)))
-    return TStandardSurvived(depth, normal, lead, s)
+    return s, None
 
 
 def test_t_standard_run_is_the_canonical_extension_in_ker_e_f():
@@ -612,23 +643,29 @@ def test_t_standard_run_is_the_canonical_extension_in_ker_e_f():
             continue
         (k,) = ops.kernel
         out = t_standard_run(ops, depth)
-        s = out.series if isinstance(out, TStandardSurvived) else out.prefix
-        assert s == series.extend_to(ops, SeriesCoefficients((base, k)), depth)
+        s = series.extend_to(ops, SeriesCoefficients((base, k)), depth)
         f = max(i for i in range(m) if k[i])
-        assert out.normal == tuple(F(int(i == f)) for i in range(m))
-        assert out.leading == k and replay_certificate(sys_, base, out)
+        if out is None:
+            assert s.degree == depth
+        else:
+            assert out.prefix == s and out.fail_index == s.degree + 1
+            assert out.normal == tuple(F(int(i == f)) for i in range(m))
+            assert out.leading == k and replay_certificate(sys_, base, out)
         if f != max(range(m), key=lambda i: (abs(k[i]), -i)):
             seen["other_argmax"] += 1
-        seen["fail" if isinstance(out, TStandardFail) else "survived"] += 1
+        seen["survived" if out is None else "fail"] += 1
 
         normal = zero_vector(m)
         while sum(a * b for a, b in zip(normal, k)) == 0:
             normal = vector([rng.randint(-3, 3) for _ in range(m)])
         basis = ratlinalg.kernel_basis(Matrix.from_rows([normal]))
-        reference = _t_standard_by_basis(ops, normal, basis, depth)
-        assert type(reference) is type(out)
-        assert getattr(reference, "fail_index", None) == getattr(out, "fail_index", None)
-        assert replay_certificate(sys_, base, reference)
+        ref_series, reference = _t_standard_by_basis(ops, normal, basis, depth)
+        assert ref_series.degree == s.degree
+        if out is None:
+            assert reference is None and series.residual_order(ops, ref_series) > depth
+        else:
+            assert reference.fail_index == out.fail_index
+            assert replay_certificate(sys_, base, reference)
 
 
 def test_t_standard_requires_kernel_dimension_one(viviani_system):
@@ -637,21 +674,22 @@ def test_t_standard_requires_kernel_dimension_one(viviani_system):
     assert len(ops.kernel) == 2
     with pytest.raises(PreconditionError, match="1-dimensional kernel"):
         t_standard_run(ops, 4)
-    # a hand-built certificate for one of the kernel directions is rejected
+    # a hand-built failure for one of the kernel directions is rejected
     lead = ops.kernel[0]
-    forged = TStandardSurvived(1, vector([int(x != 0) for x in lead]), lead,
-                               SeriesCoefficients((base, lead)))
+    prefix = SeriesCoefficients((base, lead))
+    forged = TStandardFail(2, series.recurrence_rhs(ops, prefix, 2),
+                           vector([int(x != 0) for x in lead]), lead, prefix)
     assert not replay_certificate(sys_, base, forged)
 
 
-def test_t_standard_rejects_t_meeting_kernel(circle_system):
-    sys_, base = circle_system
+def test_t_standard_rejects_t_meeting_kernel(tangent_sphere_cylinder):
+    sys_, base = tangent_sphere_cylinder
     ops = linearize(sys_, base)
-    assert ops.kernel == (vector([0, 1]),)
+    assert ops.kernel == (vector([0, 0, 1]),)
     out = t_standard_run(ops, 4)
     assert replay_certificate(sys_, base, out)
-    # T = ker (1, 0) is the kernel line itself
-    meeting = dataclasses.replace(out, normal=vector([1, 0]))
+    # T = ker (1, 0, 0) contains the kernel line
+    meeting = dataclasses.replace(out, normal=vector([1, 0, 0]))
     assert not replay_certificate(sys_, base, meeting)
     with pytest.raises(PreconditionError, match="meets the kernel"):
         certify._validate_t_standard(ops, meeting.normal, meeting.leading)
@@ -668,32 +706,42 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     # the oracle for the one solution inside T
     basis = (vector([1, 1, 0]), vector([0, 1, 1]))
     depth = 7
-    out = _t_standard_by_basis(ops, vector([1, -1, 1]), basis, depth)
-    assert isinstance(out, TStandardSurvived)
-    s = out.series
+    s, fail = _t_standard_by_basis(ops, vector([1, -1, 1]), basis, depth)
+    assert fail is None and s.degree == depth
     for p in range(2, depth + 1):
         y = s.coefficient(p)
         assert y[0] - y[1] + y[2] == 0
         assert ops.c_matrix.mul_vec(y) == series.recurrence_rhs(ops, s.truncated(p - 1), p)
     assert series.residual_order(ops, s) > depth
-    assert replay_certificate(sys_, base, out)
     # the same outcome as the run in T = ker e_y
-    assert isinstance(t_standard_run(ops, depth), TStandardSurvived)
+    assert t_standard_run(ops, depth) is None
 
-    # moving the last coefficient along the kernel keeps C·Y_p = rhs (and no
-    # later step depends on it) but leaves T
-    coeffs = list(s.coeffs)
-    coeffs[depth] = tuple(a + b for a, b in zip(coeffs[depth], ops.kernel[0]))
-    moved = dataclasses.replace(out, series=SeriesCoefficients(tuple(coeffs)))
-    assert ops.c_matrix.mul_vec(coeffs[depth]) == ops.c_matrix.mul_vec(s.coefficient(depth))
-    assert not replay_certificate(sys_, base, moved)
+    # an order-3 failure read off the same plane: T = ker (1, -1, 1) meets
+    # ker C = span{e_x} only in 0
+    cubic, origin = _cubic_contact()
+    ops3 = linearize(cubic, origin)
+    prefix, fail = _t_standard_by_basis(ops3, vector([1, -1, 1]), basis, depth)
+    assert fail.fail_index == 3 and prefix.degree == 2
+    assert replay_certificate(cubic, origin, fail)
+    assert t_standard_run(ops3, depth).fail_index == 3
+    # moving the last prefix coefficient along the kernel keeps C·Y_2 = rhs
+    # and, with the right-hand side at order 3 recomputed, a failure there,
+    # but leaves T
+    coeffs = list(prefix.coeffs)
+    coeffs[2] = tuple(a + b for a, b in zip(coeffs[2], ops3.kernel[0]))
+    moved_prefix = SeriesCoefficients(tuple(coeffs))
+    assert ops3.c_matrix.mul_vec(coeffs[2]) == ops3.c_matrix.mul_vec(prefix.coefficient(2))
+    rhs = series.recurrence_rhs(ops3, moved_prefix, 3)
+    assert ops3.solve(_integers(rhs)) is None
+    moved = dataclasses.replace(fail, prefix=moved_prefix, unreachable_rhs=rhs)
+    assert not replay_certificate(cubic, origin, moved)
 
     # an order-2 failure read off the same kind of plane:
     # T = ker (1, -1, -1) = span{(1, 1, 0), (1, 0, 1)}
     sys4, base4 = tangent_sphere_cylinder
     ops4 = linearize(sys4, base4)
-    fail = _t_standard_by_basis(ops4, vector([1, -1, -1]),
-                                (vector([1, 1, 0]), vector([1, 0, 1])), 6)
+    _, fail = _t_standard_by_basis(ops4, vector([1, -1, -1]),
+                                   (vector([1, 1, 0]), vector([1, 0, 1])), 6)
     assert isinstance(fail, TStandardFail) and fail.fail_index == 2
     assert replay_certificate(sys4, base4, fail)
     assert t_standard_run(ops4, 6).fail_index == 2

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import typing
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from conftest import (
     FRAMEWORK_CORPUS,
     SYSTEM_CORPUS,
     dense_system,
+    henneberg_mechanism,
     load_corpus_framework,
     load_corpus_system,
 )
@@ -124,6 +126,32 @@ def test_fully_pinned_framework_is_rank_0_of_0(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[:2] == ["verdict: Rigid",
                                     "certificate: first-order rigidity (rank 0 of 0)"]
+
+
+def test_mechanism_whose_t_standard_run_survives_has_no_certificate(tmp_path, capsys):
+    # a Henneberg mechanism on 7 joints with d = 1, no span-closure
+    # certificate up to q_max and a T-standard recurrence that stays
+    # solvable through max_depth: Inconclusive, with no certificate
+    fw = henneberg_mechanism(random.Random(229), 7)
+    report = analyze_framework(fw, use_auto_pin=True)
+    assert report.verdict == "Inconclusive" and report.certificate is None
+    assert report.depth_reached == 24
+    assert report.notes == (
+        "kernel dimension 1",
+        "no span-closure certificate up to q_max = 8; absence of a certificate is not a "
+        "rigidity proof",
+        "T-standard recurrence solvable through depth 24 (cap reached)")
+    path = tmp_path / "mechanism.json"
+    path.write_text(fileio.dumps(fileio.framework_to_dict(fw, True)), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze-framework", str(path), "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["certificate"] is None and data["depth"] == 24
+    assert data["notes"] == list(report.notes)
+    code, out, _ = run_cli(capsys, "analyze-framework", str(path))
+    assert code == 0
+    assert out.splitlines()[:2] == ["verdict: Inconclusive", "depth reached: 24"]
+    assert "certificate:" not in out
 
 
 def test_base_point_not_solution_exits_3(tmp_path, capsys):
@@ -515,55 +543,11 @@ def test_series_serialization_round_trip():
     assert again == s
 
 
-def _every_certificate_kind():
-    """One certificate of each kind and obstruction case, from the small
-    systems of test_certify, each with its expected JSON object."""
-
-    def obstruction(sys_, base):
-        return second_order_obstruction_check(linearize(sys_, base))
-
-    linear = dense_system([[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], [0, 0])
-    z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    bowl = dense_system([[[1, 0, 0], [0, 1, 0], [0, 0, 0]], z3], [[0, 0, 1], [0, 0, 1]], [0, 0])
-    cross = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
-    ops4 = linearize(*load_corpus_system("example4.json"))
-    ops1 = linearize(*load_corpus_system("example1.json"))
-    return [
-        (first_order_rigidity_check(linearize(linear, zero_vector(2))),
-         {"kind": "first_order_rigid", "rank": 2, "variables": 2}),
-        (second_order_obstruction_check(ops4),
-         {"kind": "second_order_obstruction", "case": "single_direction",
-          "kernel": [["0", "0", "1"]], "b_value": ["1", "0", "0"]}),
-        (obstruction(bowl, zero_vector(3)),
-         {"kind": "second_order_obstruction", "case": "definite_form",
-          "kernel": [["1", "0", "0"], ["0", "1", "0"]], "functional": ["-1", "1"],
-          "form": [["-1", "0"], ["0", "-1"]]}),
-        (obstruction(cross, zero_vector(2)),
-         {"kind": "second_order_obstruction", "case": "no_common_line",
-          "kernel": [["1", "0"], ["0", "1"]], "functionals": [["1", "0"], ["0", "1"]],
-          "forms": [["0", "1", "0"], ["1", "0", "-1"]]}),
-        (t_standard_run(ops4),
-         {"kind": "t_standard_fail", "fail_index": 2, "unreachable_rhs": ["-1", "0", "0"],
-          "normal": ["0", "0", "1"], "leading": ["0", "0", "1"],
-          "prefix": {"degree": 1, "coefficients": [["2", "0", "0"], ["0", "0", "1"]]}}),
-        (t_standard_run(ops1, 3),
-         {"kind": "t_standard_survived", "depth": 3,
-          "normal": ["0", "0", "1"], "leading": ["4", "3", "5"],
-          "series": {"degree": 3, "coefficients": [["5", "5", "7"], ["4", "3", "5"],
-                                                   ["0", "0", "0"], ["0", "0", "0"]]}}),
-    ]
-
-
-def test_every_certificate_class_has_a_kind():
-    assert set(fileio.CERTIFICATE_KINDS) == set(typing.get_args(certify.Certificate))
-    assert len(set(fileio.CERTIFICATE_KINDS.values())) == len(fileio.CERTIFICATE_KINDS)
-    with pytest.raises(TypeError):
-        fileio.certificate_to_dict(certify.PairSolution(1, 1, (), ()))
-
-
 SQUARE_SERIES = {"degree": 2, "coefficients": [["1", "1", "1", "0", "1"], ["0", "1", "0", "1", "0"],
                                                ["0", "0", "-1/2", "0", "-1/2"]]}
 SEGMENT_SERIES = {"degree": 2, "coefficients": [["0", "1"], ["1", "1"], ["0", "0"]]}
+CIRCLE_SERIES = {"degree": 2, "coefficients": [["1", "0"], ["0", "1"], ["-1/2", "0"]]}
+CIRCLE_PAIRS = [(["0", "2"], ["-1", "0"]), (["0", "1/2"], ["-1/4", "0"])]
 
 
 def _span_closure_flex(series, vectors):
@@ -576,15 +560,61 @@ def _span_closure_flex(series, vectors):
                                for (i, j), (c, v) in solutions.items()]}
 
 
+def _every_certificate_kind():
+    """One certificate of each kind and obstruction case, from small
+    systems and the corpus, each as (system, base point, certificate,
+    expected JSON object)."""
+    linear = dense_system([[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], [0, 0])
+    z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    bowl = dense_system([[[1, 0, 0], [0, 1, 0], [0, 0, 0]], z3], [[0, 0, 1], [0, 0, 1]], [0, 0])
+    cross = validate_and_symmetrize(2, [[(0, 1, 1)], [(0, 0, 1), (1, 1, -1)]], [[], []], [0, 0])
+    ex4, base4 = load_corpus_system("example4.json")
+    ops4 = linearize(ex4, base4)
+    circle, base_c = load_corpus_system("circle.json")
+    return [
+        (linear, zero_vector(2), first_order_rigidity_check(linearize(linear, zero_vector(2))),
+         {"kind": "first_order_rigid", "rank": 2, "variables": 2}),
+        (ex4, base4, second_order_obstruction_check(ops4),
+         {"kind": "second_order_obstruction", "case": "single_direction",
+          "kernel": [["0", "0", "1"]], "b_value": ["1", "0", "0"]}),
+        (bowl, zero_vector(3), second_order_obstruction_check(linearize(bowl, zero_vector(3))),
+         {"kind": "second_order_obstruction", "case": "definite_form",
+          "kernel": [["1", "0", "0"], ["0", "1", "0"]], "functional": ["-1", "1"],
+          "form": [["-1", "0"], ["0", "-1"]]}),
+        (cross, zero_vector(2), second_order_obstruction_check(linearize(cross, zero_vector(2))),
+         {"kind": "second_order_obstruction", "case": "no_common_line",
+          "kernel": [["1", "0"], ["0", "1"]], "functionals": [["1", "0"], ["0", "1"]],
+          "forms": [["0", "1", "0"], ["1", "0", "-1"]]}),
+        (ex4, base4, t_standard_run(ops4),
+         {"kind": "t_standard_fail", "fail_index": 2, "unreachable_rhs": ["-1", "0", "0"],
+          "normal": ["0", "0", "1"], "leading": ["0", "0", "1"],
+          "prefix": {"degree": 1, "coefficients": [["2", "0", "0"], ["0", "0", "1"]]}}),
+        (circle, base_c, analyze_system(circle, base_c).certificate,
+         _span_closure_flex(CIRCLE_SERIES, CIRCLE_PAIRS)),
+    ]
+
+
+def test_every_certificate_class_has_a_kind():
+    assert set(fileio.CERTIFICATE_KINDS) == set(typing.get_args(certify.Certificate))
+    assert len(set(fileio.CERTIFICATE_KINDS.values())) == len(fileio.CERTIFICATE_KINDS)
+    with pytest.raises(TypeError):
+        fileio.certificate_to_dict(certify.PairSolution(1, 1, (), ()))
+
+
 def test_certificate_json_of_every_kind_is_pinned():
-    for cert, expected in _every_certificate_kind():
+    # the list covers the Certificate union; each of its certificates
+    # replays and has a CLI summary, so the union, the JSON kinds, replay
+    # and the summary name the same classes
+    kinds = _every_certificate_kind()
+    assert {type(cert) for _, _, cert, _ in kinds} == set(typing.get_args(certify.Certificate))
+    for sys_, base, cert, expected in kinds:
         assert fileio.certificate_to_dict(cert) == expected
+        assert certify.replay_certificate(sys_, base, cert)
+        assert cli._certificate_summary(cert) != "none"
     circle = analyze_system(*load_corpus_system("circle.json"))
     assert fileio.report_to_dict(circle) == {
         "verdict": "Flexible", "depth": 2,
-        "certificate": _span_closure_flex(
-            {"degree": 2, "coefficients": [["1", "0"], ["0", "1"], ["-1/2", "0"]]},
-            [(["0", "2"], ["-1", "0"]), (["0", "1/2"], ["-1/4", "0"])]),
+        "certificate": _span_closure_flex(CIRCLE_SERIES, CIRCLE_PAIRS),
         "notes": ["kernel dimension 1", "span-closure certificate at (q, k) = (2, 1)"],
     }
     # a Nontrivial flexion carries its witness, a Trivial one does not

@@ -13,7 +13,7 @@ from flexcert import auto_pin, framework, linearize
 from flexcert.certify import first_order_rigidity_check
 from flexcert.rigidity import build_edge_system
 
-from conftest import check_rank_mod_p
+from conftest import check_rank_mod_p, henneberg_mechanism
 
 
 def henneberg_graph(rng, n):
@@ -84,3 +84,19 @@ def test_first_order_rigidity_agrees_with_the_laman_count():
                 assert first_order_rigid(rng, n, bars) == rigid, (n, bars)
             seen[rigid] += 1
     assert seen == {True: 84, False: 42} and redrawn <= 2
+
+
+def test_henneberg_mechanisms_are_laman_graphs_minus_a_bar():
+    # the shared generator: 2n - 4 independent bars, v00 and v01 in the
+    # frame auto_pin pins, integer coordinates in [-60, 60], and the same
+    # draw from the same seed
+    for seed in range(12):
+        n = 3 + seed % 8
+        fw = henneberg_mechanism(random.Random(seed), n)
+        assert fw == henneberg_mechanism(random.Random(seed), n)
+        index = {jid: j for j, jid in enumerate(fw.joint_ids())}
+        bars = [(index[a], index[b]) for a, b in fw.bars]
+        assert len(bars) == 2 * n - 4 and laman_rank(n, bars) == 2 * n - 4
+        assert fw.joints["v00"] == (0, 0) and fw.joints["v01"][1] == 0 != fw.joints["v01"][0]
+        assert all(c.denominator == 1 and -60 <= c <= 60 for p in fw.joints.values() for c in p)
+        assert auto_pin(fw).pins == {("v00", 0), ("v00", 1), ("v01", 1)}
