@@ -161,11 +161,6 @@ def first_order_rigidity_check(ops: BaseOperators) -> Optional[FirstOrderRigid]:
 # Second-order obstruction: no kernel direction extends one more order
 
 
-def _cokernel(ops: BaseOperators) -> list[Vector]:
-    # functionals w with w^T C = 0; they cut out im C exactly
-    return kernel_basis(ops.c_matrix.transpose())
-
-
 def _dot(x: Vector, y: Vector) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
@@ -250,7 +245,7 @@ def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderOb
             return None
         return SecondOrderObstruction(
             case="single_direction", kernel=(k,), b_value=ops.bilinear(k, k))
-    cokernel = _cokernel(ops)
+    cokernel = ops.cokernel
     if not cokernel:
         return None  # C surjective: every B value lies in the image
     forms = [_projected_form(ops, w) for w in cokernel]

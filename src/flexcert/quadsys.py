@@ -10,8 +10,8 @@ reduces one equation to this form. F, B, A and the rows of the
 linearization C at a base point (the object every rigidity test
 interrogates) cost O(nnz) in int arithmetic, and `linearize` stores C in
 the scaled `Matrix` form, ints over one common denominator. C is
-eliminated only when a kernel or a solve is read, once for each, and not
-for a kernel that the rank of C mod a prime proves trivial. B's one
+eliminated on first read, once for its kernel unless C's rank mod a prime
+proves it trivial, and once for all its solves and its cokernel. B's one
 kernel, `_polarize`, works in the scaled form (common, ints) that
 `BaseOperators` holds, and `bilinear`, like `alpha`, `beta` and `gamma`,
 is a Fraction view. Higher-degree polynomial systems are brought into
@@ -221,9 +221,9 @@ class BaseOperators:
     Two records are built on first use, so operators that never read
     one never pay for it: `_kernel`, the basis `kernel` returns, on the
     first read of `kernel` (a span-closure replay never reads it), and
-    `_elimination`, the reduced [C | I] that answers every `solve`, on
-    the first solve (a trivial kernel never solves). A trivial kernel is
-    proven by the rank of C mod a prime where it can be, so a
+    `_elimination`, the reduced [C | J] behind `solve` and `cokernel`, on
+    the first read of either (a trivial kernel reads neither). A trivial
+    kernel is proven by the rank of C mod a prime where it can be, so a
     first-order-rigid analysis eliminates C over Q only when that rank
     falls short."""
 
@@ -281,13 +281,23 @@ class BaseOperators:
     def bilinear(self, x: Vector, y: Vector) -> Vector:
         return _fractions(self._product(x, y))
 
-    def solve(self, v: Scaled) -> Optional[Vector]:
-        """The canonical solution of C·X = v for a scaled v, or None when
-        v is outside im C. The first solve eliminates [C | I]; every solve
-        reads the answer off that one record."""
+    def _eliminated(self) -> Elimination:
         if self._elimination is None:
             object.__setattr__(self, "_elimination", eliminate(self.c_matrix))
-        return solve_general(self._elimination, v)
+        return self._elimination
+
+    def solve(self, v: Scaled) -> Optional[Vector]:
+        """The canonical solution of C·X = v for a scaled v, or None when
+        v is outside im C. The first solve or cokernel read eliminates
+        [C | J]; every solve reads the answer off that one record."""
+        return solve_general(self._eliminated(), v)
+
+    @property
+    def cokernel(self) -> tuple[Vector, ...]:
+        """`kernel_basis(C.transpose())`, the functionals w with w·C = 0,
+        which cut out im C: Fraction views of the record's checks."""
+        return tuple(tuple(Fraction(w.get(i, 0)) for i in range(self.c_matrix.rows))
+                     for w in map(dict, self._eliminated().checks))
 
 
 def linearize(sys: QuadraticSystem, base_point: Vector) -> BaseOperators:

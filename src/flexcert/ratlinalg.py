@@ -31,12 +31,13 @@ it. Bareiss `determinant` is an exact public helper; no verdict reads it.
 
 Solves against one matrix M many times over (the series recurrence
 solves against the linearization C at every order) share one
-elimination: `eliminate(M)` reduces [M | I] once, pivoting only in M's
-columns, and records each reduced row [R | E], for which E·M = R.
-`solve_general(record, v)` takes v scaled and needs int dot products
-alone: v is in im M exactly when E·v = 0 for every row without a pivot
-(the Farkas functionals), and the canonical solution has E·v divided by
-R's pivot entry in each pivot column and 0 in every free column.
+elimination: `eliminate(M)` reduces [M | J] once, J the identity with
+its columns reversed, and records each reduced row [R | E], for which
+E·M = R. `solve_general(record, v)` takes v scaled and needs int dot
+products alone: v is in im M exactly when E·v = 0 for every row without
+a pivot in M (the Farkas functionals, which are `kernel_basis(M^T)`),
+and the canonical solution has E·v divided by R's pivot entry in each
+pivot column and 0 in every free column.
 
 `solve_in_span_coefficients` solves a batch of scaled right-hand sides
 inside the span of scaled images M·span_i in one elimination, all or
@@ -254,8 +255,8 @@ def _rref(
     int} rows, each first made coprime. Pivots are chosen only in the
     first `cols` columns, in column order, from the first remaining row
     with an entry in that column; that entry is cleared from every other
-    row, so any further columns (right-hand sides, or the identity block
-    of `eliminate`) are carried along. Rows that cancel to zero are
+    row, so any further columns (the right-hand sides of a span batch)
+    are carried along. Rows that cancel to zero are
     dropped. Returns the pivot rows, row i having its pivot in column
     pivots[i] (dividing it by that entry gives row i of the reduced row
     echelon form, which is unique), and the rows left over, whose entries
@@ -397,15 +398,17 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 
 class Elimination(NamedTuple):
-    """The reduced row echelon form of [M | I] for an n x m matrix M, as
-    `eliminate` records it for `solve_general`.
+    """The reduced row echelon form of [M | J] for an n x m matrix M and J
+    the n x n identity, columns reversed, as `eliminate` records it.
 
     Every row of it is [R | E] with E·M = R. `pivots` holds, for each
     row with a pivot in M's columns, the pivot column, the pivot entry
-    and E, the row scaled to integers; `checks` holds E for each row with
-    no entry in M's columns (R = 0): these are the Farkas functionals,
-    and v is in im M exactly when each of them vanishes on v. E is stored
-    as (row index, int) pairs without zeros.
+    and E, the row scaled to integers; `checks` holds E for each row
+    with its pivot in J (R = 0): these are the Farkas functionals, and v
+    is in im M exactly when each of them vanishes on v. Made positive at
+    their pivot and put in reverse order, the checks are exactly
+    `kernel_basis(M.transpose())`. E is stored as (row index, int) pairs
+    without zeros.
 
     A NamedTuple rather than a frozen dataclass: building the dataclass
     took about 1 ms on every fresh import of the package.
@@ -418,19 +421,20 @@ class Elimination(NamedTuple):
 
 
 def eliminate(m: Matrix) -> Elimination:
-    """One elimination of [M | I], which answers every later
-    `solve_general` against M without eliminating M again."""
-    # row i of [M | I] times common: E·M = R holds for M itself
-    augmented = (dict(row + ((m.cols + i, m.common),)) for i, row in enumerate(m.nonzeros))
-    reduced, pivots, rest = _rref(augmented, m.cols)
-
-    def functional(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
-        return tuple((j - m.cols, v) for j, v in row.items() if j >= m.cols)
-
-    return Elimination(
-        m.rows, m.cols,
-        tuple((pc, row[pc], functional(row)) for row, pc in zip(reduced, pivots)),
-        tuple(functional(row) for row in rest))
+    """One elimination of [M | J], which answers every later
+    `solve_general` against M without eliminating M again; pivoting in J
+    too reduces the checks fully, to `kernel_basis(M.transpose())`."""
+    # row i of [M | J] times common, so that E·M = R holds for M itself;
+    # its J entry lies in column last - i
+    last = m.cols + m.rows - 1
+    augmented = (dict(row + ((last - i, m.common),)) for i, row in enumerate(m.nonzeros))
+    reduced, pivots, _ = _rref(augmented, last + 1)
+    # each row's E, in row order; a check is made positive at its pivot
+    rows = [(pc, row[pc], tuple((last - j, v if pc < m.cols or row[pc] > 0 else -v)
+                                for j, v in row.items() if j >= m.cols))
+            for row, pc in zip(reduced, pivots)]
+    return Elimination(m.rows, m.cols, tuple(r for r in rows if r[0] < m.cols),
+                       tuple(e for pc, _, e in reversed(rows) if pc >= m.cols))
 
 
 def solve_general(e: Elimination, v: Scaled) -> Optional[Vector]:

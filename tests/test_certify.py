@@ -1,6 +1,7 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -30,11 +31,12 @@ from flexcert.ratlinalg import (
     _integers,
     combination,
     is_zero_vector,
+    kernel_basis,
     solve_in_span_coefficients,
     vector,
     zero_vector,
 )
-from flexcert.rigidity import analyze_framework, build_edge_system
+from flexcert.rigidity import analyze_framework, build_edge_system, framework
 from flexcert.series import SeriesCoefficients
 
 from conftest import (
@@ -339,6 +341,11 @@ def _corpus_input(name):
     return load_corpus_system(name)
 
 
+# the seeded fuzz sets that this module's tests draw, as fuzz_systems arguments
+FUZZ_SETS = ((424242, 40, (random_system_with_solution,)), (424242, 80), (8086, 100),
+             (5150, 120), (2718, 40))
+
+
 def _grid_input(n):
     # (system, base point) of the auto-pinned triangulated n x n grid
     sys_, _, base = build_edge_system(
@@ -383,8 +390,7 @@ def test_rank_mod_p_bounds_the_rank_over_q():
     # it is the full column count whenever the kernel is trivial
     inputs = [_corpus_input(name) for name in SYSTEM_CORPUS + FRAMEWORK_CORPUS]
     inputs += [_grid_input(n) for n in range(2, 7)]
-    for args in ((424242, 40, (random_system_with_solution,)), (424242, 80), (8086, 100),
-                 (5150, 120), (2718, 40)):
+    for args in FUZZ_SETS:
         inputs += fuzz_systems(*args)
     trivial = [check_rank_mod_p(linearize(sys_, base).c_matrix) for sys_, base in inputs]
     assert sum(trivial) >= 100 and len(trivial) - sum(trivial) >= 200
@@ -992,9 +998,10 @@ def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
 
 def test_matrix_count_on_the_search_inputs_is_pinned(monkeypatch):
     # every Matrix of whole analyses: C, and for each 2-dim kernel (cusp,
-    # Viviani) C's transpose and the forms' 3-column coefficient matrix; a
-    # span batch hands its rows to the elimination without building a
-    # Matrix, so a step that builds one again raises the count
+    # Viviani) the forms' 3-column coefficient matrix; the cokernel is read
+    # off the record of C's solves, with no transpose of C, and a span
+    # batch hands its rows to the elimination without building a Matrix,
+    # so a step that builds one again raises the count
     built = []
     real = Matrix.__post_init__
     monkeypatch.setattr(Matrix, "__post_init__", lambda *args: built.append(1) or real(*args))
@@ -1002,7 +1009,44 @@ def test_matrix_count_on_the_search_inputs_is_pinned(monkeypatch):
         assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
     fw, auto = load_corpus_framework("bricard_octahedron.json")
     assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
-    assert len(built) == 7
+    assert len(built) == 5
+
+
+# the joints of the seed-7 flex-certify benchmark's first 6-gon
+SEED7_HEXAGON = [(0, 0), (3, 0), (1, 1), (3, 2), (2, 1), (6, 4)]
+
+
+def test_no_analysis_transposes_c(monkeypatch):
+    # the cokernel of a kernel of dimension >= 2 is read off the record of
+    # C's solves, so no analysis builds C's transpose: the cusp and Viviani
+    # (d = 2), a pinned 6-gon (d = 3) and an unpinned grid (d = 3, with a
+    # cokernel of dimension 4)
+    transposes = []
+    real = Matrix.transpose
+    monkeypatch.setattr(Matrix, "transpose", lambda *args: transposes.append(1) or real(*args))
+    kernels = [analyze_system(*load_corpus_system(name)).notes[0]
+               for name in ("example2.json", "example3.json")]
+    hexagon = framework(2, {f"v{i}": list(p) for i, p in enumerate(SEED7_HEXAGON)},
+                        [(f"v{i}", f"v{(i + 1) % 6}") for i in range(6)])
+    kernels.append(analyze_framework(hexagon, use_auto_pin=True).notes[0])
+    kernels.append(analyze_framework(triangulated_grid(4)).notes[0])
+    assert kernels == ["kernel dimension 2"] * 2 + ["kernel dimension 3"] * 2
+    assert transposes == []
+
+
+def test_cokernel_is_the_kernel_of_c_transposed():
+    # the checks of the one [C | J] record are kernel_basis(C^T), in order,
+    # on the corpus, the fuzz sets and unpinned grids
+    inputs = [_corpus_input(name) for name in SYSTEM_CORPUS + FRAMEWORK_CORPUS]
+    inputs += [build_edge_system(triangulated_grid(n))[::2] for n in range(2, 7)]
+    for args in FUZZ_SETS:
+        inputs += fuzz_systems(*args)
+    nonempty = 0
+    for sys_, base in inputs:
+        ops = linearize(sys_, base)
+        assert ops.cokernel == tuple(kernel_basis(ops.c_matrix.transpose()))
+        nonempty += bool(ops.cokernel)
+    assert nonempty >= 200 and len(inputs) - nonempty >= 100
 
 
 def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch):
@@ -1146,9 +1190,10 @@ def test_span_checks_on_shared_operators_match_fresh_checks(monkeypatch):
 
 def test_solve_record_is_built_once_per_analysis(monkeypatch):
     # the operators eliminate C for their kernel on its first read; every
-    # later solve against C reads the one [C | I] record they build on the
-    # first solve, so C is eliminated at most twice per analysis, and a
-    # first-order-rigid input, which never solves, builds no record
+    # later solve against C, and the cokernel, read the one [C | J] record
+    # they build on the first read of either, so C is eliminated at most
+    # twice per analysis, and a first-order-rigid input, which never
+    # solves, builds no record
     built, solves = [], []
     real_eliminate, real_solve = quadsys.eliminate, quadsys.solve_general
     monkeypatch.setattr(quadsys, "eliminate", lambda m: built.append(1) or real_eliminate(m))
@@ -1332,14 +1377,16 @@ def test_cokernel_and_order_two_obstruction_match_sympy():
         c_sym = sympy.Matrix(polys).jacobian(xs).subs(at_base)
         ops = linearize(sys_, base)
 
-        cokernel = certify._cokernel(ops)
-        left_null = c_sym.T.nullspace()
-        assert len(cokernel) == len(left_null)
-        for w in cokernel:
+        # sympy's left null space, one vector per free column of the RREF
+        # of C^T with a 1 there, scaled to primitive integers
+        left_null = []
+        for w in c_sym.T.nullspace():
+            scale = sympy.ilcm(1, *(x.q for x in w))
+            ints = [int(x * scale) for x in w]
+            left_null.append(tuple(F(x // gcd(*ints)) for x in ints))
+        assert ops.cokernel == tuple(left_null)
+        for w in ops.cokernel:
             assert sympy.Matrix([list(map(sympy.Rational, w))]) * c_sym == sympy.zeros(1, m)
-        if cokernel:
-            w_sym = sympy.Matrix([list(map(sympy.Rational, w)) for w in cokernel])
-            assert w_sym.rank() == len(cokernel)
 
         kernel = c_sym.nullspace()
         if len(kernel) != 1:

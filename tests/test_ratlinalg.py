@@ -8,6 +8,7 @@ from flexcert import ratlinalg
 from flexcert.ratlinalg import (
     DimensionError,
     Matrix,
+    _fractions,
     _integers,
     combination,
     determinant,
@@ -417,6 +418,11 @@ def _primitive(vec):
     return tuple(F(x // g) for x in ints)
 
 
+def _dense_checks(record):
+    # the record's checks as dense Fraction vectors, one entry per row of M
+    return [tuple(F(w.get(i, 0)) for i in range(record.rows)) for w in map(dict, record.checks)]
+
+
 def _check_against_sympy(sympy, m, vs, seen):
     sm = _to_sympy(sympy, m.entries, m.cols)
     # sympy reads one nullspace vector off each free column of the unique
@@ -435,6 +441,8 @@ def _check_against_sympy(sympy, m, vs, seen):
     for functional in record.checks:  # a Farkas functional annihilates M
         rows = [m.row(i) for i, _ in functional]
         assert combination([a for _, a in functional], rows, m.cols) == zero_vector(m.cols)
+    # and the checks are the left null space read off the RREF of M^T, in order
+    assert _dense_checks(record) == [_primitive(_from_sympy(w)) for w in sm.T.nullspace()]
     units = [tuple(F(int(i == j)) for i in range(m.cols)) for j in range(m.cols)]
     for v in vs:
         got = solve_general(record, _integers(v))
@@ -507,6 +515,32 @@ def test_solver_matches_sympy_oracle():
         shapes.add((rows == 0, cols == 0))
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}
     assert seen["inside"] > 100 and seen["outside"] > 20
+
+
+def test_elimination_of_degenerate_shapes():
+    # no rows: no checks; no columns: every row is a zero row; and each zero
+    # row of M gives a check that is its unit vector, as in kernel_basis(M^T)
+    def unit(i, n):
+        return tuple(F(int(j == i)) for j in range(n))
+
+    cases = [
+        (Matrix.from_rows([], cols=3), [],
+         [((1, []), (F(0),) * 3)]),
+        (Matrix.from_rows([[], [], []], cols=0), [unit(0, 3), unit(1, 3), unit(2, 3)],
+         [((1, [0, 0, 0]), ()), ((1, [0, 1, 0]), None), ((2, [0, 0, 1]), None)]),
+        (Matrix.from_rows([[0, 0], [1, 2], [0, 0], [2, 4]]),
+         [unit(0, 4), unit(2, 4), (F(0), F(-2), F(0), F(1))],
+         [((1, [0, 3, 0, 6]), (F(3), F(0))), ((2, [0, 1, 0, 2]), (F(1, 2), F(0))),
+          ((1, [1, 0, 0, 0]), None), ((1, [0, 1, 0, 1]), None)]),
+    ]
+    for m, checks, solves in cases:
+        record = eliminate(m)
+        assert _dense_checks(record) == checks == kernel_basis(m.transpose())
+        assert len(record.pivots) + len(record.checks) == m.rows
+        for v, expected in solves:
+            assert solve_general(record, v) == expected
+            assert in_span(m, [_fractions(v)], [unit(j, m.cols) for j in range(m.cols)]) == (
+                0 if expected is None else [(expected, expected)])
 
 
 def _check_span_batch(sympy, m, batch, span, seen):

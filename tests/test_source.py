@@ -142,16 +142,15 @@ def _solves_eliminating_c(tree):
 
 def _kernels_of_c(tree, scope=""):
     """The enclosing class.function of each kernel_basis call with
-    c_matrix in an argument; an argument that is a `.transpose()` call,
-    the cokernel, does not count."""
+    c_matrix in an argument, its transpose included: the cokernel is read
+    off the operators' elimination record."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
         if _call_name(node) == "kernel_basis" and any(
-                _reads_c(arg) and _call_name(arg) != "transpose"
-                for arg in node.args + [kw.value for kw in node.keywords]):
+                _reads_c(arg) for arg in node.args + [kw.value for kw in node.keywords]):
             found.append(inner)
         found += _kernels_of_c(node, inner)
     return found
@@ -160,7 +159,8 @@ def _kernels_of_c(tree, scope=""):
 def test_only_the_operators_eliminate_c_for_its_kernel():
     # BaseOperators.kernel proves a trivial kernel mod a prime before it
     # eliminates C over Q; a reader calling kernel_basis on C itself would
-    # skip that proof
+    # skip that proof, and one on C's transpose would eliminate C again for
+    # the cokernel that the record of its solves already holds
     found = {rel: bad for rel, tree in _package_trees() if (bad := _kernels_of_c(tree))}
     assert found == {"quadsys.py": ["BaseOperators.kernel"]}
     probe = ast.parse("def f(ops):\n"
@@ -171,13 +171,13 @@ def test_only_the_operators_eliminate_c_for_its_kernel():
                       "class A:\n"
                       "    def g(self):\n"
                       "        return [kernel_basis(self.c_matrix)]\n")
-    assert _kernels_of_c(probe) == ["f", "f", "A.g"]
+    assert _kernels_of_c(probe) == ["f", "f", "f", "A.g"]
 
 
 def test_solves_against_c_read_one_elimination_per_analysis():
     # every solve against C goes through the operators' elimination record,
     # so an analysis eliminates C at most once for the kernel, on its first
-    # read, and once for its solves
+    # read, and once for its solves and its cokernel
     found = {rel: bad for rel, tree in _package_trees() if (bad := _solves_eliminating_c(tree))}
     assert not found, f"solves that eliminate C again: {found}"
     probe = ast.parse("solve_general(ops.c_matrix, v)\n"
