@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .quadsys import BaseOperators, QuadraticSystem, linearize
 from .ratlinalg import (
@@ -65,7 +65,8 @@ class AnalyzeConfig:
 
 
 # ---------------------------------------------------------------------------
-# Certificates
+# Certificates: each class declares the `kind` its JSON is written under
+# (the snake_case of its name) and the one-line `summary` the CLI prints.
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,12 @@ class FirstOrderRigid:
     from a full column rank of C mod a prime, a lower bound for the rank
     over Q, and eliminates C over Q only when that rank falls short."""
 
+    kind: ClassVar[str] = "first_order_rigid"
     rank: int
     variables: int
+
+    def summary(self) -> str:
+        return f"first-order rigidity (rank {self.rank} of {self.variables})"
 
 
 @dataclass(frozen=True)
@@ -95,6 +100,7 @@ class SecondOrderObstruction:
         common nonzero real root.
     """
 
+    kind: ClassVar[str] = "second_order_obstruction"
     case: str
     kernel: tuple[Vector, ...]
     b_value: Optional[Vector] = None
@@ -102,6 +108,9 @@ class SecondOrderObstruction:
     form: Optional[tuple[tuple[Fraction, ...], ...]] = None
     forms: Optional[tuple[tuple[Fraction, Fraction, Fraction], ...]] = None
     functionals: Optional[tuple[Vector, ...]] = None
+
+    def summary(self) -> str:
+        return f"order-2 obstruction ({self.case.replace('_', ' ')})"
 
 
 @dataclass(frozen=True)
@@ -123,10 +132,14 @@ class SpanClosureFlex:
     a true family through its degree, and that degree is the last order
     the flexion check of `rigidity.analyze_framework` reads."""
 
+    kind: ClassVar[str] = "span_closure_flex"
     q: int
     k: int
     series: SeriesCoefficients
     pair_solutions: tuple[PairSolution, ...]
+
+    def summary(self) -> str:
+        return f"span-closure certificate at (q, k) = ({self.q}, {self.k})"
 
 
 @dataclass(frozen=True)
@@ -135,11 +148,15 @@ class TStandardFail:
     1-dimensional kernel this proves no nonconstant analytic family
     passes through the base point."""
 
+    kind: ClassVar[str] = "t_standard_fail"
     fail_index: int
     unreachable_rhs: Vector
     normal: Vector  # T = ker normal
     leading: Vector
     prefix: SeriesCoefficients  # coefficients Y0 .. Y_{fail_index-1}
+
+    def summary(self) -> str:
+        return f"T-standard recurrence fails at order {self.fail_index}"
 
 
 Certificate = Union[FirstOrderRigid, SecondOrderObstruction, SpanClosureFlex, TStandardFail]

@@ -65,25 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _certificate_summary(cert) -> str:
-    if isinstance(cert, certify.FirstOrderRigid):
-        return f"first-order rigidity (rank {cert.rank} of {cert.variables})"
-    if isinstance(cert, certify.SecondOrderObstruction):
-        return f"order-2 obstruction ({cert.case.replace('_', ' ')})"
-    if isinstance(cert, certify.SpanClosureFlex):
-        return f"span-closure certificate at (q, k) = ({cert.q}, {cert.k})"
-    if isinstance(cert, certify.TStandardFail):
-        return f"T-standard recurrence fails at order {cert.fail_index}"
-    return "none"
-
-
 def _print_report(report, as_json: bool) -> None:
     if as_json:
         _sys.stdout.write(fileio.dumps(fileio.report_to_dict(report)))
         return
     print(f"verdict: {report.verdict}")
     if report.certificate is not None:
-        print(f"certificate: {_certificate_summary(report.certificate)}")
+        print(f"certificate: {report.certificate.summary()}")
     print(f"depth reached: {report.depth_reached}")
     for note in report.notes:
         print(f"  - {note}")

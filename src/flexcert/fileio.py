@@ -6,8 +6,8 @@ round trip is bit-exact. Indices are 0-based in files; report text uses
 separators, so identical inputs produce byte-identical output.
 
 Certificates are written from their fields: `{"kind": K, ...}`, where K
-names the certificate class (`CERTIFICATE_KINDS`), plus every field under
-its own name; a field that is None is left out. The flexion block of a
+is the `kind` its certificate class declares, plus every field under its
+own name; a field that is None is left out. The flexion block of a
 framework report is written the same way.
 """
 
@@ -17,7 +17,6 @@ import dataclasses
 import json
 import re
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Any, Optional
 
 from . import certify, quadsys, rigidity
@@ -337,15 +336,6 @@ def series_from_dict(data: dict, path: str = "<memory>") -> SeriesCoefficients:
     return SeriesCoefficients(tuple(coeffs))
 
 
-# the "kind" each certificate class is written under
-CERTIFICATE_KINDS = MappingProxyType({
-    certify.FirstOrderRigid: "first_order_rigid",
-    certify.SecondOrderObstruction: "second_order_obstruction",
-    certify.SpanClosureFlex: "span_closure_flex",
-    certify.TStandardFail: "t_standard_fail",
-})
-
-
 def _value_out(v):
     """A Fraction as its string, a series by series_to_dict, a tuple as a
     list, any other dataclass as an object of its fields that are not
@@ -363,10 +353,9 @@ def _value_out(v):
 
 
 def certificate_to_dict(cert: certify.Certificate) -> dict:
-    kind = CERTIFICATE_KINDS.get(type(cert))
-    if kind is None:
+    if not isinstance(cert, certify.Certificate):
         raise TypeError(f"unknown certificate {cert!r}")
-    return {"kind": kind, **_value_out(cert)}
+    return {"kind": cert.kind, **_value_out(cert)}
 
 
 def report_to_dict(report) -> dict:

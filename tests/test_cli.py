@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 import typing
 from fractions import Fraction as F
@@ -273,12 +274,38 @@ REPORT_SHA256 = {
 }
 
 
+# sha256 of the plain (non-`--json`) output with default options: the
+# verdict, the certificate summary, the depth, the notes and the witness
+HUMAN_SHA256 = {
+    "example1.json": "81f63b120cf310322cdd8e081fac8f0513978c044ee21c23415f3abf645dd826",
+    "example2.json": "99f86de3ce2c981fdac6046007e088250d3ff39bc9590271e71bf78ec2ef85dc",
+    "example3.json": "99f86de3ce2c981fdac6046007e088250d3ff39bc9590271e71bf78ec2ef85dc",
+    "example4.json": "0a1cd84f0ebe919400f535147680b1207bfb1a3f435507ac18309457928dcf41",
+    "circle.json": "81f63b120cf310322cdd8e081fac8f0513978c044ee21c23415f3abf645dd826",
+    "triangle.json": "3f7a2ffeb9a90bc41710a6144a505f21b940261b98e6c7c929c982c5fbc22e9a",
+    "square.json": "dab05aa4a154292db495c55654662bb0216bbc1b5b441d43cd3dbe00f33c756a",
+    "cross_braced_square.json":
+        "a2aad4907a181bac7eaa39dd2e4984e39c3624ce02367072efb4c8cff74dab9b",
+    "k4.json": "a2aad4907a181bac7eaa39dd2e4984e39c3624ce02367072efb4c8cff74dab9b",
+    "bricard_octahedron.json":
+        "52d10d621fdcaec464320eb6e2c98d4ae09cf2f20ed70bb38d4ea63ee1b94a36",
+}
+
+
 @pytest.mark.parametrize("name", SYSTEM_CORPUS + FRAMEWORK_CORPUS)
 def test_corpus_report_bytes_are_pinned(capsys, name):
     command = "analyze-system" if name in SYSTEM_CORPUS else "analyze-framework"
     code, out, _ = run_cli(capsys, command, corpus_path(name), "--json")
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", SYSTEM_CORPUS + FRAMEWORK_CORPUS)
+def test_corpus_human_output_is_pinned(capsys, name):
+    command = "analyze-system" if name in SYSTEM_CORPUS else "analyze-framework"
+    code, out, _ = run_cli(capsys, command, corpus_path(name))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HUMAN_SHA256[name]
 
 
 SQUARE_JOINTS = [{"id": "a", "coords": ["0", "0"]}, {"id": "b", "coords": ["1", "0"]},
@@ -563,7 +590,7 @@ def _span_closure_flex(series, vectors):
 def _every_certificate_kind():
     """One certificate of each kind and obstruction case, from small
     systems and the corpus, each as (system, base point, certificate,
-    expected JSON object)."""
+    expected JSON object, expected CLI summary)."""
     linear = dense_system([[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[1, 0], [0, 1]], [0, 0])
     z3 = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     bowl = dense_system([[[1, 0, 0], [0, 1, 0], [0, 0, 0]], z3], [[0, 0, 1], [0, 0, 1]], [0, 0])
@@ -573,44 +600,57 @@ def _every_certificate_kind():
     circle, base_c = load_corpus_system("circle.json")
     return [
         (linear, zero_vector(2), first_order_rigidity_check(linearize(linear, zero_vector(2))),
-         {"kind": "first_order_rigid", "rank": 2, "variables": 2}),
+         {"kind": "first_order_rigid", "rank": 2, "variables": 2},
+         "first-order rigidity (rank 2 of 2)"),
         (ex4, base4, second_order_obstruction_check(ops4),
          {"kind": "second_order_obstruction", "case": "single_direction",
-          "kernel": [["0", "0", "1"]], "b_value": ["1", "0", "0"]}),
+          "kernel": [["0", "0", "1"]], "b_value": ["1", "0", "0"]},
+         "order-2 obstruction (single direction)"),
         (bowl, zero_vector(3), second_order_obstruction_check(linearize(bowl, zero_vector(3))),
          {"kind": "second_order_obstruction", "case": "definite_form",
           "kernel": [["1", "0", "0"], ["0", "1", "0"]], "functional": ["-1", "1"],
-          "form": [["-1", "0"], ["0", "-1"]]}),
+          "form": [["-1", "0"], ["0", "-1"]]},
+         "order-2 obstruction (definite form)"),
         (cross, zero_vector(2), second_order_obstruction_check(linearize(cross, zero_vector(2))),
          {"kind": "second_order_obstruction", "case": "no_common_line",
           "kernel": [["1", "0"], ["0", "1"]], "functionals": [["1", "0"], ["0", "1"]],
-          "forms": [["0", "1", "0"], ["1", "0", "-1"]]}),
+          "forms": [["0", "1", "0"], ["1", "0", "-1"]]},
+         "order-2 obstruction (no common line)"),
         (ex4, base4, t_standard_run(ops4),
          {"kind": "t_standard_fail", "fail_index": 2, "unreachable_rhs": ["-1", "0", "0"],
           "normal": ["0", "0", "1"], "leading": ["0", "0", "1"],
-          "prefix": {"degree": 1, "coefficients": [["2", "0", "0"], ["0", "0", "1"]]}}),
+          "prefix": {"degree": 1, "coefficients": [["2", "0", "0"], ["0", "0", "1"]]}},
+         "T-standard recurrence fails at order 2"),
         (circle, base_c, analyze_system(circle, base_c).certificate,
-         _span_closure_flex(CIRCLE_SERIES, CIRCLE_PAIRS)),
+         _span_closure_flex(CIRCLE_SERIES, CIRCLE_PAIRS),
+         "span-closure certificate at (q, k) = (2, 1)"),
     ]
 
 
 def test_every_certificate_class_has_a_kind():
-    assert set(fileio.CERTIFICATE_KINDS) == set(typing.get_args(certify.Certificate))
-    assert len(set(fileio.CERTIFICATE_KINDS.values())) == len(fileio.CERTIFICATE_KINDS)
-    with pytest.raises(TypeError):
-        fileio.certificate_to_dict(certify.PairSolution(1, 1, (), ()))
+    # README: K names its class, as the snake_case of the class name
+    classes = typing.get_args(certify.Certificate)
+    kinds = [cls.kind for cls in classes]
+    assert len(set(kinds)) == len(kinds)
+    for cls in classes:
+        assert cls.kind == re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+    for other in (certify.PairSolution(1, 1, (), ()),
+                  certify.AnalysisReport("Rigid", None, 1, ())):
+        with pytest.raises(TypeError):
+            fileio.certificate_to_dict(other)
 
 
 def test_certificate_json_of_every_kind_is_pinned():
     # the list covers the Certificate union; each of its certificates
-    # replays and has a CLI summary, so the union, the JSON kinds, replay
-    # and the summary name the same classes
+    # replays and has its pinned CLI summary, the only pin of the
+    # T-standard summary, which no corpus file prints
     kinds = _every_certificate_kind()
-    assert {type(cert) for _, _, cert, _ in kinds} == set(typing.get_args(certify.Certificate))
-    for sys_, base, cert, expected in kinds:
+    classes = {type(cert) for _, _, cert, _, _ in kinds}
+    assert classes == set(typing.get_args(certify.Certificate))
+    for sys_, base, cert, expected, summary in kinds:
         assert fileio.certificate_to_dict(cert) == expected
         assert certify.replay_certificate(sys_, base, cert)
-        assert cli._certificate_summary(cert) != "none"
+        assert cert.summary() == summary
     circle = analyze_system(*load_corpus_system("circle.json"))
     assert fileio.report_to_dict(circle) == {
         "verdict": "Flexible", "depth": 2,

@@ -3,8 +3,10 @@ import dataclasses
 import importlib
 import os
 import sys
+import typing
 
 import flexcert
+from flexcert import certify
 
 SOURCE_DIR = os.path.dirname(os.path.abspath(flexcert.__file__))
 
@@ -186,6 +188,39 @@ def test_solves_against_c_read_one_elimination_per_analysis():
                       "solve_general(self._elimination, v)\n"
                       "kernel_basis(ops.c_matrix)\n")
     assert len(_solves_eliminating_c(probe)) == 3
+
+
+CERTIFICATE_CLASSES = frozenset(cls.__name__ for cls in typing.get_args(certify.Certificate))
+
+
+def _certificate_classes_named(tree):
+    """The classes of the Certificate union that `tree` names, as a bare
+    name, as an attribute (`certify.X`) or in a `from ... import`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return sorted(names & CERTIFICATE_CLASSES)
+
+
+def test_only_certify_and_the_framework_notes_name_a_certificate_class():
+    # each certificate class declares its JSON kind and its CLI summary,
+    # so a new kind is added in certify alone; rigidity reads the Rigid
+    # certificates to word its framework notes
+    found = {rel: named for rel, tree in _package_trees()
+             if rel != "certify.py" and (named := _certificate_classes_named(tree))}
+    assert found == {"rigidity.py": ["FirstOrderRigid", "SecondOrderObstruction",
+                                     "TStandardFail"]}
+    probe = ast.parse("from .certify import FirstOrderRigid as F, Certificate\n"
+                      "KINDS = {certify.SpanClosureFlex: 1}\n"
+                      "def f(c):\n    return isinstance(c, TStandardFail), c.kind\n"
+                      "'SecondOrderObstruction'\n")
+    assert _certificate_classes_named(probe) == ["FirstOrderRigid", "SpanClosureFlex",
+                                                 "TStandardFail"]
 
 
 def _unused_imports(tree):
