@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     add_caps(p)
     p.add_argument("--auto-pin", action="store_true",
-                   help="pin a normal-position frame before analysis")
+                   help="pin a normal-position frame before analysis (the file sets no pins)")
 
     p = sub.add_parser("reduce", help="reduce a polynomial system to degree <= 2")
     p.add_argument("file")

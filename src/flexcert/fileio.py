@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import re
 from fractions import Fraction
 from typing import Any, Optional
 
 from . import certify, quadsys, rigidity
 from .quadsys import GeneralPolySystem, QuadraticSystem
-from .ratlinalg import Vector, _without_digit_limit, format_scalar
+from .ratlinalg import Vector, _is_int, _without_digit_limit, format_scalar, scalar
 from .rigidity import Framework
 from .series import SeriesCoefficients
 
@@ -34,27 +33,14 @@ class ParseError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _is_int(raw) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not numbers here
-    return isinstance(raw, int) and not isinstance(raw, bool)
-
-
-# the documented rational format; `Fraction` alone would also take
-# decimals, exponents (slow to expand), spaces and digit separators
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _scalar_in(raw, path: str, where: str) -> Fraction:
-    if isinstance(raw, str):
-        if _RATIONAL.fullmatch(raw):
-            try:
-                return _without_digit_limit(Fraction, raw)
-            except (ValueError, ZeroDivisionError):
-                pass
-        raise ParseError(path, f"{where}: not a rational string: {raw!r}")
-    if _is_int(raw):
-        return Fraction(raw)
-    raise ParseError(path, f"{where}: rationals must be strings or integers, got {type(raw).__name__}")
+    try:
+        return scalar(raw)
+    except ValueError:
+        raise ParseError(path, f"{where}: not a rational string: {raw!r}") from None
+    except TypeError:
+        raise ParseError(path, f"{where}: rationals must be strings or integers, "
+                               f"got {type(raw).__name__}") from None
 
 
 def _list_in(raw, path: str, where: str) -> list:

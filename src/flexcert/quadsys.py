@@ -35,6 +35,7 @@ from .ratlinalg import (
     _combine,
     _fractions,
     _integers,
+    _is_int,
     eliminate,
     format_scalar,
     is_zero_vector,
@@ -101,9 +102,8 @@ def default_names(m: int) -> tuple[str, ...]:
 
 
 def _exact(c):
-    # an int stays an int, so integer input builds no Fraction
-    return c if isinstance(c, int) else scalar(c)
-
+    # an int stays an int, so integer input builds no Fraction; a bool goes to scalar
+    return c if type(c) is int else scalar(c)
 
 def validate_and_symmetrize(
     m: int,
@@ -126,13 +126,13 @@ def validate_and_symmetrize(
     for quad, lin, g in zip(alpha_terms, beta_terms, gamma):
         poly: dict[tuple[int, int], int | Fraction] = {}
         for i, j, c in quad:
-            if not (0 <= i < m and 0 <= j < m):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < m and 0 <= j < m):
                 raise DimensionError(f"alpha term ({i}, {j}) out of range for m = {m}")
             key = (i, j) if i <= j else (j, i)
             poly[key] = poly.get(key, 0) + _exact(c)
         acc: dict[int, int | Fraction] = {}
         for i, c in lin:
-            if not 0 <= i < m:
+            if not (_is_int(i) and 0 <= i < m):
                 raise DimensionError(f"beta term {i} out of range for m = {m}")
             acc[i] = acc.get(i, 0) + _exact(c)
         g = _exact(g)
@@ -354,17 +354,18 @@ class GeneralPolySystem:
 def poly_system(
     equations: Sequence[dict], m: int, variable_names: Optional[Sequence[str]] = None
 ) -> GeneralPolySystem:
+    """Equations as {exponents: coeff} maps, read as in a polynomial file: m int
+    exponents >= 0 per key (no bools), coefficients by `scalar`; zero terms dropped."""
     cleaned = []
     for eq in equations:
         terms: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in eq.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != m or any(e < 0 for e in exps):
+            if len(exps) != m or not all(_is_int(e) and e >= 0 for e in exps):
                 raise DimensionError(f"bad exponent vector {exps}")
             c = scalar(coeff)
             if c != 0:
-                terms[exps] = terms.get(exps, Fraction(0)) + c
-        cleaned.append({e: c for e, c in terms.items() if c != 0})
+                terms[exps] = c
+        cleaned.append(terms)
     names = tuple(variable_names) if variable_names is not None else default_names(m)
     return GeneralPolySystem(m, tuple(cleaned), names)
 

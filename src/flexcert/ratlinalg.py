@@ -53,6 +53,7 @@ layer, so they stay module-level functions under these names; a
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,14 +69,28 @@ class DimensionError(ValueError):
     """Operands with incompatible shapes."""
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the documented rational format; `Fraction` alone would also take
+# decimals, exponents (slow to expand), spaces and digit separators
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def scalar(value) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' / decimal-integer string to a Fraction."""
+    """The rationals of the file formats: a Fraction, an int (not a bool) or a `_RATIONAL`
+    string, q nonzero. Any other string raises ValueError, any other type TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
-        return _without_digit_limit(Fraction, value)
+        # a denominator of zeros alone ("1/0", "1/00") ends in "/" once they are stripped
+        if _RATIONAL.fullmatch(value) and not value.rstrip("0").endswith("/"):
+            return _without_digit_limit(Fraction, value)
+        raise ValueError(f"not a rational string: {value!r}")
     raise TypeError(f"not an exact scalar: {value!r}")
 
 

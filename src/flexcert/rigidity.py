@@ -29,7 +29,7 @@ from .certify import (
     TStandardFail,
 )
 from .quadsys import QuadraticSystem, _canonical_equation
-from .ratlinalg import Vector, _integers, vector
+from .ratlinalg import Vector, _integers, _is_int, vector
 from .series import SeriesCoefficients
 
 
@@ -65,9 +65,9 @@ def framework(
     bars: Sequence[Sequence[str]],
     pins: Sequence[tuple[str, int]] = (),
 ) -> Framework:
-    """Validate and normalize a framework description."""
-    if dimension < 1:
-        raise FrameworkError("dimension must be positive")
+    """Validate and normalize a framework description: an int dimension >= 1 (not a bool)."""
+    if not _is_int(dimension) or dimension < 1:
+        raise FrameworkError(f"dimension must be a positive integer, got {dimension!r}")
     if not joints:
         raise FrameworkError("framework needs at least one joint")
     coords = {}
@@ -108,7 +108,7 @@ def framework(
         jid = str(jid)
         if jid not in coords:
             raise FrameworkError(f"pin references unknown joint {jid!r}")
-        if isinstance(idx, bool) or not isinstance(idx, int):
+        if not _is_int(idx):
             raise FrameworkError(f"pin coordinate {idx!r} of joint {jid!r} is not an integer")
         if not 0 <= idx < dimension:
             raise FrameworkError(f"pin coordinate {idx} out of range for joint {jid!r}")
@@ -290,11 +290,9 @@ def analyze_framework(
     obstruction, T-standard failure each imply a rigid framework). A
     flexibility certificate earns the Flexible verdict only when its
     series is a nontrivial flexion; otherwise the verdict stays
-    Inconclusive.
+    Inconclusive. `use_auto_pin` pins `fw` by `auto_pin`, so `fw` must have no pins.
     """
-    pinned = fw
-    if not fw.pins and use_auto_pin:
-        pinned = auto_pin(fw)
+    pinned = auto_pin(fw) if use_auto_pin else fw
     sys, variables, base = build_edge_system(pinned)
     report = certify.analyze_system(sys, base, config)
     notes = list(report.notes)

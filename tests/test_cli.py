@@ -5,6 +5,7 @@ import re
 import sys
 import typing
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -155,8 +156,25 @@ def test_mechanism_whose_t_standard_run_survives_has_no_certificate(tmp_path, ca
     assert "certificate:" not in out
 
 
+@pytest.mark.parametrize("auto_pin, flags", [(True, []), (False, ["--auto-pin"])])
+def test_auto_pin_of_a_pinned_framework_exits_2(tmp_path, capsys, auto_pin, flags):
+    # auto-pin needs an unpinned framework, asked for by the file or by --auto-pin
+    data = {"dimension": 2,
+            "joints": [{"id": "a", "coords": ["0", "0"]},
+                       {"id": "b", "coords": ["1", "0"]},
+                       {"id": "c", "coords": ["0", "1"]}],
+            "bars": [["a", "b"], ["b", "c"], ["a", "c"]],
+            "pins": [{"joint": "a", "coords": [0, 1]}, {"joint": "b", "coords": [1]}],
+            "auto_pin": auto_pin}
+    path = tmp_path / "pinned_and_auto.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze-framework", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: auto_pin requires a framework with no pins set\n"
+
+
 def test_base_point_not_solution_exits_3(tmp_path, capsys):
-    data = json.loads(open(corpus_path("example1.json")).read())
+    data = json.loads(Path(corpus_path("example1.json")).read_text(encoding="utf-8"))
     data["base_point"] = ["5", "5", "8"]
     path = tmp_path / "offbase.json"
     path.write_text(json.dumps(data), encoding="utf-8")

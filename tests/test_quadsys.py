@@ -62,6 +62,31 @@ def test_dimension_validation():
         evaluate(sys_, vector([1, 2, 3]))
 
 
+@pytest.mark.parametrize("index", [0.0, True])
+def test_indices_are_ints_as_in_files(index):
+    # 0.0 would pass the range check and fail inside linearize; True would read as 1
+    with pytest.raises(DimensionError, match="alpha term"):
+        validate_and_symmetrize(2, [[(index, 1, 1)]], [[]], [0])
+    with pytest.raises(DimensionError, match="alpha term"):
+        validate_and_symmetrize(2, [[(1, index, 1)]], [[]], [0])
+    with pytest.raises(DimensionError, match="beta term"):
+        validate_and_symmetrize(2, [[]], [[(index, 1)]], [0])
+
+
+def test_a_bool_coefficient_is_not_a_number():
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        validate_and_symmetrize(1, [[(0, 0, True)]], [[]], [-1])
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        validate_and_symmetrize(1, [[]], [[]], [False])
+
+
+@pytest.mark.parametrize("exps", [(2.5, 0), (True, 1), ("2", 0)])
+def test_exponents_are_non_negative_ints_as_in_files(exps):
+    # int() would read (2.5, 0) as x^2 and (True, 1) as x*y
+    with pytest.raises(DimensionError, match="bad exponent vector"):
+        poly_system([{exps: 1, (0, 1): -1}], 2)
+
+
 def test_evaluate_reference_points(hyperboloid_line):
     sys_, base = hyperboloid_line
     assert evaluate(sys_, base) == zero_vector(3)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -19,6 +20,8 @@ from flexcert.ratlinalg import (
     vector,
     zero_vector,
 )
+
+from test_parser_fuzz import BAD_RATIONALS
 
 C_LINE = Matrix.from_rows([[10, 10, -14], [3, 1, -3], [1, -3, 1]])
 C_VIVIANI = Matrix.from_rows([[4, 0, 0], [2, 0, 0]])
@@ -300,6 +303,27 @@ def _laplace(rows):
         return F(1)
     return sum((-1) ** j * rows[0][j] * _laplace([r[:j] + r[j + 1:] for r in rows[1:]])
                for j in range(len(rows)))
+
+
+@pytest.mark.parametrize("raw", ["0", "-0", "12", "-3/4", "6/8", "0/5", "007/010", F(1, 3), 5])
+def test_scalar_reads_the_rationals_of_the_file_formats(raw):
+    assert ratlinalg.scalar(raw) == F(raw)
+
+
+@pytest.mark.parametrize("raw", BAD_RATIONALS + ["2.5", " 3 ", "+1", "1_0", "1e3", "1e10000000",
+                                                 "1/00", True, 0.5, None])
+def test_scalar_rejects_what_the_file_reader_rejects(raw):
+    # a string outside the file format is a ValueError, any other type a TypeError
+    with pytest.raises(ValueError if isinstance(raw, str) else TypeError):
+        ratlinalg.scalar(raw)
+
+
+def test_scalar_rejects_an_exponent_without_expanding_it():
+    # Fraction would build 10**10000000 first, which takes seconds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a rational string"):
+        ratlinalg.scalar("1e10000000")
+    assert time.perf_counter() - start < 0.1
 
 
 def test_determinant():

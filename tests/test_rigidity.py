@@ -82,6 +82,13 @@ def test_framework_rejects_a_pin_index_that_is_not_an_int(idx):
         framework(2, {"a": [0, 0], "b": [1, 0]}, [("a", "b")], pins=[("a", idx)])
 
 
+@pytest.mark.parametrize("dimension, width", [(2.0, 2), (True, 1), ("2", 2)])
+def test_framework_rejects_a_dimension_that_is_not_an_int(dimension, width):
+    joints = {"a": [0] * width, "b": [1] + [0] * (width - 1)}
+    with pytest.raises(FrameworkError, match="dimension must be a positive integer"):
+        framework(dimension, joints, [("a", "b")])
+
+
 def test_auto_pin_triangle():
     pinned = auto_pin(triangle())
     assert sorted(pinned.pins) == [("v1", 0), ("v1", 1), ("v2", 1)]
@@ -110,6 +117,13 @@ def test_auto_pin_rejects_existing_pins():
     fw = framework(2, {"v1": [0, 0], "v2": [1, 0]}, [["v1", "v2"]], pins=[("v1", 0)])
     with pytest.raises(PinningError):
         auto_pin(fw)
+
+
+def test_analysis_with_auto_pin_rejects_a_pinned_framework():
+    # the framework's pins are not silently kept in place of the auto-pin frame
+    fw = framework(2, {"v1": [0, 0], "v2": [1, 0]}, [["v1", "v2"]], pins=[("v1", 0)])
+    with pytest.raises(PinningError, match="no pins set"):
+        analyze_framework(fw, use_auto_pin=True)
 
 
 # ---------------------------------------------------------------------------
