@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import ClassVar, Optional, Sequence, Union
 
 from .quadsys import BaseOperators, QuadraticSystem, linearize
@@ -288,6 +289,35 @@ def second_order_obstruction_check(ops: BaseOperators) -> Optional[SecondOrderOb
 # Flexibility: span closure of the bilinear products of a series
 
 
+def _prefix_record(ops: BaseOperators, ys: tuple[Vector, ...]):
+    # the record of the prefix Y0..Yq, made on first use; None if it is invalid
+    key = tuple(map(id, ys[1:]))
+    record = ops._prefixes.get(key)
+    if record is None:
+        prefix, q = SeriesCoefficients(ys), len(ys) - 1
+        # the t^p coefficient for p < q depends on Y1..Y(q-1) alone
+        if not (_vanishes(ops, prefix, q) if key[:-1] in ops._prefixes
+                else residual_order(ops, prefix) > q):
+            return None
+        record = ops._prefixes[key] = prefix, set(range(1, q + 1) if prefix.is_constant() else ())
+    return record
+
+
+def _span_solves(ops: BaseOperators, record, k: int):
+    # each product (a, b) with its coefficients over span{Yk..Yq}, or None
+    prefix, fails = record
+    if k in fails:
+        return None  # a constant prefix, or a product outside a larger span
+    q = prefix.degree
+    products = [(a, b) for b in range(q, k - 1, -1) for a in range(1, b + 1)]
+    rhss = [ops._product(prefix.coefficient(a), prefix.coefficient(b)) for a, b in products]
+    solved = solve_in_span_coefficients([ops._image(y) for y in prefix.coeffs[k:]], rhss)
+    if isinstance(solved, int):
+        fails.update(range(k, products[solved][1] + 1))
+        return None
+    return zip(products, solved)
+
+
 def span_closure_check(
     ops: BaseOperators, s: SeriesCoefficients, q: int, k: int
 ) -> Optional[SpanClosureFlex]:
@@ -297,14 +327,14 @@ def span_closure_check(
     start at the base point and be an approximate solution of degree q; a
     constant series certifies only the constant family and gives None.
     Each prefix has one record in the operators' `_prefixes`, keyed by
-    the ids of Y1..Yq: (prefix, k0, b), the series truncated to q and
-    the last (k0, b) for which a product B(Ya, Yb) was proven outside
-    C·span{Yk0..Yq}. The first check of a prefix validates it once (if
+    the ids of Y1..Yq: (prefix, fails), the series truncated to q and
+    the set of k for which a product B(Ya, Yb) was proven outside
+    C·span{Yk..Yq}. The first check of a prefix validates it once (if
     its one-shorter prefix has a record, only the t^q coefficient is
-    tested, else `residual_order` must exceed q) and records (q, 0), or
-    (0, q) for a constant prefix, which so fails at every k; later
-    checks neither truncate nor validate. The span, the products and the
-    images C Yk .. C Yq come from the operators' memos, scaled.
+    tested, else `residual_order` must exceed q) and records no k, or
+    every k in 1..q for a constant prefix; later checks neither truncate
+    nor validate. The span, the products and the images C Yk .. C Yq come
+    from the operators' memos, scaled.
 
     B is symmetric, so the q(q-k+1) pair equations C Y = B(Yi, Yj) have
     one right-hand side per distinct product B(Ya, Yb), a <= b, b >= k;
@@ -316,12 +346,17 @@ def span_closure_check(
     is linear in the right-hand side, so this equals solving each scaled
     equation on its own.
 
-    A failure carries over to later k. The first product B(Ya, Yb) found
+    A failure carries over to other k. The first product B(Ya, Yb) found
     outside C·span{Yk..Yq} has the largest b of the failing ones, and it
-    stays outside the smaller C·span{Yk'..Yq} for k < k' <= b, where the
-    pair (a, b) is required too. The record then keeps (k, b), and a
-    check at such a k' returns None after its preconditions, without
-    building its right-hand sides.
+    stays outside the smaller C·span{Yk'..Yq} for k <= k' <= b, where the
+    pair (a, b) is required too, so the record's fails gain k..b.
+
+    If the indices p <= q with Yp != 0 have gcd r > 1, the series is
+    W(t^r) with W = (Y0, Yr, Y2r, ...), F(W(t^r)) = F(W)(t^r), and the
+    check equals W's at (q // r, ceil(k / r)) when ceil(k / r) <= q // r.
+    A failure there is returned at once, on the record of W's
+    coefficients, which are the series' own objects. Otherwise the check
+    runs on the series as given, so a certificate is built from it.
 
     A result with 2k > q + 1 is not a proof of flexibility: the span
     condition then misses pairs that enter later orders (see
@@ -333,29 +368,21 @@ def span_closure_check(
         raise PreconditionError(f"series degree {s.degree} is below q = {q}")
     if s.coefficient(0) != ops.base_point:
         raise PreconditionError("series does not start at the base point")
-    key = tuple(map(id, s.coeffs[1 : q + 1]))
-    record = ops._prefixes.get(key)
+    r = gcd(*(p for p in range(1, q + 1) if any(ops._scaled(s.coefficient(p))[1])))
+    if r > 1 and -(-k // r) <= q // r:
+        reduced = _prefix_record(ops, s.coeffs[: q + 1 : r])
+        if reduced is not None and _span_solves(ops, reduced, -(-k // r)) is None:
+            return None
+    record = _prefix_record(ops, s.coeffs[: q + 1])
     if record is None:
-        prefix = s.truncated(q)
-        # the t^p coefficient for p < q depends on Y1..Y(q-1) alone
-        if not (_vanishes(ops, prefix, q) if key[:-1] in ops._prefixes
-                else residual_order(ops, prefix) > q):
-            raise PreconditionError(f"series is not an approximate solution of degree {q}")
-        record = ops._prefixes[key] = (prefix, 0, q) if prefix.is_constant() else (prefix, q, 0)
-    prefix, failed_k, failed_b = record
-    if failed_k < k <= failed_b:
-        return None  # a constant prefix, or a product outside a larger span
-    span = prefix.coeffs[k : q + 1]
-    # the distinct products B(Ya, Yb), a <= b, b >= k, largest b first
-    products = [(a, b) for b in range(q, k - 1, -1) for a in range(1, b + 1)]
-    rhss = [ops._product(prefix.coefficient(a), prefix.coefficient(b)) for a, b in products]
-    solved = solve_in_span_coefficients([ops._image(y) for y in span], rhss)
-    if isinstance(solved, int):
-        ops._prefixes[key] = (prefix, k, products[solved][1])
+        raise PreconditionError(f"series is not an approximate solution of degree {q}")
+    solved = _span_solves(ops, record, k)
+    if solved is None:
         return None
-    scaled_span = [ops._scaled(y) for y in span]
+    prefix = record[0]
+    scaled_span = [ops._scaled(y) for y in prefix.coeffs[k:]]
     solutions = {}
-    for ab, coeffs in zip(products, solved):
+    for ab, coeffs in solved:
         coeffs = tuple(-2 * c for c in coeffs)
         solutions[ab] = coeffs, _fractions(_combine(coeffs, scaled_span, ops.system.m))
     pair_solutions = tuple(
@@ -380,9 +407,11 @@ def canonical_candidates(ops: BaseOperators, q_max: int) -> list[SeriesCoefficie
     (no X_{s+1}), the variant stalls at degree r*(s+1) - 1.
 
     Likewise a span check on the variant at (q, k) equals the check on X
-    at (q // r, ceil(k / r)). The scan's bound 2k <= q + 1 is not kept by
-    that map (r = 3 takes (8, 4) to (2, 2)), and some variants certify
-    at points whose base check the scan never runs."""
+    at (q // r, ceil(k / r)) when ceil(k / r) <= q // r, and
+    `span_closure_check` decides it there, on X's records. The scan's
+    bound 2k <= q + 1 is not kept by that map (r = 3 takes (8, 4) to
+    (2, 2)), and some variants certify at points whose base check the
+    scan never runs."""
     out = []
     zero = zero_vector(ops.system.m)
     for kvec in ops.kernel:

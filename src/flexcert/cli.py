@@ -97,7 +97,10 @@ def _run_analyze_system(args) -> int:
 def _run_analyze_framework(args) -> int:
     fw, auto_flag = fileio.load_framework(args.file)
     config = AnalyzeConfig(q_max=args.q_max, max_depth=args.max_depth)
-    report = rigidity.analyze_framework(fw, config, use_auto_pin=auto_flag or args.auto_pin)
+    try:
+        report = rigidity.analyze_framework(fw, config, use_auto_pin=auto_flag or args.auto_pin)
+    except PinningError as exc:  # a pin request the framework cannot meet
+        raise ParseError(args.file, str(exc)) from None
     _print_report(report, args.json)
     return EXIT_OK
 
@@ -172,7 +175,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BasePointError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_BASE_POINT
-    except (ParseError, FrameworkError, PinningError, quadsys.DimensionError,
+    except (ParseError, FrameworkError, quadsys.DimensionError,
             certify.PreconditionError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE

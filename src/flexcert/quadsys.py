@@ -217,7 +217,9 @@ class BaseOperators:
     `bilinear` is a Fraction view. An entry is keyed by the ids of its
     arguments and holds those objects, so the ids cannot pass to other
     objects while it lives. `_prefixes` belongs to
-    `certify.span_closure_check`, whose docstring gives its layout.
+    `certify.span_closure_check`, whose docstring gives its layout: one
+    (prefix, set of failing k) per validated prefix, which a series in
+    t^r shares with its base series.
     Two records are built on first use, so operators that never read
     one never pay for it: `_kernel`, the basis `kernel` returns, on the
     first read of `kernel` (a span-closure replay never reads it), and

@@ -978,7 +978,7 @@ def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
         assert analyze_system(*load_corpus_system(name)).verdict == INCONCLUSIVE
     fw, auto = load_corpus_framework("bricard_octahedron.json")
     assert analyze_framework(fw, use_auto_pin=auto).verdict == FLEXIBLE
-    assert len(computed) == 39
+    assert len(computed) == 32
 
 
 def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
@@ -1052,10 +1052,11 @@ def test_cokernel_is_the_kernel_of_c_transposed():
 def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch):
     # every check of the search is still made (the benchmark fingerprints
     # hash these counts), but a check ruled out by a product an earlier k
-    # proved outside the span solves nothing. Each prefix is validated
-    # once: through residual_order when its one-shorter prefix has no
-    # record, else by testing its t^q coefficient alone, so losing that
-    # seed raises both the calls and the order tests
+    # proved outside the span solves nothing, and a t^2 or t^3 variant's
+    # check is answered on its base candidate's record. Each prefix is
+    # validated once: through residual_order when its one-shorter prefix
+    # has no record, else by testing its t^q coefficient alone, so losing
+    # that seed raises both the calls and the order tests
     solves, checks, orders, tests, constants, truncations = [], [], [], [], [], []
     real_solve, real_check = certify.solve_in_span_coefficients, certify.span_closure_check
     real_order, real_vanishes = certify.residual_order, series._vanishes
@@ -1068,8 +1069,9 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
     for module in (certify, series):
         monkeypatch.setattr(module, "_vanishes",
                             lambda *args: tests.append(1) or real_vanishes(*args))
-    # a prefix's truncation and constancy are computed once, when its
-    # record is made, and never on a check its record answers
+    # a prefix's constancy is computed once, when its record is made from
+    # the coefficients' tuple, and never on a check its record answers; no
+    # check truncates a series
     real_constant, real_truncated = SeriesCoefficients.is_constant, SeriesCoefficients.truncated
     monkeypatch.setattr(SeriesCoefficients, "is_constant",
                         lambda *args: constants.append(1) or real_constant(*args))
@@ -1092,9 +1094,9 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
         per_analysis.append((len(checks), len(orders), len(tests)))
         [ops] = operators
         per_record.append((len(ops._prefixes), len(constants), len(truncations)))
-    assert per_analysis == [(39, 4, 28), (22, 3, 20), (16, 3, 18)]
-    assert len(solves) == 35
-    assert per_record == [(n, n, n) for n in (17, 11, 10)]
+    assert per_analysis == [(39, 4, 11), (22, 3, 8), (16, 3, 12)]
+    assert len(solves) == 10
+    assert per_record == [(n, n, 0) for n in (4, 3, 6)]
 
 
 def test_constant_series_fails_every_check_and_is_validated_once(monkeypatch):
@@ -1133,17 +1135,20 @@ def _oracle_search_inputs():
     return out
 
 
+def _outside_span(ops, cand, q, k):
+    """The set of b for which a one-at-a-time solve finds a product
+    B(Ya, Yb), a <= b, b >= k, outside C·span{Yk..Yq}."""
+    ys = cand.coeffs
+    images = [ops._image(y) for y in ys[k : q + 1]]
+    return {b for b in range(k, q + 1) for a in range(1, b + 1)
+            if solve_in_span_coefficients(images, [ops._product(ys[a], ys[b])]) == 0}
+
+
 def _fresh_span_check(sys_, base, cand, q, k):
     """span_closure_check at (q, k) on fresh operators (empty memos), and
-    the set of b for which a one-at-a-time solve finds a product
-    B(Ya, Yb), a <= b, b >= k, outside C·span{Yk..Yq}."""
+    `_outside_span` on them."""
     fresh = linearize(sys_, base)
-    cert = span_closure_check(fresh, cand, q, k)
-    ys, span = cand.coeffs, cand.coeffs[k : q + 1]
-    images = [fresh._image(y) for y in span]
-    outside = {b for b in range(k, q + 1) for a in range(1, b + 1)
-               if solve_in_span_coefficients(images, [fresh._product(ys[a], ys[b])]) == 0}
-    return cert, outside
+    return span_closure_check(fresh, cand, q, k), _outside_span(fresh, cand, q, k)
 
 
 def test_span_checks_on_shared_operators_match_fresh_checks(monkeypatch):
@@ -1151,14 +1156,17 @@ def test_span_checks_on_shared_operators_match_fresh_checks(monkeypatch):
     # 1 <= k <= q in the same order: each check must give what the same
     # check gives on fresh operators. The shared check must also solve
     # exactly when its prefix is not constant and no earlier failure on the
-    # prefix covers its k: the last failure (k0, b) that solved covers
-    # k0 < k <= b, where b is the largest b of a product the fresh
-    # one-at-a-time solves find outside the span at k0
+    # prefix it is decided on covers its k. A series whose nonzero Y_p,
+    # p <= q, have indices of gcd r > 1 is decided on W = (Y0, Yr, ...) at
+    # (q // r, ceil(k / r)) when ceil(k / r) <= q // r, else on itself; a
+    # failure that solved at k covers k..b on that prefix, where b is the
+    # largest b of a product the fresh one-at-a-time solves find outside
+    # the span at k
     solves = []
     real_solve = certify.solve_in_span_coefficients
     monkeypatch.setattr(certify, "solve_in_span_coefficients",
                         lambda *args: solves.append(1) or real_solve(*args))
-    seen = {"certificates": 0, "skipped": 0, "failed": 0, "several_b": 0}
+    seen = {"certificates": 0, "skipped": 0, "failed": 0, "several_b": 0, "reduced": 0}
     for sys_, base, q_max in _oracle_search_inputs():
         ops = linearize(sys_, base)
         candidates = certify.canonical_candidates(ops, q_max)
@@ -1167,25 +1175,27 @@ def test_span_checks_on_shared_operators_match_fresh_checks(monkeypatch):
         fresh = [_fresh_span_check(sys_, base, cand, q, k) for q, k, cand in every_k]
         checks = list(zip(every_k, fresh))
         searched = [check for check in checks if 2 * check[0][1] <= check[0][0] + 1]
-        last_failure = {}
+        failures = {}
         for (q, k, cand), (expected, outside) in searched + checks:
             constant = cand.truncated(q).is_constant()
             # the check fails exactly when some product is outside the span
             assert (expected is None) == (constant or bool(outside))
-            key = tuple(map(id, cand.coeffs[1 : q + 1]))
-            k0, b = last_failure.get(key, (q, 0))
-            solving = not constant and not k0 < k <= b
+            r = gcd(*(p for p in range(1, q + 1) if not is_zero_vector(cand.coefficient(p))))
+            step = r if r > 1 and -(-k // r) <= q // r else 1
+            fails = failures.setdefault(tuple(map(id, cand.coeffs[step : q + 1 : step])), set())
+            solving = not constant and -(-k // step) not in fails
             before = len(solves)
             assert span_closure_check(ops, cand, q, k) == expected, (q, k)
             assert (len(solves) > before) == solving, (q, k)
             seen["certificates"] += expected is not None
             seen["skipped"] += not solving and not constant
+            seen["reduced"] += step > 1
             if solving and expected is None:
-                last_failure[key] = (k, max(outside))
+                fails.update(range(-(-k // step), max(outside) // step + 1))
                 seen["failed"] += 1
                 seen["several_b"] += len(outside) > 1
     assert seen["certificates"] >= 500 and seen["skipped"] >= 500, seen
-    assert seen["failed"] >= 500 and seen["several_b"] >= 10, seen
+    assert seen["failed"] >= 150 and seen["several_b"] >= 10 and seen["reduced"] >= 2000, seen
 
 
 def test_solve_record_is_built_once_per_analysis(monkeypatch):
@@ -1330,7 +1340,9 @@ def test_leading_zero_variant_checks_equal_base_checks():
     # at (q, k) equals the check on X at (q', k'). It is constant when
     # q' = 0 and holds vacuously when k' > q' >= 1. The scan keeps
     # 2k <= q + 1 on the variant, which does not keep 2k' <= q' + 1, so
-    # some of the base checks it stands for are ones the scan never runs
+    # some of the base checks it stands for are ones the scan never runs.
+    # Each variant check is also compared with one-at-a-time solves on the
+    # variant's own images and products, which read no span-check record
     seen = {"checks": 0, "certified": 0, "unscanned": 0, "unscanned_certified": 0}
     inputs = [(*load_corpus_system(name), AnalyzeConfig.q_max) for name in SYSTEM_CORPUS]
     inputs += [(*system, AnalyzeConfig.q_max) for system in fuzz_systems(2718, 40)]
@@ -1342,6 +1354,10 @@ def test_leading_zero_variant_checks_equal_base_checks():
                 for q in range(1, variant.degree + 1):
                     for k in range(1, q + 1):
                         got = span_closure_check(ops, variant, q, k) is not None
+                        # independent of the records: one solve per product of
+                        # the variant's own coefficients
+                        assert got == (not variant.truncated(q).is_constant()
+                                       and not _outside_span(ops, variant, q, k)), (r, q, k)
                         q1, k1 = q // r, -(-k // r)
                         assert x.degree >= q1
                         if q1 == 0:
@@ -1358,6 +1374,69 @@ def test_leading_zero_variant_checks_equal_base_checks():
                             seen["unscanned_certified"] += got and 2 * k1 > q1 + 1
     assert seen["checks"] >= 1000 and seen["certified"] >= 400, seen
     assert seen["unscanned"] >= 100 and seen["unscanned_certified"] >= 40, seen
+
+
+def _in_t_to_the(r, w, zero):
+    """W(t^r): the coefficients of W with r - 1 zero vectors between each two."""
+    return SeriesCoefficients(tuple(w.coefficient(p // r) if p % r == 0 else zero
+                                    for p in range(r * w.degree + 1)))
+
+
+def test_an_invalid_series_in_t_r_names_its_own_degree():
+    # a series in t^r is an approximate solution of degree q exactly when
+    # its base W = (Y0, Yr, Y2r, ...) is one of degree q // r; a check on an
+    # invalid one raises the message for the series' own degree q and
+    # records nothing
+    rng = random.Random(36)
+    seen = {"invalid": 0, "valid": 0}
+    for name in SYSTEM_CORPUS:
+        sys_, base = load_corpus_system(name)
+        ops = linearize(sys_, base)
+        for x in certify.canonical_candidates(ops, 4)[::3]:
+            for q1 in range(1, x.degree + 1):
+                w = broken_series(rng, x.truncated(q1))
+                for r in (2, 3):
+                    s = _in_t_to_the(r, w, zero_vector(sys_.m))
+                    for q in range(r, s.degree + 1):
+                        records = dict(ops._prefixes)
+                        if series.residual_order(ops, w.truncated(q // r)) > q // r:
+                            span_closure_check(ops, s, q, 1)
+                            seen["valid"] += 1
+                            continue
+                        with pytest.raises(PreconditionError) as raised:
+                            span_closure_check(ops, s, q, 1)
+                        assert str(raised.value) == (
+                            f"series is not an approximate solution of degree {q}")
+                        assert ops._prefixes == records
+                        seen["invalid"] += 1
+    assert seen["invalid"] >= 30 and seen["valid"] >= 10, seen
+
+
+def test_a_vacuous_check_on_a_series_in_t_r_is_checked_as_given():
+    # with ceil(k / r) > q // r no Y_b with k <= b <= q is nonzero, so the
+    # span and every required product are zero: the check runs on the
+    # series itself and certifies with zero coefficients and vectors, or
+    # gives None for a constant prefix (q < r)
+    seen = {"certified": 0, "constant": 0}
+    for sys_, base in [load_corpus_system(name) for name in SYSTEM_CORPUS]:
+        ops = linearize(sys_, base)
+        candidates = certify.canonical_candidates(ops, AnalyzeConfig.q_max)
+        for x, *variants in zip(*[iter(candidates)] * 3):
+            for r, variant in zip((2, 3), variants):
+                for q in range(1, variant.degree + 1):
+                    for k in range(r * (q // r) + 1, q + 1):
+                        got = span_closure_check(ops, variant, q, k)
+                        if q < r:
+                            assert got is None
+                            seen["constant"] += 1
+                            continue
+                        zeros = (0,) * (q - k + 1), zero_vector(sys_.m)
+                        assert got == SpanClosureFlex(
+                            q=q, k=k, series=variant.truncated(q), pair_solutions=tuple(
+                                certify.PairSolution(i, j, *zeros)
+                                for i in range(1, q + 1) for j in range(k, q + 1))), (r, q, k)
+                        seen["certified"] += 1
+    assert seen["certified"] >= 30 and seen["constant"] >= 10, seen
 
 
 def test_cokernel_and_order_two_obstruction_match_sympy():

@@ -170,7 +170,24 @@ def test_auto_pin_of_a_pinned_framework_exits_2(tmp_path, capsys, auto_pin, flag
     path.write_text(json.dumps(data), encoding="utf-8")
     code, out, err = run_cli(capsys, "analyze-framework", str(path), *flags)
     assert (code, out) == (2, "")
-    assert err == "error: auto_pin requires a framework with no pins set\n"
+    assert err == f"error: {path}: auto_pin requires a framework with no pins set\n"
+
+
+@pytest.mark.parametrize("auto_pin, flags", [(True, []), (False, ["--auto-pin"])])
+def test_auto_pin_without_a_normal_position_frame_exits_2(tmp_path, capsys, auto_pin, flags):
+    # no joint at the origin: the file's framework has no frame to pin
+    data = {"dimension": 2,
+            "joints": [{"id": "a", "coords": ["1", "1"]},
+                       {"id": "b", "coords": ["2", "1"]},
+                       {"id": "c", "coords": ["1", "2"]}],
+            "bars": [["a", "b"], ["b", "c"], ["a", "c"]],
+            "auto_pin": auto_pin}
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze-framework", str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: no joint in normal position for frame slot 1 "
+                   "(origin, axis 1, plane 1-2, ...); pre-transform the coordinates\n")
 
 
 def test_base_point_not_solution_exits_3(tmp_path, capsys):

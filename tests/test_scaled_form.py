@@ -313,17 +313,58 @@ def test_each_series_coefficient_is_scaled_once_per_operators(monkeypatch):
 
 
 def test_a_failing_span_check_builds_no_fraction(monkeypatch):
-    # Viviani's curve: every span check fails; the first check of a prefix
-    # validates it and solves its batch on products, images and a span
-    # scaled in the operators' memos, with no Fraction built
+    # Viviani's curve: every span check fails. Its kernel directions stall
+    # at degree 1, so the candidates of degree >= 2 are t^2 and t^3
+    # variants, each checked on its base series X at (1, 1): the first
+    # check validates X's prefix and solves its batch on products, images
+    # and a span scaled in the operators' memos, and the later ones are
+    # answered by X's record; none builds a Fraction
     ops = linearize(*load_corpus_system("example3.json"))
     candidates = certify.canonical_candidates(ops, 4)
     solves = []
     real_solve = certify.solve_in_span_coefficients
     monkeypatch.setattr(certify, "solve_in_span_coefficients",
                         lambda *args: solves.append(1) or real_solve(*args))
+    per_check = []
     for q in (2, 3, 4):
         cand = next(c for c in candidates if c.degree >= q)
         solves.clear()
         assert _fractions_built(lambda: certify.span_closure_check(ops, cand, q, 1)) == (None, 0)
-        assert solves == [1]
+        per_check.append(len(solves))
+    assert per_check == [1, 0, 0]
+
+
+def test_a_variant_check_its_base_answered_solves_and_tests_nothing(monkeypatch):
+    # after the search on the cusp, a check on a t^2 or t^3 variant at a
+    # point whose base point (q // r, ceil(k / r)) the base candidate's
+    # record has ruled out returns None from that record: no solve, no
+    # order test and no Fraction
+    ops = linearize(*load_corpus_system("example2.json"))
+    found, real_candidates = [], certify.canonical_candidates
+    monkeypatch.setattr(certify, "canonical_candidates",
+                        lambda *args: found.append(real_candidates(*args)) or found[-1])
+    assert certify.span_closure_search(ops, certify.AnalyzeConfig.q_max) is None
+    monkeypatch.undo()
+    [candidates] = found
+    calls = []
+    real_solve, real_order, real_vanishes = (certify.solve_in_span_coefficients,
+                                             certify.residual_order, series._vanishes)
+    monkeypatch.setattr(certify, "solve_in_span_coefficients",
+                        lambda *args: calls.append("solve") or real_solve(*args))
+    monkeypatch.setattr(certify, "residual_order",
+                        lambda *args: calls.append("order") or real_order(*args))
+    for module in (certify, series):
+        monkeypatch.setattr(module, "_vanishes",
+                            lambda *args: calls.append("vanishes") or real_vanishes(*args))
+    answered = 0
+    for x, *variants in zip(*[iter(candidates)] * 3):
+        for r, variant in zip((2, 3), variants):
+            for q in range(r, variant.degree + 1):
+                for k in range(1, r * (q // r) + 1):
+                    record = ops._prefixes.get(tuple(map(id, x.coeffs[1 : q // r + 1])))
+                    if record is None or -(-k // r) not in record[1]:
+                        continue
+                    call = lambda: certify.span_closure_check(ops, variant, q, k)
+                    assert _fractions_built(call) == (None, 0), (r, q, k)
+                    answered += 1
+    assert calls == [] and answered >= 40, answered
