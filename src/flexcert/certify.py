@@ -618,9 +618,18 @@ def _replay_obstruction(ops: BaseOperators, cert: SecondOrderObstruction) -> boo
         functionals = cert.functionals
     else:
         return False
-    c_transposed = ops.c_matrix.transpose()
-    if any(any(c_transposed._mul_scaled(_integers(w))[1]) for w in functionals):
-        return False  # each functional must annihilate the image of C
+    c = ops.c_matrix
+    for w in functionals:
+        if len(w) != c.rows:
+            return False
+        # each functional must annihilate the image of C: w·C, the sum of
+        # w_i times C's stored int rows, is zero in every column
+        total: dict[int, int] = {}
+        for wi, row in zip(_integers(w)[1], c.nonzeros):
+            for j, v in row:
+                total[j] = total.get(j, 0) + wi * v
+        if any(total.values()):
+            return False
     forms = tuple(_projected_form(ops, w) for w in functionals)
     if cert.case == "definite_form":
         return forms == (cert.form,) and _is_definite(forms[0])

@@ -11,8 +11,3 @@ def corpus_path(name: str) -> str:
     if not ref.is_file():
         raise FileNotFoundError(f"no corpus file named {name!r}")
     return str(ref)
-
-
-def list_corpus() -> list[str]:
-    ref = resources.files("flexcert") / "corpus"
-    return sorted(p.name for p in ref.iterdir() if p.name.endswith(".json"))

@@ -161,20 +161,6 @@ def load_system(path: str) -> tuple[QuadraticSystem, Optional[Vector]]:
 # General polynomial systems
 
 
-def poly_to_dict(poly: GeneralPolySystem, base_point: Optional[Vector] = None) -> dict:
-    equations = []
-    for eq in poly.equations:
-        terms = [
-            {"exponents": list(exps), "coeff": format_scalar(c)}
-            for exps, c in sorted(eq.items())
-        ]
-        equations.append({"terms": terms})
-    out = {"variables": list(poly.variable_names), "equations": equations}
-    if base_point is not None:
-        out["base_point"] = _vector_out(base_point)
-    return out
-
-
 def poly_from_dict(
     data: dict, path: str = "<memory>"
 ) -> tuple[GeneralPolySystem, Optional[Vector]]:
@@ -223,18 +209,6 @@ def _pins_out(pins) -> list[dict]:
     for jid, idx in sorted(pins):
         pins_by_joint.setdefault(jid, []).append(idx)
     return [{"joint": jid, "coords": idxs} for jid, idxs in sorted(pins_by_joint.items())]
-
-
-def framework_to_dict(fw: Framework, auto_pin_flag: bool = False) -> dict:
-    return {
-        "dimension": fw.dimension,
-        "joints": [
-            {"id": jid, "coords": _vector_out(fw.joints[jid])} for jid in fw.joint_ids()
-        ],
-        "bars": [list(bar) for bar in fw.bars],
-        "pins": _pins_out(fw.pins),
-        "auto_pin": auto_pin_flag,
-    }
 
 
 def framework_from_dict(data: dict, path: str = "<memory>") -> tuple[Framework, bool]:

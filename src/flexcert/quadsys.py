@@ -191,16 +191,11 @@ def _polarize(sys: QuadraticSystem, x: Scaled, y: Scaled) -> Scaled:
     return 2 * common * dx * dy, out
 
 
-def linear_part(sys: QuadraticSystem, x: Vector) -> Vector:
-    """A(X): component k is sum_i beta_i^k x_i."""
-    return _fractions(_linear(sys, _integers(x)))
-
-
 def _linear(sys: QuadraticSystem, x: Scaled) -> Scaled:
     # A(X) for scaled X, over lcm(den) dx: entry k times lcm / den_k
     dx, xs = x
     if len(xs) != sys.m:
-        raise DimensionError("linear_part argument must have m entries")
+        raise DimensionError("the argument X of A(X) must have m entries")
     common = lcm(*sys.den)
     return common * dx, [sum(b * xs[i] for i, b in lin) * (common // den)
                          for lin, den in zip(sys.lin, sys.den)]
@@ -296,7 +291,7 @@ class BaseOperators:
 
     @property
     def cokernel(self) -> tuple[Vector, ...]:
-        """`kernel_basis(C.transpose())`, the functionals w with w·C = 0,
+        """`kernel_basis(C^T)`, the functionals w with w·C = 0,
         which cut out im C: Fraction views of the record's checks."""
         return tuple(tuple(Fraction(w.get(i, 0)) for i in range(self.c_matrix.rows))
                      for w in map(dict, self._eliminated().checks))
@@ -372,21 +367,6 @@ def poly_system(
     return GeneralPolySystem(m, tuple(cleaned), names)
 
 
-def evaluate_poly(poly: GeneralPolySystem, x: Vector) -> Vector:
-    if len(x) != poly.m:
-        raise DimensionError("point length does not match variable count")
-    out = []
-    for eq in poly.equations:
-        total = Fraction(0)
-        for exps, coeff in eq.items():
-            term = coeff
-            for xi, e in zip(x, exps):
-                term *= xi ** e
-            total += term
-        out.append(total)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class ReductionMap:
     """Record of auxiliary variables introduced during degree reduction.
@@ -399,13 +379,6 @@ class ReductionMap:
 
     original_variable_count: int
     auxiliary_definitions: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @property
-    def total_variable_count(self) -> int:
-        return self.original_variable_count + len(self.auxiliary_definitions)
-
-    def is_empty(self) -> bool:
-        return not self.auxiliary_definitions
 
 
 def lift_base_point(rmap: ReductionMap, x0: Vector) -> Vector:
@@ -420,13 +393,6 @@ def lift_base_point(rmap: ReductionMap, x0: Vector) -> Vector:
             val *= xi ** e
         values.append(val)
     return tuple(values)
-
-
-def restrict_solution(rmap: ReductionMap, x: Vector) -> Vector:
-    """Drop the auxiliary coordinates of a reduced-system solution."""
-    if len(x) != rmap.total_variable_count:
-        raise DimensionError("solution length does not match reduced variables")
-    return tuple(x[: rmap.original_variable_count])
 
 
 def _degree(mono: tuple[tuple[int, int], ...]) -> int:

@@ -14,10 +14,9 @@ stay private so that the benchmark's tracer, which wraps every public
 function, adds no span per vector.
 
 A `Matrix` is stored scaled too: one common denominator and, row by
-row, the int numerators of its nonzero entries, so every operation on it
-(products, transposes, eliminations) touches only those, in ints.
-`Matrix._mul_scaled` is M·x on scaled vectors, `mul_vec` its Fraction
-view.
+row, the int numerators of its nonzero entries, so its products and
+eliminations touch only those, in ints. `Matrix._mul_scaled` is M·x on
+scaled vectors.
 
 One routine, `_rref`, answers every kernel and solve question over Q: a
 sparse, fraction-free Gauss–Jordan elimination of {column: int} rows,
@@ -27,7 +26,8 @@ solutions and every report built from them do not depend on the pivoting
 order. A trivial kernel needs no such elimination: `rank_mod_p` takes
 the rank of the stored ints mod the word-size prime `PRIME`, a lower
 bound for the rank over Q, so a rank equal to the column count proves
-it. Bareiss `determinant` is an exact public helper; no verdict reads it.
+it. Bareiss `determinant` is an exact public helper: the acceptance tests
+read it, no verdict does.
 
 Solves against one matrix M many times over (the series recurrence
 solves against the linearization C at every order) share one
@@ -178,13 +178,12 @@ class Matrix:
     Entry (i, j) is v / `common` for the int v stored with column j in
     `nonzeros[i]`, row i's (column, int) pairs in increasing column order,
     without zeros. `common` is the least positive common denominator, so
-    the form is canonical and equal matrices compare equal; products,
-    transposes and eliminations cost O(nnz) in ints. `rows`/`cols` are
-    stored explicitly so that degenerate shapes (zero rows or zero
-    columns) stay well defined.
+    the form is canonical and equal matrices compare equal; products and
+    eliminations cost O(nnz) in ints. `rows`/`cols` are stored explicitly
+    so that degenerate shapes (zero rows or zero columns) stay well
+    defined.
 
-    `from_rows` builds a matrix from dense rows; `entries` and `row(i)`
-    are Fraction views for display and tests.
+    `from_rows` builds a matrix from dense rows.
     """
 
     rows: int
@@ -221,20 +220,6 @@ class Matrix:
             tuple((j, x.numerator * (common // x.denominator)) for j, x in enumerate(r) if x)
             for r in dense))
 
-    @property
-    def entries(self) -> tuple[Vector, ...]:
-        return tuple(self.row(i) for i in range(self.rows))
-
-    def row(self, i: int) -> Vector:
-        dense = [Fraction(0)] * self.cols
-        for j, v in self.nonzeros[i]:
-            dense[j] = Fraction(v, self.common)
-        return tuple(dense)
-
-    def mul_vec(self, x: Vector) -> Vector:
-        """M·x, the Fraction view of `_mul_scaled`."""
-        return _fractions(self._mul_scaled(_integers(x)))
-
     def _mul_scaled(self, x: Scaled) -> Scaled:
         # M·x for a scaled x: each row summed in ints, over common·d
         d, xs = x
@@ -247,13 +232,6 @@ class Matrix:
                 total += v * xs[j]
             out.append(total)
         return self.common * d, out
-
-    def transpose(self) -> "Matrix":
-        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for i, row in enumerate(self.nonzeros):
-            for j, v in row:
-                columns[j].append((i, v))
-        return Matrix(self.cols, self.rows, self.common, tuple(map(tuple, columns)))
 
 
 def _primitive_row(row: dict[int, int]) -> dict[int, int]:
@@ -422,8 +400,8 @@ class Elimination(NamedTuple):
     with its pivot in J (R = 0): these are the Farkas functionals, and v
     is in im M exactly when each of them vanishes on v. Made positive at
     their pivot and put in reverse order, the checks are exactly
-    `kernel_basis(M.transpose())`. E is stored as (row index, int) pairs
-    without zeros.
+    `kernel_basis(M^T)`. E is stored as (row index, int) pairs without
+    zeros.
 
     A NamedTuple rather than a frozen dataclass: building the dataclass
     took about 1 ms on every fresh import of the package.
@@ -438,7 +416,7 @@ class Elimination(NamedTuple):
 def eliminate(m: Matrix) -> Elimination:
     """One elimination of [M | J], which answers every later
     `solve_general` against M without eliminating M again; pivoting in J
-    too reduces the checks fully, to `kernel_basis(M.transpose())`."""
+    too reduces the checks fully, to `kernel_basis(M^T)`."""
     # row i of [M | J] times common, so that E·M = R holds for M itself;
     # its J entry lies in column last - i
     last = m.cols + m.rows - 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import ratlinalg
 from .quadsys import BaseOperators
@@ -56,20 +56,11 @@ class SeriesCoefficients:
     def coefficient(self, p: int) -> Vector:
         return self.coeffs[p]
 
-    def truncated(self, q: int) -> "SeriesCoefficients":
-        if q > self.degree:
-            raise DimensionError(f"cannot truncate degree-{self.degree} series to {q}")
-        return SeriesCoefficients(self.coeffs[: q + 1])
-
     def appended(self, coeff: Vector) -> "SeriesCoefficients":
         return SeriesCoefficients(self.coeffs + (vector(coeff),))
 
     def is_constant(self) -> bool:
         return all(is_zero_vector(c) for c in self.coeffs[1:])
-
-
-def series(coeffs: Sequence[Sequence]) -> SeriesCoefficients:
-    return SeriesCoefficients(tuple(vector(c) for c in coeffs))
 
 
 def _products(ops: BaseOperators, s: SeriesCoefficients, p: int) -> list[Scaled]:

@@ -144,6 +144,33 @@ def system_poly_terms(sys_):
     return eqs
 
 
+def reference_jacobian(sys_, base):
+    """Row k of C as Fractions, off the alpha and beta views: an alpha
+    entry c at (i, j) is c x_i x_j + c x_j x_i, also when i = j."""
+    rows = []
+    for alpha, beta in zip(sys_.alpha, sys_.beta):
+        row = [F(0)] * sys_.m
+        for i, j, c in alpha:
+            row[i] += 2 * c * base[j]
+            if i != j:
+                row[j] += 2 * c * base[i]
+        for i, b in beta:
+            row[i] += b
+        rows.append(row)
+    return rows
+
+
+def dense_product(rows, x):
+    """M·x for M given as dense rows, summed in Fractions."""
+    return tuple(sum((a * b for a, b in zip(row, x)), F(0)) for row in rows)
+
+
+def dense_transpose(rows, cols):
+    """The dense rows of M^T for M given as dense rows of `cols` entries
+    each; `cols` keeps a matrix without rows well defined."""
+    return [[row[j] for row in rows] for j in range(cols)]
+
+
 def sympy_equations(sympy, sys_, values):
     """The equations of sys_ as sympy expressions, with values[i] (a
     symbol or any sympy expression) in place of variable i."""

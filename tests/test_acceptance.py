@@ -29,11 +29,11 @@ from flexcert.certify import (
 )
 from flexcert.corpus import corpus_path
 from flexcert.quadsys import bilinear, linearize, reduce_degree
-from flexcert.ratlinalg import determinant, vector, zero_vector
+from flexcert.ratlinalg import Matrix, determinant, vector, zero_vector
 from flexcert.rigidity import analyze_framework, auto_pin, build_edge_system
 from flexcert.series import SeriesCoefficients, extend_step, reparameterize, residual_order
 
-from conftest import load_corpus_framework, load_corpus_system, system_poly_terms
+from conftest import dense_product, load_corpus_framework, load_corpus_system, system_poly_terms
 
 
 def report(criterion, text):
@@ -43,8 +43,7 @@ def report(criterion, text):
 def test_criterion_1_line_on_quadric_end_to_end():
     sys_, base = load_corpus_system("example1.json")
     ops = linearize(sys_, base)
-    assert [list(r) for r in ops.c_matrix.entries] == [
-        [10, 10, -14], [3, 1, -3], [1, -3, 1]]
+    assert ops.c_matrix == Matrix.from_rows([[10, 10, -14], [3, 1, -3], [1, -3, 1]])
     assert determinant(ops.c_matrix) == 0
     assert ops.kernel == (vector([4, 3, 5]),)
     assert bilinear(sys_, ops.kernel[0], ops.kernel[0]) == zero_vector(3)
@@ -110,7 +109,8 @@ def _viviani_coefficients(degree):
 def test_criterion_3_viviani_inconclusive_and_recurrence():
     sys_, base = load_corpus_system("example3.json")
     ops = linearize(sys_, base)
-    assert [list(r) for r in ops.c_matrix.entries] == [[4, 0, 0], [2, 0, 0]]
+    c_rows = [[4, 0, 0], [2, 0, 0]]
+    assert ops.c_matrix == Matrix.from_rows(c_rows)
     assert len(ops.kernel) == 2
     assert span_closure_search(ops, 6) is None
     rep = analyze_system(sys_, base, AnalyzeConfig(q_max=6))
@@ -119,7 +119,7 @@ def test_criterion_3_viviani_inconclusive_and_recurrence():
     x = _viviani_coefficients(10)
     # closed-form coefficients satisfy the recurrence C X_p = -sum B(X_l, X_{p-l})
     for p in range(1, 11):
-        lhs = ops.c_matrix.mul_vec(x[p])
+        lhs = dense_product(c_rows, x[p])
         rhs = zero_vector(2)
         for l in range(1, p):
             rhs = tuple(a + bb for a, bb in zip(rhs, bilinear(sys_, x[l], x[p - l])))

@@ -45,12 +45,15 @@ from conftest import (
     broken_series,
     check_rank_mod_p,
     corpus_path,
+    dense_product,
     dense_system,
+    dense_transpose,
     fuzz_systems,
     load_corpus_framework,
     load_corpus_system,
     low_rank_system,
     random_system_with_solution,
+    reference_jacobian,
     sympy_equations,
     sympy_residual_order,
     triangulated_grid,
@@ -460,6 +463,9 @@ def _tampered_certificates():
             second_order_obstruction_check(linearize(ex4, base4)), kernel=(vector([1]),))),
         "definite_form_functional": (bowl, zero_vector(3),
                                      dataclasses.replace(definite, functional=vector([1]))),
+        # a zip over the rows of C would accept a functional padded with zeros
+        "definite_form_functional_trailing_zero": (bowl, zero_vector(3), dataclasses.replace(
+            definite, functional=definite.functional + (F(0),))),
         # a stored form that is ragged or not square is compared, never decided
         "definite_form_ragged_form": (bowl, zero_vector(3), dataclasses.replace(
             definite, form=(definite.form[0], definite.form[1][:1]))),
@@ -469,6 +475,8 @@ def _tampered_certificates():
             no_line, forms=(no_line.forms[0][:2],) + no_line.forms[1:])),
         "no_common_line_functional": (cross, zero_vector(2), dataclasses.replace(
             no_line, functionals=(vector([1]),) + no_line.functionals[1:])),
+        "no_common_line_functional_trailing_zero": (cross, zero_vector(2), dataclasses.replace(
+            no_line, functionals=(no_line.functionals[0] + (F(0),),) + no_line.functionals[1:])),
         "t_standard_leading": (cubic, origin, dataclasses.replace(fail, leading=vector([1]))),
         # the failure has normal (1, 0, 0), leading (1, 0, 0) and Y2 = (0, 1, 0):
         # a zip over the entries of the first two normals would read (1, 0, 0),
@@ -499,9 +507,12 @@ def _tampered_certificates():
 @pytest.mark.parametrize("case", ["span_pair_index", "span_pair_vector_trailing_zero",
                                   "span_pair_vector_short", "span_pair_vector_entry_off_by_one",
                                   "single_direction_kernel",
-                                  "definite_form_functional", "definite_form_ragged_form",
-                                  "definite_form_non_square_form",
-                                  "no_common_line_functional", "no_common_line_short_form",
+                                  "definite_form_functional",
+                                  "definite_form_functional_trailing_zero",
+                                  "definite_form_ragged_form", "definite_form_non_square_form",
+                                  "no_common_line_functional",
+                                  "no_common_line_functional_trailing_zero",
+                                  "no_common_line_short_form",
                                   "t_standard_leading", "t_standard_short_normal",
                                   "t_standard_long_normal", "t_standard_zero_normal",
                                   "t_standard_normal_orthogonal_to_leading",
@@ -528,7 +539,7 @@ def test_residual_order_reuses_the_span_check_products(cusp_system, viviani_syst
             for q in range(2, cand.degree + 1):
                 span_closure_check(ops, cand, q, 1)
                 before = len(calls)
-                series.residual_order(ops, cand.truncated(q))
+                series.residual_order(ops, SeriesCoefficients(cand.coeffs[:q + 1]))
                 assert len(calls) == before, (cand, q)
                 checked += 1
     assert checked >= 4 and calls
@@ -717,7 +728,8 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     for p in range(2, depth + 1):
         y = s.coefficient(p)
         assert y[0] - y[1] + y[2] == 0
-        assert ops.c_matrix.mul_vec(y) == series.recurrence_rhs(ops, s.truncated(p - 1), p)
+        assert dense_product(reference_jacobian(sys_, base), y) == series.recurrence_rhs(
+            ops, SeriesCoefficients(s.coeffs[:p]), p)
     assert series.residual_order(ops, s) > depth
     # the same outcome as the run in T = ker e_y
     assert t_standard_run(ops, depth) is None
@@ -736,7 +748,8 @@ def test_t_standard_on_a_rotated_hyperplane(tangent_sphere_cylinder):
     coeffs = list(prefix.coeffs)
     coeffs[2] = tuple(a + b for a, b in zip(coeffs[2], ops3.kernel[0]))
     moved_prefix = SeriesCoefficients(tuple(coeffs))
-    assert ops3.c_matrix.mul_vec(coeffs[2]) == ops3.c_matrix.mul_vec(prefix.coefficient(2))
+    c3 = reference_jacobian(cubic, origin)
+    assert dense_product(c3, coeffs[2]) == dense_product(c3, prefix.coefficient(2))
     rhs = series.recurrence_rhs(ops3, moved_prefix, 3)
     assert ops3.solve(_integers(rhs)) is None
     moved = dataclasses.replace(fail, prefix=moved_prefix, unreachable_rhs=rhs)
@@ -919,7 +932,7 @@ def test_residual_order_matches_sympy_on_fuzz_systems():
             cases.append(rep.certificate.series)
         for cand in certify.canonical_candidates(ops, 4):
             for q in range(1, cand.degree + 1):
-                prefix = cand.truncated(q)
+                prefix = SeriesCoefficients(cand.coeffs[:q + 1])
                 cases += [prefix, broken_series(rng, prefix)]
         for s in cases:
             expected = sympy_residual_order(sympy, sys_, s)
@@ -947,10 +960,10 @@ def test_residual_order_matches_sympy_on_shared_operators():
         ops = linearize(sys_, base)
         for cand in certify.canonical_candidates(ops, 4):
             for q in range(1, cand.degree + 1):
-                prefix = cand.truncated(q)
+                prefix = SeriesCoefficients(cand.coeffs[:q + 1])
                 cases = [broken_series(rng, prefix), prefix, broken_series(rng, prefix)]
                 if q >= 2:
-                    shorter = broken_series(rng, cand.truncated(q - 1))
+                    shorter = broken_series(rng, SeriesCoefficients(cand.coeffs[:q]))
                     cases += [shorter, shorter.appended(cand.coefficient(q))]
                 for s in cases:
                     expected = sympy_residual_order(sympy, sys_, s)
@@ -983,7 +996,7 @@ def test_real_product_count_on_the_search_inputs_is_pinned(monkeypatch):
 
 def test_image_count_on_the_search_inputs_is_pinned(monkeypatch):
     # every C·Y of whole analyses, the linearization probes included, as
-    # the scaled product that mul_vec wraps; the search reads each image
+    # the scaled product; the search reads each image
     # from the operators' memo, so a memo change that loses hits raises
     # the count
     computed = []
@@ -1016,14 +1029,22 @@ def test_matrix_count_on_the_search_inputs_is_pinned(monkeypatch):
 SEED7_HEXAGON = [(0, 0), (3, 0), (1, 1), (3, 2), (2, 1), (6, 4)]
 
 
+def _stored(m, swapped=False):
+    # shape, denominator and stored ints of m, rows and columns swapped if asked
+    shape = (m.cols, m.rows) if swapped else (m.rows, m.cols)
+    return shape, m.common, frozenset(((j, i) if swapped else (i, j), v)
+                                      for i, row in enumerate(m.nonzeros) for j, v in row)
+
+
 def test_no_analysis_transposes_c(monkeypatch):
     # the cokernel of a kernel of dimension >= 2 is read off the record of
-    # C's solves, so no analysis builds C's transpose: the cusp and Viviani
+    # C's solves, so no analysis builds C's transpose, nor any Matrix that
+    # is the transpose of another one it builds: the cusp and Viviani
     # (d = 2), a pinned 6-gon (d = 3) and an unpinned grid (d = 3, with a
     # cokernel of dimension 4)
-    transposes = []
-    real = Matrix.transpose
-    monkeypatch.setattr(Matrix, "transpose", lambda *args: transposes.append(1) or real(*args))
+    built = []
+    real = Matrix.__post_init__
+    monkeypatch.setattr(Matrix, "__post_init__", lambda m: built.append(m) or real(m))
     kernels = [analyze_system(*load_corpus_system(name)).notes[0]
                for name in ("example2.json", "example3.json")]
     hexagon = framework(2, {f"v{i}": list(p) for i, p in enumerate(SEED7_HEXAGON)},
@@ -1031,7 +1052,11 @@ def test_no_analysis_transposes_c(monkeypatch):
     kernels.append(analyze_framework(hexagon, use_auto_pin=True).notes[0])
     kernels.append(analyze_framework(triangulated_grid(4)).notes[0])
     assert kernels == ["kernel dimension 2"] * 2 + ["kernel dimension 3"] * 2
-    assert transposes == []
+    # a symmetric matrix is its own transpose, not one built from another
+    stored = {_stored(b) for b in built}
+    transposed = [a for a in built
+                  if (t := _stored(a, swapped=True)) in stored and t != _stored(a)]
+    assert len(built) >= 4 and transposed == []
 
 
 def test_cokernel_is_the_kernel_of_c_transposed():
@@ -1044,7 +1069,9 @@ def test_cokernel_is_the_kernel_of_c_transposed():
     nonempty = 0
     for sys_, base in inputs:
         ops = linearize(sys_, base)
-        assert ops.cokernel == tuple(kernel_basis(ops.c_matrix.transpose()))
+        jacobian = reference_jacobian(sys_, base)
+        transposed = Matrix.from_rows(dense_transpose(jacobian, sys_.m), cols=sys_.n)
+        assert ops.cokernel == tuple(kernel_basis(transposed))
         nonempty += bool(ops.cokernel)
     assert nonempty >= 200 and len(inputs) - nonempty >= 100
 
@@ -1057,7 +1084,7 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
     # validated once: through residual_order when its one-shorter prefix
     # has no record, else by testing its t^q coefficient alone, so losing
     # that seed raises both the calls and the order tests
-    solves, checks, orders, tests, constants, truncations = [], [], [], [], [], []
+    solves, checks, orders, tests, constants = [], [], [], [], []
     real_solve, real_check = certify.solve_in_span_coefficients, certify.span_closure_check
     real_order, real_vanishes = certify.residual_order, series._vanishes
     monkeypatch.setattr(certify, "solve_in_span_coefficients",
@@ -1070,13 +1097,10 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
         monkeypatch.setattr(module, "_vanishes",
                             lambda *args: tests.append(1) or real_vanishes(*args))
     # a prefix's constancy is computed once, when its record is made from
-    # the coefficients' tuple, and never on a check its record answers; no
-    # check truncates a series
-    real_constant, real_truncated = SeriesCoefficients.is_constant, SeriesCoefficients.truncated
+    # the coefficients' tuple, and never on a check its record answers
+    real_constant = SeriesCoefficients.is_constant
     monkeypatch.setattr(SeriesCoefficients, "is_constant",
                         lambda *args: constants.append(1) or real_constant(*args))
-    monkeypatch.setattr(SeriesCoefficients, "truncated",
-                        lambda *args: truncations.append(1) or real_truncated(*args))
     operators, real_linearize = [], certify.linearize
     monkeypatch.setattr(certify, "linearize",
                         lambda *args: operators.append(real_linearize(*args)) or operators[-1])
@@ -1088,15 +1112,15 @@ def test_span_solve_and_check_counts_on_the_search_inputs_are_pinned(monkeypatch
     ]
     per_analysis, per_record = [], []
     for analyze, verdict in analyses:
-        for counts in (checks, orders, tests, constants, truncations, operators):
+        for counts in (checks, orders, tests, constants, operators):
             counts.clear()
         assert analyze().verdict == verdict
         per_analysis.append((len(checks), len(orders), len(tests)))
         [ops] = operators
-        per_record.append((len(ops._prefixes), len(constants), len(truncations)))
+        per_record.append((len(ops._prefixes), len(constants)))
     assert per_analysis == [(39, 4, 11), (22, 3, 8), (16, 3, 12)]
     assert len(solves) == 10
-    assert per_record == [(n, n, 0) for n in (4, 3, 6)]
+    assert per_record == [(n, n) for n in (4, 3, 6)]
 
 
 def test_constant_series_fails_every_check_and_is_validated_once(monkeypatch):
@@ -1177,7 +1201,7 @@ def test_span_checks_on_shared_operators_match_fresh_checks(monkeypatch):
         searched = [check for check in checks if 2 * check[0][1] <= check[0][0] + 1]
         failures = {}
         for (q, k, cand), (expected, outside) in searched + checks:
-            constant = cand.truncated(q).is_constant()
+            constant = SeriesCoefficients(cand.coeffs[:q + 1]).is_constant()
             # the check fails exactly when some product is outside the span
             assert (expected is None) == (constant or bool(outside))
             r = gcd(*(p for p in range(1, q + 1) if not is_zero_vector(cand.coefficient(p))))
@@ -1308,7 +1332,7 @@ def _grown_candidates(ops, q_max):
             s = SeriesCoefficients((ops.base_point,) + (zero_vector(ops.system.m),) * z
                                    + (kvec,))
             if s.degree > q_max:
-                s = s.truncated(q_max)
+                s = SeriesCoefficients(s.coeffs[:q_max + 1])
             while s.degree < q_max:
                 nxt = series.extend_step(ops, s)
                 if nxt is None:
@@ -1356,7 +1380,8 @@ def test_leading_zero_variant_checks_equal_base_checks():
                         got = span_closure_check(ops, variant, q, k) is not None
                         # independent of the records: one solve per product of
                         # the variant's own coefficients
-                        assert got == (not variant.truncated(q).is_constant()
+                        prefix = SeriesCoefficients(variant.coeffs[:q + 1])
+                        assert got == (not prefix.is_constant()
                                        and not _outside_span(ops, variant, q, k)), (r, q, k)
                         q1, k1 = q // r, -(-k // r)
                         assert x.degree >= q1
@@ -1394,12 +1419,13 @@ def test_an_invalid_series_in_t_r_names_its_own_degree():
         ops = linearize(sys_, base)
         for x in certify.canonical_candidates(ops, 4)[::3]:
             for q1 in range(1, x.degree + 1):
-                w = broken_series(rng, x.truncated(q1))
+                w = broken_series(rng, SeriesCoefficients(x.coeffs[:q1 + 1]))
                 for r in (2, 3):
                     s = _in_t_to_the(r, w, zero_vector(sys_.m))
                     for q in range(r, s.degree + 1):
                         records = dict(ops._prefixes)
-                        if series.residual_order(ops, w.truncated(q // r)) > q // r:
+                        base_prefix = SeriesCoefficients(w.coeffs[:q // r + 1])
+                        if series.residual_order(ops, base_prefix) > q // r:
                             span_closure_check(ops, s, q, 1)
                             seen["valid"] += 1
                             continue
@@ -1432,7 +1458,8 @@ def test_a_vacuous_check_on_a_series_in_t_r_is_checked_as_given():
                             continue
                         zeros = (0,) * (q - k + 1), zero_vector(sys_.m)
                         assert got == SpanClosureFlex(
-                            q=q, k=k, series=variant.truncated(q), pair_solutions=tuple(
+                            q=q, k=k, series=SeriesCoefficients(variant.coeffs[:q + 1]),
+                            pair_solutions=tuple(
                                 certify.PairSolution(i, j, *zeros)
                                 for i in range(1, q + 1) for j in range(k, q + 1))), (r, q, k)
                         seen["certified"] += 1

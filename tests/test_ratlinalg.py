@@ -21,6 +21,7 @@ from flexcert.ratlinalg import (
     zero_vector,
 )
 
+from conftest import dense_transpose
 from test_parser_fuzz import BAD_RATIONALS
 
 C_LINE = Matrix.from_rows([[10, 10, -14], [3, 1, -3], [1, -3, 1]])
@@ -29,7 +30,8 @@ C_TANGENT = Matrix.from_rows([[4, 0, 0], [-2, 0, 0], [0, 1, 0]])
 
 
 def mul(m, x):
-    return m.mul_vec(vector(x))
+    # M·x summed as Fractions over M's stored entries, apart from the int kernel
+    return tuple(sum((F(v, m.common) * x[j] for j, v in row), F(0)) for row in m.nonzeros)
 
 
 def solve(m, v):
@@ -201,8 +203,6 @@ def test_failing_batch_reports_its_first_unsolvable_right_hand_side():
 def test_matrix_stores_canonical_nonzeros():
     # entry (i, j) is an int over one common denominator, the least one
     m = Matrix(2, 3, 2, (((0, 2), (2, -1)), ()))
-    assert m.entries == ((F(1), F(0), F(-1, 2)), zero_vector(3))
-    assert m.row(1) == zero_vector(3)
     assert Matrix.from_rows([[1, 0, F(-1, 2)], [0, 0, 0]]) == m
     assert Matrix.from_rows([[0, 2, 0], [0, 0, 0]]).nonzeros == (((1, 2),), ())
     assert Matrix.from_rows([[F(1, 6), F(1, 4)]]) == Matrix(1, 2, 12, (((0, 2), (1, 3)),))
@@ -235,21 +235,15 @@ def test_sparse_operations_match_dense_reference():
         rows, cols = rng.randint(0, 7), rng.randint(0, 7)
         dense = [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3 else F(0)
                   for _ in range(cols)] for _ in range(rows)]
-        columns = [tuple(dense[i][j] for i in range(rows)) for j in range(cols)]
         m = Matrix.from_rows(dense, cols=cols)
         common = lcm(*(a.denominator for r in dense for a in r))
         assert m.common == common
         assert m.nonzeros == tuple(tuple((j, a.numerator * (common // a.denominator))
                                          for j, a in enumerate(r) if a) for r in dense)
         assert all(type(v) is int for row in m.nonzeros for _, v in row)
-        assert m.entries == tuple(map(tuple, dense))
         x = vector([F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols)])
-        assert m.mul_vec(x) == tuple(sum((a * b for a, b in zip(r, x)), F(0)) for r in dense)
-        t = m.transpose()
-        assert (t.rows, t.cols, t.common) == (cols, rows, common)
-        assert t.entries == tuple(columns)
-        assert t.transpose() == m
-        assert Matrix.from_rows(columns, cols=rows) == t
+        assert _fractions(m._mul_scaled(_integers(x))) == tuple(
+            sum((a * b for a, b in zip(r, x)), F(0)) for r in dense)
 
 
 def test_combination_matches_a_fraction_sum():
@@ -339,24 +333,28 @@ def test_determinant():
         assert determinant(Matrix.from_rows(rows)) == _laplace(rows)
 
 
+def _random_rows(rng, rows, cols):
+    return [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+
+
 def _random_matrix(rng, rows, cols):
-    return Matrix.from_rows(
-        [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
-    )
+    return Matrix.from_rows(_random_rows(rng, rows, cols))
 
 
 def test_solve_residual_is_exactly_zero_randomized():
     rng = random.Random(20240311)
     for _ in range(60):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = _random_matrix(rng, rows, cols)
+        dense = _random_rows(rng, rows, cols)
+        m = Matrix.from_rows(dense)
         v = vector([F(rng.randint(-3, 3)) for _ in range(rows)])
         got = solve(m, v)
         if got is not None:
             assert mul(m, got) == v
         nullspace = kernel_basis(m)
         # rank-nullity for M and for its transpose: both give the rank
-        assert len(nullspace) == cols - rows + len(kernel_basis(m.transpose()))
+        transposed = Matrix.from_rows(dense_transpose(dense, cols), cols=rows)
+        assert len(nullspace) == cols - rows + len(kernel_basis(transposed))
         for k in nullspace:
             assert mul(m, k) == zero_vector(rows)
 
@@ -374,8 +372,7 @@ def test_solve_in_span_agrees_with_grid_bruteforce():
             got = solved[0][1]
             assert mul(m, got) == v
             # returned vector really is a combination of the span
-            cols_m = Matrix.from_rows(span, cols=cols).transpose()
-            assert solve(cols_m, got) is not None
+            assert solve(Matrix.from_rows(dense_transpose(span, cols)), got) is not None
         else:
             for c1 in grid:
                 for c2 in grid:
@@ -430,6 +427,15 @@ def _to_sympy(sympy, rows, cols):
                                           for r in rows for x in r])
 
 
+def _matrix_to_sympy(sympy, m):
+    # M entry by entry from its stored ints
+    out = sympy.zeros(m.rows, m.cols)
+    for i, row in enumerate(m.nonzeros):
+        for j, v in row:
+            out[i, j] = sympy.Rational(v, m.common)
+    return out
+
+
 def _from_sympy(column):
     return tuple(F(int(x.p), int(x.q)) for x in column)
 
@@ -448,7 +454,7 @@ def _dense_checks(record):
 
 
 def _check_against_sympy(sympy, m, vs, seen):
-    sm = _to_sympy(sympy, m.entries, m.cols)
+    sm = _matrix_to_sympy(sympy, m)
     # sympy reads one nullspace vector off each free column of the unique
     # RREF, with a 1 there, so the two bases agree exactly after scaling
     nullspace = sm.nullspace()
@@ -462,9 +468,8 @@ def _check_against_sympy(sympy, m, vs, seen):
     # canonical solution
     record = eliminate(m)
     assert len(record.pivots) == sm.rank() and len(record.checks) == m.rows - sm.rank()
-    for functional in record.checks:  # a Farkas functional annihilates M
-        rows = [m.row(i) for i, _ in functional]
-        assert combination([a for _, a in functional], rows, m.cols) == zero_vector(m.cols)
+    for w in _dense_checks(record):  # a Farkas functional annihilates M
+        assert (_to_sympy(sympy, [w], m.rows) * sm).is_zero_matrix
     # and the checks are the left null space read off the RREF of M^T, in order
     assert _dense_checks(record) == [_primitive(_from_sympy(w)) for w in sm.T.nullspace()]
     units = [tuple(F(int(i == j)) for i in range(m.cols)) for j in range(m.cols)]
@@ -518,7 +523,7 @@ def test_solver_matches_sympy_oracle():
     seen = {"inside": 0, "outside": 0}
     for _ in range(30):
         m, left_over, zero_col = _sparse_case(rng)
-        rank = _to_sympy(sympy, m.entries, m.cols).rank()
+        rank = _matrix_to_sympy(sympy, m).rank()
         vs = _sparse_rhss(rng, m, rank, left_over)
         assert solve(m, vs[1]) is None and solve(m, vs[2]) is None
         _check_against_sympy(sympy, m, vs, seen)
@@ -548,18 +553,20 @@ def test_elimination_of_degenerate_shapes():
         return tuple(F(int(j == i)) for j in range(n))
 
     cases = [
-        (Matrix.from_rows([], cols=3), [],
+        ([], 3, [],
          [((1, []), (F(0),) * 3)]),
-        (Matrix.from_rows([[], [], []], cols=0), [unit(0, 3), unit(1, 3), unit(2, 3)],
+        ([[], [], []], 0, [unit(0, 3), unit(1, 3), unit(2, 3)],
          [((1, [0, 0, 0]), ()), ((1, [0, 1, 0]), None), ((2, [0, 0, 1]), None)]),
-        (Matrix.from_rows([[0, 0], [1, 2], [0, 0], [2, 4]]),
+        ([[0, 0], [1, 2], [0, 0], [2, 4]], 2,
          [unit(0, 4), unit(2, 4), (F(0), F(-2), F(0), F(1))],
          [((1, [0, 3, 0, 6]), (F(3), F(0))), ((2, [0, 1, 0, 2]), (F(1, 2), F(0))),
           ((1, [1, 0, 0, 0]), None), ((1, [0, 1, 0, 1]), None)]),
     ]
-    for m, checks, solves in cases:
+    for rows, cols, checks, solves in cases:
+        m = Matrix.from_rows(rows, cols=cols)
+        transposed = Matrix.from_rows(dense_transpose(rows, cols), cols=len(rows))
         record = eliminate(m)
-        assert _dense_checks(record) == checks == kernel_basis(m.transpose())
+        assert _dense_checks(record) == checks == kernel_basis(transposed)
         assert len(record.pivots) + len(record.checks) == m.rows
         for v, expected in solves:
             assert solve_general(record, v) == expected
@@ -578,8 +585,7 @@ def _check_span_batch(sympy, m, batch, span, seen):
     else:
         assert got == [single[0] for single in singles]
 
-    images = Matrix.from_rows([m.mul_vec(s) for s in span], cols=m.rows).transpose()
-    images = _to_sympy(sympy, images.entries, images.cols)
+    images = _to_sympy(sympy, dense_transpose([mul(m, s) for s in span], m.rows), len(span))
     for v, single in zip(batch, singles):
         try:
             solution, params = images.gauss_jordan_solve(_to_sympy(sympy, [[x] for x in v], 1))
@@ -631,8 +637,8 @@ def test_batched_span_solves_match_single_solves_and_sympy():
         units = [zero_col] + rng.sample(range(m.cols), rng.randint(2, m.cols))
         span = [tuple(F(int(i == j)) for i in range(m.cols)) for j in units]
         span.append(tuple(F(2) * x for x in span[-1]))
-        images = Matrix.from_rows([m.mul_vec(s) for s in span], cols=m.rows).transpose()
-        rank = _to_sympy(sympy, images.entries, images.cols).rank()
+        images = Matrix.from_rows(dense_transpose([mul(m, s) for s in span], m.rows), cols=len(span))
+        rank = _matrix_to_sympy(sympy, images).rank()
         batch = _sparse_rhss(rng, images, rank, left_over)
         _check_span_batch(sympy, m, [mul(m, x) for x in span] + batch, span, seen)
     assert seen["solvable"] > 40 and seen["unsolvable"] > 60
@@ -646,7 +652,7 @@ def test_verdicts_invariant_under_row_permutation():
         v = vector([F(rng.randint(-2, 2)) for _ in range(rows)])
         order = list(range(rows))
         rng.shuffle(order)
-        pm = Matrix.from_rows([m.row(i) for i in order])
+        pm = Matrix(rows, cols, m.common, tuple(m.nonzeros[i] for i in order))
         pv = tuple(v[i] for i in order)
         assert kernel_basis(m) == kernel_basis(pm)
         assert (solve(m, v) is None) == (solve(pm, pv) is None)

@@ -29,7 +29,8 @@ from flexcert.ratlinalg import (
 from flexcert.rigidity import analyze_framework, build_edge_system
 from flexcert.series import SeriesCoefficients
 
-from conftest import load_corpus_framework, load_corpus_system
+from conftest import (dense_product, dense_transpose, load_corpus_framework,
+                      load_corpus_system, reference_jacobian)
 from test_ratlinalg import _fractions_built, _laplace
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -66,22 +67,6 @@ def _reference_bilinear(sys_, x, y):
     # B(X, Y) read off the alpha view in Fractions, i = j terms included
     return tuple(sum((c * x[i] * y[i] if i == j else c * (x[i] * y[j] + x[j] * y[i])
                       for i, j, c in alpha), F(0)) for alpha in sys_.alpha)
-
-
-def _reference_jacobian(sys_, base):
-    # row k of C as Fractions, off the alpha and beta views: an alpha
-    # entry c at (i, j) is c x_i x_j + c x_j x_i, also when i = j
-    rows = []
-    for alpha, beta in zip(sys_.alpha, sys_.beta):
-        row = [F(0)] * sys_.m
-        for i, j, c in alpha:
-            row[i] += 2 * c * base[j]
-            if i != j:
-                row[j] += 2 * c * base[i]
-        for i, b in beta:
-            row[i] += b
-        rows.append(row)
-    return rows
 
 
 def _reference_rref(rows, cols):
@@ -142,10 +127,10 @@ def test_stored_matrix_matches_dense_references(case, data):
     values = [v for row in m.nonzeros for _, v in row]
     assert m.common == lcm(*(x.denominator for r in dense for x in r))
     assert gcd(m.common, *values) == 1 and all(type(v) is int for v in values)
-    assert m.entries == tuple(map(tuple, dense))
-    assert m.transpose().common == m.common and m.transpose().transpose() == m
+    assert {(i, j): F(v, m.common) for i, row in enumerate(m.nonzeros) for j, v in row} == {
+        (i, j): x for i, r in enumerate(dense) for j, x in enumerate(r) if x}
     x = tuple(data.draw(rationals) for _ in range(cols))
-    product = tuple(sum((a * b for a, b in zip(r, x)), F(0)) for r in dense)
+    product = dense_product(dense, x)
     assert _fractions(m._mul_scaled(_redundant(x, data.draw(st.integers(1, 4))))) == product
     assert kernel_basis(m) == _reference_kernel(dense, cols)
     record = eliminate(m)
@@ -164,7 +149,7 @@ def test_linearize_stores_c_scaled_over_its_least_common_denominator(case):
     sys_, base = case
     c = linearize(sys_, base).c_matrix
     assert all(type(v) is int for row in c.nonzeros for _, v in row)
-    assert c == Matrix.from_rows(_reference_jacobian(sys_, base), cols=sys_.m)
+    assert c == Matrix.from_rows(reference_jacobian(sys_, base), cols=sys_.m)
 
 
 def _redundant(v, factor):
@@ -189,9 +174,9 @@ def test_scaled_kernels_match_fraction_references(case, data):
     assert _fractions(quadsys._polarize(sys_, _redundant(x, f), _redundant(y, g))) == product
     assert quadsys.bilinear(sys_, x, y) == product
     assert _fractions(ops._product(x, y)) == product == _fractions(ops._product(y, x))
-    image = tuple(sum((a * b for a, b in zip(row, y)), F(0)) for row in ops.c_matrix.entries)
+    image = dense_product(reference_jacobian(sys_, base), y)
     assert _fractions(ops.c_matrix._mul_scaled(_redundant(y, f))) == image
-    assert ops.c_matrix.mul_vec(y) == image == _fractions(ops._image(y))
+    assert _fractions(ops._image(y)) == image
     s = SeriesCoefficients((ops.base_point, x, y, draw_vector()))
     for p in range(1, s.degree + 2):
         terms = [_reference_bilinear(sys_, s.coefficient(l), s.coefficient(p - l))
@@ -214,6 +199,7 @@ def _outside(rows, v, n):
 def test_scaled_solves_match_fraction_references(case, data):
     sys_, base = case
     c = linearize(sys_, base).c_matrix
+    jacobian = reference_jacobian(sys_, base)
     m, n = sys_.m, sys_.n
     factor = st.integers(1, 6)
 
@@ -223,17 +209,17 @@ def test_scaled_solves_match_fraction_references(case, data):
     # one solve against the record of C: the canonical solution or None,
     # however v is scaled, as the cokernel decides
     record = eliminate(c)
-    c_columns = list(zip(*c.entries))
-    for v in (c.mul_vec(draw_vector(m)), draw_vector(n)):
+    c_columns = list(zip(*jacobian))
+    for v in (dense_product(jacobian, draw_vector(m)), draw_vector(n)):
         got = solve_general(record, _integers(v))
         assert solve_general(record, _redundant(v, data.draw(factor))) == got
         assert (got is None) == _outside(c_columns, v, n)
         if got is not None:
-            assert c.mul_vec(got) == v
+            assert dense_product(jacobian, got) == v
     # a span batch: the same canonical coefficients, or the same first
     # failing index, however the images and right-hand sides are scaled
     span = [draw_vector(m) for _ in range(data.draw(st.integers(0, 3)))]
-    images = [c.mul_vec(y) for y in span]
+    images = [dense_product(jacobian, y) for y in span]
     batch = []
     for _ in range(data.draw(st.integers(1, 4))):
         if data.draw(st.booleans()):
@@ -251,7 +237,7 @@ def test_scaled_solves_match_fraction_references(case, data):
         return
     assert not any(outside)
     # the canonical coefficients are those of one solve against [images]
-    in_columns = eliminate(Matrix.from_rows(images, cols=n).transpose())
+    in_columns = eliminate(Matrix.from_rows(dense_transpose(images, n), cols=len(images)))
     for v, coeffs in zip(batch, got):
         assert combination(coeffs, images, n) == v
         assert solve_general(in_columns, _integers(v)) == coeffs

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import os
+import pathlib
 import sys
 import typing
 
@@ -249,3 +250,140 @@ def test_every_imported_name_is_used():
                       "from . import a, b as c\nfrom .x import (d, e)\n"
                       "def f(y: d) -> None:\n    return os.sep, a.z, c\n")
     assert _unused_imports(probe) == ["2: json", "4: e"]
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _public_definitions(module, tree):
+    """{key: node} for the public module-level functions of `tree`, keyed
+    (module, name), and its public methods and properties, keyed
+    (module, "Class.name")."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found[(module, node.name)] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found[(module, f"{node.name}.{item.name}")] = item
+    return found
+
+
+def _tokens(tree, owners, owner=None):
+    """(owner, token) for each name, attribute and string `tree` reads:
+    owner is the key `owners` gives the definition whose body holds the
+    read, else None."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield owner, ("name", node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            yield owner, ("attr", getattr(value, "attr", getattr(value, "id", None)), node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield owner, ("str", node.value)
+        yield from _tokens(node, owners, owners.get(node, owner))
+
+
+def _imported_from(tree):
+    """{bound name: (module, name)} for each `from <package module> import
+    name` in `tree`, the module relative to the package ("" for flexcert
+    itself), so that a bare name is read as the function it binds."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "flexcert":
+                    continue
+                module = module[len("flexcert."):]
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (module, alias.name)
+    return bound
+
+
+def _reads(key, token, file_module, bound, exported):
+    """Whether `token`, read in the module `file_module` (None outside the
+    package) that binds `bound`, reads the definition `key`. A name the
+    package itself binds is resolved through `exported`, the bindings of
+    flexcert/__init__.py."""
+    module, name = key
+    kind, *rest = token
+    if "." in name:  # a method or property: an attribute or a string of its name
+        return kind in ("attr", "str") and rest[-1] == name.split(".")[1]
+    if kind == "name":
+        target = bound.get(rest[0])
+        if target is not None and target[0] == "":
+            target = exported.get(target[1])
+        return target == key or (file_module, rest[0]) == key
+    if kind == "attr":
+        return rest[1] == name and (
+            rest[0] == module or (rest[0] == "flexcert" and exported.get(name) == key))
+    return rest[0] in (name, f"{module}.{name}")
+
+
+def _unread_definitions(modules, readers):
+    """The keys of the public definitions of `modules` ({module: tree})
+    that nothing in them or in `readers` (trees outside the package) reads
+    outside their own body, as "module.name". A read inside an unread
+    definition does not count, so a helper whose only reader is itself
+    unread is unread too."""
+    definitions, owners = {}, {}
+    for module, tree in modules.items():
+        found = _public_definitions(module, tree)
+        definitions.update(found)
+        owners.update({node: key for key, node in found.items()})
+    exported = _imported_from(modules["__init__"]) if "__init__" in modules else {}
+    reads = []
+    for module, tree in [*modules.items(), *((None, tree) for tree in readers)]:
+        bound = _imported_from(tree)
+        reads += [(owner, module, bound, token) for owner, token in _tokens(tree, owners)]
+    live = set()
+    grew = True
+    while grew:
+        grew = False
+        for key in definitions.keys() - live:
+            if any((owner is None or owner in live) and owner != key
+                   and _reads(key, token, module, bound, exported)
+                   for owner, module, bound, token in reads):
+                live.add(key)
+                grew = True
+    return sorted(f"{module}.{name}" for module, name in definitions.keys() - live)
+
+
+def _readme_python_blocks():
+    from test_readme import _python_blocks
+    return [source for _, source in _python_blocks(
+        (REPO_ROOT / "README.md").read_text(encoding="utf-8"))]
+
+
+def test_every_public_name_has_a_reader():
+    # a public function, method or property of the package is kept for a
+    # reader: the package itself (a verdict, a replay, the CLI, the file
+    # formats, the names __all__ exports), the benchmark, a README example
+    # or an acceptance test; a name that only other tests read is dead code
+    modules = {rel[:-3].replace(os.sep, "."): tree for rel, tree in _package_trees()}
+    readers = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in [*sorted((REPO_ROOT / "bench").glob("*.py")),
+                            REPO_ROOT / "tests" / "test_acceptance.py"]]
+    readers += [ast.parse(source) for source in _readme_python_blocks()]
+    unread = _unread_definitions(modules, readers)
+    assert not unread, f"public names that nothing reads: {unread}"
+    probe = {
+        "a": ast.parse("def f():\n    return g()\n"
+                       "def g():\n    return g()\n"
+                       "def k():\n    pass\n"
+                       "class C:\n    def m(self):\n        return self.n\n"
+                       "    @property\n    def n(self):\n        return 1\n"
+                       "    def o(self):\n        return self.o\n"),
+        "b": ast.parse("from .a import k as kk\nkk(x.m, getattr(x, 'h'))\n"
+                       "def h():\n    pass\n"
+                       "def z():\n    return kk\n"),
+    }
+    # f has no reader and g only f and itself; k is read through an alias,
+    # C.m by attribute, C.n by the live C.m, h by a string; C.o and z are
+    # read by none but themselves
+    assert _unread_definitions(probe, []) == ["a.C.o", "a.f", "a.g", "b.z"]
+    probe["__init__"] = ast.parse("from .a import f\n")
+    assert _unread_definitions(probe, [ast.parse("import flexcert\nflexcert.f()\n")]) == [
+        "a.C.o", "b.z"]
